@@ -32,6 +32,17 @@
 
 namespace hpm {
 
+/// One TPT hit scored by Sp (Equation 2 or 5), awaiting ranking. 32 bytes
+/// on 64-bit hosts: the ranking key is held inline so comparisons never
+/// chase the pattern pointer, and a full Prediction (centre, MBR) is built
+/// only for the hits that make the top k.
+struct ScoredHit {
+  double score = 0.0;
+  double confidence = 0.0;
+  int pattern_id = -1;
+  const IndexedPattern* pattern = nullptr;
+};
+
 /// Reusable buffers for one lane of query execution. Cleared (not freed)
 /// between objects, so steady state does no per-object allocation on the
 /// pattern side.
@@ -39,8 +50,8 @@ struct PredictScratch {
   /// TPT search output buffer.
   std::vector<const IndexedPattern*> tpt_hits;
 
-  /// Candidate predictions prior to ranking.
-  std::vector<Prediction> candidates;
+  /// Scored hits prior to ranking.
+  std::vector<ScoredHit> candidates;
 
   /// Query-key work buffer (FQP key, or BQP round key).
   PatternKey query_key;

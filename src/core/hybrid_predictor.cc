@@ -126,17 +126,40 @@ std::vector<int> HybridPredictor::QueryPremise(
                                options_.region_match_slack);
 }
 
-std::vector<Prediction> HybridPredictor::RankAndTake(
-    std::vector<Prediction>* candidates, int k) const {
-  std::sort(candidates->begin(), candidates->end(),
-            [](const Prediction& a, const Prediction& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.confidence > b.confidence;
-            });
+namespace {
+
+/// RankAndTake's total order (see its header comment).
+bool RanksBefore(const ScoredHit& a, const ScoredHit& b) {
+  if (a.score != b.score) return a.score > b.score;
+  if (a.confidence != b.confidence) return a.confidence > b.confidence;
+  return a.pattern_id < b.pattern_id;
+}
+
+}  // namespace
+
+std::vector<Prediction> RankAndTake(std::vector<ScoredHit>* hits, int k,
+                                    const FrequentRegionSet& regions) {
   const size_t take =
-      std::min(candidates->size(), static_cast<size_t>(std::max(k, 0)));
-  return std::vector<Prediction>(candidates->begin(),
-                                 candidates->begin() + take);
+      std::min(hits->size(), static_cast<size_t>(std::max(k, 0)));
+  std::partial_sort(hits->begin(), hits->begin() + take, hits->end(),
+                    RanksBefore);
+  std::vector<Prediction> ranked;
+  ranked.reserve(take);
+  for (size_t i = 0; i < take; ++i) {
+    const ScoredHit& hit = (*hits)[i];
+    const FrequentRegion& region =
+        regions.Region(hit.pattern->consequence_region);
+    Prediction p;
+    p.location = region.center;
+    p.uncertainty = region.mbr;
+    p.score = hit.score;
+    p.source = PredictionSource::kPattern;
+    p.pattern_id = hit.pattern_id;
+    p.consequence_region = hit.pattern->consequence_region;
+    p.confidence = hit.confidence;
+    ranked.push_back(p);
+  }
+  return ranked;
 }
 
 StatusOr<Prediction> HybridPredictor::MotionFunctionPredict(
@@ -334,20 +357,14 @@ void HybridPredictor::PredictTask::FinishForwardSearch() {
     const double sr =
         PremiseSimilarity(hit->key.premise(), s.query_key.premise(),
                           predictor_->options_.weight_function);
-    Prediction p;
-    p.location = predictor_->regions_.Region(hit->consequence_region).center;
-    p.uncertainty = predictor_->regions_.Region(hit->consequence_region).mbr;
-    p.score = sr * hit->confidence;
-    p.source = PredictionSource::kPattern;
-    p.pattern_id = hit->pattern_id;
-    p.consequence_region = hit->consequence_region;
-    p.confidence = hit->confidence;
-    s.candidates.push_back(p);
+    s.candidates.push_back(
+        {sr * hit->confidence, hit->confidence, hit->pattern_id, hit});
   }
   if (!s.candidates.empty()) {
     predictor_->counters_.pattern_answers.fetch_add(
         1, std::memory_order_relaxed);
-    CompleteWith(predictor_->RankAndTake(&s.candidates, query_->k));
+    CompleteWith(
+        RankAndTake(&s.candidates, query_->k, predictor_->regions_));
     return;
   }
   MotionFallback();
@@ -418,29 +435,24 @@ bool HybridPredictor::PredictTask::EndBackwardRound(bool ran_search) {
     s.candidates.clear();
     s.candidates.reserve(s.tpt_hits.size());
     for (const IndexedPattern* hit : s.tpt_hits) {
-      const int time_id = hit->key.consequence().HighestSetBit();
-      const Timestamp t = predictor_->key_tables_.OffsetForTimeId(time_id);
+      // The consequence offset t is the consequence region's offset:
+      // KeyTables::EncodePattern sets the one consequence bit at that
+      // offset's time id, so this equals decoding the key's bit.
+      const Timestamp t =
+          predictor_->regions_.Region(hit->consequence_region).offset;
       const double sc = ConsequenceSimilarity(t, tq_offset_, t_eps_);
       const double sr =
           PremiseSimilarity(hit->key.premise(), s.query_key.premise(),
                             predictor_->options_.weight_function);
       // Equation 5: Sp = (Sr * d / (tq - tc) + Sc) * c — the premise
       // evidence is penalised as the prediction length grows.
-      Prediction p;
-      p.location =
-          predictor_->regions_.Region(hit->consequence_region).center;
-      p.uncertainty =
-          predictor_->regions_.Region(hit->consequence_region).mbr;
-      p.score = (sr * premise_penalty_ + sc) * hit->confidence;
-      p.source = PredictionSource::kPattern;
-      p.pattern_id = hit->pattern_id;
-      p.consequence_region = hit->consequence_region;
-      p.confidence = hit->confidence;
-      s.candidates.push_back(p);
+      s.candidates.push_back({(sr * premise_penalty_ + sc) * hit->confidence,
+                              hit->confidence, hit->pattern_id, hit});
     }
     predictor_->counters_.pattern_answers.fetch_add(
         1, std::memory_order_relaxed);
-    CompleteWith(predictor_->RankAndTake(&s.candidates, query_->k));
+    CompleteWith(
+        RankAndTake(&s.candidates, query_->k, predictor_->regions_));
     return true;
   }
 

@@ -21,6 +21,7 @@
 namespace hpm {
 
 struct PredictScratch;
+struct ScoredHit;
 
 /// Everything that configures training and query processing.
 struct HybridPredictorOptions {
@@ -90,6 +91,22 @@ struct QueryCounters {
   /// because no pattern matched. The serving degradation rate.
   size_t degraded_answers = 0;
 };
+
+/// Ranks the scored pattern hits of one query and materialises the best
+/// min(k, hits) of them as predictions, best first (FQP/BQP's "return the
+/// top k"). The order is total, so the answer never depends on the order
+/// the TPT search produced the hits in:
+///   1. score Sp, descending;
+///   2. rule confidence, descending;
+///   3. pattern id, ascending.
+/// Only the winners are ordered (a bounded partial sort) and only they
+/// become Predictions, with location and uncertainty taken from their
+/// consequence region in `regions`. Nothing is sized by `k`, so any
+/// k >= 1 — INT32_MAX included — costs at most what k = hits.size()
+/// does. `*hits` may be per-query scratch: it is reordered in place and
+/// left behind rather than consumed.
+std::vector<Prediction> RankAndTake(std::vector<ScoredHit>* hits, int k,
+                                    const FrequentRegionSet& regions);
 
 /// A trained Hybrid Prediction Model for one moving object.
 ///
@@ -332,12 +349,6 @@ class HybridPredictor {
   /// stamped with `reason`, counted as a (degraded) motion fallback.
   StatusOr<std::vector<Prediction>> DegradedAnswer(
       const PredictiveQuery& query, DegradedReason reason) const;
-
-  /// Ranks `*candidates` in place and materialises the top-k predictions
-  /// (the buffer may be per-query scratch, so it is sorted, read, and left
-  /// behind rather than consumed).
-  std::vector<Prediction> RankAndTake(
-      std::vector<Prediction>* candidates, int k) const;
 
   HybridPredictorOptions options_;
   FrequentRegionSet regions_;

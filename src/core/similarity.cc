@@ -1,6 +1,8 @@
 #include "core/similarity.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/status.h"
 
@@ -48,17 +50,32 @@ double PositionWeight(WeightFunction fn, int i, int size) {
 double PremiseSimilarity(const DynamicBitset& rk, const DynamicBitset& rkq,
                          WeightFunction fn) {
   HPM_CHECK(rk.size() == rkq.size());
-  const std::vector<size_t> bits = rk.SetBits();
-  if (bits.empty()) return 0.0;
-  const int size = static_cast<int>(bits.size());
+  const int size = static_cast<int>(rk.Count());
+  if (size == 0) return 0.0;
 
   double total = 0.0;
   for (int j = 1; j <= size; ++j) total += RawWeight(fn, j);
 
+  // Walk rk's set bits in ascending position, i counting them from 1, and
+  // add the weight of each one rkq shares — the same terms in the same
+  // order as summing over an explicit list of positions, without
+  // building one. A word with no shared bit only advances i.
+  const uint64_t* pattern = rk.words();
+  const uint64_t* query = rkq.words();
   double similarity = 0.0;
-  for (int i = 1; i <= size; ++i) {
-    if (rkq.Test(bits[static_cast<size_t>(i - 1)])) {
-      similarity += RawWeight(fn, i) / total;
+  int i = 0;
+  for (size_t w = 0; w < rk.num_words(); ++w) {
+    uint64_t bits = pattern[w];
+    if ((bits & query[w]) == 0) {
+      i += std::popcount(bits);
+      continue;
+    }
+    while (bits != 0) {
+      ++i;
+      if ((query[w] >> std::countr_zero(bits)) & 1) {
+        similarity += RawWeight(fn, i) / total;
+      }
+      bits &= bits - 1;
     }
   }
   return similarity;

@@ -824,6 +824,9 @@ StatusOr<std::vector<Prediction>> MovingObjectStore::PredictView(
 
 StatusOr<std::vector<Prediction>> MovingObjectStore::PredictLocation(
     ObjectId id, Timestamp tq, int k, Deadline deadline) const {
+  if (k < 1) {
+    return Status::InvalidArgument("k must be >= 1");
+  }
   QueryPipeline pipeline(PipelineEnv(), StoreOp::kPredict, deadline);
   HPM_RETURN_IF_ERROR(pipeline.Admit("predict"));
   pipeline.Plan(1);
@@ -850,6 +853,10 @@ MovingObjectStore::PredictLocationBatch(const std::vector<ObjectId>& ids,
                                         Deadline deadline) const {
   using Result = StatusOr<std::vector<Prediction>>;
 
+  if (k < 1) {
+    return std::vector<Result>(
+        ids.size(), Result(Status::InvalidArgument("k must be >= 1")));
+  }
   QueryPipeline pipeline(PipelineEnv(), StoreOp::kPredictBatch, deadline);
   // One admission ticket covers the whole batch (it is one request).
   if (Status admitted = pipeline.Admit("predict_batch"); !admitted.ok()) {

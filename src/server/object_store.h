@@ -306,7 +306,9 @@ class MovingObjectStore {
   /// predictor when available and a pure motion-function answer before
   /// the first training threshold. When `deadline` expires mid-query the
   /// answer degrades to the RMF motion function (Prediction::degraded
-  /// records why) instead of failing.
+  /// records why) instead of failing. At most `k` predictions come back;
+  /// k < 1 is InvalidArgument, and a k above the object's pattern count
+  /// costs no more than k = that count.
   StatusOr<std::vector<Prediction>> PredictLocation(
       ObjectId id, Timestamp tq, int k = 1,
       Deadline deadline = Deadline::Infinite()) const;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "core/exec_context.h"
 
 namespace hpm {
 namespace {
@@ -452,6 +455,79 @@ TEST(HybridPredictorUpdateTest, WithNewHistoryMatchesInPlaceIncorporation) {
         EXPECT_EQ((*a)[i].score, (*b)[i].score);
         EXPECT_EQ((*a)[i].source, (*b)[i].source);
         EXPECT_EQ((*a)[i].pattern_id, (*b)[i].pattern_id);
+      }
+    }
+  }
+}
+
+/// RankAndTake's documented order, written out independently for the
+/// oracle: score descending, then confidence descending, then pattern id
+/// ascending.
+bool OracleRanksBefore(const ScoredHit& a, const ScoredHit& b) {
+  if (a.score != b.score) return a.score > b.score;
+  if (a.confidence != b.confidence) return a.confidence > b.confidence;
+  return a.pattern_id < b.pattern_id;
+}
+
+TEST(RankAndTakeTest, MatchesFullStableSortUnderTheTotalOrder) {
+  // Four consequence regions with distinct centres and MBRs.
+  FrequentRegionSet regions;
+  for (int r = 0; r < 4; ++r) {
+    FrequentRegion region;
+    region.id = r;
+    region.offset = r;
+    region.center = {10.0 * r, -3.0 * r};
+    region.mbr = BoundingBox({10.0 * r - 1, -3.0 * r - 1},
+                             {10.0 * r + 1, -3.0 * r + 1});
+    regions.AddRegion(region);
+  }
+
+  Random rng(20260417);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(1, 40));
+    // Few distinct scores and confidences, so most hits tie on both and
+    // only the pattern id separates them.
+    std::vector<IndexedPattern> patterns(static_cast<size_t>(n));
+    std::vector<int> ids(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = 3 * i + 1;
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(ids[static_cast<size_t>(i)],
+                ids[rng.Uniform(static_cast<uint64_t>(i) + 1)]);
+    }
+    std::vector<ScoredHit> hits;
+    for (int i = 0; i < n; ++i) {
+      IndexedPattern& p = patterns[static_cast<size_t>(i)];
+      p.pattern_id = ids[static_cast<size_t>(i)];
+      p.confidence = 0.5 * static_cast<double>(rng.UniformInt(1, 2));
+      p.consequence_region = static_cast<int>(rng.Uniform(4));
+      const double score =
+          0.25 * static_cast<double>(rng.UniformInt(1, 3)) * p.confidence;
+      hits.push_back({score, p.confidence, p.pattern_id, &p});
+    }
+
+    std::vector<ScoredHit> expected = hits;
+    std::stable_sort(expected.begin(), expected.end(), OracleRanksBefore);
+
+    for (const int k : {1, 3, n, n + 5, INT_MAX}) {
+      std::vector<ScoredHit> scratch = hits;
+      const std::vector<Prediction> ranked =
+          RankAndTake(&scratch, k, regions);
+      const size_t want = std::min(static_cast<size_t>(k), hits.size());
+      ASSERT_EQ(ranked.size(), want) << "k=" << k << " n=" << n;
+      EXPECT_LE(ranked.capacity(), want) << "allocation sized by k";
+      for (size_t i = 0; i < want; ++i) {
+        const ScoredHit& e = expected[i];
+        const FrequentRegion& region =
+            regions.Region(e.pattern->consequence_region);
+        SCOPED_TRACE("k=" + std::to_string(k) + " rank " + std::to_string(i));
+        EXPECT_EQ(ranked[i].pattern_id, e.pattern_id);
+        EXPECT_EQ(ranked[i].score, e.score);
+        EXPECT_EQ(ranked[i].confidence, e.confidence);
+        EXPECT_EQ(ranked[i].source, PredictionSource::kPattern);
+        EXPECT_EQ(ranked[i].consequence_region,
+                  e.pattern->consequence_region);
+        EXPECT_EQ(ranked[i].location, region.center);
+        EXPECT_EQ(ranked[i].uncertainty.ToString(), region.mbr.ToString());
       }
     }
   }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "common/random.h"
+#include "proptest/generators.h"
 
 namespace hpm {
 namespace {
@@ -130,6 +134,70 @@ TEST(PremiseSimilarityTest, BoundedInUnitInterval) {
         PremiseSimilarity(Bits("110101"), Bits("010001"), fn);
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, 1.0);
+  }
+}
+
+/// The list-based form of Equation 1 PremiseSimilarity replaced: collect
+/// rk's set positions, then add PositionWeight(i) for each one rkq shares,
+/// in ascending position order. Kept as the oracle for the in-place walk.
+double ReferencePremiseSimilarity(const DynamicBitset& rk,
+                                  const DynamicBitset& rkq,
+                                  WeightFunction fn) {
+  const std::vector<size_t> bits = rk.SetBits();
+  if (bits.empty()) return 0.0;
+  const int size = static_cast<int>(bits.size());
+  double similarity = 0.0;
+  for (int i = 1; i <= size; ++i) {
+    if (rkq.Test(bits[static_cast<size_t>(i - 1)])) {
+      similarity += PositionWeight(fn, i, size);
+    }
+  }
+  return similarity;
+}
+
+TEST(PremiseSimilarityTest, BitIdenticalToSetBitsReferenceOnMultiWordKeys) {
+  // Premise keys longer than one 64-bit word, every weight family, and
+  // query keys from empty through sparse to a superset of rk. At most 168
+  // bits keep the factorial weights finite (171! overflows a double).
+  Random rng(20260417);
+  for (const auto fn :
+       {WeightFunction::kLinear, WeightFunction::kQuadratic,
+        WeightFunction::kExponential, WeightFunction::kFactorial}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const size_t length = static_cast<size_t>(rng.UniformInt(65, 168));
+      const DynamicBitset rk =
+          proptest::RandomBitset(rng, length, rng.UniformDouble(0.0, 0.6));
+      DynamicBitset rkq =
+          proptest::RandomBitset(rng, length, rng.UniformDouble(0.0, 0.6));
+      if (trial % 4 == 0) rkq |= rk;  // every rk bit shared
+      if (trial % 7 == 0) rkq.Reset();  // none shared
+      EXPECT_EQ(PremiseSimilarity(rk, rkq, fn),
+                ReferencePremiseSimilarity(rk, rkq, fn))
+          << WeightFunctionName(fn) << " rk=" << rk.ToString()
+          << " rkq=" << rkq.ToString();
+    }
+  }
+}
+
+TEST(PremiseSimilarityTest, BitIdenticalToReferenceAtWordBoundaries) {
+  // Set bits on both sides of each word edge, where the walk's rank
+  // counter carries from one word into the next.
+  for (const size_t length : {64u, 65u, 128u, 129u, 168u}) {
+    DynamicBitset rk(length);
+    DynamicBitset rkq(length);
+    for (size_t pos : {size_t{0}, size_t{62}, size_t{63}, size_t{64},
+                       size_t{127}, size_t{128}, size_t{167}}) {
+      if (pos >= length) continue;
+      rk.Set(pos);
+      if (pos % 2 == 1) rkq.Set(pos);
+    }
+    for (const auto fn :
+         {WeightFunction::kLinear, WeightFunction::kQuadratic,
+          WeightFunction::kExponential, WeightFunction::kFactorial}) {
+      EXPECT_EQ(PremiseSimilarity(rk, rkq, fn),
+                ReferencePremiseSimilarity(rk, rkq, fn))
+          << WeightFunctionName(fn) << " length " << length;
+    }
   }
 }
 

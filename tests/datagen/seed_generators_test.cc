@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace hpm {
 namespace {
@@ -59,19 +60,28 @@ TEST(ResampleUniformTest, DegeneratePolylineRepeatsPoint) {
   for (const Point& p : samples) EXPECT_EQ(p, Point(5, 5));
 }
 
-class SeedGeneratorTest
-    : public ::testing::TestWithParam<
-          std::vector<Point> (*)(const SeedConfig&)> {};
+// A generator paired with its kind name. The name is what gtest prints
+// for the parameter, and so what ctest discovery puts in the case name;
+// the default would print the function address, which changes with every
+// load of the binary and so renames the cases from run to run.
+struct SeedKind {
+  const char* name;
+  std::vector<Point> (*make)(const SeedConfig&);
+};
+
+void PrintTo(const SeedKind& kind, std::ostream* os) { *os << kind.name; }
+
+class SeedGeneratorTest : public ::testing::TestWithParam<SeedKind> {};
 
 TEST_P(SeedGeneratorTest, ProducesPeriodPointsInsideExtent) {
-  const auto make = GetParam();
+  const auto make = GetParam().make;
   const auto seed = make(Config(300));
   EXPECT_EQ(seed.size(), 300u);
   ExpectInExtent(seed, 10000.0);
 }
 
 TEST_P(SeedGeneratorTest, DeterministicGivenSeed) {
-  const auto make = GetParam();
+  const auto make = GetParam().make;
   const auto a = make(Config(100, 9));
   const auto b = make(Config(100, 9));
   ASSERT_EQ(a.size(), b.size());
@@ -79,7 +89,7 @@ TEST_P(SeedGeneratorTest, DeterministicGivenSeed) {
 }
 
 TEST_P(SeedGeneratorTest, DifferentSeedsDiffer) {
-  const auto make = GetParam();
+  const auto make = GetParam().make;
   const auto a = make(Config(100, 1));
   const auto b = make(Config(100, 2));
   double total = 0.0;
@@ -87,10 +97,12 @@ TEST_P(SeedGeneratorTest, DifferentSeedsDiffer) {
   EXPECT_GT(total / static_cast<double>(a.size()), 10.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, SeedGeneratorTest,
-                         ::testing::Values(&MakeBikeSeed, &MakeCowSeed,
-                                           &MakeCarSeed,
-                                           &MakeAirplaneSeed));
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, SeedGeneratorTest,
+    ::testing::Values(SeedKind{"Bike", &MakeBikeSeed},
+                      SeedKind{"Cow", &MakeCowSeed},
+                      SeedKind{"Car", &MakeCarSeed},
+                      SeedKind{"Airplane", &MakeAirplaneSeed}));
 
 TEST(SeedCharacterTest, CowMovesSlowest) {
   const auto cow = MakeCowSeed(Config());

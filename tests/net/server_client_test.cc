@@ -3,6 +3,7 @@
 // handling, and (in fault builds) torn-frame retry.
 
 #include <chrono>
+#include <climits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
+#include "proptest/generators.h"
 #include "server/object_store.h"
 
 namespace hpm {
@@ -117,6 +119,75 @@ TEST(ServerClientTest, RangeAndKnnTravelTheWire) {
   ASSERT_TRUE(stats.ok());
   EXPECT_FALSE(stats->json.empty());
   EXPECT_EQ(stats->json.front(), '{');
+}
+
+TEST(ServerClientTest, HugeKIsAnsweredAndTopBitKIsRejected) {
+  // Objects with trained models, so predictions take the pattern path
+  // and rank every matching pattern.
+  ObjectStoreOptions options;
+  options.predictor.regions.period = 10;
+  options.predictor.regions.dbscan.eps = 12.0;
+  options.predictor.regions.dbscan.min_pts = 3;
+  options.predictor.mining.min_confidence = 0.2;
+  options.predictor.mining.min_support = 2;
+  options.predictor.distant_threshold = 5;
+  options.predictor.region_match_slack = 6.0;
+  options.min_training_periods = 4;
+  MovingObjectStore store(options);
+  Random rng(7);
+  const BoundingBox extent({0.0, 0.0}, {10000.0, 10000.0});
+  for (ObjectId id = 1; id <= 4; ++id) {
+    ASSERT_TRUE(store
+                    .ReportTrajectory(id, proptest::PeriodicHistory(
+                                              rng, 10, 6, extent, 1.0))
+                    .ok());
+    ASSERT_TRUE(store.GetPredictor(id).ok());
+  }
+  StatusOr<std::unique_ptr<HpmServer>> server =
+      HpmServer::Start(&store, HpmServerOptions{});
+  ASSERT_TRUE(server.ok());
+  HpmClient client(ClientFor(**server));
+
+  PredictRequest predict;
+  predict.id = 1;
+  predict.tq = 62;
+  predict.k = INT_MAX;
+  StatusOr<PredictReply> all = client.Predict(predict);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  StatusOr<std::vector<Prediction>> direct =
+      store.PredictLocation(1, 62, INT_MAX, Deadline::Infinite());
+  ASSERT_TRUE(direct.ok());
+  ASSERT_EQ(all->predictions.size(), direct->size());
+  ASSERT_FALSE(direct->empty());
+  EXPECT_LE(direct->size(), (*store.GetPredictor(1))->patterns().size());
+  for (size_t i = 0; i < direct->size(); ++i) {
+    EXPECT_EQ(all->predictions[i].pattern_id, (*direct)[i].pattern_id);
+    EXPECT_EQ(all->predictions[i].score, (*direct)[i].score);
+  }
+
+  RangeRequest range;
+  range.max_x = 10000.0;
+  range.max_y = 10000.0;
+  range.tq = 62;
+  range.k_per_object = INT_MAX;
+  StatusOr<FleetReply> hits = client.Range(range);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(hits->result.hits.size(), 4u);
+
+  // A k whose u32 wire form has the top bit set decodes negative and is
+  // refused, on both entry points.
+  predict.k = INT_MIN;
+  StatusOr<PredictReply> refused = client.Predict(predict);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  range.k_per_object = -1;  // 0xFFFFFFFF on the wire
+  StatusOr<FleetReply> refused_range = client.Range(range);
+  ASSERT_FALSE(refused_range.ok());
+  EXPECT_EQ(refused_range.status().code(), StatusCode::kInvalidArgument);
+
+  // The connection still serves after the refusals.
+  predict.k = 3;
+  EXPECT_TRUE(client.Predict(predict).ok());
 }
 
 TEST(ServerClientTest, StatsMergesStoreAndServerCounters) {
