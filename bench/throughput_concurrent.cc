@@ -251,8 +251,9 @@ struct OverloadReport {
   uint64_t degraded = 0;  ///< Admitted, answered RMF-only (rung 1).
   uint64_t shed = 0;      ///< Rejected kUnavailable + retry-after (rung 2).
   uint64_t other = 0;     ///< Anything else — must stay 0.
-  OverloadStats store_stats;  ///< The server's own ladder counters.
-  MetricsSnapshot metrics;    ///< Stage histograms of the overloaded store.
+  /// The overloaded store's metrics: its ladder counters and stage
+  /// histograms.
+  MetricsSnapshot metrics;
   double baseline_p50_us = 0;
   double baseline_p99_us = 0;
   double accepted_p50_us = 0;
@@ -388,7 +389,6 @@ OverloadReport RunOverload(uint64_t seed) {
     std::sort(latencies.begin(), latencies.end());
     report.accepted_p50_us = Percentile(latencies, 0.50);
     report.accepted_p99_us = Percentile(latencies, 0.99);
-    report.store_stats = store.overload_stats();
     report.metrics = store.metrics_snapshot();
   }
   return report;
@@ -799,8 +799,10 @@ std::string OverloadJson(const OverloadReport& report) {
       "    \"baseline_p50_us\": %.1f, \"baseline_p99_us\": %.1f,\n"
       "    \"accepted_p50_us\": %.1f, \"accepted_p99_us\": %.1f},\n",
       kBaselineThreads, kOverloadThreads, report.full, report.degraded,
-      report.shed, report.other, report.store_stats.admitted,
-      report.store_stats.shed, report.store_stats.degraded_overload,
+      report.shed, report.other,
+      report.metrics.counter_sum("store.admitted."),
+      report.metrics.counter_sum("store.shed."),
+      report.metrics.counter("store.degraded_predictions"),
       report.baseline_p50_us, report.baseline_p99_us,
       report.accepted_p50_us, report.accepted_p99_us);
   return buf + StagesJson(report.metrics);

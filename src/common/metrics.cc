@@ -44,6 +44,14 @@ uint64_t MetricsSnapshot::counter(const std::string& name) const {
   return 0;
 }
 
+uint64_t MetricsSnapshot::counter_sum(const std::string& prefix) const {
+  uint64_t total = 0;
+  for (const auto& [n, v] : counters) {
+    if (n.compare(0, prefix.size(), prefix) == 0) total += v;
+  }
+  return total;
+}
+
 const LatencyHistogram::Snapshot* MetricsSnapshot::histogram(
     const std::string& name) const {
   for (const auto& [n, snap] : histograms) {

@@ -115,6 +115,10 @@ struct MetricsSnapshot {
   /// Counter value by exact name; 0 when absent.
   uint64_t counter(const std::string& name) const;
 
+  /// Sum of every counter whose name starts with `prefix` — e.g. the
+  /// per-op family "store.admitted." totalled over all ops.
+  uint64_t counter_sum(const std::string& prefix) const;
+
   /// Histogram by exact name; nullptr when absent.
   const LatencyHistogram::Snapshot* histogram(const std::string& name) const;
 

@@ -114,7 +114,7 @@ class QueryContext {
   // --- concurrently.
 
   /// A prediction served degraded because of load shedding (one count per
-  /// prediction, matching OverloadStats::degraded_overload semantics).
+  /// prediction, the unit of the store.degraded_predictions metric).
   void CountDegradedPrediction(uint64_t n = 1) {
     degraded_predictions_.fetch_add(n, std::memory_order_relaxed);
   }

@@ -20,7 +20,6 @@ std::string ShardQueryFaultSite(int shard) {
 MovingObjectStore::MovingObjectStore(ObjectStoreOptions options)
     : options_(std::move(options)),
       continuous_(std::make_unique<ContinuousState>()),
-      stats_(std::make_unique<AtomicOverloadStats>()),
       metrics_registry_(std::make_unique<MetricsRegistry>()) {
   HPM_CHECK(options_.min_training_periods >= 1);
   HPM_CHECK(options_.update_batch_periods >= 1);
@@ -277,7 +276,6 @@ QueryPipeline::Env MovingObjectStore::PipelineEnv() const {
   env.admission = admission_.get();
   env.pool = pool_.get();
   env.breakers = &breakers_;
-  env.stats = stats_.get();
   env.metrics = metrics_.get();
   env.degrade_queue_depth = options_.degrade_queue_depth;
   env.degrade_min_headroom = options_.degrade_min_headroom;
@@ -754,10 +752,6 @@ MovingObjectStore::GetPredictor(ObjectId id) const {
     return Status::FailedPrecondition("object has no trained model yet");
   }
   return view->predictor;
-}
-
-OverloadStats MovingObjectStore::overload_stats() const {
-  return stats_->Snapshot();
 }
 
 CircuitBreaker::State MovingObjectStore::BreakerState(int shard) const {

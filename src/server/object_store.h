@@ -353,9 +353,6 @@ class MovingObjectStore {
       Deadline deadline = Deadline::Infinite()) const;
 
   /// ---- Observability --------------------------------------------------
-  /// Snapshot of the overload-control counters.
-  OverloadStats overload_stats() const;
-
   /// True when the store was configured with a write-ahead journal
   /// (DurabilityOptions::wal_dir non-empty).
   bool wal_enabled() const { return !options_.durability.wal_dir.empty(); }
@@ -714,7 +711,6 @@ class MovingObjectStore {
   std::unique_ptr<ContinuousState> continuous_;
   std::unique_ptr<AdmissionController> admission_;
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
-  std::unique_ptr<AtomicOverloadStats> stats_;
   std::unique_ptr<MetricsRegistry> metrics_registry_;
   std::unique_ptr<StoreMetrics> metrics_;
   /// Set once by DisableWal when a disk fault drops the store to

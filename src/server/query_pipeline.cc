@@ -234,18 +234,6 @@ void QueryPipeline::Account() {
   accounted_ = true;
 
   const QueryContext::Totals totals = ctx_.totals();
-  AtomicOverloadStats* stats = env_.stats;
-  if (admitted_) stats->admitted.fetch_add(1, std::memory_order_relaxed);
-  if (shed_) stats->shed.fetch_add(1, std::memory_order_relaxed);
-  stats->degraded_overload.fetch_add(totals.degraded_predictions,
-                                     std::memory_order_relaxed);
-  stats->shards_skipped.fetch_add(totals.shards_skipped,
-                                  std::memory_order_relaxed);
-  stats->trains_deferred.fetch_add(totals.trains_deferred,
-                                   std::memory_order_relaxed);
-  stats->reports_rejected.fetch_add(totals.reports_rejected,
-                                    std::memory_order_relaxed);
-
   if (StoreMetrics* m = env_.metrics; m != nullptr) {
     const size_t op = static_cast<size_t>(op_);
     if (admitted_) m->admitted[op]->Increment();

@@ -15,9 +15,9 @@
 // * MergeRank sorts and truncates fleet results in the entry point's
 //            order.
 // * Account  flushes the context's accumulators into the store's
-//            AtomicOverloadStats and MetricsRegistry exactly once — the
-//            single accounting point — records per-stage latencies, and
-//            hands the per-query trace to the store's trace sink. It runs
+//            MetricsRegistry exactly once — the single accounting
+//            point — records per-stage latencies, and hands the
+//            per-query trace to the store's trace sink. It runs
 //            on *every* exit path (the destructor invokes it if the entry
 //            point returned early), so counts like admitted/shed stay
 //            exact even for rejected or not-found queries.
@@ -134,7 +134,6 @@ class QueryPipeline {
     AdmissionController* admission = nullptr;
     ThreadPool* pool = nullptr;
     const std::vector<std::unique_ptr<CircuitBreaker>>* breakers = nullptr;
-    AtomicOverloadStats* stats = nullptr;
     StoreMetrics* metrics = nullptr;
     /// Rung-1 ladder thresholds (ObjectStoreOptions values).
     size_t degrade_queue_depth = 0;

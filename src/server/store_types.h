@@ -1,12 +1,11 @@
-// Shared vocabulary of the serving layer: object ids, fleet-query results
-// and the overload-control counters. Split out of object_store.h so the
-// query pipeline (server/query_pipeline.h) and the store can both speak
-// these types without a circular include.
+// Shared vocabulary of the serving layer: object ids and fleet-query
+// results. Split out of object_store.h so the query pipeline
+// (server/query_pipeline.h) and the store can both speak these types
+// without a circular include.
 
 #ifndef HPM_SERVER_STORE_TYPES_H_
 #define HPM_SERVER_STORE_TYPES_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -16,41 +15,6 @@ namespace hpm {
 
 /// Identifies one tracked moving object.
 using ObjectId = int64_t;
-
-/// Relaxed counters describing the overload-control layer's decisions.
-struct OverloadStats {
-  uint64_t admitted = 0;         ///< Entry-point calls past admission.
-  uint64_t shed = 0;             ///< Entry-point calls rejected (rung 2).
-  uint64_t degraded_overload = 0;///< Queries answered RMF-only (rung 1).
-  uint64_t trains_deferred = 0;  ///< (Re)trains postponed under pressure.
-  uint64_t shards_skipped = 0;   ///< Shard fan-outs skipped or failed.
-  uint64_t reports_rejected = 0; ///< Malformed ReportLocation inputs.
-};
-
-/// Relaxed-atomic backing of OverloadStats. Updated only by the query
-/// pipeline's Account stage — the single accounting point — and read by
-/// MovingObjectStore::overload_stats().
-struct AtomicOverloadStats {
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> shed{0};
-  std::atomic<uint64_t> degraded_overload{0};
-  std::atomic<uint64_t> trains_deferred{0};
-  std::atomic<uint64_t> shards_skipped{0};
-  std::atomic<uint64_t> reports_rejected{0};
-
-  OverloadStats Snapshot() const {
-    OverloadStats stats;
-    stats.admitted = admitted.load(std::memory_order_relaxed);
-    stats.shed = shed.load(std::memory_order_relaxed);
-    stats.degraded_overload =
-        degraded_overload.load(std::memory_order_relaxed);
-    stats.trains_deferred = trains_deferred.load(std::memory_order_relaxed);
-    stats.shards_skipped = shards_skipped.load(std::memory_order_relaxed);
-    stats.reports_rejected =
-        reports_rejected.load(std::memory_order_relaxed);
-    return stats;
-  }
-};
 
 /// One object's answer to a predictive range query.
 struct RangeHit {

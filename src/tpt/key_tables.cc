@@ -35,16 +35,6 @@ Timestamp KeyTables::OffsetForTimeId(int time_id) const {
   return consequence_offsets_[static_cast<size_t>(time_id)];
 }
 
-DynamicBitset KeyTables::EncodePremise(
-    const std::vector<int>& region_ids) const {
-  DynamicBitset premise(num_regions_);
-  for (int id : region_ids) {
-    HPM_CHECK(id >= 0 && static_cast<size_t>(id) < num_regions_);
-    premise.Set(static_cast<size_t>(id));
-  }
-  return premise;
-}
-
 void KeyTables::EncodePremiseInto(const std::vector<int>& region_ids,
                                   DynamicBitset* out) const {
   out->Resize(num_regions_);
@@ -57,24 +47,13 @@ void KeyTables::EncodePremiseInto(const std::vector<int>& region_ids,
 
 PatternKey KeyTables::EncodePattern(const TrajectoryPattern& pattern,
                                     const FrequentRegionSet& regions) const {
-  DynamicBitset premise = EncodePremise(pattern.premise);
-  DynamicBitset consequence(consequence_key_length());
+  PatternKey key(num_regions_, consequence_key_length());
+  EncodePremiseInto(pattern.premise, &key.mutable_premise());
   const int time_id =
       TimeIdForOffset(regions.Region(pattern.consequence).offset);
   HPM_CHECK(time_id >= 0);
-  consequence.Set(static_cast<size_t>(time_id));
-  return PatternKey(std::move(premise), std::move(consequence));
-}
-
-StatusOr<PatternKey> KeyTables::EncodeQuery(
-    const std::vector<int>& premise_regions, Timestamp query_offset) const {
-  const int time_id = TimeIdForOffset(query_offset);
-  if (time_id < 0) {
-    return Status::NotFound("no pattern concludes at the query offset");
-  }
-  DynamicBitset consequence(consequence_key_length());
-  consequence.Set(static_cast<size_t>(time_id));
-  return PatternKey(EncodePremise(premise_regions), std::move(consequence));
+  key.mutable_consequence().Set(static_cast<size_t>(time_id));
+  return key;
 }
 
 Status KeyTables::EncodeQueryInto(const std::vector<int>& premise_regions,
@@ -92,25 +71,6 @@ Status KeyTables::EncodeQueryInto(const std::vector<int>& premise_regions,
   return Status::OK();
 }
 
-PatternKey KeyTables::EncodeQueryInterval(
-    const std::vector<int>& premise_regions, Timestamp lo,
-    Timestamp hi) const {
-  DynamicBitset consequence(consequence_key_length());
-  if (lo > hi) {
-    return PatternKey(EncodePremise(premise_regions),
-                      std::move(consequence));
-  }
-  // consequence_offsets_ is sorted; mark every offset in [lo, hi].
-  const auto begin = std::lower_bound(consequence_offsets_.begin(),
-                                      consequence_offsets_.end(), lo);
-  const auto end = std::upper_bound(consequence_offsets_.begin(),
-                                    consequence_offsets_.end(), hi);
-  for (auto it = begin; it != end; ++it) {
-    consequence.Set(static_cast<size_t>(it - consequence_offsets_.begin()));
-  }
-  return PatternKey(EncodePremise(premise_regions), std::move(consequence));
-}
-
 void KeyTables::EncodeQueryIntervalInto(
     const std::vector<int>& premise_regions, Timestamp lo, Timestamp hi,
     PatternKey* out) const {
@@ -119,6 +79,7 @@ void KeyTables::EncodeQueryIntervalInto(
   consequence.Resize(consequence_key_length());
   consequence.Reset();
   if (lo > hi) return;
+  // consequence_offsets_ is sorted; mark every offset in [lo, hi].
   const auto begin = std::lower_bound(consequence_offsets_.begin(),
                                       consequence_offsets_.end(), lo);
   const auto end = std::upper_bound(consequence_offsets_.begin(),

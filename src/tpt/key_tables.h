@@ -56,34 +56,25 @@ class KeyTables {
   PatternKey EncodePattern(const TrajectoryPattern& pattern,
                            const FrequentRegionSet& regions) const;
 
-  /// Encodes a query: premise bits for the recently-visited regions,
-  /// one consequence bit for the query offset. Returns NotFound when no
+  /// Encodes a query into `out`: premise bits for the recently-visited
+  /// regions, one consequence bit for the query offset. `out`'s bitmaps
+  /// are resized and reused in place, so one per-query scratch key serves
+  /// tables of any size without allocating. Returns NotFound when no
   /// pattern concludes at `query_offset` (FQP then falls back to the
-  /// motion function).
-  StatusOr<PatternKey> EncodeQuery(const std::vector<int>& premise_regions,
-                                   Timestamp query_offset) const;
-
-  /// EncodeQuery writing into `out`, whose bitmaps are resized and reused
-  /// in place — the allocation-free variant for per-query scratch buffers.
-  /// Same NotFound contract; `out` is valid only on OK.
+  /// motion function); `out` is valid only on OK.
   Status EncodeQueryInto(const std::vector<int>& premise_regions,
                          Timestamp query_offset, PatternKey* out) const;
 
-  /// Encodes a BQP query: premise bits as above, consequence bits for
-  /// *every* table offset inside [lo, hi] (inclusive, clamped). The
-  /// consequence part is empty-bitted when the interval covers no offset.
-  PatternKey EncodeQueryInterval(const std::vector<int>& premise_regions,
-                                 Timestamp lo, Timestamp hi) const;
-
-  /// EncodeQueryInterval writing into `out` (see EncodeQueryInto).
+  /// Encodes a BQP query into `out` (reused as in EncodeQueryInto):
+  /// premise bits as above, consequence bits for *every* table offset
+  /// inside [lo, hi] (inclusive, clamped). The consequence part is
+  /// empty-bitted when the interval covers no offset.
   void EncodeQueryIntervalInto(const std::vector<int>& premise_regions,
                                Timestamp lo, Timestamp hi,
                                PatternKey* out) const;
 
  private:
-  DynamicBitset EncodePremise(const std::vector<int>& region_ids) const;
-
-  /// EncodePremise into a reused bitmap.
+  /// Premise bits for `region_ids`, written into a reused bitmap.
   void EncodePremiseInto(const std::vector<int>& region_ids,
                          DynamicBitset* out) const;
 

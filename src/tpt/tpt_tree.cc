@@ -287,91 +287,6 @@ void TptTree::SearchInto(const PatternKey& query, SearchMode mode,
   SearchNode(root_.get(), query, mode, out, stats);
 }
 
-namespace {
-
-/// Moves every pattern stored under `node` into `out`.
-void CollectSubtree(TptTree::Node* node, std::vector<IndexedPattern>* out) {
-  if (node->is_leaf) {
-    for (IndexedPattern& p : node->patterns) out->push_back(std::move(p));
-    node->patterns.clear();
-    return;
-  }
-  for (auto& child : node->children) CollectSubtree(child.get(), out);
-}
-
-/// Removes matching patterns below `node`, dissolving underfull nodes
-/// into `orphans`. Returns true when `node` itself must be removed from
-/// its parent. Union keys of surviving internal entries are refreshed.
-bool PruneNode(TptTree::Node* node, bool is_root, int min_entries,
-               const std::function<bool(const IndexedPattern&)>& predicate,
-               size_t* removed, std::vector<IndexedPattern>* orphans) {
-  if (node->is_leaf) {
-    auto& patterns = node->patterns;
-    const size_t before = patterns.size();
-    patterns.erase(
-        std::remove_if(patterns.begin(), patterns.end(), predicate),
-        patterns.end());
-    *removed += before - patterns.size();
-    if (!is_root && static_cast<int>(patterns.size()) < min_entries) {
-      for (IndexedPattern& p : patterns) orphans->push_back(std::move(p));
-      patterns.clear();
-      return true;
-    }
-    return false;
-  }
-
-  for (size_t i = 0; i < node->children.size();) {
-    if (PruneNode(node->children[i].get(), false, min_entries, predicate,
-                  removed, orphans)) {
-      node->children.erase(node->children.begin() + static_cast<long>(i));
-      node->keys.erase(node->keys.begin() + static_cast<long>(i));
-    } else {
-      node->keys[i] = node->children[i]->UnionKey();
-      ++i;
-    }
-  }
-  if (!is_root && static_cast<int>(node->children.size()) < min_entries) {
-    // Too few children left: dissolve the subtree, re-inserting its
-    // surviving patterns (R-tree condense idiom).
-    CollectSubtree(node, orphans);
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-size_t TptTree::RemoveIf(
-    const std::function<bool(const IndexedPattern&)>& predicate) {
-  if (size_ == 0) return 0;
-  size_t removed = 0;
-  std::vector<IndexedPattern> orphans;
-  PruneNode(root_.get(), true, options_.min_node_entries, predicate,
-            &removed, &orphans);
-
-  // Shrink the root: an internal root with one child loses a level; an
-  // internal root with none becomes an empty leaf.
-  while (!root_->is_leaf && root_->NumEntries() == 1) {
-    root_ = std::move(root_->children[0]);
-  }
-  if (!root_->is_leaf && root_->NumEntries() == 0) {
-    root_ = std::make_unique<Node>();
-  }
-
-  HPM_CHECK(size_ >= removed + orphans.size());
-  size_ -= removed + orphans.size();
-  for (IndexedPattern& p : orphans) {
-    HPM_CHECK(Insert(std::move(p)).ok());
-  }
-  return removed;
-}
-
-bool TptTree::Remove(int pattern_id) {
-  return RemoveIf([pattern_id](const IndexedPattern& p) {
-           return p.pattern_id == pattern_id;
-         }) > 0;
-}
-
 int TptTree::Height() const {
   if (size_ == 0) return 0;
   int h = 1;

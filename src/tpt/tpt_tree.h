@@ -11,7 +11,6 @@
 #ifndef HPM_TPT_TPT_TREE_H_
 #define HPM_TPT_TPT_TREE_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,7 +60,7 @@ struct TptSearchStats {
 ///
 /// Serving-path searches run against the FrozenTpt arena emitted from a
 /// finished tree (frozen_tpt.h); this class owns the dynamic insertion /
-/// split / removal machinery, and its Search members remain as the
+/// split machinery, and its Search members remain as the
 /// reference implementation the frozen layout is differentially tested
 /// against (tests/proptest/prop_tpt_frozen_test.cc).
 class TptTree {
@@ -112,16 +111,6 @@ class TptTree {
   void SearchInto(const PatternKey& query, SearchMode mode,
                   std::vector<const IndexedPattern*>* out,
                   TptSearchStats* stats = nullptr) const;
-
-  /// Removes every indexed pattern for which `predicate` returns true
-  /// (e.g. evicting rules whose confidence has drifted below a bar).
-  /// Underfull nodes are dissolved R-tree-style: their surviving entries
-  /// re-insert, so the fill invariants hold afterwards. Returns the
-  /// number of patterns removed.
-  size_t RemoveIf(const std::function<bool(const IndexedPattern&)>& predicate);
-
-  /// Removes the single pattern with this pattern_id; false if absent.
-  bool Remove(int pattern_id);
 
   /// Number of indexed patterns.
   size_t size() const { return size_; }

@@ -124,6 +124,18 @@ TEST(MetricsRegistryTest, SnapshotReflectsAllInstruments) {
   EXPECT_EQ(snap.histogram("missing"), nullptr);
 }
 
+TEST(MetricsSnapshotTest, CounterSumAddsExactlyThePrefixFamily) {
+  MetricsRegistry registry;
+  registry.GetCounter("shed.report")->Increment(2);
+  registry.GetCounter("shed.range")->Increment(5);
+  registry.GetCounter("shed_total")->Increment(100);  // Not "shed.".
+  registry.GetCounter("admitted.report")->Increment(7);
+  const MetricsSnapshot snap = registry.TakeSnapshot();
+  EXPECT_EQ(snap.counter_sum("shed."), 7u);
+  EXPECT_EQ(snap.counter_sum("admitted."), 7u);
+  EXPECT_EQ(snap.counter_sum("missing."), 0u);
+}
+
 TEST(MetricsSnapshotTest, ToJsonContainsNamesAndValues) {
   MetricsRegistry registry;
   registry.GetCounter("requests")->Increment(5);

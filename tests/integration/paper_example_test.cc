@@ -81,7 +81,8 @@ TEST_F(PaperExampleTest, TableIRegionKeys) {
   for (int id = 0; id < 5; ++id) {
     DynamicBitset expected(5);
     expected.Set(static_cast<size_t>(id));
-    PatternKey q = tables_.EncodeQueryInterval({id}, 0, 2);
+    PatternKey q;
+    tables_.EncodeQueryIntervalInto({id}, 0, 2, &q);
     EXPECT_EQ(q.premise(), expected);
   }
 }
@@ -107,12 +108,12 @@ TEST_F(PaperExampleTest, SectionVIBQueryKeyAndCandidates) {
   // Jane's recent movements are R0^0 and R1^0, tq = 2; the query key is
   // 1000011 and exactly the two offset-2 patterns intersect it (the
   // shadowed entries of Fig. 4).
-  auto qkey = tables_.EncodeQuery({0, 1}, 2);
-  ASSERT_TRUE(qkey.ok());
-  EXPECT_EQ(qkey->ToString(), "1000011");
+  PatternKey qkey;
+  ASSERT_TRUE(tables_.EncodeQueryInto({0, 1}, 2, &qkey).ok());
+  EXPECT_EQ(qkey.ToString(), "1000011");
 
   const auto hits =
-      tpt_.Search(*qkey, SearchMode::kPremiseAndConsequence);
+      tpt_.Search(qkey, SearchMode::kPremiseAndConsequence);
   ASSERT_EQ(hits.size(), 2u);
   std::set<int> ids;
   for (const auto* hit : hits) ids.insert(hit->pattern_id);
@@ -122,15 +123,15 @@ TEST_F(PaperExampleTest, SectionVIBQueryKeyAndCandidates) {
 TEST_F(PaperExampleTest, SectionVIBRankingArithmetic) {
   // §VI-B: Sp(1000011, 1000011) = 1 x 0.5 = 0.5 and
   // Sp(1000101, 1000011) = 0.33 x 0.4 = 0.132 with the linear weights.
-  auto qkey = tables_.EncodeQuery({0, 1}, 2);
-  ASSERT_TRUE(qkey.ok());
+  PatternKey qkey;
+  ASSERT_TRUE(tables_.EncodeQueryInto({0, 1}, 2, &qkey).ok());
 
   const PatternKey p2 = tables_.EncodePattern(patterns_[2], regions_);
   const PatternKey p3 = tables_.EncodePattern(patterns_[3], regions_);
 
-  const double sr2 = PremiseSimilarity(p2.premise(), qkey->premise(),
+  const double sr2 = PremiseSimilarity(p2.premise(), qkey.premise(),
                                        WeightFunction::kLinear);
-  const double sr3 = PremiseSimilarity(p3.premise(), qkey->premise(),
+  const double sr3 = PremiseSimilarity(p3.premise(), qkey.premise(),
                                        WeightFunction::kLinear);
   EXPECT_NEAR(sr2, 1.0, 1e-12);
   EXPECT_NEAR(sr3, 1.0 / 3.0, 1e-9);
@@ -144,15 +145,15 @@ TEST_F(PaperExampleTest, SectionVIBRankingArithmetic) {
 
 TEST_F(PaperExampleTest, TopOneReturnsWorkPlaceCentre) {
   // With k = 1 only the centre of R2^0 (work place) is returned.
-  auto qkey = tables_.EncodeQuery({0, 1}, 2);
-  ASSERT_TRUE(qkey.ok());
+  PatternKey qkey;
+  ASSERT_TRUE(tables_.EncodeQueryInto({0, 1}, 2, &qkey).ok());
   const auto hits =
-      tpt_.Search(*qkey, SearchMode::kPremiseAndConsequence);
+      tpt_.Search(qkey, SearchMode::kPremiseAndConsequence);
   const IndexedPattern* best = nullptr;
   double best_score = -1.0;
   for (const auto* hit : hits) {
     const double score =
-        PremiseSimilarity(hit->key.premise(), qkey->premise(),
+        PremiseSimilarity(hit->key.premise(), qkey.premise(),
                           WeightFunction::kLinear) *
         hit->confidence;
     if (score > best_score) {
@@ -169,11 +170,11 @@ TEST_F(PaperExampleTest, TopOneReturnsWorkPlaceCentre) {
 TEST_F(PaperExampleTest, FigureFourSharedKeysGroupTogether) {
   // P0 and P1 share the key 0100001; a query for offset 1 from R0 finds
   // both patterns (city and shopping centre).
-  auto qkey = tables_.EncodeQuery({0}, 1);
-  ASSERT_TRUE(qkey.ok());
-  EXPECT_EQ(qkey->ToString(), "0100001");
+  PatternKey qkey;
+  ASSERT_TRUE(tables_.EncodeQueryInto({0}, 1, &qkey).ok());
+  EXPECT_EQ(qkey.ToString(), "0100001");
   const auto hits =
-      tpt_.Search(*qkey, SearchMode::kPremiseAndConsequence);
+      tpt_.Search(qkey, SearchMode::kPremiseAndConsequence);
   std::set<int> ids;
   for (const auto* hit : hits) ids.insert(hit->pattern_id);
   EXPECT_EQ(ids, (std::set<int>{0, 1}));

@@ -10,9 +10,9 @@
 //     never are) and the degraded-prediction metric counts exactly the
 //     stamped answers,
 //   * the Account stage is the single accounting point — per-op metric
-//     counters reconcile exactly with the aggregate OverloadStats under
-//     any random admitted/shed interleaving, and no admission ticket
-//     leaks (InFlight() returns to 0),
+//     counters match the test's own tally of admitted/shed calls under
+//     any random interleaving, and no admission ticket leaks
+//     (InFlight() returns to 0),
 //   * (with -DHPM_ENABLE_FAULTS=ON) deterministic `always` fault
 //     schedules on shard fan-out sites skip exactly the armed shards.
 // Every failure replays from its seed.
@@ -314,9 +314,6 @@ std::string CheckDegradedStampsAreCounted(const PipelineCase& input) {
            " != observed degraded answers " +
            std::to_string(expect_degraded);
   }
-  if (store.overload_stats().degraded_overload != expect_degraded) {
-    return "OverloadStats.degraded_overload disagrees with the metric";
-  }
   return "";
 }
 
@@ -416,8 +413,6 @@ std::string CheckAccountingReconciles(const AccountingCase& input) {
   const MetricsSnapshot snap = store.metrics_snapshot();
   const char* kOps[5] = {"report", "predict", "predict_batch", "range",
                          "nearest"};
-  uint64_t total_admitted = 0;
-  uint64_t total_shed = 0;
   for (int op = 0; op < 5; ++op) {
     const std::string name(kOps[op]);
     if (snap.counter("store.admitted." + name) != admitted[op]) {
@@ -433,12 +428,6 @@ std::string CheckAccountingReconciles(const AccountingCase& input) {
         histogram->count != admitted[op] + shed[op]) {
       return "op latency sample count mismatch for op " + name;
     }
-    total_admitted += admitted[op];
-    total_shed += shed[op];
-  }
-  const OverloadStats stats = store.overload_stats();
-  if (stats.admitted != total_admitted || stats.shed != total_shed) {
-    return "aggregate OverloadStats disagrees with per-op metrics";
   }
   if (store.InFlight() != 0) return "admission ticket leaked";
   return "";
@@ -527,9 +516,6 @@ std::string CheckFaultMasksSkipExactlyArmedShards(
   if (store.metrics_snapshot().counter("store.shards_skipped") !=
       expect_skipped) {
     return "shards_skipped metric does not sum the armed masks";
-  }
-  if (store.overload_stats().shards_skipped != expect_skipped) {
-    return "OverloadStats.shards_skipped disagrees with the metric";
   }
   return "";
 }

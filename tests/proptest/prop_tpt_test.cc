@@ -1,7 +1,7 @@
 // Property suite: TptTree vs BruteForceStore (paper §V / Fig. 11b).
 // The signature tree is an index, not a filter — on any pattern set and
 // any query key it must return exactly the linear scan's result set, in
-// both search modes, including after RemoveIf-triggered restructuring.
+// both search modes.
 // A deliberately corrupted tree (one flipped pattern-key bit) must be
 // caught by the same differential check.
 
@@ -96,38 +96,11 @@ std::string CheckDifferential(const TptCase& input) {
     if (!status.ok()) return "brute Insert failed: " + status.ToString();
   }
 
-  Status invariants = tpt->CheckInvariants();
+  const Status invariants = tpt->CheckInvariants();
   if (!invariants.ok()) {
     return "TPT invariants broken after bulk load: " + invariants.ToString();
   }
-  std::string failure = DifferentialFailure(*tpt, brute, input.queries);
-  if (!failure.empty()) return failure;
-
-  // Evict the low-confidence half from both stores; the restructured
-  // tree must still answer exactly like a scan of the survivors.
-  const double confidence_bar = 0.5;
-  const auto evicted = [confidence_bar](const IndexedPattern& p) {
-    return p.confidence < confidence_bar;
-  };
-  tpt->RemoveIf(evicted);
-  BruteForceStore surviving;
-  for (const IndexedPattern& pattern : input.patterns) {
-    if (!evicted(pattern)) {
-      const Status status = surviving.Insert(pattern);
-      if (!status.ok()) return "re-insert failed: " + status.ToString();
-    }
-  }
-  if (tpt->size() != surviving.size()) {
-    return "RemoveIf kept " + std::to_string(tpt->size()) +
-           " patterns, expected " + std::to_string(surviving.size());
-  }
-  invariants = tpt->CheckInvariants();
-  if (!invariants.ok()) {
-    return "TPT invariants broken after RemoveIf: " + invariants.ToString();
-  }
-  failure = DifferentialFailure(*tpt, surviving, input.queries);
-  if (!failure.empty()) return "after RemoveIf: " + failure;
-  return "";
+  return DifferentialFailure(*tpt, brute, input.queries);
 }
 
 std::vector<TptCase> ShrinkCase(const TptCase& input) {

@@ -142,9 +142,10 @@ TEST(OverloadTest, AdmissionGatesEveryEntryPoint) {
   ASSERT_EQ(batch.size(), 1u);
   expect_rejected(batch[0].status());
 
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.shed, static_cast<uint64_t>(rejections));
-  EXPECT_EQ(stats.admitted, 5u);
+  const MetricsSnapshot metrics = store.metrics_snapshot();
+  EXPECT_EQ(metrics.counter_sum("store.shed."),
+            static_cast<uint64_t>(rejections));
+  EXPECT_EQ(metrics.counter_sum("store.admitted."), 5u);
   EXPECT_EQ(store.InFlight(), 0);
 }
 
@@ -200,7 +201,8 @@ TEST(OverloadTest, LowDeadlineHeadroomShedsToRmfStampedOverloaded) {
   EXPECT_EQ(hits->hits[0].prediction.degraded,
             DegradedReason::kOverloaded);
 
-  EXPECT_GE(store.overload_stats().degraded_overload, 2u);
+  EXPECT_GE(store.metrics_snapshot().counter("store.degraded_predictions"),
+            2u);
 }
 
 TEST(OverloadTest, OverloadedAnswersKeepCounterInvariants) {
@@ -312,8 +314,8 @@ TEST(OverloadTest, SaturatingLoadIsShedOrDegradedNeverDropped) {
   // And the store drains to idle.
   EXPECT_EQ(store.InFlight(), 0);
   EXPECT_EQ(store.PoolQueueDepth(), 0u);
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.shed, static_cast<uint64_t>(shed.load()));
+  EXPECT_EQ(store.metrics_snapshot().counter_sum("store.shed."),
+            static_cast<uint64_t>(shed.load()));
   // Healthy shards: the breaker never tripped under pure overload.
   for (int s = 0; s < store.num_shards(); ++s) {
     EXPECT_EQ(store.BreakerState(s), CircuitBreaker::State::kClosed);

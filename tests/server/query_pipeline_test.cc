@@ -87,10 +87,9 @@ TEST(QueryPipelineTest, PerOpAdmittedCountersTrackEveryEntryPoint) {
   EXPECT_EQ(snap.histogram("op.range_us")->count, 1u);
   EXPECT_EQ(snap.histogram("op.nearest_us")->count, 1u);
 
-  // The metrics agree with the overload counters: one accounting point.
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.admitted, 8u);
-  EXPECT_EQ(stats.shed, 0u);
+  // Summed over ops, the per-op counters give the store-wide totals.
+  EXPECT_EQ(snap.counter_sum("store.admitted."), 8u);
+  EXPECT_EQ(snap.counter_sum("store.shed."), 0u);
 }
 
 TEST(QueryPipelineTest, ShedCallsCountUnderTheRejectedOp) {
@@ -109,9 +108,8 @@ TEST(QueryPipelineTest, ShedCallsCountUnderTheRejectedOp) {
   const MetricsSnapshot snap = store.metrics_snapshot();
   EXPECT_EQ(snap.counter("store.admitted.predict"), 1u);
   EXPECT_EQ(snap.counter("store.shed.predict"), 1u);
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.admitted, 1u);
-  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(snap.counter_sum("store.admitted."), 1u);
+  EXPECT_EQ(snap.counter_sum("store.shed."), 1u);
   // The pipeline released its ticket on every path.
   EXPECT_EQ(store.InFlight(), 0);
 }
@@ -179,7 +177,6 @@ TEST(QueryPipelineTest, RejectedReportCountsWithoutConsumingAdmission) {
   // Validation precedes admission: nothing was admitted or shed.
   EXPECT_EQ(snap.counter("store.admitted.report"), 0u);
   EXPECT_EQ(snap.counter("store.shed.report"), 0u);
-  EXPECT_EQ(store.overload_stats().reports_rejected, 1u);
   EXPECT_EQ(store.RejectedReports(7), 1u);
 }
 
@@ -204,7 +201,6 @@ TEST(QueryPipelineTest, DegradedPredictionsCountPerPredictionInMetrics) {
 
   const MetricsSnapshot snap = store.metrics_snapshot();
   EXPECT_EQ(snap.counter("store.degraded_predictions"), 1u);
-  EXPECT_EQ(store.overload_stats().degraded_overload, 1u);
 }
 
 // ---- Traces ----------------------------------------------------------------

@@ -172,17 +172,6 @@ TEST(HpmToolTest, PredictValidatesNowAndHorizon) {
             1);  // Bad horizon.
 }
 
-TEST(HpmToolTest, ThroughputReportsBothWorkloads) {
-  const RunResult r = RunTool(
-      "throughput --shards 2 --threads 2 --clients 2 --objects 4 "
-      "--ops 50");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("2 shards"), std::string::npos);
-  EXPECT_NE(r.output.find("2 fan-out threads"), std::string::npos);
-  EXPECT_NE(r.output.find("ingest"), std::string::npos);
-  EXPECT_NE(r.output.find("query"), std::string::npos);
-}
-
 TEST(HpmToolTest, FaultcheckRunsOrReportsMissingHooks) {
   const std::string dir = Tmp("tool_faultcheck");
   const RunResult r = RunTool("faultcheck --seed 7 --dir " + dir);
@@ -196,32 +185,46 @@ TEST(HpmToolTest, FaultcheckRunsOrReportsMissingHooks) {
 #endif
 }
 
-TEST(HpmToolTest, ThroughputValidatesFlags) {
-  EXPECT_EQ(RunTool("throughput --shards 0").exit_code, 1);
-  EXPECT_EQ(RunTool("throughput --threads 0").exit_code, 1);
-  EXPECT_EQ(RunTool("throughput --clients 8 --objects 4").exit_code, 1);
-}
-
 TEST(HpmToolTest, StatsDumpsObservabilityJson) {
   const RunResult r =
       RunTool("stats --seed 3 --objects 4 --ops 120 --shards 2 --threads 1");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  // The three sections of the dump, with the documented metric names.
-  EXPECT_NE(r.output.find("\"overload\""), std::string::npos);
+  // The sections of the dump, with the documented metric names. The
+  // ladder counters live in the metrics snapshot only.
+  EXPECT_NE(r.output.find("\"workload\""), std::string::npos);
   EXPECT_NE(r.output.find("\"stages\""), std::string::npos);
+  EXPECT_EQ(r.output.find("\"overload\""), std::string::npos);
   EXPECT_NE(r.output.find("\"metrics\""), std::string::npos);
   EXPECT_NE(r.output.find("\"store.admitted.predict\""), std::string::npos);
   EXPECT_NE(r.output.find("\"stage.fanout_us\""), std::string::npos);
   EXPECT_NE(r.output.find("\"p99_us\""), std::string::npos);
   // Malformed-report traffic is part of the canned workload, so the
-  // rejection counters must be live.
-  EXPECT_EQ(r.output.find("\"reports_rejected\": 0"), std::string::npos);
+  // rejection counter must be live.
+  EXPECT_NE(r.output.find("\"store.reports_rejected\""), std::string::npos);
+  EXPECT_EQ(r.output.find("\"store.reports_rejected\": 0"),
+            std::string::npos);
 }
 
 TEST(HpmToolTest, StatsValidatesFlags) {
   EXPECT_EQ(RunTool("stats --shards 0").exit_code, 1);
   EXPECT_EQ(RunTool("stats --ops 0").exit_code, 1);
   EXPECT_EQ(RunTool("stats --bogus 1").exit_code, 1);
+}
+
+TEST(HpmToolTest, MalformedNumericFlagsAreRejected) {
+  // Each value must parse whole and fit where the tool stores it: no
+  // silent truncation (2x -> 2), int narrowing (2^32 + 1 -> 1) or port
+  // wrap-around (70000 -> 4464).
+  for (const std::string& args :
+       {std::string("stats --shards 4294967297"),
+        std::string("stats --shards 2x"),
+        std::string("connect --port 70000"),
+        std::string("train --history h.csv --model m.bin --eps 1e999")}) {
+    const RunResult r = RunTool(args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: bad value"), std::string::npos)
+        << args << "\n" << r.output;
+  }
 }
 
 TEST(HpmToolTest, WalVerifyAcceptsAnEmptyJournalDirectory) {
@@ -251,6 +254,12 @@ TEST(HpmToolTest, ServeValidatesFlags) {
                     " --replica-of not-an-addr")
                 .exit_code,
             1);
+  const RunResult wrapped = RunTool("serve --dir " + Tmp("serve_flags") +
+                                    " --replica-of 127.0.0.1:70000");
+  EXPECT_EQ(wrapped.exit_code, 1);
+  EXPECT_NE(wrapped.output.find("--replica-of must be HOST:PORT"),
+            std::string::npos)
+      << wrapped.output;
 }
 
 }  // namespace

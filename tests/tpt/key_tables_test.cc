@@ -34,6 +34,38 @@ std::vector<TrajectoryPattern> PaperPatterns() {
   return out;
 }
 
+/// `n` regions over a period of 100, region i at offset i % 100.
+FrequentRegionSet ManyRegions(int n) {
+  FrequentRegionSet set;
+  set.set_period(100);
+  for (int i = 0; i < n; ++i) {
+    FrequentRegion r;
+    r.id = i;
+    r.offset = i % 100;
+    r.center = {static_cast<double>(i), 0};
+    r.mbr.Extend(r.center);
+    r.support = 5;
+    set.AddRegion(r);
+  }
+  return set;
+}
+
+/// For ManyRegions(n): one pattern concluding at each of regions 1..99
+/// that exists, i.e. at every nonzero offset it covers.
+std::vector<TrajectoryPattern> PatternsConcludingAtEveryOffset(int n) {
+  std::vector<TrajectoryPattern> out;
+  for (int id = 1; id < n && id < 100; ++id) out.push_back({{0}, id, 0.5, 5});
+  return out;
+}
+
+/// EncodeQueryIntervalInto a fresh key.
+PatternKey IntervalKey(const KeyTables& tables, const std::vector<int>& premise,
+                       Timestamp lo, Timestamp hi) {
+  PatternKey key;
+  tables.EncodeQueryIntervalInto(premise, lo, hi, &key);
+  return key;
+}
+
 class KeyTablesPaperTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -76,28 +108,29 @@ TEST_F(KeyTablesPaperTest, EncodePatternReproducesTableIII) {
 
 TEST_F(KeyTablesPaperTest, EncodeQueryMatchesPaperExample) {
   // §VI-B: Jane's recent movements R0^0 and R1^0, tq = 2 -> 1000011.
-  auto q = tables_.EncodeQuery({0, 1}, 2);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->ToString(), "1000011");
+  PatternKey q;
+  ASSERT_TRUE(tables_.EncodeQueryInto({0, 1}, 2, &q).ok());
+  EXPECT_EQ(q.ToString(), "1000011");
 }
 
 TEST_F(KeyTablesPaperTest, EncodeQueryUnknownOffsetIsNotFound) {
-  EXPECT_EQ(tables_.EncodeQuery({0}, 0).status().code(),
+  PatternKey q;
+  EXPECT_EQ(tables_.EncodeQueryInto({0}, 0, &q).code(),
             StatusCode::kNotFound);
 }
 
 TEST_F(KeyTablesPaperTest, EncodeQueryIntervalSetsAllCoveredOffsets) {
-  const PatternKey k = tables_.EncodeQueryInterval({0}, 1, 2);
+  const PatternKey k = IntervalKey(tables_, {0}, 1, 2);
   EXPECT_EQ(k.consequence().Count(), 2u);
-  const PatternKey only_two = tables_.EncodeQueryInterval({0}, 2, 5);
+  const PatternKey only_two = IntervalKey(tables_, {0}, 2, 5);
   EXPECT_EQ(only_two.consequence().Count(), 1u);
   EXPECT_TRUE(only_two.consequence().Test(1));
-  const PatternKey none = tables_.EncodeQueryInterval({0}, 5, 9);
+  const PatternKey none = IntervalKey(tables_, {0}, 5, 9);
   EXPECT_TRUE(none.consequence().None());
 }
 
 TEST_F(KeyTablesPaperTest, EncodeQueryIntervalEmptyWhenReversed) {
-  const PatternKey k = tables_.EncodeQueryInterval({0}, 3, 1);
+  const PatternKey k = IntervalKey(tables_, {0}, 3, 1);
   EXPECT_TRUE(k.consequence().None());
 }
 
@@ -112,21 +145,63 @@ TEST(KeyTablesTest, EmptyPatternsGiveEmptyConsequenceTable) {
 TEST(KeyTablesTest, EncodeQueryIntervalOnEmptyTablesHasNoConsequence) {
   const FrequentRegionSet regions = PaperRegions();
   const KeyTables tables = KeyTables::Build(regions, {});
-  const PatternKey k = tables.EncodeQueryInterval({0}, 1, 4);
+  const PatternKey k = IntervalKey(tables, {0}, 1, 4);
   EXPECT_TRUE(k.consequence().None());
   EXPECT_TRUE(k.premise().Test(0));
+}
+
+TEST(KeyTablesTest, ReusedScratchKeyMatchesAFreshEncoding) {
+  // The fan-out path reuses one scratch key across objects whose tables
+  // differ in size: each encoding must fully overwrite whatever a
+  // larger or smaller previous key left behind.
+  const FrequentRegionSet wide_regions = ManyRegions(150);
+  const KeyTables wide =
+      KeyTables::Build(wide_regions, PatternsConcludingAtEveryOffset(150));
+  ASSERT_GT(wide.premise_key_length(), 128u);
+  ASSERT_GT(wide.consequence_key_length(), 64u);
+  const KeyTables narrow = KeyTables::Build(PaperRegions(), PaperPatterns());
+
+  PatternKey scratch;
+  const auto expect_query = [&](const KeyTables& tables,
+                                const std::vector<int>& premise,
+                                Timestamp offset) {
+    PatternKey fresh;
+    ASSERT_TRUE(tables.EncodeQueryInto(premise, offset, &fresh).ok());
+    ASSERT_TRUE(tables.EncodeQueryInto(premise, offset, &scratch).ok());
+    EXPECT_EQ(scratch, fresh) << "premise size " << premise.size();
+  };
+  const auto expect_interval = [&](const KeyTables& tables,
+                                   const std::vector<int>& premise,
+                                   Timestamp lo, Timestamp hi) {
+    tables.EncodeQueryIntervalInto(premise, lo, hi, &scratch);
+    EXPECT_EQ(scratch, IntervalKey(tables, premise, lo, hi))
+        << "[" << lo << ", " << hi << "]";
+  };
+
+  // Many regions, then few, then many again — through both encoders.
+  expect_query(wide, {0, 70, 149}, 80);
+  expect_query(narrow, {0, 1}, 2);
+  expect_query(wide, {1, 64, 128}, 5);
+  expect_interval(wide, {3, 65, 130}, 10, 90);
+  expect_interval(narrow, {0}, 1, 2);
+  expect_interval(wide, {63, 127}, 60, 70);
+  expect_query(narrow, {2}, 1);
+  expect_interval(wide, {0}, 99, 1);  // Reversed: no consequence bits.
+  expect_query(wide, {149}, 99);
 }
 
 TEST(KeyTablesDeathTest, EncodeQueryBadRegionAborts) {
   const FrequentRegionSet regions = PaperRegions();
   const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
-  EXPECT_DEATH((void)tables.EncodeQuery({7}, 1), "HPM_CHECK");
+  PatternKey q;
+  EXPECT_DEATH((void)tables.EncodeQueryInto({7}, 1, &q), "HPM_CHECK");
 }
 
 TEST(KeyTablesDeathTest, EncodeQueryNegativeRegionAborts) {
   const FrequentRegionSet regions = PaperRegions();
   const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
-  EXPECT_DEATH((void)tables.EncodeQuery({-1}, 1), "HPM_CHECK");
+  PatternKey q;
+  EXPECT_DEATH((void)tables.EncodeQueryInto({-1}, 1, &q), "HPM_CHECK");
 }
 
 TEST(KeyTablesDeathTest, EncodePatternUnknownConsequenceOffsetAborts) {

@@ -243,114 +243,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(10, 100, 1000),
                        ::testing::Values(4, 8, 32)));
 
-TEST(TptTreeTest, RemoveSinglePattern) {
-  TptTree tree;
-  const uint64_t seed = proptest::SeedForTest(21);
-  SCOPED_TRACE(proptest::ReplayLine(seed));
-  Random rng(seed);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.Insert(MakePattern(RandomKey(&rng, 24, 6), i)).ok());
-  }
-  EXPECT_TRUE(tree.Remove(42));
-  EXPECT_EQ(tree.size(), 99u);
-  EXPECT_FALSE(tree.Remove(42));  // Already gone.
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-  // The removed pattern is unreachable; all others still are.
-  PatternKey everything(24, 6);
-  for (size_t i = 0; i < 24; ++i) everything.mutable_premise().Set(i);
-  for (size_t i = 0; i < 6; ++i) everything.mutable_consequence().Set(i);
-  const auto ids = Ids(tree.Search(everything,
-                                   SearchMode::kPremiseAndConsequence));
-  EXPECT_EQ(ids.size(), 99u);
-  EXPECT_EQ(ids.count(42), 0u);
-}
-
-TEST(TptTreeTest, RemoveIfByConfidence) {
-  TptTree tree;
-  const uint64_t seed = proptest::SeedForTest(22);
-  SCOPED_TRACE(proptest::ReplayLine(seed));
-  Random rng(seed);
-  for (int i = 0; i < 300; ++i) {
-    IndexedPattern p = MakePattern(RandomKey(&rng, 24, 6), i);
-    p.confidence = (i % 2 == 0) ? 0.9 : 0.1;
-    ASSERT_TRUE(tree.Insert(std::move(p)).ok());
-  }
-  const size_t removed = tree.RemoveIf(
-      [](const IndexedPattern& p) { return p.confidence < 0.5; });
-  EXPECT_EQ(removed, 150u);
-  EXPECT_EQ(tree.size(), 150u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(TptTreeTest, RemoveEverythingLeavesUsableTree) {
-  TptTree::Options options;
-  options.max_node_entries = 4;
-  options.min_node_entries = 2;
-  TptTree tree(options);
-  const uint64_t seed = proptest::SeedForTest(23);
-  SCOPED_TRACE(proptest::ReplayLine(seed));
-  Random rng(seed);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree.Insert(MakePattern(RandomKey(&rng, 24, 6), i)).ok());
-  }
-  EXPECT_EQ(tree.RemoveIf([](const IndexedPattern&) { return true; }),
-            200u);
-  EXPECT_TRUE(tree.empty());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-  // And the tree accepts new inserts afterwards.
-  ASSERT_TRUE(tree.Insert(MakePattern(RandomKey(&rng, 24, 6), 0)).ok());
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(TptTreeTest, RemoveIfOnEmptyTree) {
-  TptTree tree;
-  EXPECT_EQ(tree.RemoveIf([](const IndexedPattern&) { return true; }), 0u);
-}
-
-TEST(TptTreeTest, InterleavedInsertRemoveKeepsInvariantsAndContent) {
-  TptTree::Options options;
-  options.max_node_entries = 6;
-  options.min_node_entries = 2;
-  TptTree tree(options);
-  BruteForceStore reference;
-  const uint64_t seed = proptest::SeedForTest(24);
-  SCOPED_TRACE(proptest::ReplayLine(seed));
-  Random rng(seed);
-  std::set<int> live;
-  int next_id = 0;
-  for (int round = 0; round < 400; ++round) {
-    if (live.empty() || rng.Bernoulli(0.65)) {
-      const PatternKey key = RandomKey(&rng, 32, 8);
-      ASSERT_TRUE(tree.Insert(MakePattern(key, next_id)).ok());
-      ASSERT_TRUE(reference.Insert(MakePattern(key, next_id)).ok());
-      live.insert(next_id);
-      ++next_id;
-    } else {
-      // Remove a random live id.
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.Uniform(live.size())));
-      EXPECT_TRUE(tree.Remove(*it));
-      live.erase(it);
-    }
-    if (round % 50 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants().ok()) << "round " << round;
-    }
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  EXPECT_EQ(tree.size(), live.size());
-  // Search result equals the brute-force result filtered to live ids.
-  for (int q = 0; q < 10; ++q) {
-    const PatternKey query = RandomKey(&rng, 32, 8);
-    std::set<int> expected;
-    for (const auto* hit :
-         reference.Search(query, SearchMode::kPremiseAndConsequence)) {
-      if (live.count(hit->pattern_id)) expected.insert(hit->pattern_id);
-    }
-    EXPECT_EQ(Ids(tree.Search(query, SearchMode::kPremiseAndConsequence)),
-              expected);
-  }
-}
-
 TEST(TptTreeTest, SearchStatsPruneVersusBrute) {
   const uint64_t seed = proptest::SeedForTest(6);
   SCOPED_TRACE(proptest::ReplayLine(seed));

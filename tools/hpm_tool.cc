@@ -23,12 +23,6 @@
 //       Measure prediction error on held-out periods (those beyond the
 //       model's training range) against the RMF and linear baselines.
 //
-//   throughput [--shards N] [--threads N] [--clients N]
-//              [--objects N] [--ops N]
-//       Measure concurrent MovingObjectStore throughput: ingest and
-//       point-query ops/sec with --clients client threads against a
-//       store built with --shards shards and --threads fan-out workers.
-//
 //   faultcheck [--seed N] [--dir PATH]
 //       Run a deterministic fault-injection scenario (degraded serving,
 //       save-kill recovery) and report per-site hit/fire counts. Needs a
@@ -40,8 +34,8 @@
 //       range and kNN queries, a slice of malformed reports and
 //       shed-to-RMF traffic) against a store and dump the full
 //       observability picture as JSON: the metrics snapshot (per-op
-//       admitted/shed counters, pipeline stage latency histograms, TPT
-//       traversal effort), the OverloadStats aggregate, and a per-stage
+//       admitted/shed counters, the overload-ladder counters, pipeline
+//       stage latency histograms, TPT traversal effort) and a per-stage
 //       latency breakdown (see docs/OBSERVABILITY.md).
 //
 //   serve --dir PATH [--host H] [--port N] [--port-file F] [--wal 0|1]
@@ -77,12 +71,15 @@
 //
 // All subcommands exit 0 on success and print errors to stderr.
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -92,7 +89,6 @@
 
 #include "common/fault_injection.h"
 #include "common/random.h"
-#include "common/stopwatch.h"
 #include "core/hybrid_predictor.h"
 #include "datagen/datasets.h"
 #include "common/table_printer.h"
@@ -137,21 +133,55 @@ class Args {
     return it->second;
   }
 
+  /// The flag as a finite number. Any other value (trailing junk, inf,
+  /// nan) yields `fallback` and records an error for FinishArgs.
   double GetDouble(const std::string& name, double fallback) {
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
     used_.insert(it->first);
-    return std::atof(it->second.c_str());
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value)) {
+      Reject(it->first, it->second);
+      return fallback;
+    }
+    return value;
   }
 
-  int64_t GetInt(const std::string& name, int64_t fallback) {
+  /// The flag as a whole base-10 integer in [lo, hi]. Any other value
+  /// (trailing junk, overflow, out of range) yields `fallback` and
+  /// records an error for FinishArgs.
+  int64_t GetInt64(const std::string& name, int64_t fallback,
+                   int64_t lo = std::numeric_limits<int64_t>::min(),
+                   int64_t hi = std::numeric_limits<int64_t>::max()) {
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
     used_.insert(it->first);
-    return std::atoll(it->second.c_str());
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+        value > hi) {
+      Reject(it->first, it->second);
+      return fallback;
+    }
+    return value;
+  }
+
+  /// GetInt64 for a flag stored in an int: rejects values outside
+  /// [lo, hi], which defaults to the whole int range.
+  int GetInt(const std::string& name, int fallback,
+             int lo = std::numeric_limits<int>::min(),
+             int hi = std::numeric_limits<int>::max()) {
+    return static_cast<int>(GetInt64(name, fallback, lo, hi));
   }
 
   bool Has(const std::string& name) const { return values_.count(name); }
+
+  /// The first value a Get* could not parse — empty string if none.
+  const std::string& error() const { return error_; }
 
   /// Any flag that no Get* consumed (a typo) — empty string if none.
   std::string FirstUnused() const {
@@ -162,8 +192,13 @@ class Args {
   }
 
  private:
+  void Reject(const std::string& name, const std::string& value) {
+    if (error_.empty()) error_ = "bad value '" + value + "' for --" + name;
+  }
+
   bool ok_ = true;
   std::string bad_;
+  std::string error_;
   std::map<std::string, std::string> values_;
   std::set<std::string> used_;
 };
@@ -176,13 +211,14 @@ int Fail(const std::string& message) {
 int Usage() {
   std::fprintf(stderr,
                "usage: hpm_tool "
-               "<generate|train|info|predict|evaluate|throughput|faultcheck"
+               "<generate|train|info|predict|evaluate|faultcheck"
                "|stats|wal|serve|connect|repl> "
                "[--flag value ...]\n  (see the header of tools/hpm_tool.cc)\n");
   return 2;
 }
 
 int FinishArgs(Args* args) {
+  if (!args->error().empty()) return Fail(args->error());
   const std::string unused = args->FirstUnused();
   if (!unused.empty()) return Fail("unknown flag --" + unused);
   return 0;
@@ -205,10 +241,10 @@ int RunGenerate(Args args) {
     return Fail("unknown --kind '" + kind_name + "'");
   }
   config = DefaultConfig(kind);
-  config.period = args.GetInt("period", config.period);
+  config.period = args.GetInt64("period", config.period);
   config.num_sub_trajectories =
-      static_cast<int>(args.GetInt("days", config.num_sub_trajectories));
-  config.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+      args.GetInt("days", config.num_sub_trajectories);
+  config.seed = static_cast<uint64_t>(args.GetInt64("seed", 1));
   if (out.empty()) return Fail("--out is required");
   if (int rc = FinishArgs(&args)) return rc;
 
@@ -226,14 +262,12 @@ int RunTrain(Args args) {
   const std::string history_path = args.Get("history", "");
   const std::string model_path = args.Get("model", "");
   HybridPredictorOptions options;
-  options.regions.period = args.GetInt("period", 300);
+  options.regions.period = args.GetInt64("period", 300);
   options.regions.dbscan.eps = args.GetDouble("eps", 30.0);
-  options.regions.dbscan.min_pts =
-      static_cast<int>(args.GetInt("min-pts", 4));
-  options.regions.limit_sub_trajectories =
-      static_cast<int>(args.GetInt("train-subs", 0));
+  options.regions.dbscan.min_pts = args.GetInt("min-pts", 4);
+  options.regions.limit_sub_trajectories = args.GetInt("train-subs", 0);
   options.mining.min_confidence = args.GetDouble("min-conf", 0.3);
-  options.distant_threshold = args.GetInt("distant", 60);
+  options.distant_threshold = args.GetInt64("distant", 60);
   options.region_match_slack = args.GetDouble("slack", 25.0);
   if (history_path.empty() || model_path.empty()) {
     return Fail("--history and --model are required");
@@ -290,16 +324,16 @@ int RunInfo(Args args) {
 int RunPredict(Args args) {
   const std::string model_path = args.Get("model", "");
   const std::string history_path = args.Get("history", "");
-  const Timestamp now = args.GetInt("now", -1);
-  const Timestamp horizon = args.GetInt("horizon", 0);
-  const int k = static_cast<int>(args.GetInt("k", 1));
-  const int recent = static_cast<int>(args.GetInt("recent", 10));
+  const Timestamp now = args.GetInt64("now", -1);
+  const Timestamp horizon = args.GetInt64("horizon", 0);
+  const int k = args.GetInt("k", 1);
+  const int recent = args.GetInt("recent", 10);
+  if (int rc = FinishArgs(&args)) return rc;
   if (model_path.empty() || history_path.empty()) {
     return Fail("--model and --history are required");
   }
   if (now < 0) return Fail("--now is required (and must be >= 0)");
   if (horizon < 1) return Fail("--horizon must be >= 1");
-  if (int rc = FinishArgs(&args)) return rc;
 
   auto predictor = HybridPredictor::LoadFromFile(model_path);
   if (!predictor.ok()) return Fail(predictor.status().ToString());
@@ -331,9 +365,9 @@ int RunPredict(Args args) {
 int RunEvaluate(Args args) {
   const std::string model_path = args.Get("model", "");
   const std::string history_path = args.Get("history", "");
-  const Timestamp length = args.GetInt("length", 50);
-  const int queries = static_cast<int>(args.GetInt("queries", 50));
-  const int recent = static_cast<int>(args.GetInt("recent", 10));
+  const Timestamp length = args.GetInt64("length", 50);
+  const int queries = args.GetInt("queries", 50);
+  const int recent = args.GetInt("recent", 10);
   if (model_path.empty() || history_path.empty()) {
     return Fail("--model and --history are required");
   }
@@ -391,92 +425,6 @@ int RunEvaluate(Args args) {
   return 0;
 }
 
-int RunThroughput(Args args) {
-  const int shards = static_cast<int>(args.GetInt("shards", 8));
-  const int threads = static_cast<int>(args.GetInt("threads", 1));
-  const int clients = static_cast<int>(args.GetInt("clients", 4));
-  const int objects = static_cast<int>(args.GetInt("objects", 32));
-  const int ops = static_cast<int>(args.GetInt("ops", 2000));
-  if (shards < 1) return Fail("--shards must be >= 1");
-  if (threads < 1) return Fail("--threads must be >= 1");
-  if (clients < 1) return Fail("--clients must be >= 1");
-  if (objects < clients) return Fail("--objects must be >= --clients");
-  if (ops < 1) return Fail("--ops must be >= 1");
-  if (int rc = FinishArgs(&args)) return rc;
-
-  constexpr Timestamp kPeriod = 20;
-  constexpr int kWarmPeriods = 5;
-  ObjectStoreOptions options;
-  options.predictor.regions.period = kPeriod;
-  options.predictor.regions.dbscan.eps = 15.0;
-  options.predictor.regions.dbscan.min_pts = 3;
-  options.predictor.mining.min_confidence = 0.2;
-  options.predictor.mining.min_support = 2;
-  options.predictor.distant_threshold = 8;
-  options.predictor.region_match_slack = 8.0;
-  options.min_training_periods = kWarmPeriods;
-  options.update_batch_periods = 2;
-  options.recent_window = 5;
-  options.num_shards = shards;
-  options.query_threads = threads;
-
-  const auto route = [](ObjectId id, Timestamp t) -> Point {
-    return {100.0 * static_cast<double>(t % kPeriod) + 50.0,
-            500.0 + 1000.0 * static_cast<double>(id)};
-  };
-  const auto warm_store = [&]() {
-    MovingObjectStore store(options);
-    for (ObjectId id = 0; id < objects; ++id) {
-      for (Timestamp t = 0; t < kWarmPeriods * kPeriod; ++t) {
-        (void)store.ReportLocation(id, route(id, t));
-      }
-    }
-    return store;
-  };
-  const auto measure = [&](auto op) {
-    Stopwatch watch;
-    std::vector<std::thread> workers;
-    for (int w = 0; w < clients; ++w) {
-      workers.emplace_back([w, ops, &op] {
-        for (int i = 0; i < ops; ++i) op(w, i);
-      });
-    }
-    for (std::thread& t : workers) t.join();
-    const double seconds = watch.ElapsedSeconds();
-    return static_cast<double>(clients) * ops /
-           (seconds > 0 ? seconds : 1e-9);
-  };
-
-  double ingest_ops = 0;
-  {
-    MovingObjectStore store = warm_store();
-    const int span = objects / clients;
-    ingest_ops = measure([&](int w, int i) {
-      const ObjectId id = static_cast<ObjectId>(w * span + i % span);
-      (void)store.ReportLocation(
-          id, route(id, kWarmPeriods * kPeriod + i / span));
-    });
-  }
-  double query_ops = 0;
-  {
-    MovingObjectStore store = warm_store();
-    const Timestamp tq = kWarmPeriods * kPeriod + 3;
-    query_ops = measure([&](int w, int i) {
-      (void)store.PredictLocation(
-          static_cast<ObjectId>((w * 31 + i) % objects), tq);
-    });
-  }
-
-  std::printf("throughput: %d shards, %d fan-out threads, %d clients, "
-              "%d objects, %d ops/client\n",
-              shards, threads, clients, objects, ops);
-  TablePrinter table({"workload", "ops_per_sec"});
-  table.AddRow({"ingest", TablePrinter::FormatDouble(ingest_ops, 0)});
-  table.AddRow({"query", TablePrinter::FormatDouble(query_ops, 0)});
-  table.Print(stdout);
-  return 0;
-}
-
 int RunFaultcheck(Args args) {
 #ifndef HPM_ENABLE_FAULTS
   (void)args;
@@ -485,7 +433,7 @@ int RunFaultcheck(Args args) {
                "-DHPM_ENABLE_FAULTS=ON\n");
   return 2;
 #else
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  const uint64_t seed = static_cast<uint64_t>(args.GetInt64("seed", 1));
   const std::string dir = args.Get(
       "dir", (std::filesystem::temp_directory_path() / "hpm_faultcheck")
                  .string());
@@ -679,16 +627,16 @@ int RunFaultcheck(Args args) {
 }
 
 int RunStats(Args args) {
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  const int shards = static_cast<int>(args.GetInt("shards", 4));
-  const int threads = static_cast<int>(args.GetInt("threads", 2));
-  const int objects = static_cast<int>(args.GetInt("objects", 8));
-  const int ops = static_cast<int>(args.GetInt("ops", 400));
+  const uint64_t seed = static_cast<uint64_t>(args.GetInt64("seed", 1));
+  const int shards = args.GetInt("shards", 4);
+  const int threads = args.GetInt("threads", 2);
+  const int objects = args.GetInt("objects", 8);
+  const int ops = args.GetInt("ops", 400);
+  if (int rc = FinishArgs(&args)) return rc;
   if (shards < 1) return Fail("--shards must be >= 1");
   if (threads < 1) return Fail("--threads must be >= 1");
   if (objects < 1) return Fail("--objects must be >= 1");
   if (ops < 1) return Fail("--ops must be >= 1");
-  if (int rc = FinishArgs(&args)) return rc;
 
   constexpr Timestamp kPeriod = 20;
   constexpr int kWarmPeriods = 5;
@@ -760,26 +708,15 @@ int RunStats(Args args) {
   }
 
   const MetricsSnapshot metrics = store.metrics_snapshot();
-  const OverloadStats overload = store.overload_stats();
 
-  // One JSON document: workload parameters, the overload aggregate, a
-  // per-stage latency breakdown, and the full metrics snapshot.
+  // One JSON document: workload parameters, a per-stage latency
+  // breakdown, and the full metrics snapshot.
   std::string json = "{\n  \"workload\": {";
   json += "\"seed\": " + std::to_string(seed);
   json += ", \"shards\": " + std::to_string(shards);
   json += ", \"threads\": " + std::to_string(threads);
   json += ", \"objects\": " + std::to_string(objects);
   json += ", \"ops\": " + std::to_string(ops);
-  json += "},\n  \"overload\": {";
-  json += "\"admitted\": " + std::to_string(overload.admitted);
-  json += ", \"shed\": " + std::to_string(overload.shed);
-  json += ", \"degraded_overload\": " +
-          std::to_string(overload.degraded_overload);
-  json += ", \"trains_deferred\": " +
-          std::to_string(overload.trains_deferred);
-  json += ", \"shards_skipped\": " + std::to_string(overload.shards_skipped);
-  json += ", \"reports_rejected\": " +
-          std::to_string(overload.reports_rejected);
   json += "},\n  \"stages\": {";
   bool first_stage = true;
   for (const char* stage : {"admit", "plan", "fanout", "merge"}) {
@@ -810,8 +747,12 @@ bool ParseHostPort(const std::string& spec, std::string* host, int* port) {
   const size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon + 1 >= spec.size()) return false;
   *host = spec.substr(0, colon);
-  *port = std::atoi(spec.c_str() + colon + 1);
-  return !host->empty() && *port > 0;
+  const char* text = spec.c_str() + colon + 1;
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  if (*end != '\0' || value < 1 || value > 65535) return false;
+  *port = static_cast<int>(value);
+  return !host->empty();
 }
 
 void PrintReplyInfo(const ReplyInfo& info) {
@@ -825,14 +766,14 @@ void PrintReplyInfo(const ReplyInfo& info) {
 int RunServe(Args args) {
   const std::string dir = args.Get("dir", "");
   const std::string host = args.Get("host", "127.0.0.1");
-  const int port = static_cast<int>(args.GetInt("port", 0));
+  const int port = args.GetInt("port", 0, 0, 65535);
   const std::string port_file = args.Get("port-file", "");
   const std::string replica_of = args.Get("replica-of", "");
-  const bool wal = args.GetInt("wal", 1) != 0;
-  const int threads = static_cast<int>(args.GetInt("threads", 4));
-  const int shards = static_cast<int>(args.GetInt("shards", 0));
-  const int64_t poll_ms = args.GetInt("poll-ms", 100);
-  const int64_t stale_ms = args.GetInt("stale-ms", 2000);
+  const bool wal = args.GetInt64("wal", 1) != 0;
+  const int threads = args.GetInt("threads", 4);
+  const int shards = args.GetInt("shards", 0);
+  const int64_t poll_ms = args.GetInt64("poll-ms", 100);
+  const int64_t stale_ms = args.GetInt64("stale-ms", 2000);
   if (dir.empty()) return Fail("--dir is required");
   if (int rc = FinishArgs(&args)) return rc;
 
@@ -972,16 +913,16 @@ int RunServe(Args args) {
 int RunConnect(Args args) {
   HpmClientOptions client_options;
   client_options.host = args.Get("host", "127.0.0.1");
-  client_options.port = static_cast<int>(args.GetInt("port", 0));
+  client_options.port = args.GetInt("port", 0, 0, 65535);
   const std::string op = args.Get("op", "ping");
-  const int64_t id = args.GetInt("id", 0);
-  const int64_t t = args.GetInt("t", -1);
+  const int64_t id = args.GetInt64("id", 0);
+  const int64_t t = args.GetInt64("t", -1);
   const double x = args.GetDouble("x", 0.0);
   const double y = args.GetDouble("y", 0.0);
-  const int64_t tq = args.GetInt("tq", 0);
-  const int64_t k = args.GetInt("k", 1);
-  if (client_options.port <= 0) return Fail("--port is required");
+  const int64_t tq = args.GetInt64("tq", 0);
+  const int64_t k = args.GetInt64("k", 1);
   if (int rc = FinishArgs(&args)) return rc;
+  if (client_options.port <= 0) return Fail("--port is required");
   HpmClient client(client_options);
 
   if (op == "ping") {
@@ -1029,9 +970,9 @@ int RunConnect(Args args) {
 int RunRepl(Args args) {
   HpmClientOptions client_options;
   client_options.host = args.Get("host", "127.0.0.1");
-  client_options.port = static_cast<int>(args.GetInt("port", 0));
-  if (client_options.port <= 0) return Fail("--port is required");
+  client_options.port = args.GetInt("port", 0, 0, 65535);
   if (int rc = FinishArgs(&args)) return rc;
+  if (client_options.port <= 0) return Fail("--port is required");
   HpmClient client(client_options);
 
   StatusOr<ReplStateReply> state = client.ReplState(ReplStateRequest{});
@@ -1053,7 +994,7 @@ int RunRepl(Args args) {
 
 int RunWal(Args args) {
   const std::string dir = args.Get("dir", "");
-  const bool verify = args.GetInt("verify", 0) != 0;
+  const bool verify = args.GetInt64("verify", 0) != 0;
   if (dir.empty()) return Fail("--dir is required");
   if (int rc = FinishArgs(&args)) return rc;
 
@@ -1129,7 +1070,6 @@ int main(int argc, char** argv) {
   if (command == "info") return RunInfo(std::move(args));
   if (command == "predict") return RunPredict(std::move(args));
   if (command == "evaluate") return RunEvaluate(std::move(args));
-  if (command == "throughput") return RunThroughput(std::move(args));
   if (command == "faultcheck") return RunFaultcheck(std::move(args));
   if (command == "stats") return RunStats(std::move(args));
   if (command == "wal") return RunWal(std::move(args));
