@@ -75,7 +75,7 @@ void BM_FrozenSearch(benchmark::State& state, SearchMode mode) {
   HPM_CHECK(tree.ok());
   const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
   const std::vector<PatternKey> queries = QueryPool(12);
-  std::vector<const IndexedPattern*> hits;
+  std::vector<FrozenTpt::Hit> hits;
   size_t q = 0;
   for (auto _ : state) {
     frozen.SearchInto(queries[q], mode, &hits);

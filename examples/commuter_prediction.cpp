@@ -135,7 +135,7 @@ int main() {
   std::printf("\nTable III - trajectory patterns\n");
   TablePrinter pattern_table({"trajectory_pattern", "confidence",
                               "pattern_key", "consequence_place"});
-  for (const TrajectoryPattern& p : predictor->patterns()) {
+  for (const TrajectoryPattern& p : predictor->PatternTable()) {
     pattern_table.AddRow(
         {p.ToString(), TablePrinter::FormatDouble(p.confidence, 2),
          tables.EncodePattern(p, regions).ToString(),

@@ -27,20 +27,20 @@
 #include "common/epoch.h"
 #include "common/trace.h"
 #include "core/query.h"
+#include "tpt/frozen_tpt.h"
 #include "tpt/pattern_key.h"
-#include "tpt/tpt_tree.h"
 
 namespace hpm {
 
 /// One TPT hit scored by Sp (Equation 2 or 5), awaiting ranking. 32 bytes
 /// on 64-bit hosts: the ranking key is held inline so comparisons never
-/// chase the pattern pointer, and a full Prediction (centre, MBR) is built
+/// chase the payload pointer, and a full Prediction (centre, MBR) is built
 /// only for the hits that make the top k.
 struct ScoredHit {
   double score = 0.0;
   double confidence = 0.0;
   int pattern_id = -1;
-  const IndexedPattern* pattern = nullptr;
+  const LeafPayload* payload = nullptr;
 };
 
 /// Reusable buffers for one lane of query execution. Cleared (not freed)
@@ -48,7 +48,7 @@ struct ScoredHit {
 /// pattern side.
 struct PredictScratch {
   /// TPT search output buffer.
-  std::vector<const IndexedPattern*> tpt_hits;
+  std::vector<FrozenTpt::Hit> tpt_hits;
 
   /// Scored hits prior to ranking.
   std::vector<ScoredHit> candidates;

@@ -1,6 +1,7 @@
 #include "core/hybrid_predictor.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <utility>
 
@@ -54,11 +55,9 @@ void HybridPredictor::ResetCounters() const {
 
 HybridPredictor::HybridPredictor(HybridPredictorOptions options,
                                  FrequentRegionSet regions,
-                                 std::vector<TrajectoryPattern> patterns,
                                  KeyTables key_tables, FrozenTpt tpt)
     : options_(options),
       regions_(std::move(regions)),
-      patterns_(std::move(patterns)),
       key_tables_(std::move(key_tables)),
       tpt_(std::move(tpt)) {}
 
@@ -96,14 +95,15 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
   if (!tpt.ok()) return tpt.status();
   const size_t builder_bytes = tpt->MemoryBytes();
   FrozenTpt frozen = FrozenTpt::Freeze(*tpt);
+  frozen.FillSupports(mined.patterns);
 
-  auto predictor = std::unique_ptr<HybridPredictor>(new HybridPredictor(
-      options, std::move(region_set), std::move(mined.patterns),
-      std::move(tables), std::move(frozen)));
+  auto predictor = std::unique_ptr<HybridPredictor>(
+      new HybridPredictor(options, std::move(region_set), std::move(tables),
+                          std::move(frozen)));
   predictor->summary_.num_sub_trajectories = offline->transactions.size();
   predictor->summary_.num_frequent_regions =
       predictor->regions_.NumRegions();
-  predictor->summary_.num_patterns = predictor->patterns_.size();
+  predictor->summary_.num_patterns = predictor->tpt_.size();
   predictor->summary_.mining_stats = mined.stats;
   predictor->summary_.tpt_memory_bytes = builder_bytes;
   predictor->summary_.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();
@@ -148,14 +148,14 @@ std::vector<Prediction> RankAndTake(std::vector<ScoredHit>* hits, int k,
   for (size_t i = 0; i < take; ++i) {
     const ScoredHit& hit = (*hits)[i];
     const FrequentRegion& region =
-        regions.Region(hit.pattern->consequence_region);
+        regions.Region(hit.payload->consequence_region);
     Prediction p;
     p.location = region.center;
     p.uncertainty = region.mbr;
     p.score = hit.score;
     p.source = PredictionSource::kPattern;
     p.pattern_id = hit.pattern_id;
-    p.consequence_region = hit.pattern->consequence_region;
+    p.consequence_region = hit.payload->consequence_region;
     p.confidence = hit.confidence;
     ranked.push_back(p);
   }
@@ -349,16 +349,19 @@ StatusOr<std::vector<Prediction>> HybridPredictor::PredictTask::TakeResult() {
 void HybridPredictor::PredictTask::FinishForwardSearch() {
   if (query_->context != nullptr) query_->context->AddTptStats(search_stats_);
   PredictScratch& s = *scratch_;
+  const FrozenTpt& tpt = predictor_->tpt_;
   s.candidates.clear();
   s.candidates.reserve(s.tpt_hits.size());
-  for (const IndexedPattern* hit : s.tpt_hits) {
+  for (const FrozenTpt::Hit& hit : s.tpt_hits) {
     // Equation 2: Sp = Sr * c (premise similarity and confidence are
-    // independent evidences -> compound probability).
-    const double sr =
-        PremiseSimilarity(hit->key.premise(), s.query_key.premise(),
-                          predictor_->options_.weight_function);
-    s.candidates.push_back(
-        {sr * hit->confidence, hit->confidence, hit->pattern_id, hit});
+    // independent evidences -> compound probability). The pattern's
+    // premise is read in place from its arena block.
+    const LeafPayload& payload = tpt.payload(hit);
+    const double sr = PremiseSimilarity(
+        tpt.premise_words(hit), s.query_key.premise().words(),
+        tpt.num_premise_words(), predictor_->options_.weight_function);
+    s.candidates.push_back({sr * payload.confidence, payload.confidence,
+                            payload.pattern_id, &payload});
   }
   if (!s.candidates.empty()) {
     predictor_->counters_.pattern_answers.fetch_add(
@@ -432,22 +435,28 @@ bool HybridPredictor::PredictTask::EndBackwardRound(bool ran_search) {
   }
   PredictScratch& s = *scratch_;
   if (!s.tpt_hits.empty()) {
+    const FrozenTpt& tpt = predictor_->tpt_;
+    // BQP searches on the consequence part alone, so the premise width
+    // is checked here rather than by StartSearch.
+    HPM_CHECK(s.query_key.premise().size() == tpt.premise_bits());
     s.candidates.clear();
     s.candidates.reserve(s.tpt_hits.size());
-    for (const IndexedPattern* hit : s.tpt_hits) {
+    for (const FrozenTpt::Hit& hit : s.tpt_hits) {
+      const LeafPayload& payload = tpt.payload(hit);
       // The consequence offset t is the consequence region's offset:
       // KeyTables::EncodePattern sets the one consequence bit at that
       // offset's time id, so this equals decoding the key's bit.
       const Timestamp t =
-          predictor_->regions_.Region(hit->consequence_region).offset;
+          predictor_->regions_.Region(payload.consequence_region).offset;
       const double sc = ConsequenceSimilarity(t, tq_offset_, t_eps_);
-      const double sr =
-          PremiseSimilarity(hit->key.premise(), s.query_key.premise(),
-                            predictor_->options_.weight_function);
+      const double sr = PremiseSimilarity(
+          tpt.premise_words(hit), s.query_key.premise().words(),
+          tpt.num_premise_words(), predictor_->options_.weight_function);
       // Equation 5: Sp = (Sr * d / (tq - tc) + Sc) * c — the premise
       // evidence is penalised as the prediction length grows.
-      s.candidates.push_back({(sr * premise_penalty_ + sc) * hit->confidence,
-                              hit->confidence, hit->pattern_id, hit});
+      s.candidates.push_back(
+          {(sr * premise_penalty_ + sc) * payload.confidence,
+           payload.confidence, payload.pattern_id, &payload});
     }
     predictor_->counters_.pattern_answers.fetch_add(
         1, std::memory_order_relaxed);
@@ -475,8 +484,35 @@ StatusOr<std::vector<Prediction>> HybridPredictor::BackwardQuery(
   return RunToCompletion(*this, query, PredictTask::Route::kBackward);
 }
 
+std::vector<TrajectoryPattern> HybridPredictor::PatternTable() const {
+  std::vector<TrajectoryPattern> table(tpt_.size());
+  if (tpt_.empty()) return table;
+  // Premise bits are region ids only because KeyTables sizes the premise
+  // part to the region count and sets bit i for region i.
+  HPM_CHECK(tpt_.premise_bits() == regions_.NumRegions());
+  for (const FrozenTpt::Hit& leaf : tpt_.Leaves()) {
+    const LeafPayload& payload = tpt_.payload(leaf);
+    HPM_CHECK(payload.pattern_id >= 0 &&
+              static_cast<size_t>(payload.pattern_id) < table.size());
+    TrajectoryPattern& p = table[static_cast<size_t>(payload.pattern_id)];
+    const uint64_t* premise = tpt_.premise_words(leaf);
+    for (size_t w = 0; w < tpt_.num_premise_words(); ++w) {
+      for (uint64_t bits = premise[w]; bits != 0; bits &= bits - 1) {
+        p.premise.push_back(
+            static_cast<int>(64 * w + std::countr_zero(bits)));
+      }
+    }
+    p.consequence = payload.consequence_region;
+    p.confidence = payload.confidence;
+    p.support = payload.support;
+  }
+  return table;
+}
+
 StatusOr<std::vector<TrajectoryPattern>> HybridPredictor::MineFreshPatterns(
-    const Trajectory& new_history, bool* new_consequence_offset) const {
+    const Trajectory& new_history,
+    const std::vector<TrajectoryPattern>& existing_patterns,
+    bool* new_consequence_offset) const {
   const Timestamp period = options_.regions.period;
   StatusOr<std::vector<Trajectory>> subs =
       new_history.DecomposePeriodic(period);
@@ -500,7 +536,7 @@ StatusOr<std::vector<TrajectoryPattern>> HybridPredictor::MineFreshPatterns(
 
   // Dedupe against the already-indexed rules.
   std::set<std::pair<std::vector<int>, int>> existing;
-  for (const TrajectoryPattern& p : patterns_) {
+  for (const TrajectoryPattern& p : existing_patterns) {
     existing.emplace(p.premise, p.consequence);
   }
   std::vector<TrajectoryPattern> fresh;
@@ -520,11 +556,11 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
     const Trajectory& new_history) const {
   HPM_INJECT_FAULT("core/train");
   bool new_consequence_offset = false;
+  std::vector<TrajectoryPattern> combined = PatternTable();
   StatusOr<std::vector<TrajectoryPattern>> fresh =
-      MineFreshPatterns(new_history, &new_consequence_offset);
+      MineFreshPatterns(new_history, combined, &new_consequence_offset);
   if (!fresh.ok()) return fresh.status();
 
-  std::vector<TrajectoryPattern> combined = patterns_;
   combined.reserve(combined.size() + fresh->size());
   for (TrajectoryPattern& p : *fresh) combined.push_back(std::move(p));
 
@@ -546,12 +582,12 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
   if (!tpt.ok()) return tpt.status();
   const size_t builder_bytes = tpt->MemoryBytes();
   FrozenTpt frozen = FrozenTpt::Freeze(*tpt);
+  frozen.FillSupports(combined);
 
-  auto updated = std::unique_ptr<HybridPredictor>(
-      new HybridPredictor(options_, regions_, std::move(combined),
-                          std::move(tables), std::move(frozen)));
+  auto updated = std::unique_ptr<HybridPredictor>(new HybridPredictor(
+      options_, regions_, std::move(tables), std::move(frozen)));
   updated->summary_ = summary_;
-  updated->summary_.num_patterns = updated->patterns_.size();
+  updated->summary_.num_patterns = updated->tpt_.size();
   updated->summary_.tpt_memory_bytes = builder_bytes;
   updated->summary_.tpt_frozen_bytes = updated->tpt_.MemoryBytes();
   updated->summary_.tpt_height = updated->tpt_.Height();
@@ -565,7 +601,7 @@ StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
   StatusOr<std::unique_ptr<HybridPredictor>> updated =
       WithNewHistory(new_history);
   if (!updated.ok()) return updated.status();
-  const size_t added = (*updated)->patterns_.size() - patterns_.size();
+  const size_t added = (*updated)->tpt_.size() - tpt_.size();
   *this = std::move(**updated);
   return added;
 }

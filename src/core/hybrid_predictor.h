@@ -268,15 +268,17 @@ class HybridPredictor {
   StatusOr<std::unique_ptr<HybridPredictor>> WithNewHistory(
       const Trajectory& new_history) const;
 
-  /// Persists the trained model (options, frequent regions, patterns,
-  /// and the frozen TPT arena) to a binary file. Storing the arena lets
-  /// load validate bytes instead of replaying the sequential-insert
-  /// build; the arena section carries its own CRC on top of the file
-  /// footer, so corruption surfaces as DataLoss (→ store quarantine),
-  /// never as a differently-shaped index.
+  /// Persists the trained model (options, frequent regions, the
+  /// PatternTable() derived from the arena, and the frozen TPT arena) to
+  /// a binary file. Storing the arena lets load validate bytes instead of
+  /// replaying the sequential-insert build; the arena section carries its
+  /// own CRC on top of the file footer, so corruption surfaces as
+  /// DataLoss (→ store quarantine), never as a differently-shaped index.
   Status SaveToFile(const std::string& path) const;
 
-  /// Restores a model written by SaveToFile. Fails with InvalidArgument
+  /// Restores a model written by SaveToFile. The file's pattern table is
+  /// read only to cross-check the arena and to fill payload supports;
+  /// the model serves from the arena alone. Fails with InvalidArgument
   /// on a malformed/foreign file and FailedPrecondition on a version
   /// mismatch.
   static StatusOr<std::unique_ptr<HybridPredictor>> LoadFromFile(
@@ -306,10 +308,18 @@ class HybridPredictor {
   }
 
   const FrequentRegionSet& regions() const { return regions_; }
-  const std::vector<TrajectoryPattern>& patterns() const { return patterns_; }
 
-  /// The frozen serving index. The mutable builder tree exists only
-  /// transiently inside Train/WithNewHistory/LoadFromFile.
+  /// The mined pattern table, in pattern-id order, derived on each call
+  /// from the frozen arena: premise region ids are the set premise bits
+  /// of each leaf entry's key block (KeyTables maps region id i to bit
+  /// i), and consequence, confidence and support come from its payload.
+  /// The model keeps no other copy of its patterns; this is for saving,
+  /// the §V-B update and inspection, never the query path.
+  std::vector<TrajectoryPattern> PatternTable() const;
+
+  /// The frozen serving index — the whole pattern side of the model.
+  /// The mutable builder tree exists only transiently inside
+  /// Train/WithNewHistory.
   const FrozenTpt& tpt() const { return tpt_; }
   const KeyTables& key_tables() const { return key_tables_; }
   const HybridPredictorOptions& options() const { return options_; }
@@ -332,15 +342,17 @@ class HybridPredictor {
   };
 
   HybridPredictor(HybridPredictorOptions options, FrequentRegionSet regions,
-                  std::vector<TrajectoryPattern> patterns,
                   KeyTables key_tables, FrozenTpt tpt);
 
   /// Shared §V-B front half: decomposes `new_history`, maps it onto the
-  /// existing regions, mines, and dedupes against patterns_. Sets
-  /// `*new_consequence_offset` when a mined rule concludes at a time
-  /// offset the consequence-key table has never seen.
+  /// existing regions, mines, and dedupes against `existing_patterns`
+  /// (the model's PatternTable()). Sets `*new_consequence_offset` when a
+  /// mined rule concludes at a time offset the consequence-key table has
+  /// never seen.
   StatusOr<std::vector<TrajectoryPattern>> MineFreshPatterns(
-      const Trajectory& new_history, bool* new_consequence_offset) const;
+      const Trajectory& new_history,
+      const std::vector<TrajectoryPattern>& existing_patterns,
+      bool* new_consequence_offset) const;
 
   /// Maps recent movements to visited frequent regions (query premise).
   std::vector<int> QueryPremise(const PredictiveQuery& query) const;
@@ -352,7 +364,6 @@ class HybridPredictor {
 
   HybridPredictorOptions options_;
   FrequentRegionSet regions_;
-  std::vector<TrajectoryPattern> patterns_;
   KeyTables key_tables_;
   FrozenTpt tpt_;
   TrainingSummary summary_;

@@ -8,10 +8,13 @@
 // (structure + per-section CRC) instead of replaying the sequential
 // bulk load, and cross-checks the arena's leaf payloads against the
 // re-encoded pattern set so a logically inconsistent section can never
-// serve wrong answers. The footer makes torn writes and bit rot
-// detectable (DataLoss) before the field validators run; the file
-// itself is written via AtomicWriteFile, so a crashed save leaves the
-// previous model intact rather than a prefix.
+// serve wrong answers. The model keeps no pattern table in memory: save
+// writes HybridPredictor::PatternTable(), derived from the arena, and
+// load reads the table only for that cross-check and for the supports
+// the arena section does not carry. The footer makes torn writes and
+// bit rot detectable (DataLoss) before the field validators run; the
+// file itself is written via AtomicWriteFile, so a crashed save leaves
+// the previous model intact rather than a prefix.
 
 #include <cstdint>
 #include <cstring>
@@ -192,8 +195,9 @@ Status HybridPredictor::SaveToFile(const std::string& path) const {
     f.Write(static_cast<int64_t>(r.support));
   }
 
-  f.Write(static_cast<uint64_t>(patterns_.size()));
-  for (const TrajectoryPattern& p : patterns_) {
+  const std::vector<TrajectoryPattern> patterns = PatternTable();
+  f.Write(static_cast<uint64_t>(patterns.size()));
+  for (const TrajectoryPattern& p : patterns) {
     f.Write(static_cast<uint64_t>(p.premise.size()));
     for (int id : p.premise) f.Write(static_cast<int64_t>(id));
     f.Write(static_cast<int64_t>(p.consequence));
@@ -320,6 +324,12 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
       if (id < 0 || static_cast<uint64_t>(id) >= num_regions) {
         return Status::InvalidArgument("premise region id out of range");
       }
+      // The key holds a premise as a bit set, so only a strictly
+      // ascending id list survives the round trip through the arena.
+      if (!p.premise.empty() && id <= p.premise.back()) {
+        return Status::InvalidArgument(
+            "premise region ids not strictly ascending");
+      }
       p.premise.push_back(static_cast<int>(id));
     }
     int64_t i64 = 0;
@@ -330,10 +340,13 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
     p.consequence = static_cast<int>(i64);
     f.Read(&p.confidence);
     f.Read(&i64);
-    p.support = static_cast<int>(i64);
     if (f.failed()) {
       return Status::InvalidArgument("truncated pattern record");
     }
+    if (i64 < 0 || i64 > INT32_MAX) {
+      return Status::InvalidArgument("pattern support out of range");
+    }
+    p.support = static_cast<int>(i64);
     patterns.push_back(std::move(p));
   }
 
@@ -375,7 +388,8 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
                             path);
   }
   std::vector<uint8_t> indexed_once(patterns.size(), 0);
-  for (const IndexedPattern& entry : frozen->patterns()) {
+  for (const FrozenTpt::Hit& leaf : frozen->Leaves()) {
+    const LeafPayload& entry = frozen->payload(leaf);
     if (entry.pattern_id < 0 ||
         static_cast<size_t>(entry.pattern_id) >= patterns.size() ||
         indexed_once[static_cast<size_t>(entry.pattern_id)] != 0) {
@@ -386,20 +400,21 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
         patterns[static_cast<size_t>(entry.pattern_id)];
     if (entry.confidence != p.confidence ||
         entry.consequence_region != p.consequence ||
-        !(entry.key == tables.EncodePattern(p, regions))) {
+        !(frozen->KeyOf(leaf) == tables.EncodePattern(p, regions))) {
       return Status::DataLoss("frozen TPT disagrees with pattern set: " +
                               path);
     }
   }
+  frozen->FillSupports(patterns);
 
   auto predictor = std::unique_ptr<HybridPredictor>(
-      new HybridPredictor(options, std::move(regions), std::move(patterns),
-                          std::move(tables), std::move(*frozen)));
+      new HybridPredictor(options, std::move(regions), std::move(tables),
+                          std::move(*frozen)));
   predictor->summary_.num_sub_trajectories =
       static_cast<size_t>(num_subs);
   predictor->summary_.num_frequent_regions =
       predictor->regions_.NumRegions();
-  predictor->summary_.num_patterns = predictor->patterns_.size();
+  predictor->summary_.num_patterns = predictor->tpt_.size();
   predictor->summary_.tpt_memory_bytes =
       static_cast<size_t>(builder_bytes);
   predictor->summary_.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "bitset/word_ops.h"
 #include "common/status.h"
 
 namespace hpm {
@@ -50,7 +51,12 @@ double PositionWeight(WeightFunction fn, int i, int size) {
 double PremiseSimilarity(const DynamicBitset& rk, const DynamicBitset& rkq,
                          WeightFunction fn) {
   HPM_CHECK(rk.size() == rkq.size());
-  const int size = static_cast<int>(rk.Count());
+  return PremiseSimilarity(rk.words(), rkq.words(), rk.num_words(), fn);
+}
+
+double PremiseSimilarity(const uint64_t* rk, const uint64_t* rkq,
+                         size_t num_words, WeightFunction fn) {
+  const int size = static_cast<int>(wordops::Popcount(rk, num_words));
   if (size == 0) return 0.0;
 
   double total = 0.0;
@@ -60,19 +66,17 @@ double PremiseSimilarity(const DynamicBitset& rk, const DynamicBitset& rkq,
   // add the weight of each one rkq shares — the same terms in the same
   // order as summing over an explicit list of positions, without
   // building one. A word with no shared bit only advances i.
-  const uint64_t* pattern = rk.words();
-  const uint64_t* query = rkq.words();
   double similarity = 0.0;
   int i = 0;
-  for (size_t w = 0; w < rk.num_words(); ++w) {
-    uint64_t bits = pattern[w];
-    if ((bits & query[w]) == 0) {
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t bits = rk[w];
+    if ((bits & rkq[w]) == 0) {
       i += std::popcount(bits);
       continue;
     }
     while (bits != 0) {
       ++i;
-      if ((query[w] >> std::countr_zero(bits)) & 1) {
+      if ((rkq[w] >> std::countr_zero(bits)) & 1) {
         similarity += RawWeight(fn, i) / total;
       }
       bits &= bits - 1;

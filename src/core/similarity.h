@@ -3,6 +3,9 @@
 #ifndef HPM_CORE_SIMILARITY_H_
 #define HPM_CORE_SIMILARITY_H_
 
+#include <cstddef>
+#include <cstdint>
+
 #include "bitset/dynamic_bitset.h"
 #include "geo/trajectory.h"
 
@@ -35,6 +38,13 @@ double PositionWeight(WeightFunction fn, int i, int size);
 /// Precondition: rk.size() == rkq.size().
 double PremiseSimilarity(const DynamicBitset& rk, const DynamicBitset& rkq,
                          WeightFunction fn);
+
+/// The same Sr over word views of `num_words` words each — a premise key
+/// read in place from the FrozenTpt arena and the query's premise words.
+/// Both must keep bits past the key length clear. The DynamicBitset
+/// overload forwards here.
+double PremiseSimilarity(const uint64_t* rk, const uint64_t* rkq,
+                         size_t num_words, WeightFunction fn);
 
 /// Consequence similarity Sc (Equation 3): 1 - |tq - t| / (t_eps + 1),
 /// clamped to [0, 1]. `t` is the pattern's consequence offset, `tq` the

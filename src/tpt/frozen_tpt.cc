@@ -137,7 +137,7 @@ FrozenTpt FrozenTpt::Freeze(const TptTree& tree) {
   frozen.nodes_.reserve(num_nodes);
   frozen.entry_target_.resize(num_entries);
   frozen.key_words_ = AlignedWordArena(num_entries * frozen.Stride());
-  frozen.patterns_.reserve(tree.size());
+  frozen.payloads_.reserve(tree.size());
 
   // DFS preorder, children in entry order — the exact order SearchNode
   // visits, so frozen hits come out in the mutable tree's order.
@@ -164,8 +164,10 @@ FrozenTpt FrozenTpt::Freeze(const TptTree& tree) {
     if (node->is_leaf) {
       for (uint32_t i = 0; i < n; ++i) {
         frozen.entry_target_[first_entry + i] =
-            static_cast<uint32_t>(frozen.patterns_.size());
-        frozen.patterns_.push_back(node->patterns[i]);
+            static_cast<uint32_t>(frozen.payloads_.size());
+        const IndexedPattern& p = node->patterns[i];
+        frozen.payloads_.push_back(
+            LeafPayload{p.confidence, p.consequence_region, p.pattern_id});
       }
     } else {
       for (uint32_t i = 0; i < n; ++i) {
@@ -178,8 +180,36 @@ FrozenTpt FrozenTpt::Freeze(const TptTree& tree) {
   emit(emit, root);
   HPM_CHECK(frozen.nodes_.size() == num_nodes);
   HPM_CHECK(entry_cursor == num_entries);
-  HPM_CHECK(frozen.patterns_.size() == tree.size());
+  HPM_CHECK(frozen.payloads_.size() == tree.size());
   return frozen;
+}
+
+void FrozenTpt::FillSupports(const std::vector<TrajectoryPattern>& table) {
+  for (LeafPayload& p : payloads_) {
+    HPM_CHECK(p.pattern_id >= 0 &&
+              static_cast<size_t>(p.pattern_id) < table.size());
+    p.support = table[static_cast<size_t>(p.pattern_id)].support;
+  }
+}
+
+PatternKey FrozenTpt::KeyOf(const Hit& hit) const {
+  return PatternKey(
+      DynamicBitset::FromWords(premise_words(hit), premise_words_,
+                               premise_bits_),
+      DynamicBitset::FromWords(consequence_words(hit), consequence_words_,
+                               consequence_bits_));
+}
+
+std::vector<FrozenTpt::Hit> FrozenTpt::Leaves() const {
+  std::vector<Hit> leaves(payloads_.size());
+  for (const NodeRef& node : nodes_) {
+    if (node.is_leaf == 0) continue;
+    for (uint32_t i = 0; i < node.num_entries; ++i) {
+      const uint32_t entry = node.first_entry + i;
+      leaves[entry_target_[entry]] = Hit{entry, entry_target_[entry]};
+    }
+  }
+  return leaves;
 }
 
 bool FrozenTpt::SearchCursor::Step(size_t max_entry_tests) {
@@ -216,7 +246,7 @@ bool FrozenTpt::SearchCursor::Step(size_t max_entry_tests) {
     if (!match) continue;
     const uint32_t target = tree_->entry_target_[node.first_entry + i];
     if (node.is_leaf != 0) {
-      out_->push_back(&tree_->patterns_[target]);
+      out_->push_back(Hit{node.first_entry + i, target});
     } else {
       HPM_CHECK(depth_ < kMaxDepth);
       frames_[depth_++] = Frame{target, 0};
@@ -241,10 +271,10 @@ void FrozenTpt::SearchCursor::Prefetch() const {
 
 FrozenTpt::SearchCursor FrozenTpt::StartSearch(
     const PatternKey& query, SearchMode mode,
-    std::vector<const IndexedPattern*>* out, TptSearchStats* stats) const {
+    std::vector<Hit>* out, TptSearchStats* stats) const {
   out->clear();
   SearchCursor cursor;
-  if (patterns_.empty()) return cursor;
+  if (payloads_.empty()) return cursor;
   HPM_CHECK(query.consequence().size() == consequence_bits_);
   if (mode == SearchMode::kPremiseAndConsequence) {
     HPM_CHECK(query.premise().size() == premise_bits_);
@@ -260,15 +290,16 @@ FrozenTpt::SearchCursor FrozenTpt::StartSearch(
   return cursor;
 }
 
-std::vector<const IndexedPattern*> FrozenTpt::Search(
-    const PatternKey& query, SearchMode mode, TptSearchStats* stats) const {
-  std::vector<const IndexedPattern*> out;
+std::vector<FrozenTpt::Hit> FrozenTpt::Search(const PatternKey& query,
+                                              SearchMode mode,
+                                              TptSearchStats* stats) const {
+  std::vector<Hit> out;
   SearchInto(query, mode, &out, stats);
   return out;
 }
 
 void FrozenTpt::SearchInto(const PatternKey& query, SearchMode mode,
-                           std::vector<const IndexedPattern*>* out,
+                           std::vector<Hit>* out,
                            TptSearchStats* stats) const {
   SearchCursor cursor = StartSearch(query, mode, out, stats);
   while (!cursor.Step(SIZE_MAX)) {
@@ -277,25 +308,23 @@ void FrozenTpt::SearchInto(const PatternKey& query, SearchMode mode,
 
 size_t FrozenTpt::MemoryBytes() const {
   size_t bytes = sizeof(FrozenTpt);
-  bytes += nodes_.size() * sizeof(NodeRef);
-  bytes += entry_target_.size() * sizeof(uint32_t);
+  bytes += nodes_.capacity() * sizeof(NodeRef);
+  bytes += entry_target_.capacity() * sizeof(uint32_t);
   bytes += key_words_.AllocatedBytes();
-  for (const IndexedPattern& p : patterns_) {
-    bytes += sizeof(IndexedPattern) + p.key.MemoryBytes();
-  }
+  bytes += payloads_.capacity() * sizeof(LeafPayload);
   return bytes;
 }
 
 Status FrozenTpt::CheckInvariants() const {
   if (nodes_.empty()) {
-    if (!entry_target_.empty() || !patterns_.empty()) {
+    if (!entry_target_.empty() || !payloads_.empty()) {
       return Status::Internal("empty frozen TPT carries entries");
     }
     return Status::OK();
   }
   int height = 0;
   HPM_RETURN_IF_ERROR(
-      ValidateTopology(nodes_, entry_target_, patterns_.size(), &height));
+      ValidateTopology(nodes_, entry_target_, payloads_.size(), &height));
   if (height != height_) {
     return Status::Internal("frozen TPT height mismatch");
   }
@@ -319,7 +348,7 @@ void FrozenTpt::AppendTo(std::string* out) const {
   AppendU32(out, static_cast<uint32_t>(consequence_bits_));
   AppendU32(out, static_cast<uint32_t>(nodes_.size()));
   AppendU32(out, static_cast<uint32_t>(entry_target_.size()));
-  AppendU32(out, static_cast<uint32_t>(patterns_.size()));
+  AppendU32(out, static_cast<uint32_t>(payloads_.size()));
   for (const NodeRef& node : nodes_) {
     AppendU32(out, node.first_entry);
     AppendU32(out, node.num_entries);
@@ -329,7 +358,7 @@ void FrozenTpt::AppendTo(std::string* out) const {
   for (size_t w = 0; w < key_words_.size(); ++w) {
     AppendU64(out, key_words_.data()[w]);
   }
-  for (const IndexedPattern& p : patterns_) {
+  for (const LeafPayload& p : payloads_) {
     AppendF64(out, p.confidence);
     AppendI32(out, p.consequence_region);
     AppendI32(out, p.pattern_id);
@@ -480,13 +509,11 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
   for (size_t w = 0; w < key_words.size(); ++w) {
     HPM_CHECK(reader.ReadU64(&key_words.data()[w]));
   }
-  std::vector<double> confidences(num_patterns);
-  std::vector<int32_t> regions(num_patterns);
-  std::vector<int32_t> pattern_ids(num_patterns);
-  for (uint32_t p = 0; p < num_patterns; ++p) {
-    HPM_CHECK(reader.ReadF64(&confidences[p]) &&
-              reader.ReadI32(&regions[p]) &&
-              reader.ReadI32(&pattern_ids[p]));
+  std::vector<LeafPayload> payloads(num_patterns);
+  for (LeafPayload& p : payloads) {
+    HPM_CHECK(reader.ReadF64(&p.confidence) &&
+              reader.ReadI32(&p.consequence_region) &&
+              reader.ReadI32(&p.pattern_id));
   }
 
   const size_t body_end = reader.consumed();
@@ -520,23 +547,7 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
   frozen.premise_words_ = static_cast<uint32_t>(premise_words);
   frozen.consequence_words_ = static_cast<uint32_t>(consequence_words);
   frozen.height_ = height;
-  frozen.patterns_.resize(num_patterns);
-  for (const NodeRef& node : nodes) {
-    if (node.is_leaf == 0) continue;
-    for (uint32_t i = 0; i < node.num_entries; ++i) {
-      const uint32_t entry = node.first_entry + i;
-      const uint64_t* block = key_words.data() + entry * stride;
-      IndexedPattern& p = frozen.patterns_[targets[entry]];
-      p.key = PatternKey(
-          DynamicBitset::FromWords(block + consequence_words, premise_words,
-                                   premise_bits),
-          DynamicBitset::FromWords(block, consequence_words,
-                                   consequence_bits));
-      p.confidence = confidences[targets[entry]];
-      p.consequence_region = regions[targets[entry]];
-      p.pattern_id = pattern_ids[targets[entry]];
-    }
-  }
+  frozen.payloads_ = std::move(payloads);
   frozen.nodes_ = std::move(nodes);
   frozen.entry_target_ = std::move(targets);
   frozen.key_words_ = std::move(key_words);

@@ -15,18 +15,21 @@
 //                 64-byte-aligned uint64 arena: entry e occupies
 //                 [e*stride, (e+1)*stride) with its consequence words
 //                 first, then its premise words
-//   patterns_     leaf payloads (key, confidence, consequence region,
-//                 pattern id) in leaf-entry order — Search returns
-//                 pointers into this array
+//   payloads_     key-free leaf payloads (confidence, consequence region,
+//                 pattern id, support; 24 bytes) in leaf-entry order
 //
 // so a node's entries are one contiguous block run and the
 // Intersect/Contain hot loop is a branch-light word-wise AND+popcount
 // scan (wordops primitives — the same functions the mutable PatternKey
-// predicates call) with prefetch of the upcoming blocks.
+// predicates call) with prefetch of the upcoming blocks. A leaf entry's
+// key lives only in the arena: a Hit names the entry (its key block) and
+// its payload, and the predictor scores premise similarity straight
+// from the block's premise words. The arena is the whole serving model;
+// the pattern table a model file stores is derived from it on save.
 //
 // Search visits nodes, tests entries, and emits hits in exactly the
 // mutable tree's order; prop_tpt_frozen_test proves the results (ids,
-// confidences, order) and the TptSearchStats pruning counters
+// confidences, key words, order) and the TptSearchStats pruning counters
 // bit-identical on randomized pattern sets in both SearchModes.
 //
 // The arena has a compact wire form (AppendTo/Parse, CRC-footed) so a
@@ -43,9 +46,29 @@
 #include <vector>
 
 #include "common/status.h"
+#include "mining/apriori.h"
 #include "tpt/tpt_tree.h"
 
 namespace hpm {
+
+/// A frozen leaf entry's payload: the paper's <c, p> plus the id and
+/// support of the source pattern. The key pk is not repeated here; it is
+/// the arena block of the leaf entry that names this payload.
+struct LeafPayload {
+  /// Rule confidence c.
+  double confidence = 0.0;
+
+  /// Region id of the consequence (the paper's region key pointer p).
+  int32_t consequence_region = 0;
+
+  /// Index of the pattern in the model's pattern table.
+  int32_t pattern_id = 0;
+
+  /// Transactions containing premise ∪ consequence. The FTPT section
+  /// does not carry it; FillSupports sets it from the pattern table.
+  int32_t support = 0;
+};
+static_assert(sizeof(LeafPayload) <= 24, "leaf payload must stay compact");
 
 /// A 64-byte-aligned, heap-allocated uint64 array: the signature block
 /// arena. Move-only (the frozen tree itself is move-only).
@@ -89,8 +112,20 @@ class FrozenTpt {
   FrozenTpt& operator=(const FrozenTpt&) = delete;
 
   /// Emits the arena layout of a finished builder tree. The tree is only
-  /// read; the frozen copy shares nothing with it.
+  /// read; the frozen copy shares nothing with it. Supports start at 0.
   static FrozenTpt Freeze(const TptTree& tree);
+
+  /// Sets each payload's support to `table[pattern_id].support`. Call
+  /// before the tree is shared. Precondition: every payload's pattern id
+  /// indexes `table`.
+  void FillSupports(const std::vector<TrajectoryPattern>& table);
+
+  /// One matching leaf entry: `entry` indexes the key arena (its block is
+  /// the pattern's key), `payload` the payload array.
+  struct Hit {
+    uint32_t entry = 0;
+    uint32_t payload = 0;
+  };
 
   /// Depth bound: Parse rejects deeper topologies and SearchCursor's
   /// fixed frame stack assumes it (a sane tree is logarithmic — 64
@@ -98,16 +133,14 @@ class FrozenTpt {
   static constexpr int kMaxDepth = 64;
 
   /// All leaf entries matching `query` under `mode`, in the mutable
-  /// tree's traversal order. Pointers remain valid for the lifetime of
-  /// this FrozenTpt.
-  std::vector<const IndexedPattern*> Search(
-      const PatternKey& query, SearchMode mode,
-      TptSearchStats* stats = nullptr) const;
+  /// tree's traversal order.
+  std::vector<Hit> Search(const PatternKey& query, SearchMode mode,
+                          TptSearchStats* stats = nullptr) const;
 
   /// Search writing into a caller-owned vector (cleared first); `stats`,
   /// when given, accumulates — the same contract as TptTree::SearchInto.
   void SearchInto(const PatternKey& query, SearchMode mode,
-                  std::vector<const IndexedPattern*>* out,
+                  std::vector<Hit>* out,
                   TptSearchStats* stats = nullptr) const;
 
   /// A paused depth-first traversal that can be advanced a few entry
@@ -147,7 +180,7 @@ class FrozenTpt {
     const uint64_t* query_consequence_ = nullptr;
     const uint64_t* query_premise_ = nullptr;
     SearchMode mode_ = SearchMode::kPremiseAndConsequence;
-    std::vector<const IndexedPattern*>* out_ = nullptr;
+    std::vector<Hit>* out_ = nullptr;
     TptSearchStats* stats_ = nullptr;
     /// frames_[0..depth_) is the DFS stack; depth_ == 0 means done.
     std::array<Frame, kMaxDepth> frames_;
@@ -159,12 +192,12 @@ class FrozenTpt {
   /// returned cursor with Step() until done; hits land in `out` in the
   /// same order SearchInto emits them.
   SearchCursor StartSearch(const PatternKey& query, SearchMode mode,
-                           std::vector<const IndexedPattern*>* out,
+                           std::vector<Hit>* out,
                            TptSearchStats* stats = nullptr) const;
 
   /// Number of indexed patterns.
-  size_t size() const { return patterns_.size(); }
-  bool empty() const { return patterns_.empty(); }
+  size_t size() const { return payloads_.size(); }
+  bool empty() const { return payloads_.empty(); }
 
   /// Tree height (leaf = 1, empty = 0), carried over from the builder.
   int Height() const { return height_; }
@@ -172,10 +205,35 @@ class FrozenTpt {
   size_t premise_bits() const { return premise_bits_; }
   size_t consequence_bits() const { return consequence_bits_; }
 
-  /// Leaf payloads in leaf-entry (DFS) order.
-  const std::vector<IndexedPattern>& patterns() const { return patterns_; }
+  /// Words in one key block's premise / consequence part.
+  size_t num_premise_words() const { return premise_words_; }
+  size_t num_consequence_words() const { return consequence_words_; }
 
-  /// Bytes held by the arena, topology arrays and payloads — the
+  /// Leaf payloads in leaf-entry (DFS) order.
+  const std::vector<LeafPayload>& payloads() const { return payloads_; }
+
+  const LeafPayload& payload(const Hit& hit) const {
+    return payloads_[hit.payload];
+  }
+
+  /// The hit entry's key words in the arena (num_premise_words() /
+  /// num_consequence_words() long, zero tail bits).
+  const uint64_t* premise_words(const Hit& hit) const {
+    return key_words_.data() + hit.entry * Stride() + consequence_words_;
+  }
+  const uint64_t* consequence_words(const Hit& hit) const {
+    return key_words_.data() + hit.entry * Stride();
+  }
+
+  /// The hit entry's key as a PatternKey. Allocates: for load-time
+  /// verification and tests, not the query path.
+  PatternKey KeyOf(const Hit& hit) const;
+
+  /// Every leaf entry, in payload order.
+  std::vector<Hit> Leaves() const;
+
+  /// Bytes allocated for the arena, topology arrays and payloads (vector
+  /// capacities, the arena rounded to its 64-byte lines) — the
   /// `tpt.frozen_bytes` metric, comparable against the builder tree's
   /// MemoryBytes().
   size_t MemoryBytes() const;
@@ -221,7 +279,7 @@ class FrozenTpt {
   std::vector<NodeRef> nodes_;
   std::vector<uint32_t> entry_target_;
   AlignedWordArena key_words_;
-  std::vector<IndexedPattern> patterns_;
+  std::vector<LeafPayload> payloads_;
   size_t premise_bits_ = 0;
   size_t consequence_bits_ = 0;
   uint32_t premise_words_ = 0;

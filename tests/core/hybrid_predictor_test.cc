@@ -94,7 +94,7 @@ TEST_F(HybridPredictorTest, TrainingSummaryPopulated) {
   EXPECT_GT(s.tpt_memory_bytes, 0u);
   EXPECT_GE(s.tpt_height, 1);
   EXPECT_GE(s.train_seconds, 0.0);
-  EXPECT_EQ(s.num_patterns, predictor_->patterns().size());
+  EXPECT_EQ(s.num_patterns, predictor_->PatternTable().size());
   EXPECT_EQ(predictor_->tpt().size(), s.num_patterns);
 }
 
@@ -422,7 +422,7 @@ TEST(HybridPredictorUpdateTest, WithNewHistoryMatchesInPlaceIncorporation) {
   ASSERT_TRUE(snapshotting.ok());
 
   const Trajectory fresh = MakeHistory(10, 99);
-  const size_t patterns_before = (*snapshotting)->patterns().size();
+  const size_t patterns_before = (*snapshotting)->PatternTable().size();
 
   auto added = (*in_place)->IncorporateNewHistory(fresh);
   ASSERT_TRUE(added.ok());
@@ -430,11 +430,12 @@ TEST(HybridPredictorUpdateTest, WithNewHistoryMatchesInPlaceIncorporation) {
   ASSERT_TRUE(snapshot.ok());
 
   // The source of WithNewHistory is unchanged.
-  EXPECT_EQ((*snapshotting)->patterns().size(), patterns_before);
+  EXPECT_EQ((*snapshotting)->PatternTable().size(), patterns_before);
 
-  EXPECT_EQ((*snapshot)->patterns().size(),
+  EXPECT_EQ((*snapshot)->PatternTable().size(),
             patterns_before + *added);
-  EXPECT_EQ((*snapshot)->patterns().size(), (*in_place)->patterns().size());
+  EXPECT_EQ((*snapshot)->PatternTable().size(),
+            (*in_place)->PatternTable().size());
   EXPECT_EQ((*snapshot)->tpt().size(), (*in_place)->tpt().size());
   EXPECT_EQ((*snapshot)->summary().num_patterns,
             (*in_place)->summary().num_patterns);
@@ -487,7 +488,7 @@ TEST(RankAndTakeTest, MatchesFullStableSortUnderTheTotalOrder) {
     const int n = static_cast<int>(rng.UniformInt(1, 40));
     // Few distinct scores and confidences, so most hits tie on both and
     // only the pattern id separates them.
-    std::vector<IndexedPattern> patterns(static_cast<size_t>(n));
+    std::vector<LeafPayload> patterns(static_cast<size_t>(n));
     std::vector<int> ids(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = 3 * i + 1;
     for (int i = n - 1; i > 0; --i) {
@@ -496,7 +497,7 @@ TEST(RankAndTakeTest, MatchesFullStableSortUnderTheTotalOrder) {
     }
     std::vector<ScoredHit> hits;
     for (int i = 0; i < n; ++i) {
-      IndexedPattern& p = patterns[static_cast<size_t>(i)];
+      LeafPayload& p = patterns[static_cast<size_t>(i)];
       p.pattern_id = ids[static_cast<size_t>(i)];
       p.confidence = 0.5 * static_cast<double>(rng.UniformInt(1, 2));
       p.consequence_region = static_cast<int>(rng.Uniform(4));
@@ -518,14 +519,14 @@ TEST(RankAndTakeTest, MatchesFullStableSortUnderTheTotalOrder) {
       for (size_t i = 0; i < want; ++i) {
         const ScoredHit& e = expected[i];
         const FrequentRegion& region =
-            regions.Region(e.pattern->consequence_region);
+            regions.Region(e.payload->consequence_region);
         SCOPED_TRACE("k=" + std::to_string(k) + " rank " + std::to_string(i));
         EXPECT_EQ(ranked[i].pattern_id, e.pattern_id);
         EXPECT_EQ(ranked[i].score, e.score);
         EXPECT_EQ(ranked[i].confidence, e.confidence);
         EXPECT_EQ(ranked[i].source, PredictionSource::kPattern);
         EXPECT_EQ(ranked[i].consequence_region,
-                  e.pattern->consequence_region);
+                  e.payload->consequence_region);
         EXPECT_EQ(ranked[i].location, region.center);
         EXPECT_EQ(ranked[i].uncertainty.ToString(), region.mbr.ToString());
       }

@@ -16,6 +16,7 @@
 #include "common/crc32.h"
 #include "common/random.h"
 #include "core/hybrid_predictor.h"
+#include "io/atomic_file.h"
 #include "tpt/frozen_tpt.h"
 
 namespace hpm {
@@ -253,13 +254,14 @@ class ModelCorruptionTest : public ::testing::Test {
     auto trained = HybridPredictor::Train(MakeHistory(30), Options());
     ASSERT_TRUE(trained.ok());
     model_ = std::move(*trained);
-    ASSERT_FALSE(model_->patterns().empty());
+    ASSERT_FALSE(model_->PatternTable().empty());
     path_ = TempPath("model_corrupt_base.hpm");
     ASSERT_TRUE(model_->SaveToFile(path_).ok());
     bytes_ = ReadFileBytes(path_);
 
+    table_ = model_->PatternTable();
     size_t patterns_bytes = 0;
-    for (const TrajectoryPattern& p : model_->patterns()) {
+    for (const TrajectoryPattern& p : table_) {
       patterns_bytes += 8 + 8 * p.premise.size() + 24;
     }
     size_t regions_bytes = 0;
@@ -289,6 +291,25 @@ class ModelCorruptionTest : public ::testing::Test {
     num_regions_offset_ = num_patterns_offset_ - regions_bytes - 8;
   }
 
+  /// Offset of pattern record `index`: u64 premise_size | i64 ids |
+  /// i64 consequence | f64 confidence | i64 support.
+  size_t PatternRecordOffset(size_t index) const {
+    size_t offset = first_premise_size_offset_;
+    for (size_t i = 0; i < index; ++i) {
+      offset += 8 + 8 * table_[i].premise.size() + 24;
+    }
+    return offset;
+  }
+
+  /// Index of the first pattern whose premise has at least `size` ids.
+  size_t PatternWithPremiseOf(size_t size) const {
+    for (size_t i = 0; i < table_.size(); ++i) {
+      if (table_[i].premise.size() >= size) return i;
+    }
+    ADD_FAILURE() << "no pattern with a premise of " << size << " ids";
+    return 0;
+  }
+
   /// Re-stamps the footer CRC, writes the corrupted bytes and returns
   /// the load status.
   Status LoadCorrupted(const char* name) {
@@ -299,6 +320,7 @@ class ModelCorruptionTest : public ::testing::Test {
   }
 
   std::unique_ptr<HybridPredictor> model_;
+  std::vector<TrajectoryPattern> table_;
   std::string path_;
   std::vector<unsigned char> bytes_;
   size_t ftpt_offset_ = 0;
@@ -313,11 +335,11 @@ TEST_F(ModelCorruptionTest, SanityCheckOffsetsByRoundTrip) {
   // with its current value must leave the file loadable.
   uint64_t current = 0;
   std::memcpy(&current, bytes_.data() + num_patterns_offset_, 8);
-  ASSERT_EQ(current, model_->patterns().size());
+  ASSERT_EQ(current, model_->PatternTable().size());
   std::memcpy(&current, bytes_.data() + num_regions_offset_, 8);
   ASSERT_EQ(current, model_->regions().NumRegions());
   std::memcpy(&current, bytes_.data() + first_premise_size_offset_, 8);
-  ASSERT_EQ(current, model_->patterns().front().premise.size());
+  ASSERT_EQ(current, model_->PatternTable().front().premise.size());
   std::memcpy(&current, bytes_.data() + num_subs_offset_, 8);
   ASSERT_EQ(current, model_->summary().num_sub_trajectories);
   EXPECT_TRUE(LoadCorrupted("model_untouched.hpm").ok());
@@ -366,6 +388,69 @@ TEST_F(ModelCorruptionTest, RejectsOversizedPremiseKey) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("corrupt premise size"),
             std::string::npos);
+}
+
+// A premise is a set of region ids, and the pattern key encodes it as
+// bits, so a record with swapped or repeated ids still matches the
+// arena. The loader refuses it anyway: the model derives its table
+// from the arena, so only the canonical (strictly ascending) list could
+// be written back.
+TEST_F(ModelCorruptionTest, RejectsUnsortedPremiseIds) {
+  const size_t record = PatternRecordOffset(PatternWithPremiseOf(2));
+  uint64_t first = 0, second = 0;
+  std::memcpy(&first, bytes_.data() + record + 8, 8);
+  std::memcpy(&second, bytes_.data() + record + 16, 8);
+  ASSERT_LT(first, second);
+  OverwriteU64(bytes_, record + 8, second);
+  OverwriteU64(bytes_, record + 16, first);
+  const Status status = LoadCorrupted("model_unsorted_premise.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("premise region ids not strictly"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(ModelCorruptionTest, RejectsDuplicatedPremiseIds) {
+  // Repeat the first id of a premise in place: one more id, same bits.
+  const size_t index = PatternWithPremiseOf(1);
+  const size_t record = PatternRecordOffset(index);
+  OverwriteU64(bytes_, record, table_[index].premise.size() + 1);
+  const auto first_id = bytes_.begin() + static_cast<long>(record) + 8;
+  const std::vector<unsigned char> id(first_id, first_id + 8);
+  bytes_.insert(first_id, id.begin(), id.end());
+  const Status status = LoadCorrupted("model_duplicated_premise.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("premise region ids not strictly"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(ModelCorruptionTest, RejectsNegativeSupport) {
+  const size_t record = PatternRecordOffset(0);
+  const size_t support_offset =
+      record + 8 + 8 * table_[0].premise.size() + 16;
+  int64_t support = 0;
+  std::memcpy(&support, bytes_.data() + support_offset, 8);
+  ASSERT_EQ(support, table_[0].support);
+  OverwriteU64(bytes_, support_offset, static_cast<uint64_t>(-1));
+  const Status status = LoadCorrupted("model_negative_support.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("pattern support out of range"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(ModelCorruptionTest, LoadedSupportsComeFromThePatternTable) {
+  // The arena section carries no supports; the loader fills them from
+  // the file's table, so they survive the round trip.
+  auto loaded = HybridPredictor::LoadFromFile(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::vector<TrajectoryPattern> restored = (*loaded)->PatternTable();
+  ASSERT_EQ(restored.size(), table_.size());
+  for (size_t i = 0; i < table_.size(); ++i) {
+    EXPECT_GT(table_[i].support, 0);
+    EXPECT_EQ(restored[i].support, table_[i].support);
+  }
 }
 
 TEST_F(ModelCorruptionTest, RejectsTruncatedTail) {
@@ -490,6 +575,68 @@ TEST_F(FrozenSectionCorruptionTest, PayloadDriftIsCaughtByCrossCheck) {
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   EXPECT_NE(status.message().find("frozen TPT disagrees with pattern set"),
             std::string::npos);
+}
+
+TEST_F(FrozenSectionCorruptionTest, ArenaKeyDriftIsCaughtByCrossCheck) {
+  // Flip bit 0 of the arena's last word and re-stamp both checksums.
+  // DFS preorder ends in a leaf, so that word is the premise of a leaf
+  // entry, and bit 0 (region 0) is inside the premise width: only the
+  // cross-check against the re-encoded pattern set can object.
+  const uint32_t num_patterns = ReadSectionU32(24);
+  const size_t payloads_begin =
+      bytes_.size() - kFooterSize - 4 - size_t{num_patterns} * 16;
+  bytes_[payloads_begin - 8] ^= 0x01;
+  RestampSectionCrc();
+  const Status status = LoadCorrupted("model_key_drift.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("frozen TPT disagrees with pattern set"),
+            std::string::npos)
+      << status.ToString();
+}
+
+// tests/core/testdata/model_v2.hpm is a format-v2 model (97 patterns,
+// 12 regions, a 3-level arena) written by SaveToFile while every model
+// still kept its own pattern table beside the arena. Loading it and
+// saving it again must reproduce it byte for byte: the table a model
+// writes is now derived from its arena, and the file format must not
+// notice.
+TEST(ModelFileFixtureTest, OlderWriterFileReSavesByteForByte) {
+  const std::string fixture =
+      std::string(HPM_TESTDATA_DIR) + "/model_v2.hpm";
+  const StatusOr<std::string> original = ReadFileToString(fixture);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  uint32_t version = 0;
+  std::memcpy(&version, original->data() + 4, sizeof(version));
+  EXPECT_EQ(version, 2u);
+  const size_t section = original->find("FTPT");
+  ASSERT_NE(section, std::string::npos);
+  uint32_t section_version = 0;
+  std::memcpy(&section_version, original->data() + section + 4,
+              sizeof(section_version));
+  EXPECT_EQ(section_version, 1u);
+
+  auto loaded = HybridPredictor::LoadFromFile(fixture);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->tpt().size(), 97u);
+  EXPECT_EQ((*loaded)->regions().NumRegions(), 12u);
+  EXPECT_EQ((*loaded)->tpt().Height(), 3);
+  EXPECT_TRUE((*loaded)->tpt().CheckInvariants().ok());
+
+  const std::string path = TempPath("fixture_resaved.hpm");
+  ASSERT_TRUE((*loaded)->SaveToFile(path).ok());
+  const StatusOr<std::string> resaved = ReadFileToString(path);
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  ASSERT_EQ(resaved->size(), original->size());
+  size_t first_difference = original->size();
+  for (size_t i = 0; i < original->size(); ++i) {
+    if ((*resaved)[i] != (*original)[i]) {
+      first_difference = i;
+      break;
+    }
+  }
+  EXPECT_EQ(first_difference, original->size())
+      << "re-saved file differs from the fixture at byte "
+      << first_difference;
 }
 
 TEST(IncorporateTest, NewDataOnKnownRouteAddsNothingNew) {

@@ -213,12 +213,13 @@ TEST(IntegrationDeterminismTest, IdenticalRunsProduceIdenticalModels) {
   ASSERT_EQ((*pa)->summary().num_patterns, (*pb)->summary().num_patterns);
   ASSERT_EQ((*pa)->summary().num_frequent_regions,
             (*pb)->summary().num_frequent_regions);
-  for (size_t i = 0; i < (*pa)->patterns().size(); ++i) {
-    EXPECT_EQ((*pa)->patterns()[i].premise, (*pb)->patterns()[i].premise);
-    EXPECT_EQ((*pa)->patterns()[i].consequence,
-              (*pb)->patterns()[i].consequence);
-    EXPECT_DOUBLE_EQ((*pa)->patterns()[i].confidence,
-                     (*pb)->patterns()[i].confidence);
+  const std::vector<TrajectoryPattern> table_a = (*pa)->PatternTable();
+  const std::vector<TrajectoryPattern> table_b = (*pb)->PatternTable();
+  ASSERT_EQ(table_a.size(), table_b.size());
+  for (size_t i = 0; i < table_a.size(); ++i) {
+    EXPECT_EQ(table_a[i].premise, table_b[i].premise);
+    EXPECT_EQ(table_a[i].consequence, table_b[i].consequence);
+    EXPECT_DOUBLE_EQ(table_a[i].confidence, table_b[i].confidence);
   }
   auto cases = MakeQueryCases(a.trajectory, kPeriod, kTrainSubs,
                               Workload(20));

@@ -159,7 +159,7 @@ TEST(ServerClientTest, HugeKIsAnsweredAndTopBitKIsRejected) {
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(all->predictions.size(), direct->size());
   ASSERT_FALSE(direct->empty());
-  EXPECT_LE(direct->size(), (*store.GetPredictor(1))->patterns().size());
+  EXPECT_LE(direct->size(), (*store.GetPredictor(1))->PatternTable().size());
   for (size_t i = 0; i < direct->size(); ++i) {
     EXPECT_EQ(all->predictions[i].pattern_id, (*direct)[i].pattern_id);
     EXPECT_EQ(all->predictions[i].score, (*direct)[i].score);

@@ -1,8 +1,9 @@
 // Property suite: serialization round-trips on randomized instances. A
 // trained model written by SaveToFile and read back by LoadFromFile must
 // be observably identical (regions, patterns, summary, and — since the
-// bytes are written raw — bit-identical predictions); a store saved to a
-// directory must restore to the same fleet.
+// bytes are written raw — bit-identical predictions), and saving the
+// loaded model again must reproduce the file byte for byte; a store
+// saved to a directory must restore to the same fleet.
 
 #include <atomic>
 #include <filesystem>
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "core/hybrid_predictor.h"
+#include "io/atomic_file.h"
+#include "mining/offline_miner.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
 #include "proptest/shrink.h"
@@ -60,6 +63,34 @@ ModelCase GenModelCase(Random& rng) {
   return c;
 }
 
+/// Empty when `table` equals the patterns MineOffline produces for
+/// `history` (the pass Train runs), in order and field for field.
+std::string CompareWithMiner(const Trajectory& history,
+                             const std::vector<TrajectoryPattern>& table) {
+  const HybridPredictorOptions options = PredictorOptions();
+  StatusOr<OfflineMineResult> offline =
+      MineOffline(history, options.regions, options.mining);
+  if (!offline.ok()) {
+    return "MineOffline failed: " + offline.status().ToString();
+  }
+  const std::vector<TrajectoryPattern>& mined = offline->mined.patterns;
+  if (mined.size() != table.size()) {
+    return "derived pattern table has " + std::to_string(table.size()) +
+           " rules, the miner " + std::to_string(mined.size());
+  }
+  for (size_t i = 0; i < mined.size(); ++i) {
+    if (mined[i].premise != table[i].premise ||
+        mined[i].consequence != table[i].consequence ||
+        mined[i].confidence != table[i].confidence ||
+        mined[i].support != table[i].support) {
+      return "derived pattern " + std::to_string(i) + " (" +
+             table[i].ToString() + ") differs from the mined rule " +
+             mined[i].ToString();
+    }
+  }
+  return "";
+}
+
 std::string CheckModelRoundTrip(const ModelCase& input) {
   StatusOr<std::unique_ptr<HybridPredictor>> trained =
       HybridPredictor::Train(input.history, PredictorOptions());
@@ -69,13 +100,29 @@ std::string CheckModelRoundTrip(const ModelCase& input) {
   const std::string path = ScratchPath("model");
   const Status saved = original.SaveToFile(path);
   if (!saved.ok()) return "SaveToFile failed: " + saved.ToString();
+  const StatusOr<std::string> saved_bytes = ReadFileToString(path);
   StatusOr<std::unique_ptr<HybridPredictor>> loaded =
       HybridPredictor::LoadFromFile(path);
   std::filesystem::remove(path);
+  if (!saved_bytes.ok()) return "reading the saved model failed";
   if (!loaded.ok()) {
     return "LoadFromFile failed: " + loaded.status().ToString();
   }
   const HybridPredictor& restored = **loaded;
+
+  // Save -> Load -> Save is byte-identical: the pattern table derived
+  // from the reloaded arena, the supports filled from the file, and the
+  // arena itself all reproduce what was written.
+  const std::string resave_path = ScratchPath("model_resaved");
+  const Status resaved = restored.SaveToFile(resave_path);
+  const StatusOr<std::string> resaved_bytes =
+      ReadFileToString(resave_path);
+  std::filesystem::remove(resave_path);
+  if (!resaved.ok()) return "re-save failed: " + resaved.ToString();
+  if (!resaved_bytes.ok()) return "reading the re-saved model failed";
+  if (*resaved_bytes != *saved_bytes) {
+    return "re-saving the loaded model changed the file bytes";
+  }
 
   if (restored.regions().NumRegions() != original.regions().NumRegions()) {
     return "region count changed across the round trip";
@@ -89,12 +136,21 @@ std::string CheckModelRoundTrip(const ModelCase& input) {
       return "region " + std::to_string(i) + " changed across the round trip";
     }
   }
-  if (restored.patterns().size() != original.patterns().size()) {
+  const std::vector<TrajectoryPattern> original_table =
+      original.PatternTable();
+  // The table the model derives from its arena is the one the miner
+  // produced: same rules, same order, same confidences and supports.
+  const std::string mined_check =
+      CompareWithMiner(input.history, original_table);
+  if (!mined_check.empty()) return mined_check;
+  const std::vector<TrajectoryPattern> restored_table =
+      restored.PatternTable();
+  if (restored_table.size() != original_table.size()) {
     return "pattern count changed across the round trip";
   }
-  for (size_t i = 0; i < original.patterns().size(); ++i) {
-    const TrajectoryPattern& a = original.patterns()[i];
-    const TrajectoryPattern& b = restored.patterns()[i];
+  for (size_t i = 0; i < original_table.size(); ++i) {
+    const TrajectoryPattern& a = original_table[i];
+    const TrajectoryPattern& b = restored_table[i];
     if (a.premise != b.premise || a.consequence != b.consequence ||
         a.confidence != b.confidence || a.support != b.support) {
       return "pattern " + std::to_string(i) + " changed across the round trip";

@@ -2,11 +2,14 @@
 // The arena layout is a pure representation change — on any pattern set
 // and any query key, Search must return *bit-identical* results: the
 // same pattern ids in the same order, the same confidences and
-// consequence regions, and the same TptSearchStats-visible pruning
-// (nodes_visited/entries_tested), in both search modes. The same must
+// consequence regions, arena key words equal to the builder key's words
+// (the premise words are what the predictor scores from), and the same
+// TptSearchStats-visible pruning (nodes_visited/entries_tested), in both
+// search modes. The same must
 // hold for a frozen tree that made a round trip through its wire form
 // (AppendTo -> Parse).
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,7 +45,7 @@ std::string CompareSearch(const TptTree& tree, const FrozenTpt& frozen,
   TptSearchStats tree_stats, frozen_stats;
   const std::vector<const IndexedPattern*> tree_hits =
       tree.Search(query, mode, &tree_stats);
-  const std::vector<const IndexedPattern*> frozen_hits =
+  const std::vector<FrozenTpt::Hit> frozen_hits =
       frozen.Search(query, mode, &frozen_stats);
 
   const std::string what = label + " " + ModeName(mode) + " search ";
@@ -51,18 +54,28 @@ std::string CompareSearch(const TptTree& tree, const FrozenTpt& frozen,
            " hits, mutable tree " + std::to_string(tree_hits.size());
   }
   for (size_t i = 0; i < tree_hits.size(); ++i) {
-    if (tree_hits[i]->pattern_id != frozen_hits[i]->pattern_id) {
+    const IndexedPattern& want = *tree_hits[i];
+    const LeafPayload& got = frozen.payload(frozen_hits[i]);
+    if (want.pattern_id != got.pattern_id) {
       return what + "hit " + std::to_string(i) + " is pattern " +
-             std::to_string(frozen_hits[i]->pattern_id) + ", mutable tree " +
-             std::to_string(tree_hits[i]->pattern_id) +
-             " (order must be identical)";
+             std::to_string(got.pattern_id) + ", mutable tree " +
+             std::to_string(want.pattern_id) + " (order must be identical)";
     }
-    if (tree_hits[i]->confidence != frozen_hits[i]->confidence ||
-        tree_hits[i]->consequence_region !=
-            frozen_hits[i]->consequence_region ||
-        !(tree_hits[i]->key == frozen_hits[i]->key)) {
+    if (want.confidence != got.confidence ||
+        want.consequence_region != got.consequence_region) {
       return what + "hit " + std::to_string(i) +
              " payload differs from the mutable tree's";
+    }
+    if (frozen.num_premise_words() != want.key.premise().num_words() ||
+        std::memcmp(frozen.premise_words(frozen_hits[i]),
+                    want.key.premise().words(),
+                    frozen.num_premise_words() * sizeof(uint64_t)) != 0) {
+      return what + "hit " + std::to_string(i) +
+             " arena premise words differ from the builder key's";
+    }
+    if (!(frozen.KeyOf(frozen_hits[i]) == want.key)) {
+      return what + "hit " + std::to_string(i) +
+             " arena key differs from the builder key";
     }
   }
   if (tree_stats.nodes_visited != frozen_stats.nodes_visited ||

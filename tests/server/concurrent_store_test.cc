@@ -163,8 +163,8 @@ TEST(ConcurrentStoreTest, ParallelWritersAndReadersKeepStateExact) {
     auto reference_model = reference.GetPredictor(id);
     ASSERT_EQ(concurrent_model.ok(), reference_model.ok());
     if (concurrent_model.ok()) {
-      EXPECT_EQ((*concurrent_model)->patterns().size(),
-                (*reference_model)->patterns().size());
+      EXPECT_EQ((*concurrent_model)->PatternTable().size(),
+                (*reference_model)->PatternTable().size());
     }
     auto got = store.PredictLocation(id, tq, 3);
     auto want = reference.PredictLocation(id, tq, 3);
@@ -267,7 +267,7 @@ TEST(ConcurrentStoreTest, SnapshotsSurviveRetrains) {
   auto live = store.GetPredictor(0);
   ASSERT_TRUE(live.ok());
   EXPECT_NE(snapshot->get(), live->get());
-  EXPECT_GE((*live)->patterns().size(), (*snapshot)->patterns().size());
+  EXPECT_GE((*live)->PatternTable().size(), (*snapshot)->PatternTable().size());
 
   // The old snapshot still answers, identically.
   auto after = (*snapshot)->Predict(query);

@@ -219,8 +219,8 @@ TEST(EpochStressTest, AggressiveFreeChurnOnAHotObject) {
         }
         // GetPredictor's shared snapshot must outlive any later swap.
         const auto model = store.GetPredictor(kHot);
-        if (model.ok() && (*model)->patterns().empty() &&
-            !(*model)->patterns().empty()) {
+        if (model.ok() && (*model)->tpt().empty() &&
+            !(*model)->tpt().empty()) {
           reader_failures.fetch_add(1);  // Unreachable; forces the deref.
           return;
         }

@@ -129,14 +129,100 @@ TEST(FrozenTptTest, FreezeKeepsPatternsAndAccountsMemory) {
   // The arena must be accounted for: more than the bare struct, and the
   // key blocks dominate a pointer-free layout.
   EXPECT_GT(frozen.MemoryBytes(), sizeof(FrozenTpt));
-  // Every pattern id appears exactly once among the leaf payloads.
+  // Every pattern id appears exactly once among the leaf payloads, and
+  // Leaves() names each payload's own entry, in payload order.
   std::vector<bool> seen(frozen.size(), false);
-  for (const IndexedPattern& p : frozen.patterns()) {
+  for (const LeafPayload& p : frozen.payloads()) {
     ASSERT_GE(p.pattern_id, 0);
     ASSERT_LT(static_cast<size_t>(p.pattern_id), seen.size());
     EXPECT_FALSE(seen[static_cast<size_t>(p.pattern_id)]);
     seen[static_cast<size_t>(p.pattern_id)] = true;
   }
+  const std::vector<FrozenTpt::Hit> leaves = frozen.Leaves();
+  ASSERT_EQ(leaves.size(), frozen.size());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    EXPECT_EQ(leaves[i].payload, i);
+  }
+}
+
+TEST(FrozenTptTest, LeavesCarryTheBuilderKeys) {
+  // The arena block a leaf entry names is the key the pattern was
+  // inserted with — the only copy of it the frozen tree keeps.
+  std::vector<PatternKey> keys;
+  Random rng(31);
+  std::vector<IndexedPattern> patterns;
+  for (int i = 0; i < 60; ++i) {
+    keys.push_back(RandomKey(&rng, 70, 3));
+    patterns.push_back(MakePattern(keys.back(), i));
+  }
+  StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
+  ASSERT_TRUE(tree.ok());
+  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
+  ASSERT_EQ(frozen.num_premise_words(), 2u);
+  ASSERT_EQ(frozen.num_consequence_words(), 1u);
+  for (const FrozenTpt::Hit& leaf : frozen.Leaves()) {
+    const LeafPayload& payload = frozen.payload(leaf);
+    const PatternKey& want = keys[static_cast<size_t>(payload.pattern_id)];
+    EXPECT_TRUE(frozen.KeyOf(leaf) == want);
+    EXPECT_EQ(frozen.premise_words(leaf)[1], want.premise().words()[1]);
+    EXPECT_EQ(frozen.consequence_words(leaf)[0],
+              want.consequence().words()[0]);
+  }
+}
+
+TEST(FrozenTptTest, FillSupportsSetsEachPayloadFromItsPatternId) {
+  FrozenTpt frozen = FrozenTpt::Freeze(BuildTree(40, 17));
+  std::vector<TrajectoryPattern> table(frozen.size());
+  for (size_t i = 0; i < table.size(); ++i) {
+    table[i].support = static_cast<int>(100 + i);
+  }
+  for (const LeafPayload& p : frozen.payloads()) EXPECT_EQ(p.support, 0);
+  frozen.FillSupports(table);
+  for (const LeafPayload& p : frozen.payloads()) {
+    EXPECT_EQ(p.support, 100 + p.pattern_id);
+  }
+}
+
+TEST(FrozenTptTest, MemoryBytesIsWhatTheArraysAllocate) {
+  // tpt.frozen_bytes reports allocation: the struct, the node and
+  // entry-target arrays, the 64-byte-rounded key arena and the payloads.
+  // Both constructors size every array exactly, so the counts in the
+  // section header determine it.
+  const FrozenTpt frozen = FrozenTpt::Freeze(BuildTree(90, 19));
+  const std::string wire = Wire(frozen);
+  const size_t nodes = ReadU32At(wire, kNumNodesOffset);
+  const size_t entries = ReadU32At(wire, kNumEntriesOffset);
+  const size_t stride =
+      frozen.num_premise_words() + frozen.num_consequence_words();
+  const size_t expected = sizeof(FrozenTpt) + nodes * 3 * sizeof(uint32_t) +
+                          entries * sizeof(uint32_t) +
+                          (entries * stride * sizeof(uint64_t) + 63) / 64 * 64 +
+                          frozen.size() * sizeof(LeafPayload);
+  EXPECT_EQ(frozen.MemoryBytes(), expected);
+  size_t consumed = 0;
+  StatusOr<FrozenTpt> reparsed =
+      FrozenTpt::Parse(wire.data(), wire.size(), &consumed);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->MemoryBytes(), expected);
+}
+
+TEST(FrozenTptTest, OneWordKeysCostAtMost48BytesPerPattern) {
+  // Per pattern with one-word premise and consequence parts: a 16-byte
+  // arena block, a 4-byte entry target and a 24-byte payload, plus the
+  // internal entries and nodes amortized over a default-capacity tree.
+  Random rng(37);
+  std::vector<IndexedPattern> patterns;
+  for (int i = 0; i < 1000; ++i) {
+    patterns.push_back(MakePattern(RandomKey(&rng, 20, 18), i));
+  }
+  StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
+  ASSERT_TRUE(tree.ok());
+  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
+  ASSERT_EQ(frozen.num_premise_words() + frozen.num_consequence_words(), 2u);
+  const double per_pattern = static_cast<double>(frozen.MemoryBytes()) /
+                             static_cast<double>(frozen.size());
+  EXPECT_LE(per_pattern, 48.0);
+  EXPECT_GE(per_pattern, 44.0);  // Block + target + payload, at least.
 }
 
 TEST(FrozenTptTest, ParseIgnoresTrailingBytes) {
