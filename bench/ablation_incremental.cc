@@ -5,7 +5,7 @@
 // adds them up to TPT by using the insertion algorithm". This bench
 // quantifies that choice: starting from a model trained on 60
 // sub-trajectories, fold in batches of new days either incrementally
-// (IncorporateNewHistory) or by retraining from scratch, and compare
+// (WithNewHistory) or by retraining from scratch, and compare
 // wall-clock cost and resulting accuracy.
 
 #include <cstdio>
@@ -31,14 +31,15 @@ int main() {
                         "retrain_error"});
     for (const int batch : {2, 5, 10}) {
       // Incremental: train on 60, incorporate the next `batch` days.
-      auto incremental = TrainPredictor(dataset, config);
+      auto trained = TrainPredictor(dataset, config);
       auto new_days = dataset.trajectory.Slice(
           60 * period, (60 + batch) * period);
       HPM_CHECK(new_days.ok());
       Stopwatch inc_timer;
-      auto added = incremental->IncorporateNewHistory(*new_days);
+      auto updated = trained->WithNewHistory(*new_days);
       const double inc_ms = inc_timer.ElapsedMillis();
-      HPM_CHECK(added.ok());
+      HPM_CHECK(updated.ok());
+      const HybridPredictor* incremental = updated->get();
 
       // Retrain: a fresh model over 60 + batch days.
       ExperimentConfig retrain_config = config;

@@ -36,21 +36,21 @@
 // scratch directory, with the store's wal.appended / wal.synced counters
 // recorded so the JSON itself proves which policy actually ran.
 //
-// --rebuild prices continuous background rebuilds (docs/ARCHITECTURE.md,
-// incremental mining). A drifting ReportStream drives each run twice
-// over the same reports: once with the drift threshold effectively
-// infinite (rebuilds never fire) and once low enough that every drift
-// event triggers a background rebuild + publish. Each run has a
+// --rebuild prices where drift-triggered rebuilds run
+// (docs/ARCHITECTURE.md, incremental mining). A drifting ReportStream
+// drives each run twice over the same reports and the same drift
+// threshold: once with rebuilds inline on the reporting thread (the
+// default) and once on the background worker. Each run has a
 // closed-loop ingest burst (pricing the write path) and a paced phase —
 // the stream replayed at its arrival stamps while paced query threads
-// measure predictive range queries. The claim is that
+// measure predictive range queries. The claim is that background
 // rebuilds ride below query traffic (the worker runs at idle scheduling
 // priority, so it only consumes CPU the pacing leaves free): the
 // accepted-query p99 — read from the store's own op.range_us
 // power-of-two histogram, with client-side latencies reported alongside
-// — must land in the same or a lower bucket with rebuilds on as off,
-// and the rebuild.* counters in the JSON prove the "on" run actually
-// rebuilt.
+// — must land in the same or a lower bucket in the background run as
+// in the inline one, and the rebuild.* counters in the JSON prove both
+// runs actually rebuilt.
 
 #include <algorithm>
 #include <chrono>
@@ -103,7 +103,6 @@ ObjectStoreOptions StoreOptions() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = kTrainPeriods;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 8;
   options.query_threads = 1;  // Scaling comes from client threads here.
@@ -470,7 +469,7 @@ std::string DurabilityJson(const std::vector<DurabilityPoint>& points) {
 // ---- Rebuild mode ----------------------------------------------------------
 
 /// Closed-loop ingest burst: prices the write path (miner accounting +
-/// rebuild scheduling) with rebuilds on vs off.
+/// inline rebuilds or their scheduling).
 constexpr int kRebuildBurstOps = 20000;
 /// Paced serving phase: the stream replayed at its arrival stamps while
 /// query threads measure latency — the window the p99 acceptance uses.
@@ -492,12 +491,10 @@ constexpr int kRebuildObjects = 128;
 /// one in flight at a time), not a storm that saturates the worker —
 /// "continuous rebuilds" means the fleet keeps refreshing, not that
 /// every object rebuilds every drift event.
-constexpr double kRebuildOnThreshold = 8.0;
-/// Unreachable: the miner still runs, rebuilds never fire.
-constexpr double kRebuildOffThreshold = 1e18;
+constexpr double kRebuildThreshold = 8.0;
 
 struct RebuildPoint {
-  bool rebuilds_on = false;
+  bool background = false;
   double ingest_ops = 0;  ///< Streaming ReportLocation ops/sec (1 thread).
   double query_ops = 0;   ///< Accepted PredictLocation ops/sec (2 threads).
   uint64_t accepted = 0;  ///< Queries answered ok during the timed window.
@@ -509,7 +506,7 @@ struct RebuildPoint {
   /// The store's own op.range_us histogram: service time of accepted
   /// range queries. Its p99 bucket (floor(log2(us)), the histogram's
   /// own power-of-two bucketing) is the acceptance criterion:
-  /// bucket(on) <= bucket(off).
+  /// bucket(background) <= bucket(inline).
   double range_p99_us = 0;
   int p99_bucket = 0;
   uint64_t scheduled = 0;
@@ -533,7 +530,7 @@ int PowerOfTwoBucket(double us) {
 
 /// The drifting fleet stream driving both rebuild runs: routes re-draw
 /// 60% of their waypoints every 4 periods, so the miner's pattern set
-/// keeps going stale and the "on" store keeps rebuilding.
+/// keeps going stale and both stores keep rebuilding.
 ReportStreamConfig RebuildStreamConfig(uint64_t seed) {
   ReportStreamConfig config;
   config.num_objects = kRebuildObjects;
@@ -548,13 +545,11 @@ ReportStreamConfig RebuildStreamConfig(uint64_t seed) {
   return config;
 }
 
-ObjectStoreOptions RebuildStoreOptions(bool rebuilds_on) {
+ObjectStoreOptions RebuildStoreOptions(bool background) {
   ObjectStoreOptions options = StoreOptions();
-  options.rebuild.incremental = true;
-  options.rebuild.background = true;
+  options.rebuild.background = background;
   options.rebuild.miner.window_periods = 8;
-  options.rebuild.drift_threshold =
-      rebuilds_on ? kRebuildOnThreshold : kRebuildOffThreshold;
+  options.rebuild.drift_threshold = kRebuildThreshold;
   // Two knobs keep rebuilds below query traffic: idle_priority (default
   // on) makes a running build yield the core to any waking query or
   // ingest thread, and the start throttle bounds the worker's duty
@@ -572,7 +567,7 @@ ObjectStoreOptions RebuildStoreOptions(bool rebuilds_on) {
   return options;
 }
 
-/// One rebuilds-on/off run. Warm the fleet from the stream and flush
+/// One inline/background run. Warm the fleet from the stream and flush
 /// the bootstrap trains so both modes start from a fully-modelled
 /// store, then:
 ///   burst phase — closed-loop ingest, pricing the write path;
@@ -583,12 +578,12 @@ ObjectStoreOptions RebuildStoreOptions(bool rebuilds_on) {
 ///     evaluated over this phase.
 /// Rebuild counter deltas cover exactly the paced window; build_count /
 /// build_p99_us are the store's whole-life rebuild.build_us histogram.
-RebuildPoint MeasureRebuildPoint(bool rebuilds_on, uint64_t seed) {
+RebuildPoint MeasureRebuildPoint(bool background, uint64_t seed) {
   RebuildPoint point;
-  point.rebuilds_on = rebuilds_on;
-  MovingObjectStore store(RebuildStoreOptions(rebuilds_on));
+  point.background = background;
+  MovingObjectStore store(RebuildStoreOptions(background));
   // Both runs consume the identical stream: same seed, same drift
-  // schedule, so the only difference is whether rebuilds fire.
+  // schedule, so the only difference is where rebuilds run.
   ReportStream stream(RebuildStreamConfig(seed));
   // One period past the training threshold: the miner bootstraps an
   // object's first model at the period boundary *after* it has
@@ -627,7 +622,7 @@ RebuildPoint MeasureRebuildPoint(bool rebuilds_on, uint64_t seed) {
   // should see rebuilds at the stream's natural drift rate, not a
   // saturated queue of stale requests from the burst. The counter
   // baseline is taken after the flush so the deltas cover exactly the
-  // paced window ("off" then reads all-zero rebuild activity).
+  // paced window.
   (void)store.FlushRebuilds();
   const MetricsSnapshot before = store.metrics_snapshot();
 
@@ -750,7 +745,7 @@ std::string RebuildJson(const std::vector<RebuildPoint>& points) {
         PRIu64 ", \"rebuild_failed\": %" PRIu64 ",\n"
         "     \"rebuild_deferred\": %" PRIu64 ", \"rebuild_dropped\": %" PRIu64
         ", \"build_count\": %" PRIu64 ", \"build_p99_us\": %.1f}%s\n",
-        p.rebuilds_on ? "on" : "off", p.ingest_ops, p.query_ops, p.accepted,
+        p.background ? "background" : "inline", p.ingest_ops, p.query_ops, p.accepted,
         p.rejected, p.accepted_p50_us, p.accepted_p99_us, p.range_p99_us,
         p.p99_bucket, p.scheduled, p.completed, p.failed, p.deferred,
         p.dropped, p.build_count, p.build_p99_us,
@@ -895,18 +890,19 @@ int main(int argc, char** argv) {
   std::string rebuild_json;
   if (rebuild) {
     std::vector<RebuildPoint> modes;
-    for (const bool on : {false, true}) {
-      modes.push_back(MeasureRebuildPoint(on, seed));
+    for (const bool background : {false, true}) {
+      modes.push_back(MeasureRebuildPoint(background, seed));
       const RebuildPoint& p = modes.back();
       std::fprintf(stderr,
                    "rebuild %s done: ingest=%.0f ops/s range_p99=%.1fus "
                    "(bucket %d, client p99 %.1fus) completed=%" PRIu64 "\n",
-                   on ? "on" : "off", p.ingest_ops, p.range_p99_us,
-                   p.p99_bucket, p.accepted_p99_us, p.completed);
+                   background ? "background" : "inline", p.ingest_ops,
+                   p.range_p99_us, p.p99_bucket, p.accepted_p99_us,
+                   p.completed);
     }
     if (modes[1].p99_bucket > modes[0].p99_bucket) {
       std::fprintf(stderr,
-                   "warning: rebuilds-on p99 bucket %d exceeds rebuilds-off "
+                   "warning: background p99 bucket %d exceeds inline "
                    "bucket %d\n",
                    modes[1].p99_bucket, modes[0].p99_bucket);
     }

@@ -115,14 +115,15 @@ int main(int argc, char** argv) {
       }
     }
   }
-  auto added = (*served)->IncorporateNewHistory(new_days);
-  if (!added.ok()) {
-    std::fprintf(stderr, "%s\n", added.status().ToString().c_str());
+  auto updated = (*served)->WithNewHistory(new_days);
+  if (!updated.ok()) {
+    std::fprintf(stderr, "%s\n", updated.status().ToString().c_str());
     return 1;
   }
+  const size_t total = (*updated)->summary().num_patterns;
   std::printf("incorporated 8 new (route-switching) days: %zu new patterns (total %zu)\n",
-              *added, (*served)->summary().num_patterns);
-  if (Status s = (*served)->SaveToFile(model_path); !s.ok()) {
+              total - (*served)->summary().num_patterns, total);
+  if (Status s = (*updated)->SaveToFile(model_path); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }

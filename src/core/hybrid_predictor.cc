@@ -596,16 +596,6 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
   return updated;
 }
 
-StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
-    const Trajectory& new_history) {
-  StatusOr<std::unique_ptr<HybridPredictor>> updated =
-      WithNewHistory(new_history);
-  if (!updated.ok()) return updated.status();
-  const size_t added = (*updated)->tpt_.size() - tpt_.size();
-  *this = std::move(**updated);
-  return added;
-}
-
 StatusOr<std::vector<Prediction>> HybridPredictor::Predict(
     const PredictiveQuery& query) const {
   return RunToCompletion(*this, query, PredictTask::Route::kAuto);

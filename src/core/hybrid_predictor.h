@@ -114,10 +114,9 @@ std::vector<Prediction> RankAndTake(std::vector<ScoredHit>* hits, int k,
 /// of queries. The model state is immutable after training, and the
 /// query counters are atomic, so a trained predictor is safe to share
 /// across concurrently-predicting readers. Updates produce *new*
-/// predictors via WithNewHistory(); the only mutating members —
-/// IncorporateNewHistory() and set_weight_function() — must be
-/// externally serialised against readers (the serving layer instead
-/// swaps in WithNewHistory() snapshots and never mutates a shared one).
+/// predictors via WithNewHistory(); the only mutating member,
+/// set_weight_function(), must be externally serialised against readers
+/// (the serving layer never mutates a shared predictor).
 class HybridPredictor {
  public:
   /// Mines frequent regions and trajectory patterns from `history` and
@@ -246,25 +245,19 @@ class HybridPredictor {
   /// `new_history` is the newly accumulated movement data (at least one
   /// complete period). Its locations are matched to the *existing*
   /// frequent regions, patterns are mined over the new sub-trajectories,
-  /// and rules not yet indexed are inserted into the TPT. Confidences of
-  /// the inserted rules reflect the new batch. If a new rule concludes
+  /// and rules not yet indexed are added to the pattern set. Confidences
+  /// of the added rules reflect the new batch. If a new rule concludes
   /// at a time offset the consequence-key table has never seen, the key
-  /// tables and the TPT are rebuilt (keys change length); otherwise the
-  /// keys are unchanged and only the pattern set grows. Not safe to call
-  /// concurrently with Predict — concurrent deployments should use
-  /// WithNewHistory() and swap the returned snapshot instead.
+  /// tables are rebuilt (keys change length); otherwise the keys are
+  /// unchanged and only the pattern set grows.
   ///
-  /// Returns the number of patterns added.
-  StatusOr<size_t> IncorporateNewHistory(const Trajectory& new_history);
-
-  /// The snapshot-building flavour of the §V-B insertion path: mines
-  /// `new_history` exactly like IncorporateNewHistory, but leaves *this
-  /// untouched and returns a fresh predictor carrying the combined
-  /// pattern set (and a query-counter snapshot, so counts stay monotonic
-  /// across swaps). Because the TPT bulk loader is sequential insertion,
-  /// the fresh instance's index is bit-identical to what in-place
-  /// insertion would have produced. Safe to call while other threads
-  /// Predict() on *this.
+  /// *this is left untouched: the result is a fresh predictor carrying
+  /// the combined pattern set (and a query-counter snapshot, so counts
+  /// stay monotonic across swaps); the number of patterns added is the
+  /// difference of the two pattern counts. Because the TPT bulk loader
+  /// is sequential insertion, the fresh instance's index is
+  /// bit-identical to what in-place insertion would have produced. Safe
+  /// to call while other threads Predict() on *this.
   StatusOr<std::unique_ptr<HybridPredictor>> WithNewHistory(
       const Trajectory& new_history) const;
 

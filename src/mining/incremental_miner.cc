@@ -1,11 +1,10 @@
 #include "mining/incremental_miner.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/status.h"
-#include "mining/offline_miner.h"
-#include "mining/transaction.h"
 
 namespace hpm {
 
@@ -13,32 +12,55 @@ IncrementalMiner::IncrementalMiner(IncrementalMinerOptions options,
                                    Timestamp period, AprioriParams mining)
     : options_(options), period_(period), mining_(mining) {
   HPM_CHECK(period_ > 0);
-  HPM_CHECK(options_.window_periods >= 0);
+  HPM_CHECK(options_.window_periods >= 1 &&
+            options_.window_periods <= kMaxWindowPeriods);
   HPM_CHECK(mining_.min_support >= 1);
-  partial_.reserve(static_cast<size_t>(period_));
 }
 
-size_t IncrementalMiner::total_observed() const {
-  return periods_seen_ * static_cast<size_t>(period_) + partial_.size();
+size_t IncrementalMiner::WindowSize() const {
+  return std::min(periods_seen_,
+                  static_cast<size_t>(options_.window_periods));
 }
 
-void IncrementalMiner::Observe(const Point& location) {
-  ++stats_.points_observed;
-  partial_.push_back(location);
-  if (partial_.size() == static_cast<size_t>(period_)) FinalizePeriod();
+void IncrementalMiner::Observe(const Trajectory& history) {
+  HPM_CHECK(history.size() >= observed_);
+  const size_t period = static_cast<size_t>(period_);
+  while (observed_ < history.size()) {
+    // Jump to the next period boundary (or the end of the history).
+    const size_t boundary = (observed_ / period + 1) * period;
+    observed_ = std::min(boundary, history.size());
+    if (observed_ == boundary) FinalizePeriod(history);
+  }
 }
 
-std::vector<int> IncrementalMiner::MapEntry(const std::vector<Point>& points,
-                                            size_t* unmatched) const {
-  const std::vector<RegionVisit> visits = MapPeriodPointsToVisits(
-      *regions_, points, options_.region_match_slack);
-  *unmatched = points.size() - visits.size();
-  return Transaction(visits, regions_->NumRegions()).items();
+size_t IncrementalMiner::MapPeriod(const Trajectory& history, size_t begin,
+                                   std::vector<int>* items) const {
+  items->clear();
+  size_t unmatched = 0;
+  for (Timestamp t = 0; t < period_; ++t) {
+    const int region = regions_->FindNearbyRegion(
+        t, history.points()[begin + static_cast<size_t>(t)],
+        options_.region_match_slack);
+    // Region ids ascend with offset and each offset yields at most one
+    // id, so the list comes out sorted and distinct.
+    if (region >= 0) {
+      items->push_back(region);
+    } else {
+      ++unmatched;
+    }
+  }
+  return unmatched;
+}
+
+uint64_t IncrementalMiner::MaskOf(const std::vector<int>& items) const {
+  uint64_t mask = ~uint64_t{0};
+  for (int id : items) mask &= masks_[static_cast<size_t>(id)];
+  return mask;
 }
 
 template <typename Fn>
 void IncrementalMiner::ForEachValidItemset(const std::vector<int>& items,
-                                           Fn&& fn) const {
+                                           int floor, Fn&& visit) const {
   if (items.size() < 2 || mining_.max_pattern_length < 2) return;
   const size_t max_len = static_cast<size_t>(mining_.max_pattern_length);
   std::vector<int> chosen;
@@ -47,11 +69,12 @@ void IncrementalMiner::ForEachValidItemset(const std::vector<int>& items,
     return regions_->Region(id).offset;
   };
   // DFS over combinations in ascending-id (== ascending-offset) order.
-  // A set is emitted at size >= 2; extending a size >= 2 prefix makes
+  // A set is visited at size >= 2; extending a size >= 2 prefix makes
   // that prefix the extension's premise, so the premise-window span is
   // checked exactly where the offline candidate generation checks it.
-  const auto recurse = [&](const auto& self, size_t start) -> void {
-    if (chosen.size() >= 2) fn(chosen);
+  const auto recurse = [&](const auto& self, size_t start,
+                           uint64_t mask) -> void {
+    if (chosen.size() >= 2) visit(chosen, mask);
     if (chosen.size() >= max_len) return;
     if (chosen.size() >= 2 && mining_.premise_window > 0 &&
         offset_of(chosen.back()) - offset_of(chosen.front()) >
@@ -63,205 +86,145 @@ void IncrementalMiner::ForEachValidItemset(const std::vector<int>& items,
           offset_of(items[i]) <= offset_of(chosen.back())) {
         continue;
       }
+      const uint64_t extended = mask & masks_[static_cast<size_t>(items[i])];
+      if (std::popcount(extended) < floor) continue;
       chosen.push_back(items[i]);
-      self(self, i + 1);
+      self(self, i + 1, extended);
       chosen.pop_back();
     }
   };
-  recurse(recurse, 0);
+  recurse(recurse, 0, ~uint64_t{0});
 }
 
-size_t IncrementalMiner::ApplyCounts(const std::vector<int>& items,
-                                     int delta) {
-  for (int item : items) {
-    single_counts_[static_cast<size_t>(item)] += delta;
-  }
-  size_t crossings = 0;
-  ForEachValidItemset(items, [&](const std::vector<int>& set) {
-    if (delta > 0) {
-      auto [it, inserted] = multi_.try_emplace(set);
-      if (inserted) {
-        it->second.seq = next_seq_++;
-        ++stats_.candidate_inserts;
-      }
-      const int before = it->second.count;
-      it->second.count = before + 1;
-      if (before < mining_.min_support &&
-          it->second.count >= mining_.min_support) {
-        ++crossings;
-        ++stats_.promoted;
-        if (hooks_.promoted != nullptr) hooks_.promoted->Increment();
-      }
-    } else {
-      const auto it = multi_.find(set);
-      if (it == multi_.end()) return;  // evicted under the memory bound
-      const int before = it->second.count;
-      it->second.count = before - 1;
-      if (before >= mining_.min_support &&
-          it->second.count < mining_.min_support) {
-        ++crossings;
-        ++stats_.demoted;
-        if (hooks_.demoted != nullptr) hooks_.demoted->Increment();
-      }
-      if (it->second.count <= 0) multi_.erase(it);
-    }
-  });
-  return crossings;
+size_t IncrementalMiner::CountAtThreshold(
+    const std::vector<int>& items) const {
+  const int target = mining_.min_support - 1;
+  size_t count = 0;
+  ForEachValidItemset(items, target,
+                      [&](const std::vector<int>&, uint64_t mask) {
+                        if (std::popcount(mask) == target) ++count;
+                      });
+  return count;
 }
 
-void IncrementalMiner::EvictOverflow() {
-  if (options_.max_candidates == 0 ||
-      multi_.size() <= options_.max_candidates) {
-    return;
-  }
-  const size_t excess = multi_.size() - options_.max_candidates;
-  // The victim set — the `excess` smallest by (count, insertion seq) —
-  // is deterministic: seq is unique, so the order is total and the
-  // selected set does not depend on hash-map iteration order.
-  std::vector<std::pair<std::pair<int, uint64_t>, const std::vector<int>*>>
-      order;
-  order.reserve(multi_.size());
-  for (const auto& [items, entry] : multi_) {
-    order.push_back({{entry.count, entry.seq}, &items});
-  }
-  std::nth_element(order.begin(), order.begin() + (excess - 1), order.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 0; i < excess; ++i) {
-    multi_.erase(*order[i].second);
-  }
-  stats_.candidates_evicted += excess;
-  if (hooks_.candidates_evicted != nullptr) {
-    hooks_.candidates_evicted->Increment(excess);
-  }
-}
-
-void IncrementalMiner::FinalizePeriod() {
+void IncrementalMiner::FinalizePeriod(const Trajectory& history) {
+  const size_t index = periods_seen_;
+  const bool full =
+      WindowSize() == static_cast<size_t>(options_.window_periods);
   ++periods_seen_;
-  WindowEntry entry;
-  entry.points = std::move(partial_);
-  partial_.clear();
-  partial_.reserve(static_cast<size_t>(period_));
+  if (!regions_) return;
 
-  size_t crossings = 0;
-  size_t unmatched = 0;
-  if (regions_) {
-    entry.items = MapEntry(entry.points, &entry.unmatched);
-    unmatched = entry.unmatched;
-    crossings += ApplyCounts(entry.items, +1);
-    ++stats_.transactions;
-    stats_.unmatched_points += unmatched;
-    if (hooks_.transactions != nullptr) hooks_.transactions->Increment();
-    if (hooks_.unmatched_points != nullptr && unmatched > 0) {
-      hooks_.unmatched_points->Increment(unmatched);
+  const uint64_t slot =
+      uint64_t{1} << (index % static_cast<size_t>(options_.window_periods));
+  std::vector<int> added;
+  const size_t unmatched = MapPeriod(
+      history, index * static_cast<size_t>(period_), &added);
+  std::vector<int> expired;
+  if (full) {
+    for (size_t id = 0; id < masks_.size(); ++id) {
+      if ((masks_[id] & slot) != 0) expired.push_back(static_cast<int>(id));
     }
   }
-  window_.push_back(std::move(entry));
-  if (options_.window_periods > 0 &&
-      window_.size() > static_cast<size_t>(options_.window_periods)) {
-    if (regions_) crossings += ApplyCounts(window_.front().items, -1);
-    window_.pop_front();
+
+  // The new period counts +1 before the expiring one (in the same slot)
+  // counts -1. A set of the new period is promoted when its support
+  // before the +1 is min_support - 1; a set of the expiring period is
+  // demoted when its support after both steps is min_support - 1.
+  const size_t promoted = CountAtThreshold(added);
+  for (int id : expired) masks_[static_cast<size_t>(id)] &= ~slot;
+  for (int id : added) masks_[static_cast<size_t>(id)] |= slot;
+  const size_t demoted = CountAtThreshold(expired);
+
+  ++stats_.transactions;
+  stats_.unmatched_points += unmatched;
+  stats_.promoted += promoted;
+  stats_.demoted += demoted;
+  if (hooks_.transactions != nullptr) hooks_.transactions->Increment();
+  if (hooks_.unmatched_points != nullptr && unmatched > 0) {
+    hooks_.unmatched_points->Increment(unmatched);
   }
-  if (regions_) {
-    EvictOverflow();
-    if (window_end() > drift_from_) {
-      drift_ = drift_ * options_.drift_decay +
-               options_.crossing_weight * static_cast<double>(crossings) +
-               options_.unmatched_weight *
-                   (static_cast<double>(unmatched) /
-                    static_cast<double>(period_));
-    }
+  if (hooks_.promoted != nullptr && promoted > 0) {
+    hooks_.promoted->Increment(promoted);
+  }
+  if (hooks_.demoted != nullptr && demoted > 0) {
+    hooks_.demoted->Increment(demoted);
+  }
+  if (window_end() > drift_from_) {
+    drift_ = drift_ * options_.drift_decay +
+             options_.crossing_weight *
+                 static_cast<double>(promoted + demoted) +
+             options_.unmatched_weight * (static_cast<double>(unmatched) /
+                                          static_cast<double>(period_));
   }
 }
 
-void IncrementalMiner::AdoptRegions(const FrequentRegionSet& regions) {
-  regions_ = regions;
-  single_counts_.assign(regions_->NumRegions(), 0);
-  multi_.clear();
-  next_seq_ = 0;
+void IncrementalMiner::AdoptRegions(
+    std::shared_ptr<const FrequentRegionSet> regions,
+    const Trajectory& history) {
+  HPM_CHECK(regions != nullptr);
+  HPM_CHECK(history.size() >= window_end());
+  regions_ = std::move(regions);
+  masks_.assign(regions_->NumRegions(), 0);
   drift_ = 0.0;
   drift_from_ = window_end();
-  // Re-derive the whole count table under the new universe. Exact window
-  // counts are a pure function of (window contents, regions), so this
-  // recount lands on the identical state an always-on miner would hold —
-  // the invariant the crash/replay property leans on. Recount crossings
-  // are not promote/demote events (the pattern set is being re-based,
-  // not drifting), so stats and hooks stay untouched across it.
-  const MinerStats saved = stats_;
-  const MinerMetricHooks saved_hooks = hooks_;
-  hooks_ = MinerMetricHooks{};
-  for (WindowEntry& e : window_) {
-    e.items = MapEntry(e.points, &e.unmatched);
-    ApplyCounts(e.items, +1);
+  // Re-derive the masks under the new universe. Exact window supports
+  // are a pure function of (window contents, regions), so this lands on
+  // the state an always-on miner would hold — the invariant the
+  // crash/replay property leans on. The recount is a re-basing, not
+  // drift: stats and hooks stay untouched.
+  const size_t window = static_cast<size_t>(options_.window_periods);
+  std::vector<int> items;
+  for (size_t p = periods_seen_ - WindowSize(); p < periods_seen_; ++p) {
+    MapPeriod(history, p * static_cast<size_t>(period_), &items);
+    for (int id : items) masks_[static_cast<size_t>(id)] |= uint64_t{1}
+                                                            << (p % window);
   }
-  hooks_ = saved_hooks;
-  stats_.promoted = saved.promoted;
-  stats_.demoted = saved.demoted;
-  EvictOverflow();
 }
 
-void IncrementalMiner::Prime(const Trajectory& history, size_t adopted_at,
-                             const FrequentRegionSet* regions) {
-  HPM_CHECK(total_observed() == 0);
-  if (regions != nullptr) AdoptRegions(*regions);
+void IncrementalMiner::Prime(
+    const Trajectory& history, size_t adopted_at,
+    std::shared_ptr<const FrequentRegionSet> regions) {
+  HPM_CHECK(observed_ == 0);
+  if (regions != nullptr) AdoptRegions(std::move(regions), history);
   drift_from_ = adopted_at;
-  for (const Point& p : history.points()) Observe(p);
-}
-
-Trajectory IncrementalMiner::WindowTrajectory() const {
-  Trajectory trajectory;
-  for (const WindowEntry& e : window_) {
-    for (const Point& p : e.points) trajectory.Append(p);
-  }
-  return trajectory;
+  Observe(history);
 }
 
 int IncrementalMiner::SupportOf(const std::vector<int>& items) const {
   if (!regions_ || items.empty()) return 0;
-  if (items.size() == 1) {
-    const size_t id = static_cast<size_t>(items[0]);
-    return id < single_counts_.size() ? single_counts_[id] : 0;
+  for (int id : items) {
+    if (id < 0 || static_cast<size_t>(id) >= masks_.size()) return 0;
   }
-  const auto it = multi_.find(items);
-  return it != multi_.end() ? it->second.count : 0;
+  return std::popcount(MaskOf(items));
+}
+
+size_t IncrementalMiner::MemoryBytes() const {
+  return sizeof(*this) + masks_.capacity() * sizeof(uint64_t);
 }
 
 std::vector<TrajectoryPattern> IncrementalMiner::CurrentPatterns() const {
   std::vector<TrajectoryPattern> patterns;
   if (!regions_) return patterns;
-  for (const auto& [items, entry] : multi_) {
-    if (entry.count < mining_.min_support) continue;
-    std::vector<int> premise(items.begin(), items.end() - 1);
-    int premise_support = 0;
-    if (premise.size() == 1) {
-      premise_support = single_counts_[static_cast<size_t>(premise[0])];
-    } else {
-      const auto it = multi_.find(premise);
-      if (it != multi_.end()) {
-        premise_support = it->second.count;
-      } else {
-        // The premise was evicted under the memory bound; recount it
-        // from the retained window (the offline CountSupport fallback).
-        for (const WindowEntry& e : window_) {
-          if (std::includes(e.items.begin(), e.items.end(), premise.begin(),
-                            premise.end())) {
-            ++premise_support;
-          }
-        }
-      }
-    }
-    if (premise_support <= 0) continue;
-    const double confidence = static_cast<double>(entry.count) /
-                              static_cast<double>(premise_support);
-    if (confidence < mining_.min_confidence) continue;
-    TrajectoryPattern p;
-    p.premise = std::move(premise);
-    p.consequence = items.back();
-    p.confidence = confidence;
-    p.support = entry.count;
-    patterns.push_back(std::move(p));
-  }
+  std::vector<int> all(masks_.size());
+  for (size_t id = 0; id < all.size(); ++id) all[id] = static_cast<int>(id);
+  // Every frequent valid set is reached: its prefixes are frequent too,
+  // so the min_support floor prunes nothing that could qualify.
+  ForEachValidItemset(
+      all, mining_.min_support,
+      [&](const std::vector<int>& items, uint64_t mask) {
+        const std::vector<int> premise(items.begin(), items.end() - 1);
+        const int support = std::popcount(mask);
+        const int premise_support = std::popcount(MaskOf(premise));
+        const double confidence = static_cast<double>(support) /
+                                  static_cast<double>(premise_support);
+        if (confidence < mining_.min_confidence) return;
+        TrajectoryPattern p;
+        p.premise = premise;
+        p.consequence = items.back();
+        p.confidence = confidence;
+        p.support = support;
+        patterns.push_back(std::move(p));
+      });
   std::sort(patterns.begin(), patterns.end(),
             [](const TrajectoryPattern& a, const TrajectoryPattern& b) {
               if (a.premise.size() != b.premise.size()) {

@@ -1,43 +1,42 @@
 // IncrementalMiner: continuous counterpart of the offline Apriori pass.
 //
 // The offline pipeline (mining/offline_miner.h) fits a model once from a
-// static history. Under continuous ingest the store instead feeds every
-// report into an IncrementalMiner, which maintains — per object — the
-// frequent-region support counts and the Apriori-derived pattern set
-// over a sliding window of complete periods, plus a decayed drift score
-// that tells the serving layer when the maintained set has diverged
-// enough from the published model to justify a background TPT rebuild
-// (GeT_Move's incremental maintenance idea applied to this paper's
-// pattern language; see docs/ARCHITECTURE.md §incremental mining).
+// static history. Under continuous ingest the store instead advances an
+// IncrementalMiner — per object — over the history it appends to. The
+// miner maintains the frequent-region support counts and the
+// Apriori-derived pattern set over a sliding window of complete periods,
+// plus a decayed drift score that tells the serving layer when the
+// maintained set has diverged enough from the published model to justify
+// a rebuild (GeT_Move's incremental maintenance idea applied to this
+// paper's pattern language; see docs/ARCHITECTURE.md §incremental
+// mining).
 //
-// Exactness contract. Window counts are *exact*, not decayed: a new
-// transaction increments every constraint-valid item set it contains,
-// and the transaction expiring out of the window decrements the same
-// sets. Because the offline miner's level-wise generation is complete
-// for constraint-valid item sets (both join prefixes of a valid
-// frequent set are themselves valid and frequent), an item-set count
-// table maintained this way reproduces the offline frequent set — and
-// therefore the offline rule set, support and confidence included —
-// over the same window and region universe, which is what
-// prop_incremental_mining_test proves differentially. Decay applies
-// only to the drift score, never to counts.
+// Representation. The window holds at most 64 periods, and period p
+// lives in slot p mod window_periods. Each region keeps one 64-bit slot
+// mask: bit s is set when slot s's transaction contains the region. An
+// item set's window support is the popcount of its regions' masks ANDed
+// together, so nothing else is stored — no item-set table, no copy of
+// the window's points (the window is a range of the caller's history)
+// and no copy of the region set (the miner shares the published
+// model's).
 //
-// The exactness guarantee assumes an unbounded candidate table
-// (max_candidates = 0). A bound makes the table a lossy cache: the
-// lowest-count sets are evicted first (counted by the
-// miner.candidates_evicted metric) and an evicted set re-entering the
-// table restarts from the transactions that still contain it.
+// Exactness contract. Window supports are *exact*, not decayed, so the
+// maintained rule set — support and confidence included — equals the
+// offline miner's over the same window and region universe, which is
+// what prop_incremental_mining_test proves differentially. A completing
+// period counts +1 for every constraint-valid item set it contains
+// before the period leaving the window counts -1 for its own; a set
+// crossing min_support either way is a promote/demote event. Decay
+// applies only to the drift score, never to counts.
 //
 // Thread safety: none. The store drives each object's miner under its
-// shard writer mutex, exactly like the history it mirrors.
+// shard writer mutex, exactly like the history it reads.
 
 #ifndef HPM_MINING_INCREMENTAL_MINER_H_
 #define HPM_MINING_INCREMENTAL_MINER_H_
 
 #include <cstdint>
-#include <deque>
-#include <optional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/metrics.h"
@@ -48,13 +47,9 @@
 namespace hpm {
 
 struct IncrementalMinerOptions {
-  /// Complete sub-trajectories retained (the mining window and the
-  /// history a rebuild re-mines). 0 = unbounded.
+  /// Complete sub-trajectories in the window (the mining window and the
+  /// history a rebuild re-mines), 1..64.
   int window_periods = 16;
-
-  /// Bound on the number of tracked item sets of size >= 2. 0 keeps the
-  /// table exact; a bound trades exactness for memory (see header).
-  size_t max_candidates = 0;
 
   /// Per-transaction multiplicative decay of the drift score: calm
   /// periods pull accumulated drift back toward zero.
@@ -77,13 +72,10 @@ struct IncrementalMinerOptions {
 /// Cumulative per-miner accounting, mirrored into the store's miner.*
 /// metrics via MinerMetricHooks.
 struct MinerStats {
-  uint64_t points_observed = 0;
   uint64_t transactions = 0;
   uint64_t unmatched_points = 0;
   uint64_t promoted = 0;
   uint64_t demoted = 0;
-  uint64_t candidate_inserts = 0;
-  uint64_t candidates_evicted = 0;
 };
 
 /// Optional metric sinks (registry counters owned by the store). Null
@@ -93,11 +85,13 @@ struct MinerMetricHooks {
   Counter* unmatched_points = nullptr;
   Counter* promoted = nullptr;
   Counter* demoted = nullptr;
-  Counter* candidates_evicted = nullptr;
 };
 
 class IncrementalMiner {
  public:
+  /// The largest window: one bit of a region's slot mask per period.
+  static constexpr int kMaxWindowPeriods = 64;
+
   /// `period` is the paper's T; `mining` the Apriori thresholds the
   /// maintained set must agree with (same values the offline rebuild
   /// uses, or the differential guarantee is vacuous).
@@ -106,118 +100,106 @@ class IncrementalMiner {
 
   void set_metric_hooks(const MinerMetricHooks& hooks) { hooks_ = hooks; }
 
-  /// Feeds the next report (offset = total_observed() mod period). Every
-  /// period-th call completes a sub-trajectory: it enters the window, its
-  /// item sets are counted, the oldest window entry expires, and the
-  /// drift score advances.
-  void Observe(const Point& location);
+  /// Catches up with `history`, whose first total_observed() samples the
+  /// miner has already seen (the store calls it after every append).
+  /// Each period boundary crossed completes a sub-trajectory: it enters
+  /// the window and its item sets are counted, the oldest window period
+  /// expires, and the drift score advances.
+  void Observe(const Trajectory& history);
 
-  /// Installs a (re)built region universe: every window entry is
-  /// re-mapped, the count table is re-derived from scratch, and drift
-  /// resets to zero. Called right before a rebuilt model is published
-  /// (and once at bootstrap).
-  void AdoptRegions(const FrequentRegionSet& regions);
+  /// Installs a (re)built region universe, shared with the model that
+  /// owns it: the window's periods are re-mapped from `history` (the
+  /// trajectory Observe has been fed), the slot masks are re-derived
+  /// from scratch, and drift resets to zero. Called right after a
+  /// (re)built model is published.
+  void AdoptRegions(std::shared_ptr<const FrequentRegionSet> regions,
+                    const Trajectory& history);
 
   /// Rebuilds miner state from a persisted history: adopts `regions`
-  /// (when non-null), then replays every sample through Observe with
-  /// drift suppressed up to absolute sample index `adopted_at` (the
-  /// store's consumed-samples mark — the point the serving model was
-  /// last rebuilt at). Because exact window counts are a pure function
-  /// of window contents, the primed miner matches the pre-crash miner's
+  /// (when non-null), then catches up with `history` with drift
+  /// suppressed up to absolute sample index `adopted_at` (the store's
+  /// consumed-samples mark — the point the serving model was last
+  /// rebuilt at). Because exact window counts are a pure function of
+  /// window contents, the primed miner matches the pre-crash miner's
   /// counts and post-`adopted_at` drift exactly; see
   /// prop_incremental_mining_test's crash/replay property.
   void Prime(const Trajectory& history, size_t adopted_at,
-             const FrequentRegionSet* regions);
+             std::shared_ptr<const FrequentRegionSet> regions);
 
   /// Decayed divergence score (threshold crossings + unmatched mass).
   double drift() const { return drift_; }
 
-  bool has_regions() const { return regions_.has_value(); }
-  const FrequentRegionSet* regions() const {
-    return regions_ ? &*regions_ : nullptr;
-  }
+  bool has_regions() const { return regions_ != nullptr; }
+  const FrequentRegionSet* regions() const { return regions_.get(); }
 
   /// Absolute samples fed so far (including the current partial period).
-  size_t total_observed() const;
+  size_t total_observed() const { return observed_; }
 
-  /// Absolute sample index of the last complete period boundary — the
-  /// end of what WindowTrajectory() covers.
-  size_t window_end() const { return periods_seen_ * period_; }
+  /// Absolute sample range [window_begin(), window_end()) of the window:
+  /// complete periods only, so window_end() is the last period boundary.
+  /// This range of the history is what a rebuild re-mines.
+  size_t window_begin() const {
+    return (periods_seen_ - WindowSize()) * static_cast<size_t>(period_);
+  }
+  size_t window_end() const {
+    return periods_seen_ * static_cast<size_t>(period_);
+  }
 
   /// Complete sub-trajectories currently in the window.
-  size_t WindowSize() const { return window_.size(); }
+  size_t WindowSize() const;
 
-  /// The window's sub-trajectories concatenated oldest-first: the
-  /// history a background rebuild re-mines offline.
-  Trajectory WindowTrajectory() const;
-
-  /// The maintained rule set, derived from the count table with the
+  /// The maintained rule set, derived from the window supports with the
   /// offline rule-generation semantics (premise = all but the max-offset
   /// item, confidence = supp(set)/supp(premise) >= min_confidence).
   /// Returned sorted by (size, items) for deterministic comparison.
   std::vector<TrajectoryPattern> CurrentPatterns() const;
 
-  /// Window support of an item set (ascending ids); 0 when untracked.
+  /// Window support of an item set (region ids): the number of window
+  /// periods whose transaction contains every id. 0 before regions are
+  /// adopted, for an empty set and for unknown ids.
   int SupportOf(const std::vector<int>& items) const;
 
-  /// Item sets of size >= 2 currently tracked (the bounded table).
-  size_t NumTrackedItemsets() const { return multi_.size(); }
+  /// Bytes this miner owns: the object and its slot masks. The shared
+  /// region set belongs to the model and is not counted.
+  size_t MemoryBytes() const;
 
   const MinerStats& stats() const { return stats_; }
-  Timestamp period() const { return period_; }
 
  private:
-  struct ItemsetHash {
-    size_t operator()(const std::vector<int>& items) const {
-      uint64_t h = 0xcbf29ce484222325ULL;
-      for (int v : items) {
-        h ^= static_cast<uint64_t>(static_cast<uint32_t>(v));
-        h *= 0x100000001b3ULL;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
-  struct CountEntry {
-    int count = 0;
-    /// Monotonic touch stamp; the eviction tie-break (older first).
-    uint64_t seq = 0;
-  };
-
-  struct WindowEntry {
-    std::vector<Point> points;
-    /// Sorted distinct region ids under the *current* universe.
-    std::vector<int> items;
-    size_t unmatched = 0;
-  };
-
-  void FinalizePeriod();
-  /// Maps a complete period's points to sorted distinct items.
-  std::vector<int> MapEntry(const std::vector<Point>& points,
-                            size_t* unmatched) const;
-  /// Applies one transaction's item sets to the counts; returns the
-  /// number of min_support crossings (promotes + demotes).
-  size_t ApplyCounts(const std::vector<int>& items, int delta);
-  /// Invokes `fn` on every constraint-valid item set of `items` with
-  /// size in [2, max_pattern_length] (strictly increasing offsets,
-  /// premise span bounded) — the offline candidate language.
+  void FinalizePeriod(const Trajectory& history);
+  /// Maps the period starting at absolute sample `begin` of `history`
+  /// onto the adopted regions: ascending distinct region ids into
+  /// `*items`; returns the number of unmatched points.
+  size_t MapPeriod(const Trajectory& history, size_t begin,
+                   std::vector<int>* items) const;
+  /// The AND of `items`' slot masks.
+  uint64_t MaskOf(const std::vector<int>& items) const;
+  /// Walks every constraint-valid item set drawn from `items` (ascending
+  /// ids) with size in [2, max_pattern_length] — strictly increasing
+  /// offsets, premise span bounded: the offline candidate language —
+  /// calling `visit(set, mask)` with the AND of the set's slot masks. A
+  /// set whose mask has fewer than `floor` bits is neither visited nor
+  /// extended: support only falls as a set grows.
   template <typename Fn>
-  void ForEachValidItemset(const std::vector<int>& items, Fn&& fn) const;
-  void EvictOverflow();
+  void ForEachValidItemset(const std::vector<int>& items, int floor,
+                           Fn&& visit) const;
+  /// Counts the sets of `items` whose support under the current masks
+  /// is exactly min_support - 1 (the ones a +1 promotes, or that a -1
+  /// has just demoted).
+  size_t CountAtThreshold(const std::vector<int>& items) const;
 
   IncrementalMinerOptions options_;
   Timestamp period_;
   AprioriParams mining_;
   MinerMetricHooks hooks_;
 
-  std::optional<FrequentRegionSet> regions_;
-  std::vector<Point> partial_;
-  std::deque<WindowEntry> window_;
-  size_t periods_seen_ = 0;
+  /// The published model's region set (an aliasing handle into it).
+  std::shared_ptr<const FrequentRegionSet> regions_;
+  /// Slot mask per region id (empty until regions are adopted).
+  std::vector<uint64_t> masks_;
 
-  std::vector<int> single_counts_;
-  std::unordered_map<std::vector<int>, CountEntry, ItemsetHash> multi_;
-  uint64_t next_seq_ = 0;
+  size_t observed_ = 0;
+  size_t periods_seen_ = 0;
 
   double drift_ = 0.0;
   /// Transactions ending at or before this absolute sample index do not

@@ -22,7 +22,9 @@ MovingObjectStore::MovingObjectStore(ObjectStoreOptions options)
       continuous_(std::make_unique<ContinuousState>()),
       metrics_registry_(std::make_unique<MetricsRegistry>()) {
   HPM_CHECK(options_.min_training_periods >= 1);
-  HPM_CHECK(options_.update_batch_periods >= 1);
+  HPM_CHECK(options_.rebuild.miner.window_periods >= 1 &&
+            options_.rebuild.miner.window_periods <=
+                IncrementalMiner::kMaxWindowPeriods);
   HPM_CHECK(options_.recent_window >= 2);
   HPM_CHECK(options_.num_shards >= 1);
   HPM_CHECK(options_.query_threads >= 0);
@@ -184,13 +186,13 @@ StatusOr<bool> MovingObjectStore::ApplyReplicated(const WalRecord& record) {
     const bool created = it == shard.records.end();
     if (created) {
       it = shard.records
-               .emplace(record.id, std::make_unique<ObjectRecord>(record.id))
+               .emplace(record.id,
+                        std::make_unique<ObjectRecord>(record.id, NewMiner()))
                .first;
-      if (options_.rebuild.incremental) it->second->miner = NewMiner();
     }
     ObjectRecord& rec = *it->second;
     rec.history.Append(Point{record.x, record.y});
-    if (rec.miner != nullptr) rec.miner->Observe(Point{record.x, record.y});
+    rec.miner.Observe(rec.history);
     // A store with its own journal attached re-journals the applied
     // record before publishing, exactly like live ingest; during
     // LoadFromDirectory replay no writer is attached yet and this is a
@@ -362,13 +364,12 @@ Status MovingObjectStore::Ingest(ObjectId id, const Point& location,
     WalAppend(shard, journal);
     if (created) {
       it = shard.records
-               .emplace(id, std::make_unique<ObjectRecord>(id))
+               .emplace(id, std::make_unique<ObjectRecord>(id, NewMiner()))
                .first;
-      if (options_.rebuild.incremental) it->second->miner = NewMiner();
     }
     ObjectRecord& record = *it->second;
     record.history.Append(location);
-    if (record.miner != nullptr) record.miner->Observe(location);
+    record.miner.Observe(record.history);
     // View before table: a record must never be reachable viewless.
     PublishView(record, BuildView(record));
     if (created) PublishTable(shard);
@@ -408,44 +409,25 @@ Status MovingObjectStore::ReportTrajectory(ObjectId id,
 Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
                                      QueryPipeline& pipeline,
                                      bool allow_background) {
-  const Timestamp period = options_.predictor.regions.period;
-  const size_t period_samples = static_cast<size_t>(period);
-
   // Decide under the writer lock; mine outside it. `training_in_flight`
-  // keeps a second reporter of the same object from mining the same
-  // batch concurrently — it re-checks the threshold on its next report.
-  enum class Action { kNone, kInitial, kIncremental, kRebuild };
-  Action action = Action::kNone;
+  // keeps a second reporter of the same object from training it
+  // concurrently — it re-checks the threshold on its next report.
+  bool rebuild = false;
   Trajectory training_input;
-  std::shared_ptr<const HybridPredictor> base;
-  size_t consumed_at_capture = 0;
-  size_t whole_periods = 0;
-
   {
     std::lock_guard<std::mutex> lock(shard.write_mutex);
     ObjectRecord& record = *shard.records.at(id);
     if (record.training_in_flight) return Status::OK();
     if (record.predictor == nullptr) {
       const size_t needed =
-          static_cast<size_t>(options_.min_training_periods) * period_samples;
+          static_cast<size_t>(options_.min_training_periods) *
+          static_cast<size_t>(options_.predictor.regions.period);
       if (record.history.size() < needed) return Status::OK();
-      action = Action::kInitial;
-    } else if (options_.rebuild.incremental) {
-      // Incremental mode: the period-count trigger is replaced by the
-      // miner's drift score — a model is rebuilt when its pattern set
-      // has measurably moved, not merely when time has passed.
-      if (record.miner == nullptr || !record.miner->has_regions() ||
-          record.miner->drift() < options_.rebuild.drift_threshold ||
-          record.miner->window_end() <= record.consumed_samples) {
-        return Status::OK();
-      }
-      action = Action::kRebuild;
-    } else {
-      const size_t fresh = record.history.size() - record.consumed_samples;
-      const size_t batch =
-          static_cast<size_t>(options_.update_batch_periods) * period_samples;
-      if (fresh < batch) return Status::OK();
-      action = Action::kIncremental;
+    } else if (record.miner.drift() < options_.rebuild.drift_threshold ||
+               record.miner.window_end() <= record.consumed_samples) {
+      // A trained model is refreshed only when its pattern set has
+      // measurably moved, not merely when time has passed.
+      return Status::OK();
     }
     // Training is the most expendable work in the system: under rung-1
     // pressure it is deferred outright — the thresholds stay satisfied,
@@ -456,44 +438,33 @@ Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
       pipeline.context().CountDeferredTrain();
       return Status::OK();
     }
-    if (action == Action::kRebuild) {
-      // Capture nothing here: RebuildObject re-examines the record
-      // under the lock itself (the state may move before a background
-      // worker gets to it).
-    } else if (action == Action::kInitial) {
+    rebuild = record.predictor != nullptr;
+    if (!rebuild) {
       training_input = record.history;
-    } else {
-      const size_t fresh = record.history.size() - record.consumed_samples;
-      whole_periods = (fresh / period_samples) * period_samples;
-      StatusOr<Trajectory> suffix = record.history.Slice(
-          static_cast<Timestamp>(record.consumed_samples),
-          static_cast<Timestamp>(record.consumed_samples + whole_periods));
-      if (!suffix.ok()) return suffix.status();
-      training_input = std::move(*suffix);
-      base = record.predictor;
-      consumed_at_capture = record.consumed_samples;
+      record.training_in_flight = true;
     }
-    // kRebuild leaves the flag to RebuildObject (which sets it for the
-    // span of its own capture/build/publish cycle).
-    if (action != Action::kRebuild) record.training_in_flight = true;
+    // A rebuild captures nothing here: RebuildObject re-examines the
+    // record under the lock itself (the state may move before a
+    // background worker gets to it) and sets the flag for its own
+    // capture/build/publish cycle.
   }
 
-  if (action == Action::kRebuild) {
-    if (options_.rebuild.background && allow_background) {
-      switch (EnsureScheduler()->Enqueue(id)) {
-        case RebuildScheduler::EnqueueResult::kQueued:
-          metrics_->rebuild_scheduled->Increment();
-          break;
-        case RebuildScheduler::EnqueueResult::kAlreadyPending:
-          break;
-        case RebuildScheduler::EnqueueResult::kDropped:
-          // Drift persists, so a later report re-requests the rebuild.
-          metrics_->rebuild_dropped->Increment();
-          break;
-      }
-      return Status::OK();
+  if (rebuild) {
+    if (!options_.rebuild.background || !allow_background) {
+      return RebuildObject(shard, id);
     }
-    return RebuildObject(shard, id);
+    switch (EnsureScheduler()->Enqueue(id)) {
+      case RebuildScheduler::EnqueueResult::kQueued:
+        metrics_->rebuild_scheduled->Increment();
+        break;
+      case RebuildScheduler::EnqueueResult::kAlreadyPending:
+        break;
+      case RebuildScheduler::EnqueueResult::kDropped:
+        // Drift persists, so a later report re-requests the rebuild.
+        metrics_->rebuild_dropped->Increment();
+        break;
+    }
+    return Status::OK();
   }
 
   // Mining runs unlocked: readers keep serving the previous snapshot.
@@ -505,10 +476,7 @@ Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
   StatusOr<std::unique_ptr<HybridPredictor>> built = RetryWithBackoff(
       RetryPolicy{}, retry_rng,
       [&]() -> StatusOr<std::unique_ptr<HybridPredictor>> {
-        return action == Action::kInitial
-                   ? HybridPredictor::Train(training_input,
-                                            options_.predictor)
-                   : base->WithNewHistory(training_input);
+        return HybridPredictor::Train(training_input, options_.predictor);
       });
 
   std::lock_guard<std::mutex> lock(shard.write_mutex);
@@ -521,18 +489,10 @@ Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
   // total bytes built so dashboards see index growth across generations.
   metrics_->tpt_frozen_bytes->Increment(
       record.predictor->summary().tpt_frozen_bytes);
-  record.consumed_samples =
-      action == Action::kInitial
-          ? training_input.NumSubTrajectories(period) * period_samples
-          : consumed_at_capture + whole_periods;
-  if (record.miner != nullptr && action == Action::kInitial) {
-    // Bootstrap handoff to incremental maintenance: the miner adopts
-    // the freshly discovered region vocabulary (recounting its window
-    // against it) and drift starts accumulating from here; every later
-    // refresh is a drift-triggered rebuild.
-    record.miner->AdoptRegions(record.predictor->regions());
-    record.consumed_samples = record.miner->window_end();
-  }
+  // Bootstrap handoff: from here on, refreshes are drift-triggered
+  // rebuilds from the miner's window.
+  record.miner.AdoptRegions(SharedRegions(record.predictor), record.history);
+  record.consumed_samples = record.miner.window_end();
   // The swap the readers actually see: the new model generation becomes
   // visible with this view publication, and the old view (holding the
   // previous generation's last shared handle once readers drain) heads
@@ -541,22 +501,28 @@ Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
   return Status::OK();
 }
 
-std::unique_ptr<IncrementalMiner> MovingObjectStore::NewMiner() const {
+std::shared_ptr<const FrequentRegionSet> MovingObjectStore::SharedRegions(
+    const std::shared_ptr<const HybridPredictor>& model) {
+  // The handle keeps the model alive only as long as a miner still
+  // points at it, and a miner moves on at every publish.
+  if (model == nullptr) return nullptr;
+  return std::shared_ptr<const FrequentRegionSet>(model, &model->regions());
+}
+
+IncrementalMiner MovingObjectStore::NewMiner() const {
   IncrementalMinerOptions miner_options = options_.rebuild.miner;
   // The miner must map points to regions exactly as training does, or
   // its transactions (and thus its pattern set) would diverge from what
   // a rebuild mines.
   miner_options.region_match_slack = options_.predictor.region_match_slack;
-  auto miner = std::make_unique<IncrementalMiner>(
-      miner_options, options_.predictor.regions.period,
-      options_.predictor.mining);
+  IncrementalMiner miner(miner_options, options_.predictor.regions.period,
+                         options_.predictor.mining);
   MinerMetricHooks hooks;
   hooks.transactions = metrics_->miner_transactions;
   hooks.unmatched_points = metrics_->miner_unmatched_points;
   hooks.promoted = metrics_->miner_promoted;
   hooks.demoted = metrics_->miner_demoted;
-  hooks.candidates_evicted = metrics_->miner_candidates_evicted;
-  miner->set_metric_hooks(hooks);
+  miner.set_metric_hooks(hooks);
   return miner;
 }
 
@@ -604,13 +570,16 @@ Status MovingObjectStore::RebuildObject(Shard& shard, ObjectId id) {
     const auto it = shard.records.find(id);
     if (it == shard.records.end()) return Status::OK();
     ObjectRecord& record = *it->second;
-    if (record.miner == nullptr || record.predictor == nullptr ||
-        record.training_in_flight ||
-        record.miner->window_end() <= record.consumed_samples) {
+    if (record.predictor == nullptr || record.training_in_flight ||
+        record.miner.window_end() <= record.consumed_samples) {
       return Status::OK();
     }
-    window = record.miner->WindowTrajectory();
-    consumed_at_capture = record.miner->window_end();
+    StatusOr<Trajectory> slice = record.history.Slice(
+        static_cast<Timestamp>(record.miner.window_begin()),
+        static_cast<Timestamp>(record.miner.window_end()));
+    if (!slice.ok()) return slice.status();
+    window = std::move(*slice);
+    consumed_at_capture = record.miner.window_end();
     previous = record.predictor;
     record.training_in_flight = true;
   }
@@ -648,11 +617,11 @@ Status MovingObjectStore::RebuildObject(Shard& shard, ObjectId id) {
   record.predictor->CarryCountersFrom(*previous);
   metrics_->tpt_frozen_bytes->Increment(
       record.predictor->summary().tpt_frozen_bytes);
-  record.consumed_samples = consumed_at_capture;
   // Adopt the rebuilt model's region vocabulary: the recount aligns the
-  // miner's counts with what the model was actually built from, and
-  // drift restarts from this publish.
-  record.miner->AdoptRegions(record.predictor->regions());
+  // miner's counts with the new universe, and drift restarts from this
+  // publish.
+  record.consumed_samples = consumed_at_capture;
+  record.miner.AdoptRegions(SharedRegions(record.predictor), record.history);
   PublishView(record, BuildView(record));
   metrics_->rebuild_completed->Increment();
   metrics_->rebuild_build_us->RecordMicros(
@@ -661,7 +630,6 @@ Status MovingObjectStore::RebuildObject(Shard& shard, ObjectId id) {
 }
 
 Status MovingObjectStore::FlushRebuilds() {
-  if (!options_.rebuild.incremental) return Status::OK();
   if (RebuildScheduler* scheduler =
           scheduler_ptr_->load(std::memory_order_acquire);
       scheduler != nullptr) {
@@ -673,8 +641,8 @@ Status MovingObjectStore::FlushRebuilds() {
     {
       std::lock_guard<std::mutex> lock(shard->write_mutex);
       for (const auto& [id, record] : shard->records) {
-        if (record->predictor != nullptr && record->miner != nullptr &&
-            record->miner->window_end() > record->consumed_samples) {
+        if (record->predictor != nullptr &&
+            record->miner.window_end() > record->consumed_samples) {
           pending.push_back(id);
         }
       }
@@ -691,24 +659,25 @@ Status MovingObjectStore::FlushRebuilds() {
 
 StatusOr<MovingObjectStore::MinerSnapshot> MovingObjectStore::MinerState(
     ObjectId id) const {
-  if (!options_.rebuild.incremental) {
-    return Status::FailedPrecondition(
-        "store is not in incremental-maintenance mode");
-  }
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.write_mutex);
   const auto it = shard.records.find(id);
-  if (it == shard.records.end() || it->second->miner == nullptr) {
+  if (it == shard.records.end()) {
     return Status::NotFound("no miner for object " + std::to_string(id));
   }
   const ObjectRecord& record = *it->second;
+  StatusOr<Trajectory> window = record.history.Slice(
+      static_cast<Timestamp>(record.miner.window_begin()),
+      static_cast<Timestamp>(record.miner.window_end()));
+  if (!window.ok()) return window.status();
   MinerSnapshot snapshot;
-  snapshot.drift = record.miner->drift();
-  snapshot.window_end = record.miner->window_end();
+  snapshot.drift = record.miner.drift();
+  snapshot.window_end = record.miner.window_end();
   snapshot.consumed_samples = record.consumed_samples;
-  snapshot.window = record.miner->WindowTrajectory();
-  snapshot.patterns = record.miner->CurrentPatterns();
-  snapshot.stats = record.miner->stats();
+  snapshot.window = std::move(*window);
+  snapshot.patterns = record.miner.CurrentPatterns();
+  snapshot.stats = record.miner.stats();
+  snapshot.memory_bytes = record.miner.MemoryBytes();
   return snapshot;
 }
 

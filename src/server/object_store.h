@@ -4,8 +4,9 @@
 // The paper's model is per-object (patterns are mined from one object's
 // history); a deployment tracks a fleet. This store ingests per-object
 // location reports, bootstraps a HybridPredictor per object once enough
-// periods accumulate, folds newly accumulated data in batches through
-// the §V-B insertion path, and serves two query types:
+// periods accumulate, rebuilds it from a sliding window of recent periods
+// whenever the object's incremental miner says its pattern set has
+// drifted, and serves two query types:
 //   * point prediction  — "where will object O be at time tq?"
 //   * predictive range  — "which objects will probably be inside region
 //     R at time tq?" (the query type TPR-tree-style predictive indexes
@@ -40,6 +41,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/admission.h"
@@ -101,31 +103,23 @@ struct DurabilityOptions {
   size_t max_quarantine_files = 64;
 };
 
-/// Incremental pattern maintenance + drift-triggered model rebuilds
-/// (docs/ARCHITECTURE.md has the counts → candidates → rebuild →
-/// freeze → publish walkthrough).
+/// Model maintenance: every object carries an IncrementalMiner advanced
+/// on the ingest path, and after the initial training a model is only
+/// ever refreshed by a *rebuild* from the miner's window, triggered when
+/// its drift score reaches `drift_threshold` (docs/ARCHITECTURE.md has
+/// the counts → drift → rebuild → freeze → publish walkthrough).
 struct RebuildOptions {
-  /// Master switch. Off (default) keeps the legacy batch path: initial
-  /// training plus §V-B WithNewHistory incorporation on period
-  /// thresholds. On, every object carries an IncrementalMiner fed on
-  /// the ingest path, and model refreshes are *rebuilds* from the
-  /// miner's window, triggered when its drift score crosses
-  /// `drift_threshold`.
-  bool incremental = false;
+  /// Where rebuilds run. false (default): inline on the reporting
+  /// thread — deterministic, what the differential and crash/replay
+  /// tests use. true: a background worker (RebuildScheduler) rebuilds
+  /// off the reporting hot path and the last-good model keeps serving
+  /// meanwhile. WAL replay and LoadFromDirectory always rebuild inline
+  /// regardless, so recovery is deterministic.
+  bool background = false;
 
-  /// Where rebuilds run. true (default): a background worker
-  /// (RebuildScheduler) rebuilds off the reporting hot path and the
-  /// last-good model keeps serving meanwhile. false: the rebuild runs
-  /// inline on the reporting thread — deterministic, what the
-  /// differential and crash/replay tests use. WAL replay and
-  /// LoadFromDirectory always rebuild inline regardless, so recovery
-  /// is deterministic.
-  bool background = true;
-
-  /// Per-object miner configuration (window length, candidate bound,
-  /// drift scoring). region_match_slack is overridden with the
-  /// predictor's value so the miner maps points exactly as training
-  /// does.
+  /// Per-object miner configuration (window length, drift scoring).
+  /// region_match_slack is overridden with the predictor's value so the
+  /// miner maps points exactly as training does.
   IncrementalMinerOptions miner;
 
   /// Rebuild when an object's drift score reaches this. The score is a
@@ -161,10 +155,6 @@ struct ObjectStoreOptions {
   /// Train an object's first model once this many complete periods of
   /// history exist.
   int min_training_periods = 5;
-
-  /// After initial training, run the §V-B incremental incorporation
-  /// whenever this many new complete periods accumulate.
-  int update_batch_periods = 2;
 
   /// Recent movements handed to queries (and the motion fallback).
   int recent_window = 10;
@@ -225,8 +215,7 @@ struct ObjectStoreOptions {
   /// default (empty wal_dir) keeps ingest memory-only between snapshots.
   DurabilityOptions durability;
 
-  /// Incremental pattern maintenance + background rebuilds. Off by
-  /// default. NOTE: with `rebuild.incremental && rebuild.background`,
+  /// Drift-triggered model rebuilds. NOTE: with `rebuild.background`,
   /// the store must not be moved once reports have been ingested — the
   /// lazily created background worker holds the store's address.
   RebuildOptions rebuild;
@@ -252,7 +241,7 @@ class MovingObjectStore {
 
   /// Appends one location sample for `id` at the object's next
   /// timestamp (each object's clock starts at 0 and advances by 1 per
-  /// report). Training and incremental updates run on the reporting
+  /// report). Training and inline rebuilds run on the reporting
   /// thread when their thresholds are crossed — but outside the shard
   /// lock, against a history/model snapshot, so concurrent readers of
   /// the same shard are never blocked behind mining; their errors
@@ -439,18 +428,17 @@ class MovingObjectStore {
   /// local state already covers returns false (idempotent re-delivery);
   /// a record *past* the next tick is kOutOfRange — the follower missed
   /// records and must resync rather than fabricate history. Rejected
-  /// tallies and baselines apply unconditionally. In incremental mode
-  /// the record feeds the object's miner exactly as live ingest does,
-  /// so a replica (or a crash-replayed store) converges to the same
-  /// pattern state as the primary.
+  /// tallies and baselines apply unconditionally. The record feeds the
+  /// object's miner exactly as live ingest does, so a replica (or a
+  /// crash-replayed store) converges to the same pattern state as the
+  /// primary.
   StatusOr<bool> ApplyReplicated(const WalRecord& record);
 
-  /// ---- Incremental maintenance (RebuildOptions::incremental) ----------
+  /// ---- Model maintenance (RebuildOptions) -----------------------------
   /// Quiesce point: drains the background rebuild queue, then runs any
-  /// still-pending drift-triggered rebuilds inline. After it returns,
-  /// every object's model reflects its miner's current window — the
-  /// deterministic state the differential tests compare. No-op when
-  /// incremental mode is off.
+  /// still-pending rebuilds inline. After it returns, every trained
+  /// object's model reflects its miner's current window — the
+  /// deterministic state the differential tests compare.
   Status FlushRebuilds();
 
   /// Introspection snapshot of one object's miner, for tests and
@@ -467,10 +455,11 @@ class MovingObjectStore {
     /// The maintained pattern set (empty until regions are adopted).
     std::vector<TrajectoryPattern> patterns;
     MinerStats stats;
+    /// IncrementalMiner::MemoryBytes(): what the miner itself owns.
+    size_t memory_bytes = 0;
   };
 
-  /// kNotFound for unknown objects, kFailedPrecondition when the store
-  /// is not in incremental mode.
+  /// kNotFound for unknown objects.
   StatusOr<MinerSnapshot> MinerState(ObjectId id) const;
 
  private:
@@ -494,7 +483,8 @@ class MovingObjectStore {
   /// is the epoch-protected published snapshot, rebuilt and swapped on
   /// every append and every model swap.
   struct ObjectRecord {
-    explicit ObjectRecord(ObjectId object_id) : id(object_id) {}
+    ObjectRecord(ObjectId object_id, IncrementalMiner object_miner)
+        : id(object_id), miner(std::move(object_miner)) {}
     ~ObjectRecord() { delete view.load(std::memory_order_relaxed); }
     ObjectRecord(const ObjectRecord&) = delete;
     ObjectRecord& operator=(const ObjectRecord&) = delete;
@@ -504,13 +494,13 @@ class MovingObjectStore {
     // --- writer state (shard write_mutex) --------------------------------
     Trajectory history;
     /// Immutable trained model; replaced wholesale (never mutated) when
-    /// training or incremental incorporation completes.
+    /// the initial training or a rebuild completes.
     std::shared_ptr<const HybridPredictor> predictor;
-    /// Samples already consumed by Train / WithNewHistory / a rebuild.
+    /// Samples the served model was built from (a window end).
     size_t consumed_samples = 0;
-    /// Incremental mode only: the streaming pattern-maintenance state
-    /// fed on every append (null in legacy mode).
-    std::unique_ptr<IncrementalMiner> miner;
+    /// The streaming pattern-maintenance state, advanced over `history`
+    /// on every append; it shares `predictor`'s region set.
+    IncrementalMiner miner;
     /// True while a reporting thread is mining this object outside the
     /// writer lock; prevents duplicate concurrent (re)trains.
     bool training_in_flight = false;
@@ -653,22 +643,26 @@ class MovingObjectStore {
   /// writers attach, so replay never re-journals itself.
   void ReplayWal(uint64_t loaded_gen);
 
-  /// Runs initial training or batch incorporation for `id` if the
-  /// post-append thresholds allow, mining outside the shard lock.
-  /// Under rung-1 pressure the train is deferred — query traffic
-  /// outranks model refreshes; the thresholds re-fire on a later report.
-  /// In incremental mode the refresh trigger is the miner's drift score
-  /// instead of the period threshold, and the refresh is a rebuild:
-  /// inline when `allow_background` is false (WAL replay, sync mode),
-  /// queued on the background scheduler otherwise.
+  /// Runs the initial training for `id` once enough periods exist, or a
+  /// rebuild once its miner's drift score reaches the threshold, mining
+  /// outside the shard lock. Under rung-1 pressure the train is
+  /// deferred — query traffic outranks model refreshes; the thresholds
+  /// re-fire on a later report. A rebuild runs inline unless background
+  /// rebuilds are configured and `allow_background` is true (it is
+  /// false during WAL replay).
   Status MaybeTrain(Shard& shard, ObjectId id, QueryPipeline& pipeline,
                     bool allow_background);
 
-  /// ---- Incremental maintenance internals ------------------------------
+  /// ---- Model maintenance internals -------------------------------------
   /// A fresh miner configured from options_ (period, mining params and
   /// region-match slack copied from the predictor options, metric hooks
   /// wired into metrics_).
-  std::unique_ptr<IncrementalMiner> NewMiner() const;
+  IncrementalMiner NewMiner() const;
+
+  /// `model`'s region set as an aliasing handle, which is how a miner
+  /// shares its published model's regions; null for a null model.
+  static std::shared_ptr<const FrequentRegionSet> SharedRegions(
+      const std::shared_ptr<const HybridPredictor>& model);
 
   /// One drift-triggered rebuild of `id`: captures the miner's window
   /// under the shard lock, mines + freezes a fresh model off-lock

@@ -53,7 +53,6 @@ StoreMetrics::StoreMetrics(MetricsRegistry* registry) {
   miner_unmatched_points = registry->GetCounter("miner.unmatched_points");
   miner_promoted = registry->GetCounter("miner.promoted");
   miner_demoted = registry->GetCounter("miner.demoted");
-  miner_candidates_evicted = registry->GetCounter("miner.candidates_evicted");
   rebuild_scheduled = registry->GetCounter("rebuild.scheduled");
   rebuild_completed = registry->GetCounter("rebuild.completed");
   rebuild_failed = registry->GetCounter("rebuild.failed");

@@ -106,7 +106,6 @@ struct StoreMetrics {
   Counter* miner_unmatched_points;
   Counter* miner_promoted;
   Counter* miner_demoted;
-  Counter* miner_candidates_evicted;
   Counter* rebuild_scheduled;
   Counter* rebuild_completed;
   Counter* rebuild_failed;

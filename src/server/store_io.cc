@@ -496,7 +496,8 @@ StatusOr<MovingObjectStore> MovingObjectStore::LoadFromDirectory(
         return Status::DataLoss("corrupt consumed count for object " +
                                 std::to_string(entry.id));
       }
-      auto record = std::make_unique<ObjectRecord>(entry.id);
+      auto record =
+          std::make_unique<ObjectRecord>(entry.id, store.NewMiner());
       record->history = std::move(*history);
       record->consumed_samples = entry.consumed;
       if (entry.has_model) {
@@ -513,17 +514,12 @@ StatusOr<MovingObjectStore> MovingObjectStore::LoadFromDirectory(
         store.metrics_->tpt_frozen_bytes->Increment(
             record->predictor->summary().tpt_frozen_bytes);
       }
-      if (store.options_.rebuild.incremental) {
-        // Rebuild the miner's window + counts from the loaded history;
-        // a primed miner lands on the exact state an always-on miner
-        // would hold (the counts are a pure function of the window),
-        // with drift accumulating only past the loaded model's data.
-        record->miner = store.NewMiner();
-        record->miner->Prime(record->history, record->consumed_samples,
-                             record->predictor != nullptr
-                                 ? &record->predictor->regions()
-                                 : nullptr);
-      }
+      // Rebuild the miner's window + counts from the loaded history; a
+      // primed miner lands on the exact state an always-on miner would
+      // hold (the counts are a pure function of the window), with drift
+      // accumulating only past the loaded model's data.
+      record->miner.Prime(record->history, record->consumed_samples,
+                          SharedRegions(record->predictor));
       // The store is unpublished while loading; no lock needed, and the
       // tables are (re)published in one sweep below.
       record->view.store(store.BuildView(*record),

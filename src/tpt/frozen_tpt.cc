@@ -1,5 +1,6 @@
 #include "tpt/frozen_tpt.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -337,6 +338,10 @@ Status FrozenTpt::CheckInvariants() const {
       return Status::Internal("frozen TPT key has dirty tail bits");
     }
   }
+  if (!InternalKeysAreUnions(nodes_, entry_target_, key_words_.data(),
+                             stride)) {
+    return Status::Internal("frozen TPT internal key != union of subtree");
+  }
   return Status::OK();
 }
 
@@ -451,6 +456,31 @@ Status FrozenTpt::ValidateTopology(const std::vector<NodeRef>& nodes,
   return Status::OK();
 }
 
+bool FrozenTpt::InternalKeysAreUnions(const std::vector<NodeRef>& nodes,
+                                      const std::vector<uint32_t>& targets,
+                                      const uint64_t* key_words,
+                                      size_t stride) {
+  std::vector<uint64_t> merged(stride);
+  for (const NodeRef& node : nodes) {
+    if (node.is_leaf != 0) continue;
+    for (uint32_t e = node.first_entry; e < node.first_entry + node.num_entries;
+         ++e) {
+      const NodeRef& child = nodes[targets[e]];
+      std::fill(merged.begin(), merged.end(), 0);
+      for (uint32_t c = child.first_entry;
+           c < child.first_entry + child.num_entries; ++c) {
+        const uint64_t* block = key_words + size_t{c} * stride;
+        for (size_t w = 0; w < stride; ++w) merged[w] |= block[w];
+      }
+      if (!std::equal(merged.begin(), merged.end(),
+                      key_words + size_t{e} * stride)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
                                      size_t* consumed) {
   SectionReader reader(data, size);
@@ -540,6 +570,13 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
                        premise_bits)) {
       return Status::DataLoss("frozen TPT key has bits beyond declared width");
     }
+  }
+
+  // A thinned internal key would make search silently prune matches
+  // away; the leaf cross-check in the model loader cannot see it.
+  if (!InternalKeysAreUnions(nodes, targets, key_words.data(), stride)) {
+    return Status::DataLoss(
+        "frozen TPT internal key is not the union of its child's keys");
   }
 
   frozen.premise_bits_ = premise_bits;

@@ -276,6 +276,14 @@ class FrozenTpt {
                                  const std::vector<uint32_t>& targets,
                                  size_t num_patterns, int* height);
 
+  /// True when every internal entry's key is exactly the OR of the keys
+  /// of the node it points to — the invariant search pruning relies on.
+  /// Requires a topology ValidateTopology accepted.
+  static bool InternalKeysAreUnions(const std::vector<NodeRef>& nodes,
+                                    const std::vector<uint32_t>& targets,
+                                    const uint64_t* key_words,
+                                    size_t stride);
+
   std::vector<NodeRef> nodes_;
   std::vector<uint32_t> entry_target_;
   AlignedWordArena key_words_;

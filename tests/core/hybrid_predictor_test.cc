@@ -411,43 +411,57 @@ TEST(HybridPredictorCountersTest, ConcurrentPredictsLoseNoCounts) {
   EXPECT_EQ(counters.pattern_answers + counters.motion_fallbacks, kTotal);
 }
 
-TEST(HybridPredictorUpdateTest, WithNewHistoryMatchesInPlaceIncorporation) {
-  // Two identically-trained predictors; one takes the mutating §V-B
-  // path, the other builds a snapshot. The snapshot must carry the same
-  // pattern set and answer every query identically, and the source
-  // predictor must be untouched.
-  auto in_place = HybridPredictor::Train(MakeHistory(20), SmallOptions());
-  auto snapshotting = HybridPredictor::Train(MakeHistory(20), SmallOptions());
-  ASSERT_TRUE(in_place.ok());
-  ASSERT_TRUE(snapshotting.ok());
+TEST(HybridPredictorUpdateTest, WithNewHistoryAddsToAnUntouchedSource) {
+  // The §V-B update builds a fresh predictor: the source keeps its
+  // pattern set and answers, the result keeps every source pattern
+  // under its id and appends the added ones, and two identical sources
+  // yield identical results.
+  auto source = HybridPredictor::Train(MakeHistory(20), SmallOptions());
+  auto twin = HybridPredictor::Train(MakeHistory(20), SmallOptions());
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(twin.ok());
 
   const Trajectory fresh = MakeHistory(10, 99);
-  const size_t patterns_before = (*snapshotting)->PatternTable().size();
+  const std::vector<TrajectoryPattern> before = (*source)->PatternTable();
 
-  auto added = (*in_place)->IncorporateNewHistory(fresh);
-  ASSERT_TRUE(added.ok());
-  auto snapshot = (*snapshotting)->WithNewHistory(fresh);
+  auto snapshot = (*source)->WithNewHistory(fresh);
   ASSERT_TRUE(snapshot.ok());
+  auto twin_snapshot = (*twin)->WithNewHistory(fresh);
+  ASSERT_TRUE(twin_snapshot.ok());
 
   // The source of WithNewHistory is unchanged.
-  EXPECT_EQ((*snapshotting)->PatternTable().size(), patterns_before);
+  EXPECT_EQ((*source)->PatternTable().size(), before.size());
 
-  EXPECT_EQ((*snapshot)->PatternTable().size(),
-            patterns_before + *added);
-  EXPECT_EQ((*snapshot)->PatternTable().size(),
-            (*in_place)->PatternTable().size());
-  EXPECT_EQ((*snapshot)->tpt().size(), (*in_place)->tpt().size());
-  EXPECT_EQ((*snapshot)->summary().num_patterns,
-            (*in_place)->summary().num_patterns);
+  const std::vector<TrajectoryPattern> after = (*snapshot)->PatternTable();
+  const size_t added = after.size() - before.size();
+  ASSERT_GE(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].premise, before[i].premise);
+    EXPECT_EQ(after[i].consequence, before[i].consequence);
+    EXPECT_EQ(after[i].confidence, before[i].confidence);
+  }
+  EXPECT_EQ((*snapshot)->summary().num_patterns, before.size() + added);
+  EXPECT_EQ((*snapshot)->tpt().size(), (*twin_snapshot)->tpt().size());
   EXPECT_EQ((*snapshot)->summary().tpt_height,
-            (*in_place)->summary().tpt_height);
+            (*twin_snapshot)->summary().tpt_height);
 
   for (Timestamp tc = 4; tc <= 14; tc += 2) {
     for (Timestamp length : {2, 4, 9, 12}) {
       const PredictiveQuery q = RouteAQuery(tc, length, 4);
-      auto a = (*in_place)->Predict(q);
+      auto a = (*twin_snapshot)->Predict(q);
       auto b = (*snapshot)->Predict(q);
+      auto untouched = (*source)->Predict(q);
+      auto reference = (*twin)->Predict(q);
       ASSERT_EQ(a.ok(), b.ok());
+      ASSERT_EQ(untouched.ok(), reference.ok());
+      if (untouched.ok()) {
+        ASSERT_EQ(untouched->size(), reference->size());
+        for (size_t i = 0; i < untouched->size(); ++i) {
+          EXPECT_EQ((*untouched)[i].location.x, (*reference)[i].location.x);
+          EXPECT_EQ((*untouched)[i].location.y, (*reference)[i].location.y);
+          EXPECT_EQ((*untouched)[i].pattern_id, (*reference)[i].pattern_id);
+        }
+      }
       if (!a.ok()) continue;
       ASSERT_EQ(a->size(), b->size());
       for (size_t i = 0; i < a->size(); ++i) {

@@ -1,5 +1,5 @@
 // Tests for model persistence (SaveToFile / LoadFromFile) and dynamic
-// pattern incorporation (IncorporateNewHistory, paper §V-B).
+// pattern incorporation (WithNewHistory, paper §V-B).
 
 #include <gtest/gtest.h>
 
@@ -515,6 +515,46 @@ class FrozenSectionCorruptionTest : public ModelCorruptionTest {
   void WriteSectionU32(size_t rel, uint32_t v) {
     std::memcpy(bytes_.data() + ftpt_offset_ + rel, &v, sizeof(v));
   }
+
+  /// Re-derives every internal entry key as the union of its child
+  /// node's keys, so a corruption of leaf keys alone reaches the loader's
+  /// cross-check instead of the section's union check. Nodes are in DFS
+  /// preorder (children after parents), so a reverse sweep sees every
+  /// child before its parent.
+  void RestampInternalKeys() {
+    const uint32_t num_nodes = ReadSectionU32(16);
+    const uint32_t num_entries = ReadSectionU32(20);
+    const size_t stride =
+        (ReadSectionU32(8) + 63) / 64 + (ReadSectionU32(12) + 63) / 64;
+    const size_t targets = 28 + size_t{num_nodes} * 12;
+    const size_t keys = targets + size_t{num_entries} * 4;
+    const auto word = [&](size_t entry, size_t w) {
+      uint64_t v = 0;
+      std::memcpy(&v, bytes_.data() + ftpt_offset_ + keys +
+                          (entry * stride + w) * 8,
+                  sizeof(v));
+      return v;
+    };
+    for (size_t n = num_nodes; n-- > 0;) {
+      if (ReadSectionU32(28 + n * 12 + 8) != 0) continue;  // leaf
+      const uint32_t first = ReadSectionU32(28 + n * 12);
+      const uint32_t count = ReadSectionU32(28 + n * 12 + 4);
+      for (uint32_t e = first; e < first + count; ++e) {
+        const size_t child = ReadSectionU32(targets + size_t{e} * 4);
+        const uint32_t child_first = ReadSectionU32(28 + child * 12);
+        const uint32_t child_count = ReadSectionU32(28 + child * 12 + 4);
+        for (size_t w = 0; w < stride; ++w) {
+          uint64_t merged = 0;
+          for (uint32_t c = child_first; c < child_first + child_count; ++c) {
+            merged |= word(c, w);
+          }
+          std::memcpy(bytes_.data() + ftpt_offset_ + keys +
+                          (size_t{e} * stride + w) * 8,
+                      &merged, sizeof(merged));
+        }
+      }
+    }
+  }
 };
 
 TEST_F(FrozenSectionCorruptionTest, CorruptNodeCountIsRejectedBeforeAlloc) {
@@ -578,18 +618,51 @@ TEST_F(FrozenSectionCorruptionTest, PayloadDriftIsCaughtByCrossCheck) {
 }
 
 TEST_F(FrozenSectionCorruptionTest, ArenaKeyDriftIsCaughtByCrossCheck) {
-  // Flip bit 0 of the arena's last word and re-stamp both checksums.
-  // DFS preorder ends in a leaf, so that word is the premise of a leaf
-  // entry, and bit 0 (region 0) is inside the premise width: only the
-  // cross-check against the re-encoded pattern set can object.
+  // Flip bit 0 of the arena's last word, carry the flip into the
+  // internal keys above it and re-stamp both checksums. DFS preorder
+  // ends in a leaf, so that word is the premise of a leaf entry, and
+  // bit 0 (region 0) is inside the premise width: only the cross-check
+  // against the re-encoded pattern set can object.
   const uint32_t num_patterns = ReadSectionU32(24);
   const size_t payloads_begin =
       bytes_.size() - kFooterSize - 4 - size_t{num_patterns} * 16;
   bytes_[payloads_begin - 8] ^= 0x01;
+  RestampInternalKeys();
   RestampSectionCrc();
   const Status status = LoadCorrupted("model_key_drift.hpm");
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   EXPECT_NE(status.message().find("frozen TPT disagrees with pattern set"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(FrozenSectionCorruptionTest, ThinnedInternalKeyIsDataLoss) {
+  // Clear one set bit of the root's first entry key and re-stamp both
+  // checksums. The leaves still match the pattern table, so only the
+  // union check can notice that search would now prune that subtree's
+  // matches.
+  ASSERT_EQ(ReadSectionU32(28 + 8), 0u) << "root must be internal";
+  const uint32_t num_nodes = ReadSectionU32(16);
+  const uint32_t num_entries = ReadSectionU32(20);
+  const size_t stride =
+      (ReadSectionU32(8) + 63) / 64 + (ReadSectionU32(12) + 63) / 64;
+  const size_t block = ftpt_offset_ + 28 + size_t{num_nodes} * 12 +
+                       size_t{num_entries} * 4 +
+                       size_t{ReadSectionU32(28)} * stride * 8;
+  bool thinned = false;
+  for (size_t w = 0; w < stride && !thinned; ++w) {
+    uint64_t word = 0;
+    std::memcpy(&word, bytes_.data() + block + w * 8, sizeof(word));
+    if (word == 0) continue;
+    word &= word - 1;
+    std::memcpy(bytes_.data() + block + w * 8, &word, sizeof(word));
+    thinned = true;
+  }
+  ASSERT_TRUE(thinned);
+  RestampSectionCrc();
+  const Status status = LoadCorrupted("model_thinned_internal_key.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("internal key is not the union"),
             std::string::npos)
       << status.ToString();
 }
@@ -643,10 +716,10 @@ TEST(IncorporateTest, NewDataOnKnownRouteAddsNothingNew) {
   auto trained = HybridPredictor::Train(MakeHistory(30), Options());
   ASSERT_TRUE(trained.ok());
   // Fresh days on the same route: every mined rule already exists.
-  auto added =
-      (*trained)->IncorporateNewHistory(MakeHistory(10, false, 99));
-  ASSERT_TRUE(added.ok());
-  EXPECT_EQ(*added, 0u);
+  auto updated = (*trained)->WithNewHistory(MakeHistory(10, false, 99));
+  ASSERT_TRUE(updated.ok());
+  EXPECT_EQ((*updated)->summary().num_patterns,
+            (*trained)->summary().num_patterns);
 }
 
 TEST(IncorporateTest, RequiresACompletePeriod) {
@@ -654,7 +727,7 @@ TEST(IncorporateTest, RequiresACompletePeriod) {
   ASSERT_TRUE(trained.ok());
   Trajectory partial;
   for (int i = 0; i < 5; ++i) partial.Append({0, 0});
-  EXPECT_EQ((*trained)->IncorporateNewHistory(partial).status().code(),
+  EXPECT_EQ((*trained)->WithNewHistory(partial).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -689,13 +762,14 @@ TEST(IncorporateTest, CrossRoutePatternsEmergeFromNewBehaviour) {
       switching.Append(p);
     }
   }
-  auto added = (*trained)->IncorporateNewHistory(switching);
-  ASSERT_TRUE(added.ok());
-  EXPECT_GT(*added, 0u);
-  EXPECT_EQ((*trained)->summary().num_patterns, before + *added);
-  EXPECT_TRUE((*trained)->tpt().CheckInvariants().ok());
-  EXPECT_EQ((*trained)->tpt().size(),
-            (*trained)->summary().num_patterns);
+  auto updated = (*trained)->WithNewHistory(switching);
+  ASSERT_TRUE(updated.ok());
+  const size_t added = (*updated)->summary().num_patterns - before;
+  EXPECT_GT(added, 0u);
+  EXPECT_EQ((*trained)->summary().num_patterns, before);
+  EXPECT_TRUE((*updated)->tpt().CheckInvariants().ok());
+  EXPECT_EQ((*updated)->tpt().size(),
+            (*updated)->summary().num_patterns);
 
   // The new knowledge is queryable: an object seen on route A early in
   // the period is now predicted to be on route B later.
@@ -706,7 +780,7 @@ TEST(IncorporateTest, CrossRoutePatternsEmergeFromNewBehaviour) {
   }
   q.current_time = base + 8;
   q.query_time = base + 15;  // Past the switch point, BQP range.
-  auto predictions = (*trained)->Predict(q);
+  auto predictions = (*updated)->Predict(q);
   ASSERT_TRUE(predictions.ok());
   EXPECT_EQ(predictions->front().source, PredictionSource::kPattern);
 }
@@ -714,14 +788,14 @@ TEST(IncorporateTest, CrossRoutePatternsEmergeFromNewBehaviour) {
 TEST(IncorporateTest, SaveLoadAfterIncorporationRoundTrips) {
   auto trained = HybridPredictor::Train(MakeHistory(30), Options());
   ASSERT_TRUE(trained.ok());
-  ASSERT_TRUE(
-      (*trained)->IncorporateNewHistory(MakeHistory(8, true, 5)).ok());
+  auto updated = (*trained)->WithNewHistory(MakeHistory(8, true, 5));
+  ASSERT_TRUE(updated.ok());
   const std::string path = TempPath("model_after_update.hpm");
-  ASSERT_TRUE((*trained)->SaveToFile(path).ok());
+  ASSERT_TRUE((*updated)->SaveToFile(path).ok());
   auto loaded = HybridPredictor::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ((*loaded)->summary().num_patterns,
-            (*trained)->summary().num_patterns);
+            (*updated)->summary().num_patterns);
 }
 
 }  // namespace

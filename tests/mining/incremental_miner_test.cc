@@ -1,11 +1,12 @@
 // Unit coverage for the incremental pattern maintainer: window
 // bookkeeping, exact count maintenance against the offline Apriori
-// oracle, promote/demote crossings and drift, the candidate memory
-// bound, Prime()'s replay equivalence and the metric hooks. The
+// oracle, promote/demote crossings and drift, the miner's memory
+// footprint, Prime()'s replay equivalence and the metric hooks. The
 // full randomized differential guarantee lives in
 // tests/proptest/prop_incremental_mining_test.cc.
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,23 +68,40 @@ Trajectory Laps(int periods, uint64_t seed) {
   return history;
 }
 
-FrequentRegionSet DiscoverRegions(const Trajectory& history) {
+std::shared_ptr<const FrequentRegionSet> DiscoverRegions(
+    const Trajectory& history) {
   StatusOr<FrequentRegionMiningResult> discovery =
       MineFrequentRegions(history, RegionParams());
   EXPECT_TRUE(discovery.ok());
-  return discovery->region_set;
+  return std::make_shared<const FrequentRegionSet>(discovery->region_set);
 }
 
-void Feed(IncrementalMiner* miner, const Trajectory& history) {
-  for (const Point& point : history.points()) miner->Observe(point);
+/// Appends `points` to `history` one report at a time, advancing the
+/// miner after each, as the store does.
+void Feed(IncrementalMiner* miner, Trajectory* history,
+          const std::vector<Point>& points) {
+  for (const Point& point : points) {
+    history->Append(point);
+    miner->Observe(*history);
+  }
+}
+
+/// The miner's window: its range of the history it was fed.
+Trajectory WindowOf(const IncrementalMiner& miner, const Trajectory& history) {
+  StatusOr<Trajectory> window =
+      history.Slice(static_cast<Timestamp>(miner.window_begin()),
+                    static_cast<Timestamp>(miner.window_end()));
+  EXPECT_TRUE(window.ok());
+  return *window;
 }
 
 /// The offline oracle over the miner's retained window under the
 /// miner's adopted region universe: re-map each window period
 /// geometrically, then run the exact offline Apriori.
-AprioriResult OfflineOverWindow(const IncrementalMiner& miner) {
+AprioriResult OfflineOverWindow(const IncrementalMiner& miner,
+                                const Trajectory& history) {
   const FrequentRegionSet& regions = *miner.regions();
-  const Trajectory window = miner.WindowTrajectory();
+  const Trajectory window = WindowOf(miner, history);
   std::vector<Transaction> transactions;
   for (size_t start = 0; start + static_cast<size_t>(kPeriod) <=
                          window.size();
@@ -115,8 +133,9 @@ std::string DescribePatterns(const std::vector<TrajectoryPattern>& ps) {
 
 /// The maintained set must equal the offline rule set over the same
 /// window: same rules, same supports, bit-identical confidences.
-void ExpectMatchesOffline(const IncrementalMiner& miner) {
-  AprioriResult offline = OfflineOverWindow(miner);
+void ExpectMatchesOffline(const IncrementalMiner& miner,
+                          const Trajectory& history) {
+  AprioriResult offline = OfflineOverWindow(miner, history);
   std::sort(offline.patterns.begin(), offline.patterns.end(),
             [](const TrajectoryPattern& a, const TrajectoryPattern& b) {
               if (a.premise.size() != b.premise.size()) {
@@ -140,12 +159,15 @@ void ExpectMatchesOffline(const IncrementalMiner& miner) {
 TEST(IncrementalMinerTest, WindowBookkeepingBeforeRegions) {
   IncrementalMiner miner(MinerOptions(), kPeriod, MiningParams());
   EXPECT_FALSE(miner.has_regions());
-  Feed(&miner, Laps(3, 1));
-  miner.Observe({0.0, 0.0});
+  Trajectory history = Laps(3, 1);
+  miner.Observe(history);
+  history.Append({0.0, 0.0});
+  miner.Observe(history);
   EXPECT_EQ(miner.total_observed(), 3u * kPeriod + 1);
+  EXPECT_EQ(miner.window_begin(), 0u);
   EXPECT_EQ(miner.window_end(), 3u * kPeriod);
   EXPECT_EQ(miner.WindowSize(), 3u);
-  // No regions yet: points buffer, but nothing is mined.
+  // No regions yet: the window advances, but nothing is mined.
   EXPECT_EQ(miner.stats().transactions, 0u);
   EXPECT_EQ(miner.CurrentPatterns().size(), 0u);
   EXPECT_EQ(miner.drift(), 0.0);
@@ -155,9 +177,9 @@ TEST(IncrementalMinerTest, WindowEvictsOldestPeriod) {
   IncrementalMinerOptions options;
   options.window_periods = 2;
   IncrementalMiner miner(options, kPeriod, MiningParams());
-  Feed(&miner, Laps(5, 2));
+  miner.Observe(Laps(5, 2));
   EXPECT_EQ(miner.WindowSize(), 2u);
-  EXPECT_EQ(miner.WindowTrajectory().size(), 2u * kPeriod);
+  EXPECT_EQ(miner.window_begin(), 3u * kPeriod);
   // window_end keeps counting absolute samples even as entries expire.
   EXPECT_EQ(miner.window_end(), 5u * kPeriod);
 }
@@ -165,8 +187,8 @@ TEST(IncrementalMinerTest, WindowEvictsOldestPeriod) {
 TEST(IncrementalMinerTest, AdoptRegionsRecountsWindowExactly) {
   const Trajectory history = Laps(6, 3);
   IncrementalMiner miner(MinerOptions(), kPeriod, MiningParams());
-  Feed(&miner, history);
-  miner.AdoptRegions(DiscoverRegions(history));
+  miner.Observe(history);
+  miner.AdoptRegions(DiscoverRegions(history), history);
   ASSERT_TRUE(miner.has_regions());
   // Every window period maps to the full route: each single-region
   // support equals the window size.
@@ -174,23 +196,21 @@ TEST(IncrementalMinerTest, AdoptRegionsRecountsWindowExactly) {
        ++id) {
     EXPECT_EQ(miner.SupportOf({id}), static_cast<int>(miner.WindowSize()));
   }
-  ExpectMatchesOffline(miner);
+  ExpectMatchesOffline(miner, history);
 }
 
 TEST(IncrementalMinerTest, StreamingMatchesOfflineAfterMorePeriods) {
-  const Trajectory bootstrap = Laps(6, 4);
+  Trajectory history = Laps(6, 4);
   IncrementalMiner miner(MinerOptions(), kPeriod, MiningParams());
-  Feed(&miner, bootstrap);
-  miner.AdoptRegions(DiscoverRegions(bootstrap));
+  miner.Observe(history);
+  miner.AdoptRegions(DiscoverRegions(history), history);
   // Keep streaming: pattern periods and far periods interleave, the
   // window slides, counts go up and down — and the maintained set must
   // track the offline oracle at every period boundary.
   Random rng(5);
   for (int p = 0; p < 10; ++p) {
-    const std::vector<Point> lap =
-        (p % 3 == 2) ? FarLap() : RouteLap(&rng);
-    for (const Point& point : lap) miner.Observe(point);
-    ExpectMatchesOffline(miner);
+    Feed(&miner, &history, (p % 3 == 2) ? FarLap() : RouteLap(&rng));
+    ExpectMatchesOffline(miner, history);
   }
 }
 
@@ -201,16 +221,15 @@ TEST(IncrementalMinerTest, CrossingsMoveDriftAndStats) {
   IncrementalMinerOptions options = MinerOptions();
   options.region_match_slack = 5.0;
   IncrementalMiner miner(options, kPeriod, MiningParams());
-  Feed(&miner, bootstrap);
-  miner.AdoptRegions(DiscoverRegions(bootstrap));
+  Trajectory history = bootstrap;
+  miner.Observe(history);
+  miner.AdoptRegions(DiscoverRegions(bootstrap), history);
   EXPECT_EQ(miner.drift(), 0.0);  // adoption re-bases, it is not drift
 
   // Far periods push route periods out of the 6-period window; once
   // support falls below min_support the sets demote and drift rises.
   const uint64_t promoted_before = miner.stats().promoted;
-  for (int p = 0; p < 6; ++p) {
-    for (const Point& point : FarLap()) miner.Observe(point);
-  }
+  for (int p = 0; p < 6; ++p) Feed(&miner, &history, FarLap());
   EXPECT_GT(miner.stats().demoted, 0u);
   EXPECT_GT(miner.drift(), 0.0);
   EXPECT_GT(miner.stats().unmatched_points, 0u);
@@ -220,71 +239,73 @@ TEST(IncrementalMinerTest, CrossingsMoveDriftAndStats) {
   // re-promotes (crossings again) — but afterwards calm repetition
   // decays the score multiplicatively.
   Random rng(7);
-  for (int p = 0; p < 6; ++p) {
-    for (const Point& point : RouteLap(&rng)) miner.Observe(point);
-  }
+  for (int p = 0; p < 6; ++p) Feed(&miner, &history, RouteLap(&rng));
   EXPECT_GT(miner.stats().promoted, promoted_before);
   double drift = miner.drift();
   for (int p = 0; p < 8; ++p) {
-    for (const Point& point : RouteLap(&rng)) miner.Observe(point);
+    Feed(&miner, &history, RouteLap(&rng));
     EXPECT_LE(miner.drift(), drift + 1e-9);
     drift = miner.drift();
   }
   EXPECT_LT(drift, peak);
 }
 
-TEST(IncrementalMinerTest, CandidateBoundEvictsDeterministically) {
-  const Trajectory bootstrap = Laps(6, 8);
-  IncrementalMinerOptions options = MinerOptions();
-  options.max_candidates = 4;
-  IncrementalMiner bounded(options, kPeriod, MiningParams());
-  Feed(&bounded, bootstrap);
-  bounded.AdoptRegions(DiscoverRegions(bootstrap));
-  EXPECT_LE(bounded.NumTrackedItemsets(), 4u);
-  EXPECT_GT(bounded.stats().candidates_evicted, 0u);
-
-  // Determinism: the same feed yields the same surviving candidate set.
-  IncrementalMiner again(options, kPeriod, MiningParams());
-  Feed(&again, bootstrap);
-  again.AdoptRegions(DiscoverRegions(bootstrap));
-  EXPECT_EQ(bounded.NumTrackedItemsets(), again.NumTrackedItemsets());
-  EXPECT_EQ(bounded.stats().candidates_evicted,
-            again.stats().candidates_evicted);
-  const std::vector<TrajectoryPattern> a = bounded.CurrentPatterns();
-  const std::vector<TrajectoryPattern> b = again.CurrentPatterns();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].premise, b[i].premise);
-    EXPECT_EQ(a[i].consequence, b[i].consequence);
+TEST(IncrementalMinerTest, MemoryIsOneWordPerRegion) {
+  // 20 regions on a 20-offset route and a 16-period window: the miner
+  // owns its fixed fields plus one slot mask per region, whatever the
+  // number of item sets the window holds.
+  constexpr Timestamp kLongPeriod = 20;
+  FrequentRegionParams params;
+  params.period = kLongPeriod;
+  params.dbscan.eps = 10.0;
+  params.dbscan.min_pts = 3;
+  Random rng(11);
+  Trajectory history;
+  for (int p = 0; p < 16; ++p) {
+    for (Timestamp t = 0; t < kLongPeriod; ++t) {
+      history.Append({100.0 * static_cast<double>(t) + rng.Gaussian(0, 1.0),
+                      50.0 + rng.Gaussian(0, 1.0)});
+    }
   }
+  StatusOr<FrequentRegionMiningResult> discovery =
+      MineFrequentRegions(history, params);
+  ASSERT_TRUE(discovery.ok());
+  ASSERT_EQ(discovery->region_set.NumRegions(), 20u);
+
+  IncrementalMinerOptions options;
+  options.window_periods = 16;
+  IncrementalMiner miner(options, kLongPeriod, MiningParams());
+  miner.Observe(history);
+  miner.AdoptRegions(
+      std::make_shared<const FrequentRegionSet>(discovery->region_set),
+      history);
+  ASSERT_EQ(miner.WindowSize(), 16u);
+  EXPECT_FALSE(miner.CurrentPatterns().empty());
+  EXPECT_LE(miner.MemoryBytes(), 512u);
+  EXPECT_GE(miner.MemoryBytes(), 20u * sizeof(uint64_t));
 }
 
 TEST(IncrementalMinerTest, PrimeReplaysToIdenticalState) {
   // Live miner: adopt after 6 periods, then keep streaming 7 more.
   const Trajectory bootstrap = Laps(6, 9);
-  const FrequentRegionSet regions = DiscoverRegions(bootstrap);
+  const std::shared_ptr<const FrequentRegionSet> regions =
+      DiscoverRegions(bootstrap);
   IncrementalMiner live(MinerOptions(), kPeriod, MiningParams());
-  Feed(&live, bootstrap);
-  live.AdoptRegions(regions);
-  const size_t adopted_at = live.window_end();
   Trajectory full = bootstrap;
+  live.Observe(full);
+  live.AdoptRegions(regions, full);
+  const size_t adopted_at = live.window_end();
   Random rng(10);
   for (int p = 0; p < 7; ++p) {
-    const std::vector<Point> lap =
-        (p % 2 == 0) ? RouteLap(&rng) : FarLap();
-    for (const Point& point : lap) {
-      live.Observe(point);
-      full.Append(point);
-    }
+    Feed(&live, &full, (p % 2 == 0) ? RouteLap(&rng) : FarLap());
   }
 
   // Primed miner: rebuilt from (history, adopted_at, regions) alone —
   // the crash-recovery shape. State must match the live miner exactly.
   IncrementalMiner primed(MinerOptions(), kPeriod, MiningParams());
-  primed.Prime(full, adopted_at, &regions);
+  primed.Prime(full, adopted_at, regions);
   EXPECT_EQ(primed.window_end(), live.window_end());
   EXPECT_EQ(primed.WindowSize(), live.WindowSize());
-  EXPECT_EQ(primed.NumTrackedItemsets(), live.NumTrackedItemsets());
   EXPECT_EQ(primed.drift(), live.drift());
   const std::vector<TrajectoryPattern> expected = live.CurrentPatterns();
   const std::vector<TrajectoryPattern> actual = primed.CurrentPatterns();
@@ -304,16 +325,13 @@ TEST(IncrementalMinerTest, MetricHooksMirrorStats) {
   hooks.unmatched_points = registry.GetCounter("miner.unmatched_points");
   hooks.promoted = registry.GetCounter("miner.promoted");
   hooks.demoted = registry.GetCounter("miner.demoted");
-  hooks.candidates_evicted = registry.GetCounter("miner.candidates_evicted");
 
-  const Trajectory bootstrap = Laps(6, 12);
+  Trajectory history = Laps(6, 12);
   IncrementalMiner miner(MinerOptions(), kPeriod, MiningParams());
   miner.set_metric_hooks(hooks);
-  Feed(&miner, bootstrap);
-  miner.AdoptRegions(DiscoverRegions(bootstrap));
-  for (int p = 0; p < 6; ++p) {
-    for (const Point& point : FarLap()) miner.Observe(point);
-  }
+  miner.Observe(history);
+  miner.AdoptRegions(DiscoverRegions(history), history);
+  for (int p = 0; p < 6; ++p) Feed(&miner, &history, FarLap());
   const MetricsSnapshot snapshot = registry.TakeSnapshot();
   EXPECT_EQ(snapshot.counter("miner.transactions"),
             miner.stats().transactions);

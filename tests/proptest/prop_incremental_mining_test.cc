@@ -3,15 +3,19 @@
 // window lengths, the maintained pattern set must equal a from-scratch
 // Apriori over the same window (P1); a sync-mode store rebuild must
 // produce a byte-identical model file to HybridPredictor::Train over
-// the miner's window, frozen TPT included (P2); and a store that
-// crashes mid-stream — with or without a snapshot — must replay its
-// journal through the miner into the same pattern state and serving
-// answers as an uninterrupted reference (P3).
+// the miner's window, frozen TPT included (P2); a store that crashes
+// mid-stream — with or without a snapshot — must replay its journal
+// through the miner into the same pattern state and serving answers as
+// an uninterrupted reference (P3); and the miner's promote/demote
+// counts and drift score must equal a recount that scans the window's
+// transactions (P4).
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -160,30 +164,37 @@ std::string CheckMinerMatchesOfflineOverWindow(const MiningCase& input) {
 
   // Warm up without regions, then discover over the observed prefix and
   // adopt — the store's bootstrap handoff in miniature.
-  Trajectory prefix;
+  Trajectory history;
   for (int p = 0; p < input.adopt_after; ++p) {
     for (const StreamedReport& r :
          stream.Take(static_cast<size_t>(config.period))) {
-      miner.Observe(r.location);
-      prefix.Append(r.location);
+      history.Append(r.location);
+      miner.Observe(history);
     }
   }
   const StatusOr<FrequentRegionMiningResult> discovery =
-      MineFrequentRegions(prefix, RegionParams(input));
+      MineFrequentRegions(history, RegionParams(input));
   if (!discovery.ok() || discovery->region_set.NumRegions() == 0) {
     return "";  // nothing clustered: the property is vacuous here
   }
-  miner.AdoptRegions(discovery->region_set);
+  miner.AdoptRegions(
+      std::make_shared<const FrequentRegionSet>(discovery->region_set),
+      history);
 
   const int remaining = input.total_periods - input.adopt_after;
   for (int p = 0; p < remaining; ++p) {
     for (const StreamedReport& r :
          stream.Take(static_cast<size_t>(config.period))) {
-      miner.Observe(r.location);
+      history.Append(r.location);
+      miner.Observe(history);
     }
     // At every period boundary, the maintained set must equal a fresh
     // offline mine over exactly the miner's retained window.
-    const Trajectory window = miner.WindowTrajectory();
+    const StatusOr<Trajectory> sliced =
+        history.Slice(static_cast<Timestamp>(miner.window_begin()),
+                      static_cast<Timestamp>(miner.window_end()));
+    if (!sliced.ok()) return "window slice: " + sliced.status().ToString();
+    const Trajectory& window = *sliced;
     std::vector<Transaction> transactions;
     for (size_t start = 0; start + static_cast<size_t>(config.period) <=
                            window.size();
@@ -211,6 +222,159 @@ std::string CheckMinerMatchesOfflineOverWindow(const MiningCase& input) {
   return "";
 }
 
+// ---- P4: crossings and drift == a recount over the window -------------
+
+/// Every item set of `items` (ascending region ids) in the offline
+/// candidate language: 2..max_pattern_length items at strictly
+/// increasing offsets, and a premise (all but the last item) spanning
+/// at most premise_window offsets when that bound is set.
+std::vector<std::vector<int>> ValidItemsets(const std::vector<int>& items,
+                                            const FrequentRegionSet& regions,
+                                            const AprioriParams& params) {
+  std::vector<std::vector<int>> sets;
+  const size_t n = items.size();
+  if (n >= 31) return sets;  // never reached: periods here are < 13 long
+  for (uint32_t bits = 1; bits < (uint32_t{1} << n); ++bits) {
+    std::vector<int> set;
+    for (size_t i = 0; i < n; ++i) {
+      if ((bits >> i) & 1) set.push_back(items[i]);
+    }
+    if (set.size() < 2 ||
+        set.size() > static_cast<size_t>(params.max_pattern_length)) {
+      continue;
+    }
+    bool valid = true;
+    for (size_t i = 1; i < set.size(); ++i) {
+      if (regions.Region(set[i]).offset <= regions.Region(set[i - 1]).offset) {
+        valid = false;
+      }
+    }
+    if (set.size() >= 3 && params.premise_window > 0 &&
+        regions.Region(set[set.size() - 2]).offset -
+                regions.Region(set.front()).offset >
+            params.premise_window) {
+      valid = false;
+    }
+    if (valid) sets.push_back(std::move(set));
+  }
+  return sets;
+}
+
+int ScanSupport(const std::vector<int>& set,
+                const std::vector<std::vector<int>>& transactions) {
+  int support = 0;
+  for (const std::vector<int>& t : transactions) {
+    if (std::includes(t.begin(), t.end(), set.begin(), set.end())) {
+      ++support;
+    }
+  }
+  return support;
+}
+
+std::string CheckDriftMatchesWindowRecount(const MiningCase& input) {
+  ReportStreamConfig config = input.stream;
+  config.num_objects = 1;
+  ReportStream stream(config);
+  const AprioriParams params = MiningParams(input);
+  const size_t period = static_cast<size_t>(config.period);
+
+  IncrementalMinerOptions options;
+  options.window_periods = input.window_periods;
+  options.region_match_slack = input.slack;
+  IncrementalMiner miner(options, config.period, params);
+
+  Trajectory history;
+  const auto feed_period = [&] {
+    for (const StreamedReport& r : stream.Take(period)) {
+      history.Append(r.location);
+      miner.Observe(history);
+    }
+  };
+  for (int p = 0; p < input.adopt_after; ++p) feed_period();
+  const StatusOr<FrequentRegionMiningResult> discovery =
+      MineFrequentRegions(history, RegionParams(input));
+  if (!discovery.ok() || discovery->region_set.NumRegions() == 0) {
+    return "";
+  }
+  const FrequentRegionSet& regions = discovery->region_set;
+  miner.AdoptRegions(std::make_shared<const FrequentRegionSet>(regions),
+                     history);
+
+  // The test-side window: each period's transaction under the adopted
+  // regions, oldest first, seeded with the periods already in it.
+  const auto transaction_at = [&](size_t begin, size_t* unmatched) {
+    const std::vector<Point> points(
+        history.points().begin() + static_cast<long>(begin),
+        history.points().begin() + static_cast<long>(begin + period));
+    const std::vector<RegionVisit> visits =
+        MapPeriodPointsToVisits(regions, points, input.slack);
+    *unmatched = points.size() - visits.size();
+    return Transaction(visits, regions.NumRegions()).items();
+  };
+  std::deque<std::vector<int>> window;
+  for (size_t begin = miner.window_begin(); begin < miner.window_end();
+       begin += period) {
+    size_t unmatched = 0;
+    window.push_back(transaction_at(begin, &unmatched));
+  }
+
+  uint64_t promoted = 0;
+  uint64_t demoted = 0;
+  double drift = 0.0;
+  const int min_support = params.min_support;
+  const int remaining = input.total_periods - input.adopt_after;
+  for (int p = 0; p < remaining; ++p) {
+    feed_period();
+    size_t unmatched = 0;
+    const std::vector<int> added =
+        transaction_at(history.size() - period, &unmatched);
+    // +1 first: the new period joins the window.
+    std::vector<std::vector<int>> before(window.begin(), window.end());
+    size_t crossings = 0;
+    for (const std::vector<int>& set : ValidItemsets(added, regions, params)) {
+      const int support = ScanSupport(set, before);
+      if (support < min_support && support + 1 >= min_support) {
+        ++promoted;
+        ++crossings;
+      }
+    }
+    window.push_back(added);
+    // Then -1: the oldest period leaves a window that has overgrown.
+    if (window.size() > static_cast<size_t>(input.window_periods)) {
+      const std::vector<int> expired = window.front();
+      const std::vector<std::vector<int>> grown(window.begin(),
+                                                window.end());
+      for (const std::vector<int>& set :
+           ValidItemsets(expired, regions, params)) {
+        const int support = ScanSupport(set, grown);
+        if (support >= min_support && support - 1 < min_support) {
+          ++demoted;
+          ++crossings;
+        }
+      }
+      window.pop_front();
+    }
+    drift = drift * options.drift_decay +
+            options.crossing_weight * static_cast<double>(crossings) +
+            options.unmatched_weight * (static_cast<double>(unmatched) /
+                                        static_cast<double>(period));
+    const std::string at =
+        "after period " + std::to_string(input.adopt_after + p + 1) + ": ";
+    if (miner.stats().promoted != promoted ||
+        miner.stats().demoted != demoted) {
+      return at + "miner promoted/demoted " +
+             std::to_string(miner.stats().promoted) + "/" +
+             std::to_string(miner.stats().demoted) + " vs recount " +
+             std::to_string(promoted) + "/" + std::to_string(demoted);
+    }
+    if (miner.drift() != drift) {
+      return at + "miner drift " + std::to_string(miner.drift()) +
+             " vs recount " + std::to_string(drift);
+    }
+  }
+  return "";
+}
+
 // ---- P2 / P3: store-level properties ----------------------------------
 
 ObjectStoreOptions StoreOptions(const MiningCase& c, const std::string& dir) {
@@ -220,10 +384,8 @@ ObjectStoreOptions StoreOptions(const MiningCase& c, const std::string& dir) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 4;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 2;
-  options.rebuild.incremental = true;
   options.rebuild.background = false;  // deterministic inline rebuilds
   options.rebuild.drift_threshold = 1.5;
   options.rebuild.miner.window_periods = c.window_periods + 2;
@@ -359,6 +521,15 @@ std::string CheckCrashReplayConvergesThroughMiner(const MiningCase& input) {
 TEST(PropIncrementalMining, MinerMatchesOfflineOverWindow) {
   Property<MiningCase> property("miner_matches_offline", GenCase,
                                 CheckMinerMatchesOfflineOverWindow);
+  RunnerOptions options;
+  options.num_cases = 25;
+  const auto result = property.Run(options);
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST(PropIncrementalMining, DriftMatchesWindowRecount) {
+  Property<MiningCase> property("drift_matches_window_recount", GenCase,
+                                CheckDriftMatchesWindowRecount);
   RunnerOptions options;
   options.num_cases = 25;
   const auto result = property.Run(options);

@@ -63,7 +63,6 @@ ObjectStoreOptions StoreOptions(const ReplCase& c, const std::string& dir) {
   options.predictor.distant_threshold = 5;
   options.predictor.region_match_slack = 6.0;
   options.min_training_periods = 4;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = c.num_shards;
   if (!dir.empty()) {

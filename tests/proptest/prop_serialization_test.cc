@@ -229,7 +229,6 @@ std::string CheckStoreRoundTrip(const StoreCase& input) {
   ObjectStoreOptions options;
   options.predictor = PredictorOptions();
   options.min_training_periods = 4;
-  options.update_batch_periods = 2;
   options.recent_window = 6;
   options.num_shards = 4;
   options.query_threads = 1;

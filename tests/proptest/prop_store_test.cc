@@ -44,7 +44,6 @@ ObjectStoreOptions StoreOptions(int num_shards, int query_threads) {
   options.predictor.distant_threshold = 5;
   options.predictor.region_match_slack = 6.0;
   options.min_training_periods = 4;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = num_shards;
   options.query_threads = query_threads;

@@ -37,7 +37,6 @@ ObjectStoreOptions Options() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 4;
   options.query_threads = 2;
@@ -240,6 +239,9 @@ TEST(ConcurrentStoreTest, SnapshotsSurviveRetrains) {
   const uint64_t seed = proptest::SeedForTest(7919);
   SCOPED_TRACE(proptest::ReplayLine(seed));
   ObjectStoreOptions options = Options();
+  // A zero drift threshold rebuilds at every period boundary, so the
+  // steady route below still replaces the live model.
+  options.rebuild.drift_threshold = 0;
   MovingObjectStore store(options);
   const Timestamp trained = options.min_training_periods * kPeriod;
   for (Timestamp t = 0; t < trained; ++t) {
@@ -260,7 +262,7 @@ TEST(ConcurrentStoreTest, SnapshotsSurviveRetrains) {
   auto before = (*snapshot)->Predict(query);
   ASSERT_TRUE(before.ok());
 
-  // Drive two more retrain batches; the live model is replaced.
+  // Drive four more rebuilds; the live model is replaced.
   for (Timestamp t = trained; t < trained + 4 * kPeriod; ++t) {
     ASSERT_TRUE(store.ReportLocation(0, NoisySample(0, t, seed)).ok());
   }

@@ -32,8 +32,9 @@ constexpr int kReaders = 3;
 constexpr int kObjectsPerWriter = 3;
 constexpr Timestamp kSamplesPerObject = 5 * kPeriod;
 
-/// Retrain on every completed period: maximum WithNewHistory swap (and
-/// therefore view retire) pressure per report.
+/// Rebuild on every completed period (a zero drift threshold is always
+/// reached): maximum model swap (and therefore view retire) pressure
+/// per report.
 ObjectStoreOptions ChurnOptions() {
   ObjectStoreOptions options;
   options.predictor.regions.period = kPeriod;
@@ -44,7 +45,7 @@ ObjectStoreOptions ChurnOptions() {
   options.predictor.distant_threshold = 4;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 2;
-  options.update_batch_periods = 1;
+  options.rebuild.drift_threshold = 0;
   options.recent_window = 4;
   options.num_shards = 4;
   options.query_threads = 2;

@@ -1,5 +1,5 @@
-// Incremental pattern maintenance + drift-triggered rebuilds
-// (RebuildOptions::incremental): scheduler mechanics, the sync-mode
+// Incremental pattern maintenance + drift-triggered rebuilds (the
+// store's one model-maintenance path): scheduler mechanics, the sync-mode
 // differential against a from-scratch Train over the miner's window,
 // background publication, the rebuild kill points (last-good model
 // keeps serving) and WAL-replayed miner convergence.
@@ -47,9 +47,7 @@ ObjectStoreOptions StoreOptions(bool background) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
-  options.rebuild.incremental = true;
   options.rebuild.background = background;
   options.rebuild.drift_threshold = 1.0;
   options.rebuild.miner.window_periods = 8;
@@ -225,11 +223,16 @@ TEST(IncrementalRebuildTest, MinerStateReportsDriftAndPatterns) {
   EXPECT_GT(state->stats.transactions, 0u);
   EXPECT_EQ(store.MinerState(999).status().code(), StatusCode::kNotFound);
 
-  MovingObjectStore legacy{ObjectStoreOptions{}};
-  ASSERT_TRUE(legacy.ReportLocation(1, {1.0, 2.0}).ok());
-  EXPECT_EQ(legacy.MinerState(1).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(legacy.FlushRebuilds().ok());  // no-op in legacy mode
+  // Default options: every object has a miner from its first report,
+  // and flushing an untrained object is a no-op.
+  MovingObjectStore defaults{ObjectStoreOptions{}};
+  ASSERT_TRUE(defaults.ReportLocation(1, {1.0, 2.0}).ok());
+  const StatusOr<MovingObjectStore::MinerSnapshot> fresh =
+      defaults.MinerState(1);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->window_end, 0u);
+  EXPECT_TRUE(fresh->patterns.empty());
+  EXPECT_TRUE(defaults.FlushRebuilds().ok());
 }
 
 // ---- Background publication + metrics ---------------------------------

@@ -43,7 +43,6 @@ ObjectStoreOptions Options() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   return options;
 }
@@ -107,7 +106,7 @@ TEST(ObjectStoreTest, QueryTimeMustBeFuture) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ObjectStoreTest, IncrementalBatchesConsumeHistory) {
+TEST(ObjectStoreTest, DriftRebuildConsumesTheWindow) {
   MovingObjectStore store(Options());
   Random rng(5);
   for (int day = 0; day < 5; ++day) {
@@ -115,16 +114,36 @@ TEST(ObjectStoreTest, IncrementalBatchesConsumeHistory) {
   }
   auto predictor = store.GetPredictor(0);
   ASSERT_TRUE(predictor.ok());
-  const size_t patterns_before = (*predictor)->summary().num_patterns;
-  // Two more periods trigger the §V-B incorporation (which may or may
-  // not add patterns, but must not disturb the model's integrity).
-  for (int day = 0; day < 2; ++day) {
+  const HybridPredictor* bootstrap = predictor->get();
+  // The same route again: nothing drifts, so the model is kept however
+  // many periods pass.
+  for (int day = 0; day < 3; ++day) {
     ASSERT_TRUE(store.ReportTrajectory(0, OnePeriod(0, &rng)).ok());
   }
   predictor = store.GetPredictor(0);
   ASSERT_TRUE(predictor.ok());
-  EXPECT_GE((*predictor)->summary().num_patterns, patterns_before);
+  EXPECT_EQ(predictor->get(), bootstrap);
+
+  // A new route matches no region: each such period adds its unmatched
+  // share to the drift score, which reaches the default threshold of 3
+  // on the fourth, and the model is rebuilt from the miner's window,
+  // which it then covers.
+  for (int day = 0; day < 4; ++day) {
+    for (Timestamp off = 0; off < kPeriod; ++off) {
+      Point p = Route(0, off);
+      p.y += 400.0;
+      ASSERT_TRUE(store.ReportLocation(0, p).ok());
+    }
+  }
+  predictor = store.GetPredictor(0);
+  ASSERT_TRUE(predictor.ok());
+  EXPECT_NE(predictor->get(), bootstrap);
   EXPECT_TRUE((*predictor)->tpt().CheckInvariants().ok());
+  const StatusOr<MovingObjectStore::MinerSnapshot> state = store.MinerState(0);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state->consumed_samples, state->window_end);
+  EXPECT_EQ(state->window_end, 12u * static_cast<size_t>(kPeriod));
+  EXPECT_EQ(store.metrics_snapshot().counter("rebuild.completed"), 1u);
 }
 
 TEST(ObjectStoreTest, PredictiveRangeQueryFindsTheRightObjects) {
@@ -553,6 +572,12 @@ TEST(ObjectStoreDeathTest, BadOptionsAbort) {
   EXPECT_DEATH(MovingObjectStore{bad}, "HPM_CHECK");
   bad = Options();
   bad.recent_window = 1;
+  EXPECT_DEATH(MovingObjectStore{bad}, "HPM_CHECK");
+  bad = Options();
+  bad.rebuild.miner.window_periods = 0;
+  EXPECT_DEATH(MovingObjectStore{bad}, "HPM_CHECK");
+  bad = Options();
+  bad.rebuild.miner.window_periods = IncrementalMiner::kMaxWindowPeriods + 1;
   EXPECT_DEATH(MovingObjectStore{bad}, "HPM_CHECK");
 }
 

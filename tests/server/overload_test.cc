@@ -51,7 +51,6 @@ ObjectStoreOptions BaseOptions() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   return options;
 }

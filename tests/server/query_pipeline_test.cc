@@ -48,7 +48,6 @@ ObjectStoreOptions BaseOptions() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 2;
   options.query_threads = 1;  // Inline fan-out: deterministic accounting.

@@ -43,7 +43,6 @@ ObjectStoreOptions Options() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 4;
   return options;

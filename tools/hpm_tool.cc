@@ -449,7 +449,6 @@ int RunFaultcheck(Args args) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
 
   const auto route = [](ObjectId id, Timestamp t) -> Point {
@@ -649,7 +648,6 @@ int RunStats(Args args) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = kWarmPeriods;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = shards;
   options.query_threads = threads;
