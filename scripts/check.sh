@@ -41,7 +41,7 @@ run_matrix() {
         -j "$JOBS"
   # And for the incremental-mining pipeline (windowed miner counts,
   # promote/demote differentials against the offline builder, the
-  # background rebuild scheduler): the exactness contract is the suite
+  # inline model-build cycle): the exactness contract is the suite
   # most likely to rot silently, so it runs by label in every build.
   ctest --test-dir "$build_dir" -L mining "${CTEST_ARGS[@]}" -j "$JOBS"
 }
@@ -98,9 +98,10 @@ ctest --test-dir build-fault -L concurrency "${CTEST_ARGS[@]}" -j "$JOBS"
 # sweeps are only meaningful with the fault sites compiled in.
 ctest --test-dir build-fault -L net "${CTEST_ARGS[@]}" -j "$JOBS"
 ctest --test-dir build-fault -L repl "${CTEST_ARGS[@]}" -j "$JOBS"
-# The background-rebuild kill-point sweep (crash between mine, freeze
-# and publish) only exercises its recovery paths with the fault hooks
-# compiled in, and ASan is what catches a half-published arena.
+# The model-build kill-point sweep (crash between mine, freeze and
+# publish, at bootstrap and on rebuilds) only exercises its recovery
+# paths with the fault hooks compiled in, and ASan is what catches a
+# half-published arena.
 ctest --test-dir build-fault -L mining "${CTEST_ARGS[@]}" -j "$JOBS"
 ./build-fault/tools/hpm_tool faultcheck --seed 1
 

@@ -23,12 +23,17 @@ size_t IncrementalMiner::WindowSize() const {
 }
 
 void IncrementalMiner::Observe(const Trajectory& history) {
-  HPM_CHECK(history.size() >= observed_);
+  ObserveThrough(history, history.size());
+}
+
+void IncrementalMiner::ObserveThrough(const Trajectory& history,
+                                      size_t end) {
+  HPM_CHECK(end >= observed_ && end <= history.size());
   const size_t period = static_cast<size_t>(period_);
-  while (observed_ < history.size()) {
-    // Jump to the next period boundary (or the end of the history).
+  while (observed_ < end) {
+    // Jump to the next period boundary (or `end`).
     const size_t boundary = (observed_ / period + 1) * period;
-    observed_ = std::min(boundary, history.size());
+    observed_ = std::min(boundary, end);
     if (observed_ == boundary) FinalizePeriod(history);
   }
 }
@@ -149,13 +154,10 @@ void IncrementalMiner::FinalizePeriod(const Trajectory& history) {
   if (hooks_.demoted != nullptr && demoted > 0) {
     hooks_.demoted->Increment(demoted);
   }
-  if (window_end() > drift_from_) {
-    drift_ = drift_ * options_.drift_decay +
-             options_.crossing_weight *
-                 static_cast<double>(promoted + demoted) +
-             options_.unmatched_weight * (static_cast<double>(unmatched) /
-                                          static_cast<double>(period_));
-  }
+  drift_ = drift_ * options_.drift_decay +
+           options_.crossing_weight * static_cast<double>(promoted + demoted) +
+           options_.unmatched_weight * (static_cast<double>(unmatched) /
+                                        static_cast<double>(period_));
 }
 
 void IncrementalMiner::AdoptRegions(
@@ -166,7 +168,6 @@ void IncrementalMiner::AdoptRegions(
   regions_ = std::move(regions);
   masks_.assign(regions_->NumRegions(), 0);
   drift_ = 0.0;
-  drift_from_ = window_end();
   // Re-derive the masks under the new universe. Exact window supports
   // are a pure function of (window contents, regions), so this lands on
   // the state an always-on miner would hold — the invariant the
@@ -185,8 +186,15 @@ void IncrementalMiner::Prime(
     const Trajectory& history, size_t adopted_at,
     std::shared_ptr<const FrequentRegionSet> regions) {
   HPM_CHECK(observed_ == 0);
-  if (regions != nullptr) AdoptRegions(std::move(regions), history);
-  drift_from_ = adopted_at;
+  HPM_CHECK(adopted_at % static_cast<size_t>(period_) == 0 &&
+            adopted_at <= history.size());
+  // The live order: periods up to the adoption point pass without a
+  // region universe (they count nothing), the adoption recount re-bases
+  // the masks, and only later periods are counted as traffic.
+  if (regions != nullptr) {
+    ObserveThrough(history, adopted_at);
+    AdoptRegions(std::move(regions), history);
+  }
   Observe(history);
 }
 

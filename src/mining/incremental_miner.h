@@ -115,14 +115,15 @@ class IncrementalMiner {
   void AdoptRegions(std::shared_ptr<const FrequentRegionSet> regions,
                     const Trajectory& history);
 
-  /// Rebuilds miner state from a persisted history: adopts `regions`
-  /// (when non-null), then catches up with `history` with drift
-  /// suppressed up to absolute sample index `adopted_at` (the store's
-  /// consumed-samples mark — the point the serving model was last
-  /// rebuilt at). Because exact window counts are a pure function of
-  /// window contents, the primed miner matches the pre-crash miner's
-  /// counts and post-`adopted_at` drift exactly; see
-  /// prop_incremental_mining_test's crash/replay property.
+  /// Rebuilds miner state from a persisted history the way live ingest
+  /// built it: catches up through absolute sample index `adopted_at`
+  /// (the store's consumed-samples mark — the window end the serving
+  /// model was built at, a period multiple), adopts `regions` there
+  /// (when non-null), then observes the rest. Because exact window
+  /// counts are a pure function of window contents, the primed miner
+  /// matches the pre-crash miner's counts and post-`adopted_at` drift
+  /// exactly; see prop_incremental_mining_test's crash/replay property.
+  /// Stats and hooks count only the periods past `adopted_at`.
   void Prime(const Trajectory& history, size_t adopted_at,
              std::shared_ptr<const FrequentRegionSet> regions);
 
@@ -166,6 +167,8 @@ class IncrementalMiner {
   const MinerStats& stats() const { return stats_; }
 
  private:
+  /// Observe, stopping at absolute sample `end` (<= history.size()).
+  void ObserveThrough(const Trajectory& history, size_t end);
   void FinalizePeriod(const Trajectory& history);
   /// Maps the period starting at absolute sample `begin` of `history`
   /// onto the adopted regions: ascending distinct region ids into
@@ -202,9 +205,6 @@ class IncrementalMiner {
   size_t periods_seen_ = 0;
 
   double drift_ = 0.0;
-  /// Transactions ending at or before this absolute sample index do not
-  /// move drift (replay below the last rebuild point).
-  size_t drift_from_ = 0;
 
   MinerStats stats_;
 };

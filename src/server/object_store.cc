@@ -53,9 +53,6 @@ MovingObjectStore::MovingObjectStore(ObjectStoreOptions options)
   metrics_ = std::make_unique<StoreMetrics>(metrics_registry_.get());
   wal_disabled_ = std::make_unique<std::atomic<bool>>(false);
   generation_ = std::make_unique<std::atomic<uint64_t>>(0);
-  replaying_ = std::make_unique<std::atomic<bool>>(false);
-  scheduler_mu_ = std::make_unique<std::mutex>();
-  scheduler_ptr_ = std::make_unique<std::atomic<RebuildScheduler*>>(nullptr);
   EpochOptions epoch_options;
   epoch_options.pinned_counter = metrics_->epoch_pinned;
   epoch_options.retired_counter = metrics_->epoch_retired;
@@ -207,9 +204,7 @@ StatusOr<bool> MovingObjectStore::ApplyReplicated(const WalRecord& record) {
   // the next report), so it never fails the recovery.
   QueryPipeline pipeline(PipelineEnv(), StoreOp::kReport,
                          Deadline::Infinite());
-  (void)MaybeTrain(shard, record.id, pipeline,
-                   /*allow_background=*/
-                   !replaying_->load(std::memory_order_relaxed));
+  (void)MaybeTrain(shard, record.id, pipeline);
   return true;
 }
 
@@ -376,8 +371,7 @@ Status MovingObjectStore::Ingest(ObjectId id, const Point& location,
     return Status::OK();
   });
   HPM_RETURN_IF_ERROR(appended);
-  HPM_RETURN_IF_ERROR(MaybeTrain(shard, id, pipeline,
-                                 /*allow_background=*/true));
+  HPM_RETURN_IF_ERROR(MaybeTrain(shard, id, pipeline));
   if (HasContinuousQueries()) {
     pipeline.RunMerge([&] {
       const EpochManager::Guard guard = epoch_->Pin();
@@ -407,13 +401,8 @@ Status MovingObjectStore::ReportTrajectory(ObjectId id,
 }
 
 Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
-                                     QueryPipeline& pipeline,
-                                     bool allow_background) {
-  // Decide under the writer lock; mine outside it. `training_in_flight`
-  // keeps a second reporter of the same object from training it
-  // concurrently — it re-checks the threshold on its next report.
-  bool rebuild = false;
-  Trajectory training_input;
+                                     QueryPipeline& pipeline) {
+  // Decide under the writer lock; BuildModel re-takes it to capture.
   {
     std::lock_guard<std::mutex> lock(shard.write_mutex);
     ObjectRecord& record = *shard.records.at(id);
@@ -431,74 +420,13 @@ Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
     }
     // Training is the most expendable work in the system: under rung-1
     // pressure it is deferred outright — the thresholds stay satisfied,
-    // so the next report after pressure clears picks it up. (Background
-    // rebuilds get their own deferral in the scheduler's worker; the
-    // check here covers the inline paths.)
+    // so the next report after pressure clears picks it up.
     if (pipeline.ShouldShedNow(Deadline::Infinite())) {
       pipeline.context().CountDeferredTrain();
       return Status::OK();
     }
-    rebuild = record.predictor != nullptr;
-    if (!rebuild) {
-      training_input = record.history;
-      record.training_in_flight = true;
-    }
-    // A rebuild captures nothing here: RebuildObject re-examines the
-    // record under the lock itself (the state may move before a
-    // background worker gets to it) and sets the flag for its own
-    // capture/build/publish cycle.
   }
-
-  if (rebuild) {
-    if (!options_.rebuild.background || !allow_background) {
-      return RebuildObject(shard, id);
-    }
-    switch (EnsureScheduler()->Enqueue(id)) {
-      case RebuildScheduler::EnqueueResult::kQueued:
-        metrics_->rebuild_scheduled->Increment();
-        break;
-      case RebuildScheduler::EnqueueResult::kAlreadyPending:
-        break;
-      case RebuildScheduler::EnqueueResult::kDropped:
-        // Drift persists, so a later report re-requests the rebuild.
-        metrics_->rebuild_dropped->Increment();
-        break;
-    }
-    return Status::OK();
-  }
-
-  // Mining runs unlocked: readers keep serving the previous snapshot.
-  // Transient (kUnavailable) build failures — a wedged allocator, an
-  // injected fault — are retried with backoff before the swap is given
-  // up; the RNG is seeded from the object id so schedules replay.
-  ScopedSpan span(&pipeline.context().trace(), "train");
-  Random retry_rng(0x74726e5f72747279ULL ^ static_cast<uint64_t>(id));
-  StatusOr<std::unique_ptr<HybridPredictor>> built = RetryWithBackoff(
-      RetryPolicy{}, retry_rng,
-      [&]() -> StatusOr<std::unique_ptr<HybridPredictor>> {
-        return HybridPredictor::Train(training_input, options_.predictor);
-      });
-
-  std::lock_guard<std::mutex> lock(shard.write_mutex);
-  ObjectRecord& record = *shard.records.at(id);
-  record.training_in_flight = false;
-  if (!built.ok()) return built.status().Annotate("train");
-  record.predictor =
-      std::shared_ptr<const HybridPredictor>(std::move(*built));
-  // Every (re)train publishes a fresh frozen arena; the counter tracks
-  // total bytes built so dashboards see index growth across generations.
-  metrics_->tpt_frozen_bytes->Increment(
-      record.predictor->summary().tpt_frozen_bytes);
-  // Bootstrap handoff: from here on, refreshes are drift-triggered
-  // rebuilds from the miner's window.
-  record.miner.AdoptRegions(SharedRegions(record.predictor), record.history);
-  record.consumed_samples = record.miner.window_end();
-  // The swap the readers actually see: the new model generation becomes
-  // visible with this view publication, and the old view (holding the
-  // previous generation's last shared handle once readers drain) heads
-  // to limbo.
-  PublishView(record, BuildView(record));
-  return Status::OK();
+  return BuildModel(shard, id, &pipeline.context().trace());
 }
 
 std::shared_ptr<const FrequentRegionSet> MovingObjectStore::SharedRegions(
@@ -526,43 +454,12 @@ IncrementalMiner MovingObjectStore::NewMiner() const {
   return miner;
 }
 
-RebuildScheduler* MovingObjectStore::EnsureScheduler() {
-  if (RebuildScheduler* existing =
-          scheduler_ptr_->load(std::memory_order_acquire);
-      existing != nullptr) {
-    return existing;
-  }
-  std::lock_guard<std::mutex> lock(*scheduler_mu_);
-  if (RebuildScheduler* existing =
-          scheduler_ptr_->load(std::memory_order_acquire);
-      existing != nullptr) {
-    return existing;
-  }
-  // The worker captures `this`. Created only on the live-ingest path —
-  // after the store's address is final — never during LoadFromDirectory
-  // replay (see `replaying_`), so the movability contract holds.
-  RebuildScheduler::Options scheduler_options;
-  scheduler_options.max_pending = options_.rebuild.max_pending;
-  scheduler_options.deferred_counter = metrics_->rebuild_deferred;
-  scheduler_options.idle_priority = options_.rebuild.idle_priority;
-  scheduler_options.min_start_interval = options_.rebuild.min_rebuild_interval;
-  scheduler_ = std::make_unique<RebuildScheduler>(
-      scheduler_options,
-      [this](ObjectId id) { (void)RebuildObject(ShardFor(id), id); },
-      [this] {
-        return options_.degrade_queue_depth > 0 &&
-               pool_->queue_depth() >= options_.degrade_queue_depth;
-      });
-  scheduler_ptr_->store(scheduler_.get(), std::memory_order_release);
-  return scheduler_.get();
-}
-
-Status MovingObjectStore::RebuildObject(Shard& shard, ObjectId id) {
-  // Capture the rebuild window under the writer lock. Re-examine
-  // everything: between the drift trigger and this call (possibly much
-  // later, on the background worker) the record may have been rebuilt
-  // by someone else or have nothing new.
-  Trajectory window;
+Status MovingObjectStore::BuildModel(Shard& shard, ObjectId id,
+                                     Trace* trace) {
+  // Capture under the writer lock. `training_in_flight` keeps a second
+  // caller (another reporter of the same object, or FlushRebuilds) from
+  // building the object concurrently; it re-checks on its next call.
+  Trajectory input;
   std::shared_ptr<const HybridPredictor> previous;
   size_t consumed_at_capture = 0;
   {
@@ -570,71 +467,86 @@ Status MovingObjectStore::RebuildObject(Shard& shard, ObjectId id) {
     const auto it = shard.records.find(id);
     if (it == shard.records.end()) return Status::OK();
     ObjectRecord& record = *it->second;
-    if (record.predictor == nullptr || record.training_in_flight ||
-        record.miner.window_end() <= record.consumed_samples) {
-      return Status::OK();
-    }
-    StatusOr<Trajectory> slice = record.history.Slice(
-        static_cast<Timestamp>(record.miner.window_begin()),
-        static_cast<Timestamp>(record.miner.window_end()));
-    if (!slice.ok()) return slice.status();
-    window = std::move(*slice);
-    consumed_at_capture = record.miner.window_end();
+    if (record.training_in_flight) return Status::OK();
     previous = record.predictor;
+    if (previous == nullptr) {
+      // Bootstrap: the first model is mined from the whole history.
+      input = record.history;
+    } else {
+      if (record.miner.window_end() <= record.consumed_samples) {
+        return Status::OK();
+      }
+      StatusOr<Trajectory> window = record.history.Slice(
+          static_cast<Timestamp>(record.miner.window_begin()),
+          static_cast<Timestamp>(record.miner.window_end()));
+      if (!window.ok()) return window.status();
+      input = std::move(*window);
+    }
+    consumed_at_capture = record.miner.window_end();
     record.training_in_flight = true;
   }
 
   // Mine + freeze off-lock; readers keep serving `previous` throughout.
-  // On any failure the last-good model stays published and the drift
-  // that triggered us is still there to re-request the rebuild.
-  auto fail = [&](const Status& status) {
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    shard.records.at(id)->training_in_flight = false;
-    metrics_->rebuild_failed->Increment();
-    return status.Annotate("rebuild object " + std::to_string(id));
-  };
+  // Transient (kUnavailable) training failures — a wedged allocator, an
+  // injected fault — are retried with backoff; the RNG is seeded from
+  // the object id so schedules replay.
+  ScopedSpan span(trace, "train");
   const Stopwatch timer;
-  if (Status faulted = HPM_FAULT_HIT("rebuild/mine"); !faulted.ok()) {
-    return fail(faulted);
-  }
   StatusOr<std::unique_ptr<HybridPredictor>> built =
-      HybridPredictor::Train(window, options_.predictor);
-  if (!built.ok()) return fail(built.status());
-  if (Status faulted = HPM_FAULT_HIT("rebuild/freeze"); !faulted.ok()) {
-    return fail(faulted);
-  }
+      [&]() -> StatusOr<std::unique_ptr<HybridPredictor>> {
+    HPM_INJECT_FAULT("rebuild/mine");
+    Random retry_rng(0x74726e5f72747279ULL ^ static_cast<uint64_t>(id));
+    StatusOr<std::unique_ptr<HybridPredictor>> model = RetryWithBackoff(
+        RetryPolicy{}, retry_rng,
+        [&]() -> StatusOr<std::unique_ptr<HybridPredictor>> {
+          return HybridPredictor::Train(input, options_.predictor);
+        });
+    if (model.ok()) HPM_INJECT_FAULT("rebuild/freeze");
+    return model;
+  }();
 
   std::lock_guard<std::mutex> lock(shard.write_mutex);
   ObjectRecord& record = *shard.records.at(id);
   record.training_in_flight = false;
-  if (Status faulted = HPM_FAULT_HIT("rebuild/publish"); !faulted.ok()) {
-    metrics_->rebuild_failed->Increment();
-    return faulted.Annotate("rebuild object " + std::to_string(id));
+  if (built.ok()) {
+    if (Status faulted = HPM_FAULT_HIT("rebuild/publish"); !faulted.ok()) {
+      built = faulted;
+    }
+  }
+  // On any failure the last-good model (if any) stays published, and
+  // the threshold that called us still holds to re-request the build.
+  // rebuild.* count replacements of a published model only.
+  if (!built.ok()) {
+    if (previous != nullptr) metrics_->rebuild_failed->Increment();
+    return built.status().Annotate("train object " + std::to_string(id));
   }
   record.predictor =
       std::shared_ptr<const HybridPredictor>(std::move(*built));
-  // Monotonic aggregate query counters survive the swap.
-  record.predictor->CarryCountersFrom(*previous);
+  // Every build publishes a fresh frozen arena; the counter tracks total
+  // bytes built so dashboards see index growth across generations.
   metrics_->tpt_frozen_bytes->Increment(
       record.predictor->summary().tpt_frozen_bytes);
-  // Adopt the rebuilt model's region vocabulary: the recount aligns the
+  if (previous != nullptr) {
+    // Monotonic aggregate query counters survive the swap.
+    record.predictor->CarryCountersFrom(*previous);
+    metrics_->rebuild_completed->Increment();
+    metrics_->rebuild_build_us->RecordMicros(
+        static_cast<uint64_t>(timer.ElapsedMicros()));
+  }
+  // Adopt the new model's region vocabulary: the recount aligns the
   // miner's counts with the new universe, and drift restarts from this
   // publish.
   record.consumed_samples = consumed_at_capture;
   record.miner.AdoptRegions(SharedRegions(record.predictor), record.history);
+  // The swap the readers actually see: the new model generation becomes
+  // visible with this view publication, and the old view (holding the
+  // previous generation's last shared handle once readers drain) heads
+  // to limbo.
   PublishView(record, BuildView(record));
-  metrics_->rebuild_completed->Increment();
-  metrics_->rebuild_build_us->RecordMicros(
-      static_cast<uint64_t>(timer.ElapsedMicros()));
   return Status::OK();
 }
 
 Status MovingObjectStore::FlushRebuilds() {
-  if (RebuildScheduler* scheduler =
-          scheduler_ptr_->load(std::memory_order_acquire);
-      scheduler != nullptr) {
-    scheduler->Drain();
-  }
   Status first = Status::OK();
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::vector<ObjectId> pending;
@@ -648,7 +560,7 @@ Status MovingObjectStore::FlushRebuilds() {
       }
     }
     for (const ObjectId id : pending) {
-      if (Status rebuilt = RebuildObject(*shard, id);
+      if (Status rebuilt = BuildModel(*shard, id, /*trace=*/nullptr);
           !rebuilt.ok() && first.ok()) {
         first = rebuilt;
       }

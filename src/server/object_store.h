@@ -57,7 +57,6 @@
 #include "mining/incremental_miner.h"
 #include "server/batch_executor.h"
 #include "server/query_pipeline.h"
-#include "server/rebuild_scheduler.h"
 #include "server/store_types.h"
 
 namespace hpm {
@@ -109,14 +108,6 @@ struct DurabilityOptions {
 /// its drift score reaches `drift_threshold` (docs/ARCHITECTURE.md has
 /// the counts → drift → rebuild → freeze → publish walkthrough).
 struct RebuildOptions {
-  /// Where rebuilds run. false (default): inline on the reporting
-  /// thread — deterministic, what the differential and crash/replay
-  /// tests use. true: a background worker (RebuildScheduler) rebuilds
-  /// off the reporting hot path and the last-good model keeps serving
-  /// meanwhile. WAL replay and LoadFromDirectory always rebuild inline
-  /// regardless, so recovery is deterministic.
-  bool background = false;
-
   /// Per-object miner configuration (window length, drift scoring).
   /// region_match_slack is overridden with the predictor's value so the
   /// miner maps points exactly as training does.
@@ -126,25 +117,6 @@ struct RebuildOptions {
   /// decayed sum of support-crossing and unmatched-point events, so
   /// "3.0" roughly means three recent pattern-set changes.
   double drift_threshold = 3.0;
-
-  /// Bound on the background queue; a full queue drops the request
-  /// (rebuild.dropped) and drift re-requests it on a later report.
-  size_t max_pending = 64;
-
-  /// Minimum gap between background rebuild starts (0 = unthrottled).
-  /// When the whole fleet drifts at once this turns the rebuild storm
-  /// into a steady trickle; skipped objects stay queued or are
-  /// re-requested by their drift score. FlushRebuilds overrides it.
-  std::chrono::milliseconds min_rebuild_interval{0};
-
-  /// Run the rebuild worker at idle scheduling priority (SCHED_IDLE on
-  /// Linux; no-op elsewhere): rebuilds then consume only spare CPU and
-  /// a waking query or ingest thread preempts a running build instead
-  /// of time-slicing against it. This is how "training ranks below
-  /// query traffic" holds even when the machine has no free core.
-  /// Quiesce points (FlushRebuilds) still work — the drainer sleeps,
-  /// which is exactly what lets an idle-priority worker run.
-  bool idle_priority = true;
 };
 
 /// Store configuration.
@@ -215,9 +187,7 @@ struct ObjectStoreOptions {
   /// default (empty wal_dir) keeps ingest memory-only between snapshots.
   DurabilityOptions durability;
 
-  /// Drift-triggered model rebuilds. NOTE: with `rebuild.background`,
-  /// the store must not be moved once reports have been ingested — the
-  /// lazily created background worker holds the store's address.
+  /// Drift-triggered model rebuilds.
   RebuildOptions rebuild;
 
   /// When set, every entry-point call records a per-query Trace (pipeline
@@ -241,11 +211,10 @@ class MovingObjectStore {
 
   /// Appends one location sample for `id` at the object's next
   /// timestamp (each object's clock starts at 0 and advances by 1 per
-  /// report). Training and inline rebuilds run on the reporting
-  /// thread when their thresholds are crossed — but outside the shard
-  /// lock, against a history/model snapshot, so concurrent readers of
-  /// the same shard are never blocked behind mining; their errors
-  /// propagate. Concurrent reports for the *same* object are safe but
+  /// report). Training and rebuilds run on the reporting thread when
+  /// their thresholds are crossed — but outside the shard lock, against
+  /// a history/model snapshot, so concurrent readers of the same shard
+  /// are never blocked behind mining; their errors propagate. Concurrent reports for the *same* object are safe but
   /// their relative order (and thus the object's trajectory) is up to
   /// the scheduler; give each object one reporting thread for
   /// deterministic histories.
@@ -435,10 +404,10 @@ class MovingObjectStore {
   StatusOr<bool> ApplyReplicated(const WalRecord& record);
 
   /// ---- Model maintenance (RebuildOptions) -----------------------------
-  /// Quiesce point: drains the background rebuild queue, then runs any
-  /// still-pending rebuilds inline. After it returns, every trained
-  /// object's model reflects its miner's current window — the
-  /// deterministic state the differential tests compare.
+  /// Quiesce point: rebuilds every trained object whose miner window has
+  /// moved past the samples its model consumed, drift or not. After it
+  /// returns, every trained object's model reflects its miner's current
+  /// window — the deterministic state the differential tests compare.
   Status FlushRebuilds();
 
   /// Introspection snapshot of one object's miner, for tests and
@@ -643,15 +612,12 @@ class MovingObjectStore {
   /// writers attach, so replay never re-journals itself.
   void ReplayWal(uint64_t loaded_gen);
 
-  /// Runs the initial training for `id` once enough periods exist, or a
-  /// rebuild once its miner's drift score reaches the threshold, mining
-  /// outside the shard lock. Under rung-1 pressure the train is
-  /// deferred — query traffic outranks model refreshes; the thresholds
-  /// re-fire on a later report. A rebuild runs inline unless background
-  /// rebuilds are configured and `allow_background` is true (it is
-  /// false during WAL replay).
-  Status MaybeTrain(Shard& shard, ObjectId id, QueryPipeline& pipeline,
-                    bool allow_background);
+  /// Decides whether `id` needs a model build: the initial training once
+  /// enough periods exist, or a rebuild once its miner's drift score
+  /// reaches the threshold; then runs it through BuildModel. Under
+  /// rung-1 pressure the build is deferred — query traffic outranks
+  /// model refreshes; the thresholds re-fire on a later report.
+  Status MaybeTrain(Shard& shard, ObjectId id, QueryPipeline& pipeline);
 
   /// ---- Model maintenance internals -------------------------------------
   /// A fresh miner configured from options_ (period, mining params and
@@ -664,18 +630,19 @@ class MovingObjectStore {
   static std::shared_ptr<const FrequentRegionSet> SharedRegions(
       const std::shared_ptr<const HybridPredictor>& model);
 
-  /// One drift-triggered rebuild of `id`: captures the miner's window
-  /// under the shard lock, mines + freezes a fresh model off-lock
-  /// (fault sites "rebuild/mine" and "rebuild/freeze"), then re-locks
-  /// and publishes it via the epoch snapshot swap ("rebuild/publish").
-  /// Any failure leaves the last-good model serving and counts
-  /// rebuild.failed. Safe to call for ids with nothing to do.
-  Status RebuildObject(Shard& shard, ObjectId id);
-
-  /// The background worker, created lazily on the first background
-  /// enqueue (never during load/replay, so LoadFromDirectory's returned
-  /// store is still movable until it starts ingesting).
-  RebuildScheduler* EnsureScheduler();
+  /// The one model-build cycle, shared by the bootstrap train, drift
+  /// rebuilds and FlushRebuilds. Captures under the shard lock — the
+  /// whole history when `id` has no model, else the miner's window —
+  /// then mines + freezes off-lock (fault sites "rebuild/mine" and
+  /// "rebuild/freeze", training retried on transient faults), then
+  /// re-locks and publishes via the epoch snapshot swap
+  /// ("rebuild/publish"), consuming the window end seen at capture.
+  /// Any failure leaves the last-good model (if any) serving; replacing
+  /// a published model counts rebuild.*. Opens a "train" span on
+  /// `trace` (may be null). The caller decides a build is due; a no-op
+  /// for unknown ids, for an object already being built, and for a
+  /// model whose window has not moved since it was published.
+  Status BuildModel(Shard& shard, ObjectId id, Trace* trace);
 
   /// One shard's share of PredictiveRangeQuery / NearestNeighbors,
   /// running as a fan-out lane of `ctx`: pin the epoch in the lane's
@@ -716,16 +683,6 @@ class MovingObjectStore {
   /// Destroyed before everything above it, so draining its limbo (which
   /// bumps the epoch.* counters) still has a live metrics registry.
   std::unique_ptr<EpochManager> epoch_;
-  /// True while ReplayWal is feeding records back through the ingest
-  /// path; forces rebuilds inline (deterministic recovery, and no
-  /// background worker is created while the store may still be moved).
-  std::unique_ptr<std::atomic<bool>> replaying_;
-  /// Background rebuild worker, created lazily by EnsureScheduler.
-  /// Declared after epoch_ so it is destroyed (worker joined) while the
-  /// epoch manager, shards and metrics it uses are still alive.
-  std::unique_ptr<std::mutex> scheduler_mu_;
-  std::unique_ptr<std::atomic<RebuildScheduler*>> scheduler_ptr_;
-  std::unique_ptr<RebuildScheduler> scheduler_;
 };
 
 }  // namespace hpm

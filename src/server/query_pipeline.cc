@@ -53,11 +53,8 @@ StoreMetrics::StoreMetrics(MetricsRegistry* registry) {
   miner_unmatched_points = registry->GetCounter("miner.unmatched_points");
   miner_promoted = registry->GetCounter("miner.promoted");
   miner_demoted = registry->GetCounter("miner.demoted");
-  rebuild_scheduled = registry->GetCounter("rebuild.scheduled");
   rebuild_completed = registry->GetCounter("rebuild.completed");
   rebuild_failed = registry->GetCounter("rebuild.failed");
-  rebuild_deferred = registry->GetCounter("rebuild.deferred");
-  rebuild_dropped = registry->GetCounter("rebuild.dropped");
   rebuild_build_us = registry->GetHistogram("rebuild.build_us");
   stage_admit = registry->GetHistogram("stage.admit_us");
   stage_plan = registry->GetHistogram("stage.plan_us");

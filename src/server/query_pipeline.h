@@ -98,19 +98,16 @@ struct StoreMetrics {
   Counter* wal_disabled;
   /// Files moved into <dir>/quarantine/ by this store's load + replay.
   Counter* quarantined_files;
-  /// Incremental pattern maintenance (server/rebuild_scheduler.h and
-  /// mining/incremental_miner.h; see docs/OBSERVABILITY.md for the row
-  /// semantics). miner.* counts stream-side maintenance events;
-  /// rebuild.* counts background model-rebuild lifecycle events.
+  /// Incremental pattern maintenance (mining/incremental_miner.h; see
+  /// docs/OBSERVABILITY.md for the row semantics). miner.* counts
+  /// stream-side maintenance events; rebuild.* counts replacements of a
+  /// published model.
   Counter* miner_transactions;
   Counter* miner_unmatched_points;
   Counter* miner_promoted;
   Counter* miner_demoted;
-  Counter* rebuild_scheduled;
   Counter* rebuild_completed;
   Counter* rebuild_failed;
-  Counter* rebuild_deferred;
-  Counter* rebuild_dropped;
 
   LatencyHistogram* rebuild_build_us;
   LatencyHistogram* stage_admit;

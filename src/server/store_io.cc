@@ -386,10 +386,7 @@ Status MovingObjectStore::SaveToDirectory(
 
 void MovingObjectStore::ReplayWal(uint64_t loaded_gen) {
   // Replayed records run the full ingest path (miner feed + training
-  // thresholds), but rebuilds must happen inline: recovery has to be
-  // deterministic, and the background worker must not be created while
-  // the freshly loaded store may still be moved.
-  replaying_->store(true, std::memory_order_relaxed);
+  // thresholds), so the replayed store builds the models live ingest did.
   const std::string& wal_dir = options_.durability.wal_dir;
   const size_t cap = options_.durability.max_quarantine_files;
   // Replay halts per shard at the first corrupt segment: records past a
@@ -437,7 +434,6 @@ void MovingObjectStore::ReplayWal(uint64_t loaded_gen) {
       halted.push_back(info.shard);
     }
   }
-  replaying_->store(false, std::memory_order_relaxed);
 }
 
 StatusOr<MovingObjectStore> MovingObjectStore::LoadFromDirectory(
@@ -478,7 +474,19 @@ StatusOr<MovingObjectStore> MovingObjectStore::LoadFromDirectory(
     HPM_RETURN_IF_ERROR(ParseManifest(*manifest, &entries));
 
     MovingObjectStore store(options);
+    const size_t period =
+        static_cast<size_t>(options.predictor.regions.period);
     for (const ManifestEntry& entry : entries) {
+      // A consumed mark is the window end a model was built at: a period
+      // multiple inside the history, and zero for an untrained object.
+      // Anything else means the manifest itself is corrupt.
+      *bad_file = manifest_path;
+      if (entry.consumed > entry.history_len ||
+          entry.consumed % period != 0 ||
+          (entry.consumed != 0 && !entry.has_model)) {
+        return Status::DataLoss("corrupt consumed count for object " +
+                                std::to_string(entry.id));
+      }
       const std::string csv_path = CsvPath(directory, entry.id, gen);
       *bad_file = csv_path;
       StatusOr<std::string> csv = ReadStoreFile(csv_path, retry_rng);
@@ -490,10 +498,6 @@ StatusOr<MovingObjectStore> MovingObjectStore::LoadFromDirectory(
       if (!history.ok()) return history.status();
       if (history->size() != entry.history_len) {
         return Status::DataLoss("history length mismatch for object " +
-                                std::to_string(entry.id));
-      }
-      if (entry.consumed > entry.history_len) {
-        return Status::DataLoss("corrupt consumed count for object " +
                                 std::to_string(entry.id));
       }
       auto record =

@@ -386,7 +386,6 @@ ObjectStoreOptions StoreOptions(const MiningCase& c, const std::string& dir) {
   options.min_training_periods = 4;
   options.recent_window = 5;
   options.num_shards = 2;
-  options.rebuild.background = false;  // deterministic inline rebuilds
   options.rebuild.drift_threshold = 1.5;
   options.rebuild.miner.window_periods = c.window_periods + 2;
   if (!dir.empty()) options.durability.wal_dir = dir + "/wal";

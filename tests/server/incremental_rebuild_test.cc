@@ -1,18 +1,16 @@
 // Incremental pattern maintenance + drift-triggered rebuilds (the
-// store's one model-maintenance path): scheduler mechanics, the sync-mode
-// differential against a from-scratch Train over the miner's window,
-// background publication, the rebuild kill points (last-good model
-// keeps serving) and WAL-replayed miner convergence.
+// store's one model-maintenance path): the differential against a
+// from-scratch Train over the miner's window, publication and metrics,
+// miner state across save/reload, the build kill points (last-good
+// model keeps serving, the bootstrap publishes nothing) and
+// WAL-replayed miner convergence.
 //
 // The kill-point and WAL cases need the compiled-in fault hooks and
 // skip themselves in plain builds.
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +20,6 @@
 #include "common/random.h"
 #include "core/hybrid_predictor.h"
 #include "server/object_store.h"
-#include "server/rebuild_scheduler.h"
 
 namespace hpm {
 namespace {
@@ -37,7 +34,7 @@ Point Route(ObjectId id, Timestamp offset, int variant) {
           500.0 + 1000.0 * static_cast<double>(id)};
 }
 
-ObjectStoreOptions StoreOptions(bool background) {
+ObjectStoreOptions StoreOptions() {
   ObjectStoreOptions options;
   options.predictor.regions.period = kPeriod;
   options.predictor.regions.dbscan.eps = 15.0;
@@ -48,7 +45,6 @@ ObjectStoreOptions StoreOptions(bool background) {
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
   options.recent_window = 5;
-  options.rebuild.background = background;
   options.rebuild.drift_threshold = 1.0;
   options.rebuild.miner.window_periods = 8;
   return options;
@@ -90,98 +86,10 @@ std::string ReadSmallFile(const std::string& path) {
   return content;
 }
 
-// ---- RebuildScheduler mechanics ---------------------------------------
-
-TEST(RebuildSchedulerTest, RunsDeduplicatesAndBoundsTheQueue) {
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> runs{0};
-  RebuildScheduler::Options options;
-  options.max_pending = 2;
-  RebuildScheduler scheduler(
-      options,
-      [&](ObjectId) {
-        started.store(true);
-        while (!release.load()) std::this_thread::yield();
-        ++runs;
-      },
-      [] { return false; });
-
-  // The worker picks up the first id and blocks in the rebuild, leaving
-  // the queue itself empty.
-  EXPECT_EQ(scheduler.Enqueue(1), RebuildScheduler::EnqueueResult::kQueued);
-  while (!started.load()) std::this_thread::yield();
-
-  EXPECT_EQ(scheduler.Enqueue(2), RebuildScheduler::EnqueueResult::kQueued);
-  EXPECT_EQ(scheduler.Enqueue(2),
-            RebuildScheduler::EnqueueResult::kAlreadyPending);
-  EXPECT_EQ(scheduler.Enqueue(3), RebuildScheduler::EnqueueResult::kQueued);
-  EXPECT_EQ(scheduler.Enqueue(4), RebuildScheduler::EnqueueResult::kDropped);
-
-  release.store(true);
-  scheduler.Drain();
-  EXPECT_EQ(runs.load(), 3);
-  EXPECT_EQ(scheduler.pending(), 0u);
-}
-
-TEST(RebuildSchedulerTest, DefersWhileUnderPressure) {
-  std::atomic<bool> pressure{true};
-  std::atomic<int> runs{0};
-  Counter deferred;
-  RebuildScheduler::Options options;
-  options.defer_backoff = std::chrono::milliseconds(1);
-  options.deferred_counter = &deferred;
-  RebuildScheduler scheduler(
-      options, [&](ObjectId) { ++runs; },
-      [&] { return pressure.load(); });
-
-  ASSERT_EQ(scheduler.Enqueue(7), RebuildScheduler::EnqueueResult::kQueued);
-  while (deferred.value() < 3) std::this_thread::yield();
-  EXPECT_EQ(runs.load(), 0);  // query traffic outranks the rebuild
-
-  pressure.store(false);
-  scheduler.Drain();
-  EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(RebuildSchedulerTest, DestructionDropsQueuedWork) {
-  std::atomic<int> runs{0};
-  RebuildScheduler::Options options;
-  options.defer_backoff = std::chrono::milliseconds(1);
-  {
-    RebuildScheduler scheduler(
-        options, [&](ObjectId) { ++runs; }, [] { return true; });
-    scheduler.Enqueue(1);
-    scheduler.Enqueue(2);
-    // Permanent pressure: the worker only defers until the destructor
-    // stops it. Queued-but-unstarted work is dropped, never run.
-  }
-  EXPECT_EQ(runs.load(), 0);
-}
-
-TEST(RebuildSchedulerTest, ThrottleSpacesStartsAndDrainOverridesIt) {
-  std::atomic<int> runs{0};
-  RebuildScheduler::Options options;
-  // Far beyond the test's lifetime: only the first rebuild may start on
-  // its own; the second waits until Drain overrides the throttle.
-  options.min_start_interval = std::chrono::hours(1);
-  RebuildScheduler scheduler(
-      options, [&](ObjectId) { ++runs; }, nullptr);
-  scheduler.Enqueue(1);
-  scheduler.Enqueue(2);
-  while (runs.load() < 1) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(runs.load(), 1);  // throttled, not lost
-  EXPECT_EQ(scheduler.pending(), 1u);
-  scheduler.Drain();
-  EXPECT_EQ(runs.load(), 2);
-  EXPECT_EQ(scheduler.pending(), 0u);
-}
-
 // ---- The sync-mode differential ---------------------------------------
 
 TEST(IncrementalRebuildTest, SyncRebuildEqualsTrainOverMinerWindow) {
-  MovingObjectStore store(StoreOptions(/*background=*/false));
+  MovingObjectStore store(StoreOptions());
   Random rng(99);
   Feed(store, 1, 6, /*variant=*/0, &rng);
   ASSERT_TRUE(store.GetPredictor(1).ok());  // bootstrapped at 5 periods
@@ -198,7 +106,7 @@ TEST(IncrementalRebuildTest, SyncRebuildEqualsTrainOverMinerWindow) {
   // Train over the miner's window produces — the rebuild is a pure
   // function of the window.
   const StatusOr<std::unique_ptr<HybridPredictor>> reference =
-      HybridPredictor::Train(state->window, StoreOptions(false).predictor);
+      HybridPredictor::Train(state->window, StoreOptions().predictor);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const StatusOr<std::shared_ptr<const HybridPredictor>> served =
       store.GetPredictor(1);
@@ -214,7 +122,7 @@ TEST(IncrementalRebuildTest, SyncRebuildEqualsTrainOverMinerWindow) {
 }
 
 TEST(IncrementalRebuildTest, MinerStateReportsDriftAndPatterns) {
-  MovingObjectStore store(StoreOptions(/*background=*/false));
+  MovingObjectStore store(StoreOptions());
   Random rng(7);
   Feed(store, 1, 6, 0, &rng);
   const StatusOr<MovingObjectStore::MinerSnapshot> state = store.MinerState(1);
@@ -235,10 +143,10 @@ TEST(IncrementalRebuildTest, MinerStateReportsDriftAndPatterns) {
   EXPECT_TRUE(defaults.FlushRebuilds().ok());
 }
 
-// ---- Background publication + metrics ---------------------------------
+// ---- Publication + metrics --------------------------------------------
 
-TEST(IncrementalRebuildTest, BackgroundRebuildPublishesOffTheHotPath) {
-  MovingObjectStore store(StoreOptions(/*background=*/true));
+TEST(IncrementalRebuildTest, DriftRebuildPublishesAndCounts) {
+  MovingObjectStore store(StoreOptions());
   Random rng(13);
   Feed(store, 1, 6, 0, &rng);
   const StatusOr<std::shared_ptr<const HybridPredictor>> before =
@@ -246,10 +154,12 @@ TEST(IncrementalRebuildTest, BackgroundRebuildPublishesOffTheHotPath) {
   ASSERT_TRUE(before.ok());
 
   Feed(store, 1, 8, 1, &rng);  // route change: drift triggers rebuilds
+  // Rebuilds run on the reporting thread: the drifting reports
+  // themselves replaced the model, before any flush.
+  EXPECT_GE(store.metrics_snapshot().counter("rebuild.completed"), 1u);
   ASSERT_TRUE(store.FlushRebuilds().ok());
 
   const MetricsSnapshot snapshot = store.metrics_snapshot();
-  EXPECT_GE(snapshot.counter("rebuild.scheduled"), 1u);
   EXPECT_GE(snapshot.counter("rebuild.completed"), 1u);
   EXPECT_EQ(snapshot.counter("rebuild.failed"), 0u);
   // Hooks count periods finalized after the first region adoption (the
@@ -260,7 +170,8 @@ TEST(IncrementalRebuildTest, BackgroundRebuildPublishesOffTheHotPath) {
   const LatencyHistogram::Snapshot* build_us =
       snapshot.histogram("rebuild.build_us");
   ASSERT_NE(build_us, nullptr);
-  EXPECT_GE(build_us->count, snapshot.counter("rebuild.completed"));
+  // One timing per replaced model; the bootstrap replaces none.
+  EXPECT_EQ(build_us->count, snapshot.counter("rebuild.completed"));
 
   // The swap actually published a new model, and it serves.
   const StatusOr<std::shared_ptr<const HybridPredictor>> after =
@@ -269,6 +180,44 @@ TEST(IncrementalRebuildTest, BackgroundRebuildPublishesOffTheHotPath) {
   EXPECT_NE(before->get(), after->get());
   const Timestamp tq = static_cast<Timestamp>(store.HistoryLength(1)) + 4;
   EXPECT_TRUE(store.PredictLocation(1, tq).ok());
+}
+
+TEST(IncrementalRebuildTest, ReloadCountsOnlyPeriodsPastTheConsumedMark) {
+  const std::string dir = FreshDir("incremental_rebuild_reload");
+  MovingObjectStore store(StoreOptions());
+  Random rng(21);
+  Feed(store, 1, 9, 0, &rng);  // bootstrap at 5 periods, then steady
+  const StatusOr<MovingObjectStore::MinerSnapshot> live = store.MinerState(1);
+  ASSERT_TRUE(live.ok());
+  ASSERT_EQ(live->consumed_samples, 5u * static_cast<size_t>(kPeriod));
+  // Live, the bootstrap adoption re-bases the counts and only the four
+  // later periods are traffic.
+  EXPECT_EQ(live->stats.transactions, 4u);
+  ASSERT_TRUE(store.SaveToDirectory(dir).ok());
+
+  StatusOr<MovingObjectStore> reloaded =
+      MovingObjectStore::LoadFromDirectory(dir, StoreOptions());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  const StatusOr<MovingObjectStore::MinerSnapshot> primed =
+      reloaded->MinerState(1);
+  ASSERT_TRUE(primed.ok());
+  // Priming replays the live order: the periods up to the consumed mark
+  // are re-based by the adoption recount, not counted as new traffic.
+  EXPECT_EQ(primed->stats.transactions, 4u);
+  EXPECT_EQ(primed->stats.promoted, live->stats.promoted);
+  EXPECT_EQ(primed->stats.demoted, live->stats.demoted);
+  EXPECT_EQ(reloaded->metrics_snapshot().counter("miner.transactions"), 4u);
+  // Counts and drift are unchanged by the reload.
+  EXPECT_EQ(primed->consumed_samples, live->consumed_samples);
+  EXPECT_EQ(primed->window_end, live->window_end);
+  EXPECT_EQ(primed->drift, live->drift);
+  ASSERT_EQ(primed->patterns.size(), live->patterns.size());
+  for (size_t i = 0; i < live->patterns.size(); ++i) {
+    EXPECT_EQ(primed->patterns[i].premise, live->patterns[i].premise);
+    EXPECT_EQ(primed->patterns[i].consequence, live->patterns[i].consequence);
+    EXPECT_EQ(primed->patterns[i].support, live->patterns[i].support);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---- Kill points ------------------------------------------------------
@@ -281,7 +230,7 @@ TEST(IncrementalRebuildFaultTest, EveryKillPointLeavesLastGoodServing) {
                            "rebuild/publish"}) {
     SCOPED_TRACE(site);
     FaultInjector::Global().Reset();
-    MovingObjectStore store(StoreOptions(/*background=*/false));
+    MovingObjectStore store(StoreOptions());
     Random rng(31);
     Feed(store, 1, 6, 0, &rng);  // one pending period past the bootstrap
     const StatusOr<std::shared_ptr<const HybridPredictor>> good =
@@ -318,16 +267,85 @@ TEST(IncrementalRebuildFaultTest, EveryKillPointLeavesLastGoodServing) {
 #endif
 }
 
+TEST(IncrementalRebuildFaultTest, BootstrapFailsAtTheFreezeKillPoint) {
+#ifndef HPM_ENABLE_FAULTS
+  GTEST_SKIP() << "fault hooks not compiled in (-DHPM_ENABLE_FAULTS=ON)";
+#else
+  // The bootstrap train runs the same capture → build → publish cycle
+  // as a rebuild, so the rebuild kill points bracket it too.
+  FaultInjector::Global().Reset();
+  MovingObjectStore store(StoreOptions());
+  Random rng(41);
+  Feed(store, 1, 4, 0, &rng);
+  for (Timestamp off = 0; off + 1 < kPeriod; ++off) {
+    ASSERT_TRUE(store.ReportLocation(1, Route(1, off, 0)).ok());
+  }
+  FaultRule rule;
+  rule.always = true;
+  FaultInjector::Global().Arm("rebuild/freeze", rule);
+  // The report completing the fifth period reaches the threshold; its
+  // build dies after mining, so nothing is published.
+  const Status failed = store.ReportLocation(1, Route(1, kPeriod - 1, 0));
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.message().find("train"), std::string::npos);
+  EXPECT_EQ(store.HistoryLength(1), 5u * static_cast<size_t>(kPeriod));
+  EXPECT_EQ(store.GetPredictor(1).status().code(),
+            StatusCode::kFailedPrecondition);
+  // A bootstrap replaces no model, so it is not a failed rebuild.
+  EXPECT_EQ(store.metrics_snapshot().counter("rebuild.failed"), 0u);
+
+  // The threshold still holds: the next report trains.
+  FaultInjector::Global().Disarm("rebuild/freeze");
+  ASSERT_TRUE(store.ReportLocation(1, Route(1, 0, 0)).ok());
+  EXPECT_TRUE(store.GetPredictor(1).ok());
+  const StatusOr<MovingObjectStore::MinerSnapshot> state = store.MinerState(1);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state->consumed_samples, 5u * static_cast<size_t>(kPeriod));
+  FaultInjector::Global().Reset();
+#endif
+}
+
+TEST(IncrementalRebuildFaultTest, RebuildRetriesATransientTrainFault) {
+#ifndef HPM_ENABLE_FAULTS
+  GTEST_SKIP() << "fault hooks not compiled in (-DHPM_ENABLE_FAULTS=ON)";
+#else
+  FaultInjector::Global().Reset();
+  MovingObjectStore store(StoreOptions());
+  Random rng(43);
+  Feed(store, 1, 6, 0, &rng);  // one pending period past the bootstrap
+  const StatusOr<std::shared_ptr<const HybridPredictor>> before =
+      store.GetPredictor(1);
+  ASSERT_TRUE(before.ok());
+
+  // Fail the first rebuild's first training attempt with a transient
+  // fault; the build's retry absorbs it.
+  FaultRule rule;
+  rule.nth_call = FaultInjector::Global().calls("core/train") + 1;
+  FaultInjector::Global().Arm("core/train", rule);
+  EXPECT_TRUE(store.FlushRebuilds().ok());
+  EXPECT_EQ(FaultInjector::Global().fires("core/train"), 1);
+
+  const MetricsSnapshot snapshot = store.metrics_snapshot();
+  EXPECT_EQ(snapshot.counter("rebuild.failed"), 0u);
+  EXPECT_EQ(snapshot.counter("rebuild.completed"), 1u);
+  const StatusOr<std::shared_ptr<const HybridPredictor>> after =
+      store.GetPredictor(1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(before->get(), after->get());
+  FaultInjector::Global().Reset();
+#endif
+}
+
 TEST(IncrementalRebuildFaultTest, WalReplayConvergesThroughTheMiner) {
 #ifndef HPM_ENABLE_FAULTS
   GTEST_SKIP() << "fault hooks not compiled in (-DHPM_ENABLE_FAULTS=ON)";
 #else
   const std::string dir = FreshDir("incremental_rebuild_wal");
-  ObjectStoreOptions durable_options = StoreOptions(/*background=*/false);
+  ObjectStoreOptions durable_options = StoreOptions();
   durable_options.durability.wal_dir = dir + "/wal";
 
   // The reference store sees the same reports, uninterrupted.
-  MovingObjectStore reference(StoreOptions(/*background=*/false));
+  MovingObjectStore reference(StoreOptions());
   {
     MovingObjectStore durable(durable_options);
     ASSERT_TRUE(durable.wal_durable());

@@ -501,6 +501,50 @@ TEST(ObjectStoreTest, LoadRejectsCorruptConsumedCount) {
             std::string::npos);
 }
 
+TEST(ObjectStoreTest, LoadRejectsConsumedWithoutModel) {
+  const std::string dir = SavedStoreDir("store_consumed_no_model");
+  const std::string manifest_name = CurrentManifestName(dir);
+  // A period multiple inside the history, but an untrained object has
+  // consumed nothing.
+  WriteManifest(dir, "object 3 20 20 0 " + CsvCrcHex(dir, 3) + "\n");
+  const Status status =
+      MovingObjectStore::LoadFromDirectory(dir, Options()).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("corrupt consumed count"),
+            std::string::npos);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/quarantine/" + manifest_name));
+}
+
+TEST(ObjectStoreTest, ConsumedOffAPeriodBoundaryFallsBackAGeneration) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/store_consumed_off_boundary";
+  std::filesystem::remove_all(dir);
+  Random rng(16);
+  MovingObjectStore store(Options());
+  for (int day = 0; day < 6; ++day) {
+    ASSERT_TRUE(store.ReportTrajectory(3, OnePeriod(3, &rng)).ok());
+  }
+  ASSERT_TRUE(store.SaveToDirectory(dir).ok());
+  ASSERT_TRUE(store.ReportTrajectory(3, OnePeriod(3, &rng)).ok());
+  ASSERT_TRUE(store.SaveToDirectory(dir).ok());
+  const std::string manifest_name = CurrentManifestName(dir);
+  const std::string manifest = ReadSmallFile(dir + "/" + manifest_name);
+  // The trained object consumed the 5-period bootstrap window (100
+  // samples); 101 is no window end.
+  const std::string line = "object 3 140 100 1 " + CsvCrcHex(dir, 3) + "\n";
+  ASSERT_NE(manifest.find(line), std::string::npos) << manifest;
+  WriteManifest(dir, "object 3 140 101 1 " + CsvCrcHex(dir, 3) + "\n");
+
+  // The vandalised generation is quarantined and the previous one loads.
+  auto restored = MovingObjectStore::LoadFromDirectory(dir, Options());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(std::filesystem::exists(dir + "/quarantine/" + manifest_name));
+  EXPECT_EQ(restored->HistoryLength(3), 6u * static_cast<size_t>(kPeriod));
+  EXPECT_EQ(restored->metrics_snapshot().counter("store.quarantined_files"),
+            1u);
+  EXPECT_TRUE(restored->GetPredictor(3).ok());
+}
+
 TEST(ObjectStoreTest, LoadRejectsManifestEntryWithoutCsv) {
   const std::string dir = SavedStoreDir("store_missing_csv");
   // References an object whose history file does not exist.
