@@ -47,6 +47,11 @@ struct ScoredHit {
 /// between objects, so steady state does no per-object allocation on the
 /// pattern side.
 struct PredictScratch {
+  /// The query being answered for the lane's current object. Refilled
+  /// per object, so its recent-movement vector keeps its capacity and a
+  /// fleet query copies each object's window without allocating.
+  PredictiveQuery query;
+
   /// TPT search output buffer.
   std::vector<FrozenTpt::Hit> tpt_hits;
 
@@ -134,7 +139,13 @@ class QueryContext {
   void CountObjectEvaluated() {
     objects_evaluated_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// One RMF fit performed (fallback or cold start).
+  /// Eligible objects a fleet query skipped because no location their
+  /// answer could take matters to it (the answer-bound prune).
+  void CountObjectsPruned(uint64_t n = 1) {
+    objects_pruned_.fetch_add(n, std::memory_order_relaxed);
+  }
+  /// One RMF fit performed (a miss of a view's memoised fit, or a fit
+  /// for a direct call that carries none).
   void CountMotionFit() {
     motion_fits_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -161,6 +172,7 @@ class QueryContext {
     uint64_t trains_deferred = 0;
     uint64_t reports_rejected = 0;
     uint64_t objects_evaluated = 0;
+    uint64_t objects_pruned = 0;
     uint64_t motion_fits = 0;
     uint64_t batch_interleaved = 0;
     uint64_t tpt_nodes_visited = 0;
@@ -175,6 +187,7 @@ class QueryContext {
     t.trains_deferred = trains_deferred_.load(std::memory_order_relaxed);
     t.reports_rejected = reports_rejected_.load(std::memory_order_relaxed);
     t.objects_evaluated = objects_evaluated_.load(std::memory_order_relaxed);
+    t.objects_pruned = objects_pruned_.load(std::memory_order_relaxed);
     t.motion_fits = motion_fits_.load(std::memory_order_relaxed);
     t.batch_interleaved = batch_interleaved_.load(std::memory_order_relaxed);
     t.tpt_nodes_visited = tpt_nodes_visited_.load(std::memory_order_relaxed);
@@ -197,6 +210,7 @@ class QueryContext {
   std::atomic<uint64_t> trains_deferred_{0};
   std::atomic<uint64_t> reports_rejected_{0};
   std::atomic<uint64_t> objects_evaluated_{0};
+  std::atomic<uint64_t> objects_pruned_{0};
   std::atomic<uint64_t> motion_fits_{0};
   std::atomic<uint64_t> batch_interleaved_{0};
   std::atomic<uint64_t> tpt_nodes_visited_{0};

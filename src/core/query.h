@@ -14,6 +14,7 @@
 
 namespace hpm {
 
+class MotionFit;
 class QueryContext;
 
 /// A spatio-temporal predictive query: "given these recent movements and
@@ -45,6 +46,12 @@ struct PredictiveQuery {
   /// Which of `context`'s scratch lanes this call may use exclusively.
   /// Meaningful only when context != nullptr.
   int lane = 0;
+
+  /// The memoised RMF fit of `recent_movements` under the answering
+  /// predictor's RMF options, or null to fit per call. The serving layer
+  /// passes its published view's fit here, so the motion-function answer
+  /// (fallback or degraded) reuses one fit across queries.
+  const MotionFit* motion = nullptr;
 
   /// Prediction length t_q - t_c.
   Timestamp PredictionLength() const { return query_time - current_time; }

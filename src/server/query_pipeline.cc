@@ -34,6 +34,7 @@ StoreMetrics::StoreMetrics(MetricsRegistry* registry) {
   trains_deferred = registry->GetCounter("store.trains_deferred");
   reports_rejected = registry->GetCounter("store.reports_rejected");
   objects_evaluated = registry->GetCounter("store.objects_evaluated");
+  objects_pruned = registry->GetCounter("store.objects_pruned");
   motion_fits = registry->GetCounter("store.motion_fits");
   batch_interleaved = registry->GetCounter("batch.interleaved");
   epoch_pinned = registry->GetCounter("epoch.pinned");
@@ -239,6 +240,7 @@ void QueryPipeline::Account() {
     m->trains_deferred->Increment(totals.trains_deferred);
     m->reports_rejected->Increment(totals.reports_rejected);
     m->objects_evaluated->Increment(totals.objects_evaluated);
+    m->objects_pruned->Increment(totals.objects_pruned);
     m->motion_fits->Increment(totals.motion_fits);
     m->batch_interleaved->Increment(totals.batch_interleaved);
     m->tpt_nodes_visited->Increment(totals.tpt_nodes_visited);
@@ -254,6 +256,7 @@ void QueryPipeline::Account() {
   Trace& trace = ctx_.trace();
   if (trace.enabled()) {
     trace.AddCounter("objects_evaluated", totals.objects_evaluated);
+    trace.AddCounter("objects_pruned", totals.objects_pruned);
     trace.AddCounter("degraded_predictions", totals.degraded_predictions);
     trace.AddCounter("shards_skipped", totals.shards_skipped);
     trace.AddCounter("motion_fits", totals.motion_fits);

@@ -74,6 +74,7 @@ struct StoreMetrics {
   Counter* trains_deferred;
   Counter* reports_rejected;
   Counter* objects_evaluated;
+  Counter* objects_pruned;
   Counter* motion_fits;
   /// Batch-executor stall interleaves: times it switched away from a
   /// yielded traversal to advance another query's.

@@ -250,5 +250,110 @@ TEST(EpochStressTest, AggressiveFreeChurnOnAHotObject) {
   EXPECT_GE(freed + 2, static_cast<uint64_t>(kReports) - 1);
 }
 
+// Each published view carries a memoised RMF fit that its first reader
+// computes, so a query's first use of a view writes into shared,
+// epoch-protected state. Readers race to fit views that the reporters
+// keep replacing: range and kNN queries at near horizons, with boxes
+// and targets on the live routes, bound every object (fitting its view)
+// and prune most of them, while point queries take their RMF answers
+// from the same fits. Under TSan an unsynchronised fit is a race; under
+// ASan a fit written after its view was freed is a use-after-free.
+TEST(EpochStressTest, ReadersShareEachViewsMotionFitWhileReportersRepublish) {
+  const uint64_t seed = proptest::SeedForTest(7417);
+  SCOPED_TRACE(proptest::ReplayLine(seed));
+  ObjectStoreOptions options = ChurnOptions();
+  // Fan-out inline on each reader: pool hand-offs go through the pool's
+  // mutex, which would order the readers' fits for TSan.
+  options.query_threads = 1;
+  MovingObjectStore store(options);
+  constexpr ObjectId kObjects = 6;
+  constexpr Timestamp kReports = 8 * kPeriod;
+  for (ObjectId id = 0; id < kObjects; ++id) {
+    for (Timestamp t = 0; t < 2; ++t) {
+      ASSERT_TRUE(store.ReportLocation(id, NoisySample(id, t, seed)).ok());
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> reader_failures{0};
+  std::atomic<int64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&store, &stop, &reader_failures, &reads, r, seed] {
+      Random rng(seed + static_cast<uint64_t>(r));
+      // Relaxed: a read-modify-write chain through `reads` would order
+      // the readers for TSan and hide a race between them.
+      for (int rounds = 0; !stop.load();
+           ++rounds, reads.fetch_add(1, std::memory_order_relaxed)) {
+        const ObjectId id = static_cast<ObjectId>(rng.Uniform(kObjects));
+        const Timestamp tq =
+            static_cast<Timestamp>(store.HistoryLength(id)) +
+            static_cast<Timestamp>(rng.Uniform(2 * kPeriod));
+        const Point at = NoisySample(id, tq, seed);
+        const BoundingBox box({at.x - 60.0, at.y - 60.0},
+                              {at.x + 60.0, at.y + 60.0});
+        switch (rounds % 3) {
+          case 0: {
+            const auto range = store.PredictiveRangeQuery(box, tq, 3);
+            if (!range.ok() || range->partial) {
+              reader_failures.fetch_add(1);
+              return;
+            }
+            for (const RangeHit& hit : range->hits) {
+              if (!box.Contains(hit.prediction.location)) {
+                reader_failures.fetch_add(1);
+              }
+            }
+            break;
+          }
+          case 1: {
+            const auto knn = store.PredictiveNearestNeighbors(at, tq, 2);
+            if (!knn.ok() || knn->partial || knn->hits.size() > 2) {
+              reader_failures.fetch_add(1);
+              return;
+            }
+            for (size_t i = 1; i < knn->hits.size(); ++i) {
+              if (SquaredDistance(knn->hits[i].prediction.location, at) <
+                  SquaredDistance(knn->hits[i - 1].prediction.location, at)) {
+                reader_failures.fetch_add(1);
+              }
+            }
+            break;
+          }
+          default: {
+            // A report may land first and pass tq: InvalidArgument.
+            const auto got = store.PredictLocation(id, tq, 2);
+            if (!got.ok() &&
+                got.status().code() != StatusCode::kInvalidArgument) {
+              reader_failures.fetch_add(1);
+              return;
+            }
+            break;
+          }
+        }
+      }
+    });
+  }
+
+  for (Timestamp t = 2; t < kReports; ++t) {
+    for (ObjectId id = 0; id < kObjects; ++id) {
+      ASSERT_TRUE(store.ReportLocation(id, NoisySample(id, t, seed)).ok());
+    }
+    // Keep the readers in step, so every tick's views get read.
+    while (reader_failures.load() == 0 &&
+           reads.load(std::memory_order_relaxed) < 4 * t * kReaders) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(reader_failures.load(), 0);
+
+  const MetricsSnapshot snap = store.metrics_snapshot();
+  EXPECT_GT(snap.counter("store.motion_fits"), 0u);
+  EXPECT_GT(snap.counter("store.objects_pruned"), 0u);
+  EXPECT_LE(snap.counter("epoch.freed"), snap.counter("epoch.retired"));
+}
+
 }  // namespace
 }  // namespace hpm

@@ -244,6 +244,73 @@ TEST(ObjectStoreTest, PredictiveNearestNeighborsOrdersByDistance) {
             StatusCode::kInvalidArgument);
 }
 
+// With no fault armed, no object can fail its shard's share of a fleet
+// query: every object the fan-out reaches answers (pattern, fallback,
+// cold-start or degraded), and every one it cannot answer is skipped
+// before evaluation. So range and kNN are OK and whole at every query
+// time, for single-report, cold, stationary and trained objects on
+// unrelated clocks, under any deadline — which is also what makes
+// skipping an object by its answer bound safe.
+TEST(ObjectStoreTest, FleetQueriesHaveNoPerObjectErrorPath) {
+  MovingObjectStore store(Options());
+  Random rng(12);
+  ASSERT_TRUE(store.ReportLocation(0, Route(0, 0)).ok());  // One report.
+  for (Timestamp t = 0; t < 3; ++t) {  // Cold.
+    ASSERT_TRUE(store.ReportLocation(1, Route(1, t)).ok());
+  }
+  for (Timestamp t = 0; t < 2; ++t) {  // Cold and stationary.
+    ASSERT_TRUE(store.ReportLocation(2, {4000.0, 4000.0}).ok());
+  }
+  for (ObjectId id : {3, 4}) {  // Trained, on different clocks.
+    for (int day = 0; day < 5 + static_cast<int>(id); ++day) {
+      ASSERT_TRUE(store.ReportTrajectory(id, OnePeriod(id, &rng)).ok());
+    }
+  }
+  for (Timestamp t = 0; t < 7; ++t) {
+    ASSERT_TRUE(store.ReportLocation(4, Route(4, t)).ok());
+  }
+  ASSERT_TRUE(store.GetPredictor(3).ok());
+  ASSERT_TRUE(store.GetPredictor(4).ok());
+
+  const BoundingBox everywhere({-1e7, -1e7}, {1e7, 1e7});
+  const BoundingBox tiny({4999.0, 4999.0}, {5001.0, 5001.0});
+  const Timestamp last = static_cast<Timestamp>(store.HistoryLength(4)) - 1;
+  for (Timestamp tq = 0; tq <= last + 2 * kPeriod; ++tq) {
+    size_t eligible = 0;
+    for (const ObjectId id : store.ObjectIds()) {
+      const size_t length = store.HistoryLength(id);
+      eligible += length >= 2 && static_cast<Timestamp>(length) - 1 < tq;
+    }
+    for (const Deadline& deadline :
+         {Deadline::Infinite(), Deadline::Expired()}) {
+      for (const int k : {1, 3, std::numeric_limits<int>::max()}) {
+        for (const BoundingBox& box : {everywhere, tiny}) {
+          const auto range = store.PredictiveRangeQuery(box, tq, k, deadline);
+          ASSERT_TRUE(range.ok()) << "tq " << tq << ": "
+                                  << range.status().ToString();
+          EXPECT_FALSE(range->partial) << "tq " << tq;
+          EXPECT_TRUE(range->skipped_shards.empty()) << "tq " << tq;
+          if (&box == &everywhere) {
+            EXPECT_EQ(range->hits.size(), eligible) << "tq " << tq;
+          }
+        }
+      }
+      for (const int n : {1, 3, 100}) {
+        const auto knn =
+            store.PredictiveNearestNeighbors({5000.0, 5000.0}, tq, n,
+                                             deadline);
+        ASSERT_TRUE(knn.ok()) << "tq " << tq << ": "
+                              << knn.status().ToString();
+        EXPECT_FALSE(knn->partial) << "tq " << tq;
+        EXPECT_EQ(knn->hits.size(),
+                  std::min(eligible, static_cast<size_t>(n)))
+            << "tq " << tq;
+      }
+    }
+  }
+  EXPECT_EQ(store.metrics_snapshot().counter("store.shards_skipped"), 0u);
+}
+
 TEST(ObjectStoreTest, ReportRejectsNonFiniteCoordinates) {
   MovingObjectStore store(Options());
   const double nan = std::nan("");

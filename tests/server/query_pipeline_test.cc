@@ -165,6 +165,24 @@ TEST(QueryPipelineTest, MotionFallbackAndEvaluationCountersFlow) {
   EXPECT_EQ(snap.counter("store.degraded_predictions"), 0u);
 }
 
+TEST(QueryPipelineTest, MotionFitsCountFitsNotAnswers) {
+  MovingObjectStore store(BaseOptions());
+  ASSERT_TRUE(store.ReportLocation(1, {0.0, 0.0}).ok());
+  ASSERT_TRUE(store.ReportLocation(1, {1.0, 1.0}).ok());
+  // One published view, one fit, however many queries and horizons.
+  ASSERT_TRUE(store.PredictLocation(1, 5).ok());
+  ASSERT_TRUE(store.PredictLocation(1, 9).ok());
+  const BoundingBox everywhere({-1e7, -1e7}, {1e7, 1e7});
+  ASSERT_TRUE(store.PredictiveRangeQuery(everywhere, 7).ok());
+  EXPECT_EQ(store.metrics_snapshot().counter("store.motion_fits"), 1u);
+  // A report publishes a new view, whose first RMF answer fits again.
+  ASSERT_TRUE(store.ReportLocation(1, {2.0, 2.0}).ok());
+  ASSERT_TRUE(store.PredictLocation(1, 5).ok());
+  const MetricsSnapshot snap = store.metrics_snapshot();
+  EXPECT_EQ(snap.counter("store.motion_fits"), 2u);
+  EXPECT_EQ(snap.counter("store.objects_evaluated"), 4u);
+}
+
 TEST(QueryPipelineTest, RejectedReportCountsWithoutConsumingAdmission) {
   MovingObjectStore store(BaseOptions());
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -282,6 +300,62 @@ TEST(QueryPipelineTest, TraceSinkReceivesStageSpansPerQuery) {
     }
   }
   EXPECT_TRUE(found_evaluated);
+}
+
+TEST(QueryPipelineTest, EvaluatedPlusPrunedIsEveryEligibleObject) {
+  ObjectStoreOptions options = BaseOptions();
+  TraceCollector collector;
+  options.trace_sink = collector.Sink();
+  MovingObjectStore store(options);
+  Random rng(43);
+  for (ObjectId id : {0, 1, 2, 3}) {
+    for (int day = 0; day < 5; ++day) {
+      ASSERT_TRUE(store.ReportTrajectory(id, OnePeriod(id, &rng)).ok());
+    }
+    for (Timestamp t = 0; t <= 5; ++t) {
+      ASSERT_TRUE(store.ReportLocation(id, Route(id, t)).ok());
+    }
+  }
+  for (ObjectId id : {10, 11}) {  // Cold.
+    for (Timestamp t = 0; t < 3; ++t) {
+      ASSERT_TRUE(store.ReportLocation(id, Route(id, t)).ok());
+    }
+  }
+  ASSERT_TRUE(store.ReportLocation(12, Route(12, 0)).ok());  // Ineligible.
+  constexpr uint64_t kEligible = 6;
+  const Timestamp tq = 5 * kPeriod + 10;
+
+  // A box around object 0's route at tq: the other routes' centres and
+  // RMF points all lie 1000 units away or more.
+  const Point at = Route(0, 10);
+  const BoundingBox box({at.x - 200.0, at.y - 200.0},
+                        {at.x + 200.0, at.y + 200.0});
+  const auto range = store.PredictiveRangeQuery(box, tq);
+  ASSERT_TRUE(range.ok());
+  const auto knn = store.PredictiveNearestNeighbors(at, tq, 1);
+  ASSERT_TRUE(knn.ok());
+  ASSERT_EQ(knn->hits.size(), 1u);
+  EXPECT_EQ(knn->hits[0].id, 0);
+
+  const MetricsSnapshot snap = store.metrics_snapshot();
+  const uint64_t pruned = snap.counter("store.objects_pruned");
+  EXPECT_GT(pruned, 0u);
+  EXPECT_EQ(snap.counter("store.objects_evaluated") + pruned, 2 * kEligible);
+
+  // Each fleet query's trace carries the same identity.
+  uint64_t traced = 0;
+  for (const char* op : {"range", "nearest"}) {
+    const CapturedTrace* trace = collector.FindOp(op);
+    ASSERT_NE(trace, nullptr) << op;
+    uint64_t evaluated = 0, skipped = 0;
+    for (const auto& [name, value] : trace->counters) {
+      if (name == "objects_evaluated") evaluated = value;
+      if (name == "objects_pruned") skipped = value;
+    }
+    EXPECT_EQ(evaluated + skipped, kEligible) << op;
+    traced += skipped;
+  }
+  EXPECT_EQ(traced, pruned);
 }
 
 TEST(QueryPipelineTest, NoSinkMeansNoTraceOverheadOrCallbacks) {
