@@ -362,6 +362,26 @@ TEST(HybridPredictorBqpTest, IntervalExpansionFindsSparseConsequences) {
   EXPECT_LT(std::min(error_a, error_b), 250.0);
 }
 
+TEST(HybridPredictorBqpTest, LastBackwardRoundIsTheFirstRoundReachingNow) {
+  // The closed form against its definition: the first round r >= 1 with
+  // tq - (r + 1) * t_eps <= now.
+  for (Timestamp t_eps = 1; t_eps <= 6; ++t_eps) {
+    for (Timestamp now = 0; now <= 12; ++now) {
+      for (Timestamp tq = now + 1; tq <= now + 80; ++tq) {
+        Timestamp want = 1;
+        while (tq - (want + 1) * t_eps > now) ++want;
+        EXPECT_EQ(LastBackwardRound(tq, now, t_eps), want)
+            << "tq " << tq << ", now " << now << ", t_eps " << t_eps;
+      }
+    }
+  }
+  // A far horizon needs no walk through the rounds.
+  const Timestamp far = 1000000000000;
+  const Timestamp round = LastBackwardRound(far + 7, 7, 3);
+  EXPECT_LE(far + 7 - (round + 1) * 3, 7);
+  EXPECT_GT(far + 7 - round * 3, 7);
+}
+
 TEST(HybridPredictorCountersTest, TotalsAddUpSingleThreaded) {
   auto predictor = HybridPredictor::Train(MakeHistory(40), SmallOptions());
   ASSERT_TRUE(predictor.ok());
