@@ -17,8 +17,8 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
-#include "tpt/brute_force_store.h"
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/brute_force_store.h"
+#include "tpt_reference/tpt_tree.h"
 
 namespace {
 

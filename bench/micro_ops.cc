@@ -10,8 +10,8 @@
 #include "mining/apriori.h"
 #include "mining/transaction.h"
 #include "motion/recursive_motion.h"
-#include "tpt/brute_force_store.h"
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/brute_force_store.h"
+#include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
 namespace {

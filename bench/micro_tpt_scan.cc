@@ -1,8 +1,13 @@
-// Micro-benchmarks for the TPT search hot loop: the mutable pointer tree
-// vs the frozen arena, across pattern-set sizes and both search modes,
-// plus the raw word-wise Intersect/Contain primitives on packed blocks.
-// This is the bench behind the PR that introduced FrozenTpt — run it on
-// both sides of a hot-loop change before trusting the fleet numbers.
+// Micro-benchmarks for the TPT, across pattern-set sizes:
+//   - build: FrozenTpt::Pack (sort and pack, what models use) against the
+//     reference TptTree's Algorithm 1 insertion followed by Freeze;
+//   - search, both modes: the reference pointer tree, its frozen arena
+//     and the packed arena, the two arenas reporting `entries_tested`
+//     and `blocks_scanned` per query;
+//   - the raw word-wise Intersect/Contain primitives on packed blocks.
+// Run it on both sides of a build or hot-loop change before trusting the
+// fleet numbers:
+//   ./build/bench/micro_tpt_scan --benchmark_filter=Build
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +16,7 @@
 #include "bitset/word_ops.h"
 #include "common/random.h"
 #include "tpt/frozen_tpt.h"
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
 namespace {
@@ -44,6 +49,21 @@ std::vector<IndexedPattern> RandomPatterns(int count, uint64_t seed) {
   return patterns;
 }
 
+/// The packed arena of `patterns` at the default node capacity.
+FrozenTpt PackedArena(const std::vector<IndexedPattern>& patterns) {
+  std::vector<PatternKey> keys;
+  std::vector<LeafPayload> payloads;
+  for (const IndexedPattern& p : patterns) {
+    keys.push_back(p.key);
+    payloads.push_back(
+        LeafPayload{p.confidence, p.consequence_region, p.pattern_id, 0});
+  }
+  StatusOr<FrozenTpt> packed =
+      FrozenTpt::Pack(keys, payloads, TptOptions{}.max_node_entries);
+  HPM_CHECK(packed.ok());
+  return std::move(*packed);
+}
+
 /// One query per iteration from a fixed pool, so the loop measures the
 /// scan rather than one lucky (or unlucky) key's pruning profile.
 std::vector<PatternKey> QueryPool(uint64_t seed) {
@@ -68,20 +88,38 @@ void BM_TreeSearch(benchmark::State& state, SearchMode mode) {
   }
 }
 
+/// Searches `arena` with the query pool and reports the mean pruning
+/// counts per query.
+void SearchArena(benchmark::State& state, const FrozenTpt& arena,
+                 SearchMode mode) {
+  const std::vector<PatternKey> queries = QueryPool(12);
+  std::vector<FrozenTpt::Hit> hits;
+  TptSearchStats stats;
+  size_t q = 0;
+  for (auto _ : state) {
+    arena.SearchInto(queries[q], mode, &hits, &stats);
+    benchmark::DoNotOptimize(hits.data());
+    q = (q + 1) % queries.size();
+  }
+  const double searches = static_cast<double>(state.iterations());
+  state.counters["entries_tested"] =
+      static_cast<double>(stats.entries_tested) / searches;
+  state.counters["blocks_scanned"] =
+      static_cast<double>(stats.blocks_scanned) / searches;
+}
+
 void BM_FrozenSearch(benchmark::State& state, SearchMode mode) {
   const std::vector<IndexedPattern> patterns =
       RandomPatterns(static_cast<int>(state.range(0)), 11);
   StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
   HPM_CHECK(tree.ok());
-  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
-  const std::vector<PatternKey> queries = QueryPool(12);
-  std::vector<FrozenTpt::Hit> hits;
-  size_t q = 0;
-  for (auto _ : state) {
-    frozen.SearchInto(queries[q], mode, &hits);
-    benchmark::DoNotOptimize(hits.data());
-    q = (q + 1) % queries.size();
-  }
+  SearchArena(state, tree->Freeze(), mode);
+}
+
+void BM_PackedSearch(benchmark::State& state, SearchMode mode) {
+  SearchArena(state,
+              PackedArena(RandomPatterns(static_cast<int>(state.range(0)), 11)),
+              mode);
 }
 
 void BM_TptTreeSearchFqp(benchmark::State& state) {
@@ -96,10 +134,56 @@ void BM_FrozenTptSearchFqp(benchmark::State& state) {
 void BM_FrozenTptSearchBqp(benchmark::State& state) {
   BM_FrozenSearch(state, SearchMode::kConsequenceOnly);
 }
+void BM_PackedTptSearchFqp(benchmark::State& state) {
+  BM_PackedSearch(state, SearchMode::kPremiseAndConsequence);
+}
+void BM_PackedTptSearchBqp(benchmark::State& state) {
+  BM_PackedSearch(state, SearchMode::kConsequenceOnly);
+}
 BENCHMARK(BM_TptTreeSearchFqp)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_FrozenTptSearchFqp)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_PackedTptSearchFqp)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TptTreeSearchBqp)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_FrozenTptSearchBqp)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_PackedTptSearchBqp)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/// Builds from the search benchmarks' pattern sets. The input copy each
+/// iteration takes is part of both timings.
+void BM_BuildInsertThenFreeze(benchmark::State& state) {
+  const std::vector<IndexedPattern> patterns =
+      RandomPatterns(static_cast<int>(state.range(0)), 11);
+  for (auto _ : state) {
+    StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
+    HPM_CHECK(tree.ok());
+    const FrozenTpt frozen = tree->Freeze();
+    benchmark::DoNotOptimize(frozen.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_BuildPack(benchmark::State& state) {
+  const std::vector<IndexedPattern> patterns =
+      RandomPatterns(static_cast<int>(state.range(0)), 11);
+  std::vector<PatternKey> keys;
+  std::vector<LeafPayload> payloads;
+  for (const IndexedPattern& p : patterns) {
+    keys.push_back(p.key);
+    payloads.push_back(
+        LeafPayload{p.confidence, p.consequence_region, p.pattern_id, 0});
+  }
+  for (auto _ : state) {
+    std::vector<PatternKey> input = keys;
+    StatusOr<FrozenTpt> packed =
+        FrozenTpt::Pack(input, payloads, TptOptions{}.max_node_entries);
+    HPM_CHECK(packed.ok());
+    benchmark::DoNotOptimize(packed->size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BuildInsertThenFreeze)->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildPack)->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 /// The raw primitives the hot loop is made of, on a contiguous run of
 /// packed key blocks — entries/second here is the ceiling for any

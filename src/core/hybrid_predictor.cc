@@ -14,6 +14,29 @@
 
 namespace hpm {
 
+namespace {
+
+/// Encodes `patterns` with `tables` and packs them into the serving
+/// arena; a pattern's id is its index in `patterns`.
+StatusOr<FrozenTpt> PackPatterns(const std::vector<TrajectoryPattern>& patterns,
+                                 const KeyTables& tables,
+                                 const FrequentRegionSet& regions,
+                                 const TptOptions& options) {
+  std::vector<PatternKey> keys;
+  std::vector<LeafPayload> payloads;
+  keys.reserve(patterns.size());
+  payloads.reserve(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const TrajectoryPattern& p = patterns[i];
+    keys.push_back(tables.EncodePattern(p, regions));
+    payloads.push_back(LeafPayload{p.confidence, p.consequence,
+                                   static_cast<int32_t>(i), p.support});
+  }
+  return FrozenTpt::Pack(keys, payloads, options.max_node_entries);
+}
+
+}  // namespace
+
 HybridPredictor::AtomicQueryCounters&
 HybridPredictor::AtomicQueryCounters::operator=(
     const AtomicQueryCounters& other) {
@@ -98,30 +121,19 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
   FrequentRegionSet& region_set = offline->discovery.region_set;
   AprioriResult& mined = offline->mined;
 
-  // Key tables and TPT bulk load.
   KeyTables tables = KeyTables::Build(region_set, mined.patterns);
-  std::vector<IndexedPattern> indexed;
-  indexed.reserve(mined.patterns.size());
-  for (size_t i = 0; i < mined.patterns.size(); ++i) {
-    const TrajectoryPattern& p = mined.patterns[i];
-    indexed.push_back({tables.EncodePattern(p, region_set), p.confidence,
-                       p.consequence, static_cast<int>(i)});
-  }
-  StatusOr<TptTree> tpt = TptTree::BulkLoad(std::move(indexed), options.tpt);
-  if (!tpt.ok()) return tpt.status();
-  const size_t builder_bytes = tpt->MemoryBytes();
-  FrozenTpt frozen = FrozenTpt::Freeze(*tpt);
-  frozen.FillSupports(mined.patterns);
+  StatusOr<FrozenTpt> frozen =
+      PackPatterns(mined.patterns, tables, region_set, options.tpt);
+  if (!frozen.ok()) return frozen.status();
 
   auto predictor = std::unique_ptr<HybridPredictor>(
       new HybridPredictor(options, std::move(region_set), std::move(tables),
-                          std::move(frozen)));
+                          std::move(*frozen)));
   predictor->summary_.num_sub_trajectories = offline->transactions.size();
   predictor->summary_.num_frequent_regions =
       predictor->regions_.NumRegions();
   predictor->summary_.num_patterns = predictor->tpt_.size();
   predictor->summary_.mining_stats = mined.stats;
-  predictor->summary_.tpt_memory_bytes = builder_bytes;
   predictor->summary_.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();
   predictor->summary_.tpt_height = predictor->tpt_.Height();
   predictor->summary_.train_seconds = timer.ElapsedSeconds();
@@ -609,30 +621,19 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
   for (TrajectoryPattern& p : *fresh) combined.push_back(std::move(p));
 
   // When a new consequence offset appears the key universe grows, so the
-  // tables are rebuilt (keys change length). Either way the TPT is bulk
-  // loaded from scratch: bulk loading is sequential insertion, so the
-  // result is the exact tree the in-place insertion path would produce.
+  // tables are rebuilt (keys change length). Either way the arena is
+  // packed from the whole combined set.
   KeyTables tables = new_consequence_offset
                          ? KeyTables::Build(regions_, combined)
                          : key_tables_;
-  std::vector<IndexedPattern> indexed;
-  indexed.reserve(combined.size());
-  for (size_t i = 0; i < combined.size(); ++i) {
-    indexed.push_back({tables.EncodePattern(combined[i], regions_),
-                       combined[i].confidence, combined[i].consequence,
-                       static_cast<int>(i)});
-  }
-  StatusOr<TptTree> tpt = TptTree::BulkLoad(std::move(indexed), options_.tpt);
-  if (!tpt.ok()) return tpt.status();
-  const size_t builder_bytes = tpt->MemoryBytes();
-  FrozenTpt frozen = FrozenTpt::Freeze(*tpt);
-  frozen.FillSupports(combined);
+  StatusOr<FrozenTpt> frozen =
+      PackPatterns(combined, tables, regions_, options_.tpt);
+  if (!frozen.ok()) return frozen.status();
 
   auto updated = std::unique_ptr<HybridPredictor>(new HybridPredictor(
-      options_, regions_, std::move(tables), std::move(frozen)));
+      options_, regions_, std::move(tables), std::move(*frozen)));
   updated->summary_ = summary_;
   updated->summary_.num_patterns = updated->tpt_.size();
-  updated->summary_.tpt_memory_bytes = builder_bytes;
   updated->summary_.tpt_frozen_bytes = updated->tpt_.MemoryBytes();
   updated->summary_.tpt_height = updated->tpt_.Height();
   // Carry the counts so they stay monotonic across snapshot swaps.

@@ -19,7 +19,6 @@
 #include "motion/recursive_motion.h"
 #include "tpt/frozen_tpt.h"
 #include "tpt/key_tables.h"
-#include "tpt/tpt_tree.h"
 
 namespace hpm {
 
@@ -34,8 +33,8 @@ struct HybridPredictorOptions {
   /// Pattern mining: min confidence/support, pattern length bounds.
   AprioriParams mining;
 
-  /// TPT node capacity.
-  TptTree::Options tpt;
+  /// TPT node capacity (the packer's; see TptOptions).
+  TptOptions tpt;
 
   /// Premise-weight family (paper recommends linear or quadratic).
   WeightFunction weight_function = WeightFunction::kLinear;
@@ -68,10 +67,6 @@ struct TrainingSummary {
   size_t num_frequent_regions = 0;
   size_t num_patterns = 0;
   AprioriStats mining_stats;
-
-  /// Bytes of the *builder* (pointer) tree the patterns were loaded
-  /// into — the paper's Fig. 11a storage metric.
-  size_t tpt_memory_bytes = 0;
 
   /// Bytes of the frozen arena actually served from (tpt.frozen_bytes).
   size_t tpt_frozen_bytes = 0;
@@ -293,19 +288,19 @@ class HybridPredictor {
   /// *this is left untouched: the result is a fresh predictor carrying
   /// the combined pattern set (and a query-counter snapshot, so counts
   /// stay monotonic across swaps); the number of patterns added is the
-  /// difference of the two pattern counts. Because the TPT bulk loader
-  /// is sequential insertion, the fresh instance's index is
-  /// bit-identical to what in-place insertion would have produced. Safe
-  /// to call while other threads Predict() on *this.
+  /// difference of the two pattern counts. The fresh instance's arena is
+  /// packed from the combined pattern set; a packed layout depends on
+  /// the entries alone, not on the order they were added in. Safe to
+  /// call while other threads Predict() on *this.
   StatusOr<std::unique_ptr<HybridPredictor>> WithNewHistory(
       const Trajectory& new_history) const;
 
   /// Persists the trained model (options, frequent regions, the
   /// PatternTable() derived from the arena, and the frozen TPT arena) to
   /// a binary file. Storing the arena lets load validate bytes instead of
-  /// replaying the sequential-insert build; the arena section carries its
-  /// own CRC on top of the file footer, so corruption surfaces as
-  /// DataLoss (→ store quarantine), never as a differently-shaped index.
+  /// packing again; the arena section carries its own CRC on top of the
+  /// file footer, so corruption surfaces as DataLoss (→ store
+  /// quarantine), never as a differently-shaped index.
   Status SaveToFile(const std::string& path) const;
 
   /// Restores a model written by SaveToFile. The file's pattern table is
@@ -350,8 +345,6 @@ class HybridPredictor {
   std::vector<TrajectoryPattern> PatternTable() const;
 
   /// The frozen serving index — the whole pattern side of the model.
-  /// The mutable builder tree exists only transiently inside
-  /// Train/WithNewHistory.
   const FrozenTpt& tpt() const { return tpt_; }
   const KeyTables& key_tables() const { return key_tables_; }
   const HybridPredictorOptions& options() const { return options_; }
@@ -414,6 +407,18 @@ class HybridPredictor {
   std::vector<Point> consequence_centres_;
   std::vector<uint32_t> centre_begin_;
   TrainingSummary summary_;
+
+  /// Two fields of the v2 model file that the packed build no longer
+  /// uses: the insertion tree's minimum node fill and its byte count. A
+  /// loaded model keeps what its file held, so it re-saves byte for
+  /// byte; a built one writes these defaults (2 is the least fill that
+  /// older readers accept).
+  struct RetiredFileFields {
+    int64_t min_node_entries = 2;
+    uint64_t builder_bytes = 0;
+  };
+  RetiredFileFields retired_file_fields_;
+
   mutable AtomicQueryCounters counters_;
 };
 

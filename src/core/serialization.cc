@@ -4,11 +4,15 @@
 //   magic "HPM1" | version u32 | options | regions | patterns | num_subs u64
 //   | builder_bytes u64 | frozen TPT section ("FTPT", own CRC)
 //   | footer: magic "HPMC" | crc32 u32 of every preceding byte
+// Two fields are retired: the options' min_node_entries and
+// builder_bytes described the insertion-built tree that models no
+// longer use. They keep their slots; a loaded model re-saves the values
+// its file held (HybridPredictor::RetiredFileFields).
 // The frozen TPT arena is stored verbatim, so load validates bytes
-// (structure + per-section CRC) instead of replaying the sequential
-// bulk load, and cross-checks the arena's leaf payloads against the
-// re-encoded pattern set so a logically inconsistent section can never
-// serve wrong answers. The model keeps no pattern table in memory: save
+// (structure + per-section CRC) instead of packing the patterns again,
+// and cross-checks the arena's leaf payloads against the re-encoded
+// pattern set so a logically inconsistent section can never serve wrong
+// answers. The model keeps no pattern table in memory: save
 // writes HybridPredictor::PatternTable(), derived from the arena, and
 // load reads the table only for that cross-check and for the supports
 // the arena section does not carry. The footer makes torn writes and
@@ -118,7 +122,9 @@ BoundingBox ReadBox(BinaryReader* f) {
   return BoundingBox(lo, hi);
 }
 
-void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o) {
+/// `min_node_entries` fills the retired slot after the node capacity.
+void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o,
+                  int64_t min_node_entries) {
   f->Write(o.regions.period);
   f->Write(o.regions.dbscan.eps);
   f->Write(static_cast<int64_t>(o.regions.dbscan.min_pts));
@@ -129,7 +135,7 @@ void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o) {
   f->Write(o.mining.premise_window);
   f->Write(static_cast<uint8_t>(o.mining.enable_pruning));
   f->Write(static_cast<int64_t>(o.tpt.max_node_entries));
-  f->Write(static_cast<int64_t>(o.tpt.min_node_entries));
+  f->Write(min_node_entries);
   f->Write(static_cast<int64_t>(o.weight_function));
   f->Write(o.distant_threshold);
   f->Write(o.time_relaxation);
@@ -140,7 +146,9 @@ void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o) {
   WriteBox(f, o.rmf.clamp_box);
 }
 
-HybridPredictorOptions ReadOptions(BinaryReader* f) {
+/// Sets `*min_node_entries` from the retired slot after the capacity.
+HybridPredictorOptions ReadOptions(BinaryReader* f,
+                                   int64_t* min_node_entries) {
   HybridPredictorOptions o;
   int64_t i64 = 0;
   uint8_t u8 = 0;
@@ -160,8 +168,7 @@ HybridPredictorOptions ReadOptions(BinaryReader* f) {
   o.mining.enable_pruning = u8 != 0;
   f->Read(&i64);
   o.tpt.max_node_entries = static_cast<int>(i64);
-  f->Read(&i64);
-  o.tpt.min_node_entries = static_cast<int>(i64);
+  f->Read(min_node_entries);
   f->Read(&i64);
   o.weight_function = static_cast<WeightFunction>(i64);
   f->Read(&o.distant_threshold);
@@ -183,7 +190,7 @@ Status HybridPredictor::SaveToFile(const std::string& path) const {
   BinaryWriter f;
   f.WriteBytes(kMagic, sizeof(kMagic));
   f.Write(kFormatVersion);
-  WriteOptions(&f, options_);
+  WriteOptions(&f, options_, retired_file_fields_.min_node_entries);
 
   f.Write(static_cast<uint64_t>(regions_.NumRegions()));
   for (const FrequentRegion& r : regions_.regions()) {
@@ -206,7 +213,7 @@ Status HybridPredictor::SaveToFile(const std::string& path) const {
   }
 
   f.Write(static_cast<uint64_t>(summary_.num_sub_trajectories));
-  f.Write(static_cast<uint64_t>(summary_.tpt_memory_bytes));
+  f.Write(retired_file_fields_.builder_bytes);
 
   std::string frozen_section;
   tpt_.AppendTo(&frozen_section);
@@ -258,7 +265,8 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
     return Status::FailedPrecondition("unsupported model format version " +
                                       std::to_string(version));
   }
-  HybridPredictorOptions options = ReadOptions(&f);
+  RetiredFileFields retired;
+  HybridPredictorOptions options = ReadOptions(&f, &retired.min_node_entries);
   if (f.failed()) {
     return Status::InvalidArgument("truncated model file: " + path);
   }
@@ -266,10 +274,8 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
       options.regions.period > (1 << 24)) {
     return Status::InvalidArgument("corrupt period");
   }
-  if (options.tpt.max_node_entries < 4 ||
-      options.tpt.max_node_entries > (1 << 16) ||
-      options.tpt.min_node_entries < 2 ||
-      options.tpt.min_node_entries * 2 > options.tpt.max_node_entries + 1) {
+  if (options.tpt.max_node_entries < FrozenTpt::kMinNodeCapacity ||
+      options.tpt.max_node_entries > FrozenTpt::kMaxNodeCapacity) {
     return Status::InvalidArgument("corrupt TPT options");
   }
   if (static_cast<int64_t>(options.weight_function) < 0 ||
@@ -351,15 +357,14 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   }
 
   uint64_t num_subs = 0;
-  uint64_t builder_bytes = 0;
   f.Read(&num_subs);
-  f.Read(&builder_bytes);
+  f.Read(&retired.builder_bytes);
   if (f.failed()) {
     return Status::InvalidArgument("truncated model file: " + path);
   }
 
-  // The serving index loads straight from the stored arena — no bulk
-  // load. Parse validates structure and the section CRC (DataLoss on
+  // The serving index loads straight from the stored arena — no
+  // packing. Parse validates structure and the section CRC (DataLoss on
   // damage, so the store layer quarantines the file).
   const size_t section_offset = sizeof(kMagic) + f.pos();
   size_t section_consumed = 0;
@@ -415,10 +420,9 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   predictor->summary_.num_frequent_regions =
       predictor->regions_.NumRegions();
   predictor->summary_.num_patterns = predictor->tpt_.size();
-  predictor->summary_.tpt_memory_bytes =
-      static_cast<size_t>(builder_bytes);
   predictor->summary_.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();
   predictor->summary_.tpt_height = predictor->tpt_.Height();
+  predictor->retired_file_fields_ = retired;
   return predictor;
 }
 

@@ -16,7 +16,6 @@
 #include "geo/trajectory.h"
 #include "linalg/matrix.h"
 #include "tpt/pattern_key.h"
-#include "tpt/tpt_tree.h"
 
 namespace hpm {
 namespace proptest {
@@ -55,14 +54,6 @@ DynamicBitset RandomBitset(Random& rng, size_t size, double density);
 /// plus further bits at `density`.
 PatternKey RandomPatternKey(Random& rng, size_t premise_length,
                             size_t consequence_length, double density);
-
-/// `count` indexed patterns sharing the given key part lengths, with
-/// dense pattern ids 0..count-1, random confidences in (0,1] and
-/// consequence regions in [0, premise_length).
-std::vector<IndexedPattern> RandomPatternSet(Random& rng, int count,
-                                             size_t premise_length,
-                                             size_t consequence_length,
-                                             double density);
 
 /// rows x cols matrix with entries uniform in [lo, hi).
 Matrix RandomMatrix(Random& rng, size_t rows, size_t cols, double lo,

@@ -1,12 +1,13 @@
 #include "tpt/frozen_tpt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 #include "bitset/word_ops.h"
 #include "common/crc32.h"
-#include "tpt/tpt_node.h"
 
 namespace hpm {
 
@@ -37,14 +38,21 @@ bool TailBitsClear(const uint64_t* words, size_t num_words, size_t bits) {
   return (words[num_words - 1] >> rem) == 0;
 }
 
-void CountSubtree(const TptTree::Node* node, size_t* num_nodes,
-                  size_t* num_entries) {
-  ++*num_nodes;
-  *num_entries += static_cast<size_t>(node->NumEntries());
-  if (node->is_leaf) return;
-  for (const auto& child : node->children) {
-    CountSubtree(child.get(), num_nodes, num_entries);
+/// Pack's key order: the first bit, counting from bit 0, at which the
+/// two word arrays differ decides, and the array that has it set comes
+/// first. Returns <0, 0 or >0.
+int CompareKeyBits(const uint64_t* a, const uint64_t* b, size_t num_words) {
+  for (size_t w = 0; w < num_words; ++w) {
+    const uint64_t diff = a[w] ^ b[w];
+    if (diff != 0) return ((a[w] >> std::countr_zero(diff)) & 1) ? -1 : 1;
   }
+  return 0;
+}
+
+/// Start of run `r` when `count` items are cut into `runs` runs whose
+/// lengths differ by at most one (the longer runs first).
+size_t EvenRunStart(size_t count, size_t runs, size_t r) {
+  return r * (count / runs) + std::min(r, count % runs);
 }
 
 void AppendU32(std::string* out, uint32_t v) {
@@ -119,70 +127,128 @@ size_t AlignedWordArena::AllocatedBytes() const {
   return size_ == 0 ? 0 : (size_ * sizeof(uint64_t) + 63) / 64 * 64;
 }
 
-FrozenTpt FrozenTpt::Freeze(const TptTree& tree) {
-  FrozenTpt frozen;
-  if (tree.empty()) return frozen;
+StatusOr<FrozenTpt> FrozenTpt::Pack(std::span<const PatternKey> keys,
+                                    std::span<const LeafPayload> payloads,
+                                    int capacity) {
+  if (keys.size() != payloads.size()) {
+    return Status::InvalidArgument("pack needs one payload per key");
+  }
+  if (capacity < kMinNodeCapacity || capacity > kMaxNodeCapacity) {
+    return Status::InvalidArgument("TPT node capacity out of range");
+  }
+  FrozenTpt packed;
+  if (keys.empty()) return packed;
+  // Internal entries number fewer than the leaves (capacity >= 2), so
+  // every entry index fits the 32-bit topology arrays.
+  if (keys.size() > UINT32_MAX / 2) {
+    return Status::InvalidArgument("too many patterns to pack");
+  }
+  packed.premise_bits_ = keys[0].premise().size();
+  packed.consequence_bits_ = keys[0].consequence().size();
+  for (const PatternKey& key : keys) {
+    if (key.premise().size() != packed.premise_bits_ ||
+        key.consequence().size() != packed.consequence_bits_) {
+      return Status::InvalidArgument(
+          "pattern key part lengths differ from the first key's");
+    }
+  }
+  packed.premise_words_ =
+      static_cast<uint32_t>(WordsForBits(packed.premise_bits_));
+  packed.consequence_words_ =
+      static_cast<uint32_t>(WordsForBits(packed.consequence_bits_));
 
-  const TptTree::Node* root = tree.root_.get();
-  const PatternKey& first = root->EntryKey(0);
-  frozen.premise_bits_ = first.premise().size();
-  frozen.consequence_bits_ = first.consequence().size();
-  frozen.premise_words_ =
-      static_cast<uint32_t>(first.premise().num_words());
-  frozen.consequence_words_ =
-      static_cast<uint32_t>(first.consequence().num_words());
-  frozen.height_ = tree.Height();
+  // Leaf order: consequence bits, premise bits, pattern id, then input
+  // position, so the order is total and the layout deterministic.
+  std::vector<uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    int c = CompareKeyBits(keys[a].consequence().words(),
+                           keys[b].consequence().words(),
+                           packed.consequence_words_);
+    if (c == 0) {
+      c = CompareKeyBits(keys[a].premise().words(),
+                         keys[b].premise().words(), packed.premise_words_);
+    }
+    if (c != 0) return c < 0;
+    if (payloads[a].pattern_id != payloads[b].pattern_id) {
+      return payloads[a].pattern_id < payloads[b].pattern_id;
+    }
+    return a < b;
+  });
 
+  // Level l (leaves = 0) cuts `items` — the sorted entries, or the nodes
+  // of level l - 1 — into `nodes` even runs, one run per node.
+  struct Level {
+    size_t items = 0;
+    size_t nodes = 0;
+  };
+  const size_t cap = static_cast<size_t>(capacity);
+  std::vector<Level> levels;
   size_t num_nodes = 0, num_entries = 0;
-  CountSubtree(root, &num_nodes, &num_entries);
-  frozen.nodes_.reserve(num_nodes);
-  frozen.entry_target_.resize(num_entries);
-  frozen.key_words_ = AlignedWordArena(num_entries * frozen.Stride());
-  frozen.payloads_.reserve(tree.size());
+  for (size_t items = keys.size();;) {
+    const size_t nodes = (items + cap - 1) / cap;
+    levels.push_back(Level{items, nodes});
+    num_nodes += nodes;
+    num_entries += items;
+    if (nodes == 1) break;
+    items = nodes;
+  }
+  packed.height_ = static_cast<int>(levels.size());
 
-  // DFS preorder, children in entry order — the exact order SearchNode
-  // visits, so frozen hits come out in the mutable tree's order.
+  const size_t stride = packed.Stride();
+  packed.nodes_.reserve(num_nodes);
+  packed.entry_target_.resize(num_entries);
+  packed.key_words_ = AlignedWordArena(num_entries * stride);
+  packed.payloads_.reserve(keys.size());
+
+  // DFS preorder, children in run order — the layout Parse validates.
+  // A node's entries are reserved before its children are emitted, and
+  // an internal entry's key is the OR of its child's blocks, which are
+  // final once the child returns.
   size_t entry_cursor = 0;
-  const auto emit = [&](const auto& self,
-                        const TptTree::Node* node) -> uint32_t {
-    const uint32_t index = static_cast<uint32_t>(frozen.nodes_.size());
-    const uint32_t n = static_cast<uint32_t>(node->NumEntries());
+  const auto emit = [&](const auto& self, size_t level,
+                        size_t run) -> uint32_t {
+    const Level& at = levels[level];
+    const size_t first_item = EvenRunStart(at.items, at.nodes, run);
+    const uint32_t n = static_cast<uint32_t>(
+        EvenRunStart(at.items, at.nodes, run + 1) - first_item);
+    const uint32_t index = static_cast<uint32_t>(packed.nodes_.size());
     const uint32_t first_entry = static_cast<uint32_t>(entry_cursor);
-    frozen.nodes_.push_back(
-        NodeRef{first_entry, n, node->is_leaf ? 1u : 0u});
+    packed.nodes_.push_back(NodeRef{first_entry, n, level == 0 ? 1u : 0u});
     entry_cursor += n;
 
-    const size_t stride = frozen.Stride();
     for (uint32_t i = 0; i < n; ++i) {
-      const PatternKey& key = node->EntryKey(static_cast<int>(i));
-      uint64_t* block =
-          frozen.key_words_.data() + (first_entry + i) * stride;
-      std::memcpy(block, key.consequence().words(),
-                  frozen.consequence_words_ * sizeof(uint64_t));
-      std::memcpy(block + frozen.consequence_words_, key.premise().words(),
-                  frozen.premise_words_ * sizeof(uint64_t));
-    }
-    if (node->is_leaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        frozen.entry_target_[first_entry + i] =
-            static_cast<uint32_t>(frozen.payloads_.size());
-        const IndexedPattern& p = node->patterns[i];
-        frozen.payloads_.push_back(
-            LeafPayload{p.confidence, p.consequence_region, p.pattern_id});
+      const size_t entry = size_t{first_entry} + i;
+      uint64_t* block = packed.key_words_.data() + entry * stride;
+      if (level == 0) {
+        const uint32_t source = order[first_item + i];
+        const PatternKey& key = keys[source];
+        std::memcpy(block, key.consequence().words(),
+                    packed.consequence_words_ * sizeof(uint64_t));
+        std::memcpy(block + packed.consequence_words_, key.premise().words(),
+                    packed.premise_words_ * sizeof(uint64_t));
+        packed.entry_target_[entry] =
+            static_cast<uint32_t>(packed.payloads_.size());
+        packed.payloads_.push_back(payloads[source]);
+        continue;
       }
-    } else {
-      for (uint32_t i = 0; i < n; ++i) {
-        frozen.entry_target_[first_entry + i] =
-            self(self, node->children[i].get());
+      const uint32_t child = self(self, level - 1, first_item + i);
+      packed.entry_target_[entry] = child;
+      const NodeRef child_node = packed.nodes_[child];
+      const uint64_t* child_block =
+          packed.key_words_.data() + size_t{child_node.first_entry} * stride;
+      for (uint32_t c = 0; c < child_node.num_entries; ++c) {
+        for (size_t w = 0; w < stride; ++w) block[w] |= child_block[w];
+        child_block += stride;
       }
     }
     return index;
   };
-  emit(emit, root);
-  HPM_CHECK(frozen.nodes_.size() == num_nodes);
+  emit(emit, levels.size() - 1, 0);
+  HPM_CHECK(packed.nodes_.size() == num_nodes);
   HPM_CHECK(entry_cursor == num_entries);
-  HPM_CHECK(frozen.payloads_.size() == tree.size());
-  return frozen;
+  HPM_CHECK(packed.payloads_.size() == keys.size());
+  return packed;
 }
 
 void FrozenTpt::FillSupports(const std::vector<TrajectoryPattern>& table) {
@@ -233,8 +299,8 @@ bool FrozenTpt::SearchCursor::Step(size_t max_entry_tests) {
     --budget;
     // Consequence part first (both modes prune on it), premise part only
     // when FQP still needs it — same short-circuit order as
-    // PatternKey::Intersects, so entries_tested/pruning match the
-    // mutable tree exactly.
+    // PatternKey::Intersects, so entries_tested/pruning match a pointer
+    // tree of the same shape exactly.
     bool match =
         wordops::AnyCommon(block, query_consequence_,
                            tree_->consequence_words_);

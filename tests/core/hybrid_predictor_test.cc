@@ -91,7 +91,7 @@ TEST_F(HybridPredictorTest, TrainingSummaryPopulated) {
   // Two routes -> two regions at most offsets.
   EXPECT_GE(s.num_frequent_regions, static_cast<size_t>(kPeriod));
   EXPECT_GT(s.num_patterns, 0u);
-  EXPECT_GT(s.tpt_memory_bytes, 0u);
+  EXPECT_GT(s.tpt_frozen_bytes, 0u);
   EXPECT_GE(s.tpt_height, 1);
   EXPECT_GE(s.train_seconds, 0.0);
   EXPECT_EQ(s.num_patterns, predictor_->PatternTable().size());

@@ -9,7 +9,7 @@
 
 #include "core/similarity.h"
 #include "tpt/key_tables.h"
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
 namespace {

@@ -32,7 +32,7 @@ using proptest::RunnerOptions;
 constexpr Timestamp kPeriod = 12;
 const BoundingBox kExtent({0.0, 0.0}, {10000.0, 10000.0});
 
-HybridPredictorOptions PredictorOptions(int max_entries, int min_entries) {
+HybridPredictorOptions PredictorOptions(int max_entries) {
   HybridPredictorOptions options;
   options.regions.period = kPeriod;
   options.regions.dbscan.eps = 12.0;
@@ -42,7 +42,6 @@ HybridPredictorOptions PredictorOptions(int max_entries, int min_entries) {
   options.distant_threshold = 6;
   options.region_match_slack = 6.0;
   options.tpt.max_node_entries = max_entries;
-  options.tpt.min_node_entries = min_entries;
   return options;
 }
 
@@ -96,9 +95,9 @@ std::string CompareAnswers(const StatusOr<std::vector<Prediction>>& a,
 
 std::string CheckRankingIgnoresIndexLayout(const RankCase& input) {
   StatusOr<std::unique_ptr<HybridPredictor>> wide =
-      HybridPredictor::Train(input.history, PredictorOptions(32, 13));
+      HybridPredictor::Train(input.history, PredictorOptions(32));
   StatusOr<std::unique_ptr<HybridPredictor>> narrow =
-      HybridPredictor::Train(input.history, PredictorOptions(8, 3));
+      HybridPredictor::Train(input.history, PredictorOptions(8));
   // The law is about trained models; a shrunk history too short to train
   // is no counterexample.
   if (!wide.ok() || !narrow.ok()) return "";
@@ -131,7 +130,7 @@ std::string CheckRankingIgnoresIndexLayout(const RankCase& input) {
                                   " k=" + std::to_string(k);
         std::string diff = CompareAnswers(base, (*narrow)->Predict(query));
         if (!diff.empty()) {
-          return "node capacity 32/13 vs 8/3: " + diff + where;
+          return "node capacity 32 vs 8: " + diff + where;
         }
         diff = CompareAnswers(base, (*reloaded)->Predict(query));
         if (!diff.empty()) return "save/reload: " + diff + where;

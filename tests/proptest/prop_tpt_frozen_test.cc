@@ -1,5 +1,7 @@
-// Property suite: FrozenTpt vs the mutable TptTree it was frozen from.
-// The arena layout is a pure representation change — on any pattern set
+// Property suite: the arena TptTree::Freeze emits vs the insertion-built
+// pointer tree it came from (the reference prop_tpt_pack_test checks the
+// packed arena against). The arena layout is a pure representation
+// change — on any pattern set
 // and any query key, Search must return *bit-identical* results: the
 // same pattern ids in the same order, the same confidences and
 // consequence regions, arena key words equal to the builder key's words
@@ -19,7 +21,8 @@
 #include "proptest/proptest.h"
 #include "proptest/shrink.h"
 #include "tpt/frozen_tpt.h"
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/pattern_sets.h"
+#include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
 namespace {
@@ -136,7 +139,7 @@ std::string CheckFrozenDifferential(const FrozenCase& input) {
   StatusOr<TptTree> tree = TptTree::BulkLoad(input.patterns, tree_options);
   if (!tree.ok()) return "BulkLoad failed: " + tree.status().ToString();
 
-  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
+  const FrozenTpt frozen = tree->Freeze();
   if (frozen.size() != tree->size()) {
     return "Freeze kept " + std::to_string(frozen.size()) +
            " patterns, expected " + std::to_string(tree->size());
@@ -221,7 +224,7 @@ TEST(PropTptFrozenTest, FrozenSearchMatchesAtDefaultNodeCapacity) {
       proptest::RandomPatternSet(rng, 400, 48, 8, 0.2);
   StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
+  const FrozenTpt frozen = tree->Freeze();
   for (int i = 0; i < 32; ++i) {
     const PatternKey query =
         proptest::RandomPatternKey(rng, 48, 8, rng.UniformDouble(0.05, 0.4));

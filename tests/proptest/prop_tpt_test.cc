@@ -14,8 +14,9 @@
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
 #include "proptest/shrink.h"
-#include "tpt/brute_force_store.h"
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/brute_force_store.h"
+#include "tpt_reference/pattern_sets.h"
+#include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
 namespace {

@@ -59,10 +59,12 @@ Point NoisySample(ObjectId id, Timestamp t, uint64_t base) {
 // and batch queries plus the metadata accessors while ingestion runs.
 // Afterwards the store must hold exactly what a single-threaded store
 // fed the same samples holds.
-TEST(ConcurrentStoreTest, ParallelWritersAndReadersKeepStateExact) {
+void ParallelWritersAndReadersKeepStateExact(int query_threads) {
   const uint64_t seed = proptest::SeedForTest(7919);
   SCOPED_TRACE(proptest::ReplayLine(seed));
-  MovingObjectStore store(Options());
+  ObjectStoreOptions options = Options();
+  options.query_threads = query_threads;
+  MovingObjectStore store(options);
   const Timestamp samples = kPeriodsPerObject * kPeriod;
 
   std::atomic<bool> stop{false};
@@ -177,6 +179,17 @@ TEST(ConcurrentStoreTest, ParallelWritersAndReadersKeepStateExact) {
       EXPECT_EQ((*got)[i].source, (*want)[i].source);
     }
   }
+}
+
+TEST(ConcurrentStoreTest, ParallelWritersAndReadersKeepStateExact) {
+  ParallelWritersAndReadersKeepStateExact(2);
+}
+
+// With one query thread the range and kNN lanes run on the readers' own
+// threads, so no pool queue mutex orders one reader's lanes before the
+// next reader's: whatever the lanes share must be synchronised itself.
+TEST(ConcurrentStoreTest, ParallelWritersAndReadersKeepStateExactInlineLanes) {
+  ParallelWritersAndReadersKeepStateExact(1);
 }
 
 // Regression test for the ObjectIds()/HistoryLength() satellite: both

@@ -66,10 +66,12 @@ Point NoisySample(ObjectId id, Timestamp t, uint64_t base) {
 // period) and rebuild shard tables (every object creation) while readers
 // hammer all four query kinds with no lock to hide behind. Ids that do
 // not exist yet exercise the table-miss path.
-TEST(EpochStressTest, ReadersSurviveViewSwapsAndShardRebuilds) {
+void ReadersSurviveViewSwapsAndShardRebuilds(int query_threads) {
   const uint64_t seed = proptest::SeedForTest(4871);
   SCOPED_TRACE(proptest::ReplayLine(seed));
-  MovingObjectStore store(ChurnOptions());
+  ObjectStoreOptions options = ChurnOptions();
+  options.query_threads = query_threads;
+  MovingObjectStore store(options);
 
   std::atomic<bool> stop{false};
   std::atomic<int> writer_failures{0};
@@ -186,6 +188,17 @@ TEST(EpochStressTest, ReadersSurviveViewSwapsAndShardRebuilds) {
             static_cast<uint64_t>(kWriters) * kObjectsPerWriter *
                 kSamplesPerObject - static_cast<uint64_t>(store.NumObjects()));
   EXPECT_LE(snap.counter("epoch.freed"), snap.counter("epoch.retired"));
+}
+
+TEST(EpochStressTest, ReadersSurviveViewSwapsAndShardRebuilds) {
+  ReadersSurviveViewSwapsAndShardRebuilds(2);
+}
+
+// With one query thread the range and kNN lanes run on the readers' own
+// threads, so no pool queue mutex orders one reader's lanes before the
+// next reader's: whatever the lanes share must be synchronised itself.
+TEST(EpochStressTest, ReadersSurviveViewSwapsAndShardRebuildsInlineLanes) {
+  ReadersSurviveViewSwapsAndShardRebuilds(1);
 }
 
 // Aggressive-free churn: one shard, one hot object, every report

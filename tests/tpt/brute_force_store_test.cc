@@ -1,4 +1,4 @@
-#include "tpt/brute_force_store.h"
+#include "tpt_reference/brute_force_store.h"
 
 #include <gtest/gtest.h>
 

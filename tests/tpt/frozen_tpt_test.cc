@@ -21,7 +21,7 @@
 
 #include "common/crc32.h"
 #include "common/random.h"
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
 namespace {
@@ -99,7 +99,7 @@ Status ParseStatus(const std::string& wire) {
 
 TEST(FrozenTptTest, EmptyTreeFreezesAndRoundTripsEmpty) {
   TptTree tree;
-  const FrozenTpt frozen = FrozenTpt::Freeze(tree);
+  const FrozenTpt frozen = tree.Freeze();
   EXPECT_TRUE(frozen.empty());
   EXPECT_EQ(frozen.Height(), 0);
   EXPECT_TRUE(frozen.CheckInvariants().ok());
@@ -120,7 +120,7 @@ TEST(FrozenTptTest, EmptyTreeFreezesAndRoundTripsEmpty) {
 
 TEST(FrozenTptTest, FreezeKeepsPatternsAndAccountsMemory) {
   const TptTree tree = BuildTree(80, 11);
-  const FrozenTpt frozen = FrozenTpt::Freeze(tree);
+  const FrozenTpt frozen = tree.Freeze();
   EXPECT_EQ(frozen.size(), tree.size());
   EXPECT_EQ(frozen.Height(), tree.Height());
   EXPECT_EQ(frozen.premise_bits(), 40u);
@@ -157,7 +157,7 @@ TEST(FrozenTptTest, LeavesCarryTheBuilderKeys) {
   }
   StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
   ASSERT_TRUE(tree.ok());
-  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
+  const FrozenTpt frozen = tree->Freeze();
   ASSERT_EQ(frozen.num_premise_words(), 2u);
   ASSERT_EQ(frozen.num_consequence_words(), 1u);
   for (const FrozenTpt::Hit& leaf : frozen.Leaves()) {
@@ -171,7 +171,7 @@ TEST(FrozenTptTest, LeavesCarryTheBuilderKeys) {
 }
 
 TEST(FrozenTptTest, FillSupportsSetsEachPayloadFromItsPatternId) {
-  FrozenTpt frozen = FrozenTpt::Freeze(BuildTree(40, 17));
+  FrozenTpt frozen = BuildTree(40, 17).Freeze();
   std::vector<TrajectoryPattern> table(frozen.size());
   for (size_t i = 0; i < table.size(); ++i) {
     table[i].support = static_cast<int>(100 + i);
@@ -188,7 +188,7 @@ TEST(FrozenTptTest, MemoryBytesIsWhatTheArraysAllocate) {
   // entry-target arrays, the 64-byte-rounded key arena and the payloads.
   // Both constructors size every array exactly, so the counts in the
   // section header determine it.
-  const FrozenTpt frozen = FrozenTpt::Freeze(BuildTree(90, 19));
+  const FrozenTpt frozen = BuildTree(90, 19).Freeze();
   const std::string wire = Wire(frozen);
   const size_t nodes = ReadU32At(wire, kNumNodesOffset);
   const size_t entries = ReadU32At(wire, kNumEntriesOffset);
@@ -217,7 +217,7 @@ TEST(FrozenTptTest, OneWordKeysCostAtMost48BytesPerPattern) {
   }
   StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
   ASSERT_TRUE(tree.ok());
-  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
+  const FrozenTpt frozen = tree->Freeze();
   ASSERT_EQ(frozen.num_premise_words() + frozen.num_consequence_words(), 2u);
   const double per_pattern = static_cast<double>(frozen.MemoryBytes()) /
                              static_cast<double>(frozen.size());
@@ -228,7 +228,7 @@ TEST(FrozenTptTest, OneWordKeysCostAtMost48BytesPerPattern) {
 TEST(FrozenTptTest, ParseIgnoresTrailingBytes) {
   // The section is embedded mid-file: Parse must consume exactly its own
   // bytes and leave whatever follows alone.
-  const FrozenTpt frozen = FrozenTpt::Freeze(BuildTree(30, 12));
+  const FrozenTpt frozen = BuildTree(30, 12).Freeze();
   std::string wire = Wire(frozen);
   const size_t section_size = wire.size();
   wire.append("trailing model bytes");
@@ -241,7 +241,7 @@ TEST(FrozenTptTest, ParseIgnoresTrailingBytes) {
 }
 
 TEST(FrozenTptTest, ParseRejectsBadMagic) {
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(20, 13)));
+  std::string wire = Wire(BuildTree(20, 13).Freeze());
   wire[0] ^= 0x20;
   const Status status = ParseStatus(wire);
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
@@ -250,7 +250,7 @@ TEST(FrozenTptTest, ParseRejectsBadMagic) {
 }
 
 TEST(FrozenTptTest, ParseRejectsUnsupportedVersion) {
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(20, 14)));
+  std::string wire = Wire(BuildTree(20, 14).Freeze());
   WriteU32At(&wire, kVersionOffset, 99);
   const Status status = ParseStatus(wire);
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
@@ -259,7 +259,7 @@ TEST(FrozenTptTest, ParseRejectsUnsupportedVersion) {
 }
 
 TEST(FrozenTptTest, ParseRejectsImplausibleKeyWidth) {
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(20, 15)));
+  std::string wire = Wire(BuildTree(20, 15).Freeze());
   WriteU32At(&wire, kPremiseBitsOffset, 1u << 23);
   const Status status = ParseStatus(wire);
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
@@ -270,7 +270,7 @@ TEST(FrozenTptTest, ParseRejectsImplausibleKeyWidth) {
 TEST(FrozenTptTest, ParseRejectsCorruptNodeCountBeforeAllocating) {
   // A billion-node count must fail the up-front body-size check rather
   // than drive a giant allocation.
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(20, 16)));
+  std::string wire = Wire(BuildTree(20, 16).Freeze());
   WriteU32At(&wire, kNumNodesOffset, 1u << 30);
   const Status status = ParseStatus(wire);
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
@@ -280,7 +280,7 @@ TEST(FrozenTptTest, ParseRejectsCorruptNodeCountBeforeAllocating) {
 
 TEST(FrozenTptTest, ParseRejectsInconsistentCounts) {
   // Zero nodes but nonzero entries can never describe a real tree.
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(20, 17)));
+  std::string wire = Wire(BuildTree(20, 17).Freeze());
   WriteU32At(&wire, kNumNodesOffset, 0);
   const Status status = ParseStatus(wire);
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
@@ -289,7 +289,7 @@ TEST(FrozenTptTest, ParseRejectsInconsistentCounts) {
 }
 
 TEST(FrozenTptTest, ParseRejectsPayloadCountExceedingEntries) {
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(20, 18)));
+  std::string wire = Wire(BuildTree(20, 18).Freeze());
   const uint32_t num_patterns = ReadU32At(wire, kNumPatternsOffset);
   ASSERT_GT(num_patterns, 1u);
   // Shrinking the entry count below the payload count keeps the declared
@@ -302,7 +302,7 @@ TEST(FrozenTptTest, ParseRejectsPayloadCountExceedingEntries) {
 }
 
 TEST(FrozenTptTest, ParseRejectsBitRotViaSectionChecksum) {
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(40, 19)));
+  std::string wire = Wire(BuildTree(40, 19).Freeze());
   // Flip one byte in the middle of the arena, checksum left stale.
   wire[wire.size() / 2] ^= 0x5a;
   const Status status = ParseStatus(wire);
@@ -312,7 +312,7 @@ TEST(FrozenTptTest, ParseRejectsBitRotViaSectionChecksum) {
 }
 
 TEST(FrozenTptTest, ParseRejectsZeroEntryNode) {
-  std::string wire = Wire(FrozenTpt::Freeze(BuildTree(40, 20)));
+  std::string wire = Wire(BuildTree(40, 20).Freeze());
   WriteU32At(&wire, kNodesOffset + 4, 0);  // Root's num_entries.
   RestampSectionCrc(&wire);
   const Status status = ParseStatus(wire);
@@ -324,7 +324,7 @@ TEST(FrozenTptTest, ParseRejectsZeroEntryNode) {
 TEST(FrozenTptTest, ParseRejectsBackwardChildIndex) {
   const TptTree tree = BuildTree(60, 21);
   ASSERT_GT(tree.Height(), 1) << "need an internal root for this edit";
-  std::string wire = Wire(FrozenTpt::Freeze(tree));
+  std::string wire = Wire(tree.Freeze());
   const uint32_t num_nodes = ReadU32At(wire, kNumNodesOffset);
   // The root's first child pointer, redirected at the root itself: child
   // indices must be strictly forward, so cycles are impossible.
@@ -339,7 +339,7 @@ TEST(FrozenTptTest, ParseRejectsBackwardChildIndex) {
 
 TEST(FrozenTptTest, ParseRejectsDirtyTailBits) {
   const TptTree tree = BuildTree(40, 22);
-  std::string wire = Wire(FrozenTpt::Freeze(tree));
+  std::string wire = Wire(tree.Freeze());
   const uint32_t num_nodes = ReadU32At(wire, kNumNodesOffset);
   const uint32_t num_entries = ReadU32At(wire, kNumEntriesOffset);
   // First entry's consequence word: set a bit beyond the declared
@@ -360,7 +360,7 @@ TEST(FrozenTptTest, ParseNeverCrashesOnAnyTruncation) {
   // Every strict prefix of a valid section must fail cleanly — the
   // bounds-checked reader and the body-size precheck leave no length at
   // which a read can run off the buffer.
-  const std::string wire = Wire(FrozenTpt::Freeze(BuildTree(25, 23)));
+  const std::string wire = Wire(BuildTree(25, 23).Freeze());
   for (size_t len = 0; len < wire.size(); ++len) {
     size_t consumed = 0;
     StatusOr<FrozenTpt> parsed = FrozenTpt::Parse(wire.data(), len, &consumed);

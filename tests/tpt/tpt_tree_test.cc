@@ -1,4 +1,4 @@
-#include "tpt/tpt_tree.h"
+#include "tpt_reference/tpt_tree.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <set>
 
 #include "common/random.h"
-#include "tpt/brute_force_store.h"
+#include "tpt_reference/brute_force_store.h"
 
 namespace hpm {
 namespace {

@@ -308,8 +308,6 @@ int RunInfo(Args args) {
               summary.num_frequent_regions);
   std::printf("  trajectory patterns: %zu\n", summary.num_patterns);
   std::printf("  TPT height:          %d\n", summary.tpt_height);
-  std::printf("  TPT memory:          %.2f MB\n",
-              static_cast<double>(summary.tpt_memory_bytes) / 1048576.0);
   std::printf("  TPT frozen arena:    %.2f MB\n",
               static_cast<double>(summary.tpt_frozen_bytes) / 1048576.0);
   std::printf("  distant threshold d: %ld\n",
