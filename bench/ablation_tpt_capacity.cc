@@ -16,6 +16,7 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "tpt/frozen_tpt.h"
+#include "tpt_reference/pattern_sets.h"
 #include "tpt_reference/tpt_tree.h"
 
 namespace {
@@ -70,13 +71,16 @@ int main() {
         LeafPayload{p.confidence, p.consequence_region, p.pattern_id, 0});
   }
 
+  const StatusOr<KeyBlocks> blocks = FlattenKeys(keys);
+  HPM_CHECK(blocks.ok());
+
   TablePrinter table({"max_entries", "pack_ms", "height", "memory_MB",
                       "search_us", "entries_tested", "ref_build_ms",
                       "ref_height", "ref_search_us", "ref_entries_tested"});
   size_t reference_hits = 0;
   for (const int max_entries : {8, 16, 32, 64, 128, 256}) {
     Stopwatch pack;
-    auto packed = FrozenTpt::Pack(keys, payloads, max_entries);
+    auto packed = FrozenTpt::Pack(*blocks, payloads, max_entries);
     HPM_CHECK(packed.ok());
     const double pack_ms = pack.ElapsedMillis();
     HPM_CHECK(packed->CheckInvariants().ok());

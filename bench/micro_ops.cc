@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the hot operations underneath
 // the figure benches: pattern-key ops, TPT insert/search, DBSCAN,
-// Apriori support counting, and RMF fitting.
+// Apriori support counting, RMF fitting, and one object's whole model
+// build (HybridPredictor::Train).
 
 #include <benchmark/benchmark.h>
 
 #include "cluster/dbscan.h"
 #include "common/random.h"
+#include "core/hybrid_predictor.h"
 #include "core/similarity.h"
+#include "datagen/report_stream.h"
 #include "mining/apriori.h"
 #include "mining/transaction.h"
 #include "motion/recursive_motion.h"
@@ -183,6 +186,52 @@ void BM_AprioriSupportCounting(benchmark::State& state) {
   state.SetLabel("pairs over 300 regions x 60 transactions");
 }
 BENCHMARK(BM_AprioriSupportCounting)->Unit(benchmark::kMillisecond);
+
+/// One object's model build — region discovery, Apriori, key encoding
+/// and Pack — on the repository benchmark's stream and predictor
+/// options (perfbench/hpm_bench.cc: 1000 objects, T = 20, drift every 4
+/// periods, seed 1). The object is object 1; the argument is the number
+/// of periods it trains on: 5 is a bootstrap training, 16 the window a
+/// drift rebuild re-mines.
+void BM_TrainObject(benchmark::State& state) {
+  constexpr int kObjects = 1000;
+  constexpr Timestamp kPeriod = 20;
+  const int periods = static_cast<int>(state.range(0));
+  ReportStreamConfig config;
+  config.num_objects = kObjects;
+  config.period = kPeriod;
+  config.pattern_probability = 0.9;
+  config.noise_sigma = 2.0;
+  config.drift_every_periods = 4;
+  config.drift_fraction = 0.3;
+  config.extent = 1000.0;
+  config.seed = 1;
+  ReportStream stream(config);
+  Trajectory history;
+  for (const StreamedReport& r :
+       stream.Take(static_cast<size_t>(kObjects) *
+                   static_cast<size_t>(periods) *
+                   static_cast<size_t>(kPeriod))) {
+    if (r.object_id == 1) history.Append(r.location);
+  }
+  HybridPredictorOptions options;
+  options.regions.period = kPeriod;
+  options.regions.dbscan.eps = 15.0;
+  options.regions.dbscan.min_pts = 3;
+  options.mining.min_confidence = 0.2;
+  options.distant_threshold = 8;
+  options.region_match_slack = 8.0;
+  size_t patterns = 0;
+  for (auto _ : state) {
+    StatusOr<std::unique_ptr<HybridPredictor>> trained =
+        HybridPredictor::Train(history, options);
+    HPM_CHECK(trained.ok());
+    patterns = (*trained)->tpt().size();
+    benchmark::DoNotOptimize(patterns);
+  }
+  state.SetLabel(std::to_string(patterns) + " patterns");
+}
+BENCHMARK(BM_TrainObject)->Arg(5)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace hpm

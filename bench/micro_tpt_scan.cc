@@ -16,6 +16,7 @@
 #include "bitset/word_ops.h"
 #include "common/random.h"
 #include "tpt/frozen_tpt.h"
+#include "tpt_reference/pattern_sets.h"
 #include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
@@ -58,8 +59,10 @@ FrozenTpt PackedArena(const std::vector<IndexedPattern>& patterns) {
     payloads.push_back(
         LeafPayload{p.confidence, p.consequence_region, p.pattern_id, 0});
   }
+  StatusOr<KeyBlocks> blocks = FlattenKeys(keys);
+  HPM_CHECK(blocks.ok());
   StatusOr<FrozenTpt> packed =
-      FrozenTpt::Pack(keys, payloads, TptOptions{}.max_node_entries);
+      FrozenTpt::Pack(*blocks, payloads, TptOptions{}.max_node_entries);
   HPM_CHECK(packed.ok());
   return std::move(*packed);
 }
@@ -171,8 +174,10 @@ void BM_BuildPack(benchmark::State& state) {
     payloads.push_back(
         LeafPayload{p.confidence, p.consequence_region, p.pattern_id, 0});
   }
+  StatusOr<KeyBlocks> blocks = FlattenKeys(keys);
+  HPM_CHECK(blocks.ok());
   for (auto _ : state) {
-    std::vector<PatternKey> input = keys;
+    const KeyBlocks input = *blocks;
     StatusOr<FrozenTpt> packed =
         FrozenTpt::Pack(input, payloads, TptOptions{}.max_node_entries);
     HPM_CHECK(packed.ok());

@@ -135,10 +135,13 @@ int main() {
   std::printf("\nTable III - trajectory patterns\n");
   TablePrinter pattern_table({"trajectory_pattern", "confidence",
                               "pattern_key", "consequence_place"});
-  for (const TrajectoryPattern& p : predictor->PatternTable()) {
+  const std::vector<TrajectoryPattern> patterns = predictor->PatternTable();
+  const KeyBlocks keys = tables.EncodePatterns(patterns, regions);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const TrajectoryPattern& p = patterns[i];
     pattern_table.AddRow(
         {p.ToString(), TablePrinter::FormatDouble(p.confidence, 2),
-         tables.EncodePattern(p, regions).ToString(),
+         keys.Key(i).ToString(),
          PlaceName(regions.Region(p.consequence).center)});
   }
   pattern_table.Print(stdout);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification matrix: clang-tidy (when installed), then tier-1 +
 # property suites under AddressSanitizer, ThreadSanitizer and an
-# UndefinedBehaviorSanitizer leg for the frozen-arena word packing. Any
+# UndefinedBehaviorSanitizer leg for the frozen-arena word packing and
+# the miner's tidsets. Any
 # test failure or sanitizer report (sanitizers make the binary exit
 # non-zero) fails the run.
 #
@@ -77,13 +78,16 @@ run_matrix build-tsan -DHPM_SANITIZE=thread
 
 # The frozen-TPT arena is hand-packed words and raw pointer arithmetic;
 # UBSan is the leg that would catch misaligned loads, bad shifts and
-# out-of-range enum/int conversions there. The full tier-1 set rides
+# out-of-range enum/int conversions there. The miner's tidsets are the
+# same kind of code (word shifts, popcounts over hand-indexed flat
+# arrays), so the mining label runs here too. The full tier-1 set rides
 # along since the build already exists.
-echo "== UndefinedBehaviorSanitizer: tier1 + tpt =="
+echo "== UndefinedBehaviorSanitizer: tier1 + tpt + mining =="
 cmake -B build-ubsan -S . -DHPM_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 ctest --test-dir build-ubsan -L tier1 "${CTEST_ARGS[@]}" -j "$JOBS"
 ctest --test-dir build-ubsan -L tpt "${CTEST_ARGS[@]}" -j "$JOBS"
+ctest --test-dir build-ubsan -L mining "${CTEST_ARGS[@]}" -j "$JOBS"
 ctest --test-dir build-ubsan -L concurrency "${CTEST_ARGS[@]}" -j "$JOBS"
 
 echo "== AddressSanitizer + fault hooks: tier1 + fault =="

@@ -22,17 +22,15 @@ StatusOr<FrozenTpt> PackPatterns(const std::vector<TrajectoryPattern>& patterns,
                                  const KeyTables& tables,
                                  const FrequentRegionSet& regions,
                                  const TptOptions& options) {
-  std::vector<PatternKey> keys;
   std::vector<LeafPayload> payloads;
-  keys.reserve(patterns.size());
   payloads.reserve(patterns.size());
   for (size_t i = 0; i < patterns.size(); ++i) {
     const TrajectoryPattern& p = patterns[i];
-    keys.push_back(tables.EncodePattern(p, regions));
     payloads.push_back(LeafPayload{p.confidence, p.consequence,
                                    static_cast<int32_t>(i), p.support});
   }
-  return FrozenTpt::Pack(keys, payloads, options.max_node_entries);
+  return FrozenTpt::Pack(tables.EncodePatterns(patterns, regions), payloads,
+                         options.max_node_entries);
 }
 
 }  // namespace
@@ -500,7 +498,7 @@ bool HybridPredictor::PredictTask::EndBackwardRound(bool ran_search) {
     for (const FrozenTpt::Hit& hit : s.tpt_hits) {
       const LeafPayload& payload = tpt.payload(hit);
       // The consequence offset t is the consequence region's offset:
-      // KeyTables::EncodePattern sets the one consequence bit at that
+      // KeyTables::EncodePatterns sets the one consequence bit at that
       // offset's time id, so this equals decoding the key's bit.
       const Timestamp t =
           predictor_->regions_.Region(payload.consequence_region).offset;

@@ -20,6 +20,7 @@
 // file itself is written via AtomicWriteFile, so a crashed save leaves
 // the previous model intact rather than a prefix.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -392,6 +393,8 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
     return Status::DataLoss("frozen TPT key widths disagree with tables: " +
                             path);
   }
+  const KeyBlocks keys = tables.EncodePatterns(patterns, regions);
+  const size_t stride = keys.stride();
   std::vector<uint8_t> indexed_once(patterns.size(), 0);
   for (const FrozenTpt::Hit& leaf : frozen->Leaves()) {
     const LeafPayload& entry = frozen->payload(leaf);
@@ -405,7 +408,9 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
         patterns[static_cast<size_t>(entry.pattern_id)];
     if (entry.confidence != p.confidence ||
         entry.consequence_region != p.consequence ||
-        !(frozen->KeyOf(leaf) == tables.EncodePattern(p, regions))) {
+        !std::equal(keys.block(static_cast<size_t>(entry.pattern_id)),
+                    keys.block(static_cast<size_t>(entry.pattern_id)) + stride,
+                    frozen->consequence_words(leaf))) {
       return Status::DataLoss("frozen TPT disagrees with pattern set: " +
                               path);
     }

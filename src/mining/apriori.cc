@@ -1,62 +1,40 @@
 #include "mining/apriori.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
-#include <unordered_map>
+
+#include "bitset/word_ops.h"
 
 namespace hpm {
 
 namespace {
 
-/// Hash for item-set keys (sorted region-id vectors).
-struct ItemsetHash {
-  size_t operator()(const std::vector<int>& items) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (int v : items) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(v));
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-using SupportMap =
-    std::unordered_map<std::vector<int>, int, ItemsetHash>;
-
-/// A frequent item set at some level, items ascending.
-struct Itemset {
+/// The frequent item sets of one Apriori level k, stored flat: set s has
+/// items [s*k, (s+1)*k) (ascending ids), tidset words
+/// [s*num_words, (s+1)*num_words) and support supports[s].
+struct Level {
   std::vector<int> items;
-  int support = 0;
+  std::vector<uint64_t> tids;
+  std::vector<int> supports;
+
+  size_t size() const { return supports.size(); }
 };
 
-/// Counts how many transactions contain every item of `items`.
-int CountSupport(const std::vector<Transaction>& transactions,
-                 const std::vector<int>& items) {
+/// Transactions containing every item of `items`: the popcount of the
+/// AND of the items' tidsets (`num_words` words each, in `region_tids`).
+int SupportOfItems(const std::vector<int>& items,
+                   const std::vector<uint64_t>& region_tids, size_t num_words) {
   int support = 0;
-  for (const Transaction& t : transactions) {
-    bool all = true;
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t word = ~uint64_t{0};
     for (int item : items) {
-      if (!t.Contains(item)) {
-        all = false;
-        break;
-      }
+      word &= region_tids[static_cast<size_t>(item) * num_words + w];
     }
-    if (all) ++support;
+    support += std::popcount(word);
   }
   return support;
-}
-
-/// True when the item set (ascending ids == ascending offsets) has
-/// strictly increasing offsets, i.e. no two items share a time offset.
-bool OffsetsStrictlyIncreasing(const std::vector<int>& items,
-                               const FrequentRegionSet& regions) {
-  for (size_t i = 1; i < items.size(); ++i) {
-    if (regions.Region(items[i]).offset <=
-        regions.Region(items[i - 1]).offset) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -93,160 +71,141 @@ StatusOr<AprioriResult> MineTrajectoryPatterns(
   const size_t num_regions = regions.NumRegions();
   if (num_regions == 0 || transactions.empty()) return result;
 
-  // --- Level 1: frequent single regions. -------------------------------
-  std::vector<int> item_support(num_regions, 0);
-  for (const Transaction& t : transactions) {
-    for (int item : t.items()) ++item_support[static_cast<size_t>(item)];
-  }
-  std::vector<Itemset> previous_level;
-  for (size_t id = 0; id < num_regions; ++id) {
-    if (item_support[id] >= params.min_support) {
-      previous_level.push_back(
-          {{static_cast<int>(id)}, item_support[id]});
+  // --- Tidsets: bit r of region i's set <=> transaction r contains i. --
+  const size_t num_words = (transactions.size() + 63) / 64;
+  std::vector<uint64_t> region_tids(num_regions * num_words, 0);
+  for (size_t r = 0; r < transactions.size(); ++r) {
+    const uint64_t bit = uint64_t{1} << (r % 64);
+    for (int item : transactions[r].items()) {
+      region_tids[static_cast<size_t>(item) * num_words + r / 64] |= bit;
     }
   }
-  result.stats.num_frequent_itemsets += previous_level.size();
-
-  // Support lookups for rule confidence (and subset pruning).
-  SupportMap all_supports;
-  for (const Itemset& s : previous_level) {
-    all_supports.emplace(s.items, s.support);
+  std::vector<Timestamp> offset(num_regions);
+  for (size_t id = 0; id < num_regions; ++id) {
+    offset[id] = regions.Region(static_cast<int>(id)).offset;
   }
 
-  std::vector<Itemset> all_frequent_rules_source;  // size >= 2 item sets
+  // --- Level 1: frequent single regions. -------------------------------
+  Level previous;
+  for (size_t id = 0; id < num_regions; ++id) {
+    const uint64_t* tids = region_tids.data() + id * num_words;
+    const int support = static_cast<int>(wordops::Popcount(tids, num_words));
+    if (support < params.min_support) continue;
+    previous.items.push_back(static_cast<int>(id));
+    previous.tids.insert(previous.tids.end(), tids, tids + num_words);
+    previous.supports.push_back(support);
+  }
+  result.stats.num_frequent_itemsets += previous.size();
 
-  // --- Levels k >= 2: join, prune, count. ------------------------------
-  for (int k = 2; k <= params.max_pattern_length && previous_level.size() > 1;
+  // --- Levels k >= 2: join, prune, count; emit each set's rule. --------
+  // A level is in lexicographic item order, and a join of i < j appends
+  // j's last item to i, so every level — and the rule stream — comes out
+  // in (size, items) order.
+  std::vector<int> subset;
+  for (int k = 2; k <= params.max_pattern_length && previous.size() > 1;
        ++k) {
-    std::vector<Itemset> current_level;
-    // previous_level is sorted lexicographically (construction order).
-    for (size_t i = 0; i < previous_level.size(); ++i) {
-      const std::vector<int>& a_items = previous_level[i].items;
-      // For k >= 3 the candidate's premise is exactly `a`; hoist the
-      // premise-window check out of the join so wide-span prefixes are
-      // skipped before candidate construction.
-      if (params.premise_window > 0 && k >= 3) {
-        const Timestamp span =
-            regions.Region(a_items.back()).offset -
-            regions.Region(a_items.front()).offset;
-        if (span > params.premise_window) continue;
+    const size_t parent_width = static_cast<size_t>(k - 1);
+    const size_t prefix = parent_width - 1;  // Items a join's parents share.
+    Level current;
+    for (size_t i = 0; i < previous.size(); ++i) {
+      const int* a = previous.items.data() + i * parent_width;
+      const Timestamp a_last = offset[static_cast<size_t>(a[prefix])];
+      // The candidate's premise is exactly `a`: bound its offset span.
+      if (params.premise_window > 0 && k >= 3 &&
+          a_last - offset[static_cast<size_t>(a[0])] > params.premise_window) {
+        continue;
       }
-      for (size_t j = i + 1; j < previous_level.size(); ++j) {
-        const std::vector<int>& a = previous_level[i].items;
-        const std::vector<int>& b = previous_level[j].items;
+      for (size_t j = i + 1; j < previous.size(); ++j) {
+        const int* b = previous.items.data() + j * parent_width;
         // Classic Apriori join: equal prefixes, differing last item.
-        if (!std::equal(a.begin(), a.end() - 1, b.begin())) {
-          // Sorted order means no later j can share the prefix either.
-          break;
-        }
-        std::vector<int> candidate = a;
-        candidate.push_back(b.back());
+        // Sorted order means no later j can share the prefix either.
+        if (!std::equal(a, a + prefix, b)) break;
+        const int last = b[prefix];
 
-        // Trajectory constraint: strictly increasing offsets. (Pruning
-        // rule 1 applied during generation — an item set that is not a
-        // time-ordered sequence can never form a valid pattern.)
-        if (!OffsetsStrictlyIncreasing(candidate, regions)) continue;
+        // Trajectory constraint: strictly increasing offsets (pruning
+        // rule 1 applied during generation). `a` is already time-ordered,
+        // so only the appended item needs checking.
+        if (offset[static_cast<size_t>(last)] <= a_last) continue;
 
-        // Premise-window constraint: the first k-1 items will be the
-        // premise; bound their offset span.
-        if (params.premise_window > 0 && candidate.size() >= 3) {
-          const Timestamp first =
-              regions.Region(candidate.front()).offset;
-          const Timestamp last_premise =
-              regions.Region(candidate[candidate.size() - 2]).offset;
-          if (last_premise - first > params.premise_window) continue;
-        }
-
-        // Downward closure: every (k-1)-subset must be frequent.
+        // Downward closure: the (k-1)-subsets other than the parents
+        // (drop any of the first k-2 items) must be frequent. Counting
+        // them also covers subsets the window constraint kept off a level.
         bool closed = true;
-        if (k > 2) {
-          std::vector<int> subset(candidate.size() - 1);
-          for (size_t drop = 0; drop + 2 < candidate.size() && closed;
-               ++drop) {
-            size_t idx = 0;
-            for (size_t m = 0; m < candidate.size(); ++m) {
-              if (m != drop) subset[idx++] = candidate[m];
-            }
-            if (all_supports.find(subset) == all_supports.end()) {
-              // The subset may have been excluded by the window
-              // constraint rather than support; verify by counting.
-              if (CountSupport(transactions, subset) < params.min_support) {
-                closed = false;
-              }
-            }
+        for (size_t drop = 0; drop < prefix && closed; ++drop) {
+          subset.clear();
+          for (size_t m = 0; m < parent_width; ++m) {
+            if (m != drop) subset.push_back(a[m]);
           }
+          subset.push_back(last);
+          closed = SupportOfItems(subset, region_tids, num_words) >=
+                   params.min_support;
         }
         if (!closed) continue;
 
         ++result.stats.num_candidates_counted;
-        const int support = CountSupport(transactions, candidate);
-        if (support >= params.min_support) {
-          current_level.push_back({std::move(candidate), support});
+        const size_t at = current.tids.size();
+        current.tids.resize(at + num_words);
+        uint64_t* tids = current.tids.data() + at;
+        const uint64_t* a_tids = previous.tids.data() + i * num_words;
+        const uint64_t* b_tids = previous.tids.data() + j * num_words;
+        int support = 0;
+        for (size_t w = 0; w < num_words; ++w) {
+          tids[w] = a_tids[w] & b_tids[w];
+          support += std::popcount(tids[w]);
         }
-      }
-    }
-    result.stats.num_frequent_itemsets += current_level.size();
-    for (const Itemset& s : current_level) {
-      all_supports.emplace(s.items, s.support);
-      all_frequent_rules_source.push_back(s);
-    }
-    previous_level = std::move(current_level);
-  }
+        if (support < params.min_support) {
+          current.tids.resize(at);
+          continue;
+        }
+        const size_t first_item = current.items.size();
+        current.items.insert(current.items.end(), a, a + parent_width);
+        current.items.push_back(last);
+        current.supports.push_back(support);
 
-  // --- Rule generation. -------------------------------------------------
-  for (const Itemset& s : all_frequent_rules_source) {
-    const size_t k = s.items.size();
+        // The single prediction-form rule: premise = parent `a` (all but
+        // the last, max-offset item), consequence = the last item.
+        ++result.stats.rules_evaluated;
+        const double confidence =
+            static_cast<double>(support) / previous.supports[i];
+        if (confidence >= params.min_confidence) {
+          TrajectoryPattern p;
+          p.premise.assign(a, a + parent_width);
+          p.consequence = last;
+          p.confidence = confidence;
+          p.support = support;
+          result.patterns.push_back(std::move(p));
+          ++result.stats.patterns_emitted;
+        }
 
-    // The single prediction-form rule: premise = all but the last
-    // (max-offset) item, consequence = last item.
-    std::vector<int> premise(s.items.begin(), s.items.end() - 1);
-    const auto premise_it = all_supports.find(premise);
-    const int premise_support = premise_it != all_supports.end()
-                                    ? premise_it->second
-                                    : CountSupport(transactions, premise);
-    ++result.stats.rules_evaluated;
-    const double confidence =
-        static_cast<double>(s.support) / premise_support;
-    if (confidence >= params.min_confidence) {
-      TrajectoryPattern p;
-      p.premise = std::move(premise);
-      p.consequence = s.items.back();
-      p.confidence = confidence;
-      p.support = s.support;
-      result.patterns.push_back(std::move(p));
-      ++result.stats.patterns_emitted;
-    }
-
-    // Ablation accounting: how many rules classic (unpruned) Apriori
-    // would additionally have produced from this item set.
-    if (!params.enable_pruning) {
-      const size_t num_partitions = (size_t{1} << k) - 2;
-      for (size_t mask = 1; mask <= num_partitions; ++mask) {
-        std::vector<int> cons, prem;
-        for (size_t m = 0; m < k; ++m) {
-          if (mask & (size_t{1} << m)) {
-            cons.push_back(s.items[m]);
-          } else {
-            prem.push_back(s.items[m]);
+        // Ablation accounting: how many rules classic (unpruned) Apriori
+        // would additionally have produced from this item set.
+        if (!params.enable_pruning) {
+          // Consequence = the items in `mask`, premise = the rest.
+          const int* items = current.items.data() + first_item;
+          const size_t width = parent_width + 1;
+          const size_t num_partitions = (size_t{1} << width) - 2;
+          for (size_t mask = 1; mask <= num_partitions; ++mask) {
+            // Skip the valid prediction-form rule counted above.
+            if (mask == size_t{1} << parent_width) continue;
+            subset.clear();
+            for (size_t m = 0; m < width; ++m) {
+              if ((mask & (size_t{1} << m)) == 0) subset.push_back(items[m]);
+            }
+            const double c =
+                static_cast<double>(support) /
+                SupportOfItems(subset, region_tids, num_words);
+            if (c < params.min_confidence) continue;
+            if (std::popcount(mask) > 1) {
+              ++result.stats.rules_pruned_multi_consequence;
+            } else {
+              ++result.stats.rules_pruned_time_order;
+            }
           }
         }
-        // Skip the valid prediction-form rule counted above.
-        if (cons.size() == 1 && cons[0] == s.items.back()) continue;
-
-        const auto it = all_supports.find(prem);
-        const int psupp = it != all_supports.end()
-                              ? it->second
-                              : CountSupport(transactions, prem);
-        if (psupp <= 0) continue;
-        const double c = static_cast<double>(s.support) / psupp;
-        if (c < params.min_confidence) continue;
-        if (cons.size() > 1) {
-          ++result.stats.rules_pruned_multi_consequence;
-        } else {
-          ++result.stats.rules_pruned_time_order;
-        }
       }
     }
+    result.stats.num_frequent_itemsets += current.size();
+    previous = std::move(current);
   }
   return result;
 }

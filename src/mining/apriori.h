@@ -13,6 +13,17 @@
 //      sibling and is never useful for prediction.
 // Both can be disabled (enable_pruning=false) to reproduce the paper's
 // pruning-effect ablation ("58% of trajectory patterns were reduced").
+//
+// Support is counted on the vertical layout (Eclat, Zaki TKDE 2000): the
+// transactions are turned into one tidset per region — ceil(n/64) words,
+// bit r set when transaction r visited the region — and every support is
+// the popcount of an AND of tidsets, the way the incremental miner
+// counts on its slot masks. Each level's frequent item sets are kept
+// flat (items, tidsets, supports); joining two sets that share a prefix
+// ANDs their tidsets into the candidate's, and a rule's premise is the
+// first parent, whose support is already known. Levels come out in
+// lexicographic order, so patterns are emitted in (premise size,
+// premise, consequence) order.
 
 #ifndef HPM_MINING_APRIORI_H_
 #define HPM_MINING_APRIORI_H_

@@ -5,18 +5,15 @@
 namespace hpm {
 
 Transaction::Transaction(const std::vector<RegionVisit>& visits,
-                         size_t num_regions)
-    : bits_(num_regions) {
+                         size_t num_regions) {
   items_.reserve(visits.size());
   for (const RegionVisit& v : visits) {
     HPM_CHECK(v.region_id >= 0 &&
               static_cast<size_t>(v.region_id) < num_regions);
-    if (!bits_.Test(static_cast<size_t>(v.region_id))) {
-      bits_.Set(static_cast<size_t>(v.region_id));
-      items_.push_back(v.region_id);
-    }
+    items_.push_back(v.region_id);
   }
   std::sort(items_.begin(), items_.end());
+  items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
 }
 
 std::vector<Transaction> BuildTransactions(

@@ -4,14 +4,16 @@
 // Each sub-trajectory becomes one transaction whose items are the
 // frequent-region ids it visited. Because region ids are assigned in
 // offset order, a transaction's sorted item list is automatically a
-// time-ordered region sequence.
+// time-ordered region sequence. The miner turns the transactions around
+// once — one tidset per region, bit r set when transaction r visited it
+// — and counts every support on those, so a transaction is only its
+// sorted item list.
 
 #ifndef HPM_MINING_TRANSACTION_H_
 #define HPM_MINING_TRANSACTION_H_
 
 #include <vector>
 
-#include "bitset/dynamic_bitset.h"
 #include "mining/frequent_region.h"
 
 namespace hpm {
@@ -22,30 +24,17 @@ class Transaction {
   /// Creates a transaction over a universe of `num_regions` items from
   /// the given visits (region ids may repeat across offsets if the object
   /// lingers; duplicates collapse in the set view, as in the paper's
-  /// association-rule framing).
+  /// association-rule framing). Every id must lie in [0, num_regions).
   Transaction(const std::vector<RegionVisit>& visits, size_t num_regions);
 
   /// Sorted distinct region ids (== time-offset order).
   const std::vector<int>& items() const { return items_; }
-
-  /// Membership bitmap over region ids for O(1) subset checks.
-  const DynamicBitset& bits() const { return bits_; }
-
-  /// True if every id in `subset_bits` is contained here.
-  bool ContainsAll(const DynamicBitset& subset_bits) const {
-    return bits_.Contains(subset_bits);
-  }
-
-  bool Contains(int region_id) const {
-    return bits_.Test(static_cast<size_t>(region_id));
-  }
 
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 
  private:
   std::vector<int> items_;
-  DynamicBitset bits_;
 };
 
 /// Builds one transaction per sub-trajectory from a discovery result.

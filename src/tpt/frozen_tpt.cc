@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 
 #include "bitset/word_ops.h"
 #include "common/crc32.h"
@@ -48,6 +47,29 @@ int CompareKeyBits(const uint64_t* a, const uint64_t* b, size_t num_words) {
   }
   return 0;
 }
+
+/// `word` with its bit order reversed (bit 0 becomes bit 63).
+uint64_t ReverseBits(uint64_t word) {
+  word = ((word >> 1) & 0x5555555555555555ULL) |
+         ((word & 0x5555555555555555ULL) << 1);
+  word = ((word >> 2) & 0x3333333333333333ULL) |
+         ((word & 0x3333333333333333ULL) << 2);
+  word = ((word >> 4) & 0x0F0F0F0F0F0F0F0FULL) |
+         ((word & 0x0F0F0F0F0F0F0F0FULL) << 4);
+  return __builtin_bswap64(word);
+}
+
+/// A leaf entry's place in Pack's order, precomputed so the sort
+/// compares integers instead of chasing blocks. `lead[w]` is key word w
+/// bit-reversed and inverted: the lowest differing bit of two words
+/// becomes the highest differing bit of their leads, and the word that
+/// has it set gets the smaller lead, so ascending leads are
+/// CompareKeyBits order on the key's first two words.
+struct PackOrder {
+  uint64_t lead[2] = {0, 0};
+  int32_t pattern_id = 0;
+  uint32_t source = 0;
+};
 
 /// Start of run `r` when `count` items are cut into `runs` runs whose
 /// lengths differ by at most one (the longer runs first).
@@ -127,54 +149,69 @@ size_t AlignedWordArena::AllocatedBytes() const {
   return size_ == 0 ? 0 : (size_ * sizeof(uint64_t) + 63) / 64 * 64;
 }
 
-StatusOr<FrozenTpt> FrozenTpt::Pack(std::span<const PatternKey> keys,
+StatusOr<FrozenTpt> FrozenTpt::Pack(const KeyBlocks& keys,
                                     std::span<const LeafPayload> payloads,
                                     int capacity) {
-  if (keys.size() != payloads.size()) {
-    return Status::InvalidArgument("pack needs one payload per key");
-  }
   if (capacity < kMinNodeCapacity || capacity > kMaxNodeCapacity) {
     return Status::InvalidArgument("TPT node capacity out of range");
   }
+  const size_t stride = keys.stride();
+  if (keys.words.size() != payloads.size() * stride) {
+    return Status::InvalidArgument("pack needs one key block per payload");
+  }
   FrozenTpt packed;
-  if (keys.empty()) return packed;
+  if (payloads.empty()) return packed;
   // Internal entries number fewer than the leaves (capacity >= 2), so
   // every entry index fits the 32-bit topology arrays.
-  if (keys.size() > UINT32_MAX / 2) {
+  if (payloads.size() > UINT32_MAX / 2) {
     return Status::InvalidArgument("too many patterns to pack");
   }
-  packed.premise_bits_ = keys[0].premise().size();
-  packed.consequence_bits_ = keys[0].consequence().size();
-  for (const PatternKey& key : keys) {
-    if (key.premise().size() != packed.premise_bits_ ||
-        key.consequence().size() != packed.consequence_bits_) {
-      return Status::InvalidArgument(
-          "pattern key part lengths differ from the first key's");
+  packed.premise_bits_ = keys.premise_bits;
+  packed.consequence_bits_ = keys.consequence_bits;
+  packed.premise_words_ = static_cast<uint32_t>(keys.premise_words());
+  packed.consequence_words_ = static_cast<uint32_t>(keys.consequence_words());
+  const uint64_t* words = keys.words.data();
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    const uint64_t* block = words + i * stride;
+    if (!TailBitsClear(block, packed.consequence_words_,
+                       packed.consequence_bits_) ||
+        !TailBitsClear(block + packed.consequence_words_,
+                       packed.premise_words_, packed.premise_bits_)) {
+      return Status::InvalidArgument("key block sets a bit past its width");
     }
   }
-  packed.premise_words_ =
-      static_cast<uint32_t>(WordsForBits(packed.premise_bits_));
-  packed.consequence_words_ =
-      static_cast<uint32_t>(WordsForBits(packed.consequence_bits_));
 
-  // Leaf order: consequence bits, premise bits, pattern id, then input
-  // position, so the order is total and the layout deterministic.
-  std::vector<uint32_t> order(keys.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    int c = CompareKeyBits(keys[a].consequence().words(),
-                           keys[b].consequence().words(),
-                           packed.consequence_words_);
-    if (c == 0) {
-      c = CompareKeyBits(keys[a].premise().words(),
-                         keys[b].premise().words(), packed.premise_words_);
+  // Leaf order: key bits (the consequence words lead each block, so
+  // consequence bits decide first, then premise bits), pattern id, then
+  // input position, so the order is total and the layout deterministic.
+  // Key words past the first two, when there are any, are compared in
+  // place from the input blocks.
+  const size_t lead_words = std::min<size_t>(stride, 2);
+  std::vector<PackOrder> order(payloads.size());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    PackOrder& o = order[i];
+    for (size_t w = 0; w < lead_words; ++w) {
+      o.lead[w] = ~ReverseBits(words[i * stride + w]);
     }
-    if (c != 0) return c < 0;
-    if (payloads[a].pattern_id != payloads[b].pattern_id) {
-      return payloads[a].pattern_id < payloads[b].pattern_id;
-    }
-    return a < b;
-  });
+    o.pattern_id = payloads[i].pattern_id;
+    o.source = static_cast<uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(),
+            [&](const PackOrder& a, const PackOrder& b) {
+              if (a.lead[0] != b.lead[0]) return a.lead[0] < b.lead[0];
+              if (a.lead[1] != b.lead[1]) return a.lead[1] < b.lead[1];
+              if (stride > lead_words) {
+                const int c = CompareKeyBits(
+                    words + size_t{a.source} * stride + lead_words,
+                    words + size_t{b.source} * stride + lead_words,
+                    stride - lead_words);
+                if (c != 0) return c < 0;
+              }
+              if (a.pattern_id != b.pattern_id) {
+                return a.pattern_id < b.pattern_id;
+              }
+              return a.source < b.source;
+            });
 
   // Level l (leaves = 0) cuts `items` — the sorted entries, or the nodes
   // of level l - 1 — into `nodes` even runs, one run per node.
@@ -185,7 +222,7 @@ StatusOr<FrozenTpt> FrozenTpt::Pack(std::span<const PatternKey> keys,
   const size_t cap = static_cast<size_t>(capacity);
   std::vector<Level> levels;
   size_t num_nodes = 0, num_entries = 0;
-  for (size_t items = keys.size();;) {
+  for (size_t items = payloads.size();;) {
     const size_t nodes = (items + cap - 1) / cap;
     levels.push_back(Level{items, nodes});
     num_nodes += nodes;
@@ -195,11 +232,10 @@ StatusOr<FrozenTpt> FrozenTpt::Pack(std::span<const PatternKey> keys,
   }
   packed.height_ = static_cast<int>(levels.size());
 
-  const size_t stride = packed.Stride();
   packed.nodes_.reserve(num_nodes);
   packed.entry_target_.resize(num_entries);
   packed.key_words_ = AlignedWordArena(num_entries * stride);
-  packed.payloads_.reserve(keys.size());
+  packed.payloads_.reserve(payloads.size());
 
   // DFS preorder, children in run order — the layout Parse validates.
   // A node's entries are reserved before its children are emitted, and
@@ -221,12 +257,9 @@ StatusOr<FrozenTpt> FrozenTpt::Pack(std::span<const PatternKey> keys,
       const size_t entry = size_t{first_entry} + i;
       uint64_t* block = packed.key_words_.data() + entry * stride;
       if (level == 0) {
-        const uint32_t source = order[first_item + i];
-        const PatternKey& key = keys[source];
-        std::memcpy(block, key.consequence().words(),
-                    packed.consequence_words_ * sizeof(uint64_t));
-        std::memcpy(block + packed.consequence_words_, key.premise().words(),
-                    packed.premise_words_ * sizeof(uint64_t));
+        const uint32_t source = order[first_item + i].source;
+        std::memcpy(block, words + size_t{source} * stride,
+                    stride * sizeof(uint64_t));
         packed.entry_target_[entry] =
             static_cast<uint32_t>(packed.payloads_.size());
         packed.payloads_.push_back(payloads[source]);
@@ -247,7 +280,7 @@ StatusOr<FrozenTpt> FrozenTpt::Pack(std::span<const PatternKey> keys,
   emit(emit, levels.size() - 1, 0);
   HPM_CHECK(packed.nodes_.size() == num_nodes);
   HPM_CHECK(entry_cursor == num_entries);
-  HPM_CHECK(packed.payloads_.size() == keys.size());
+  HPM_CHECK(packed.payloads_.size() == payloads.size());
   return packed;
 }
 

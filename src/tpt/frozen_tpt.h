@@ -25,10 +25,12 @@
 //
 // Pack builds the arena the way a packed R-tree is built (Kamel and
 // Faloutsos, CIKM 1993; STR, ICDE 1997), not by the paper's Algorithm 1
-// insertion: the leaf entries are sorted by key — consequence bits, then
-// premise bits, then pattern id — and cut into ceil(n / capacity) leaves
-// of even size, and each level above is cut the same way until one root
-// remains. Sorting on the consequence part first keeps the patterns that
+// insertion. Its input is one flat KeyBlocks array (tpt/pattern_key.h)
+// already in the leaf-block layout above. It sorts block indices by
+// comparing the blocks in place — consequence bits, then premise bits,
+// then pattern id — copies the blocks into the arena in that order, cuts
+// them into ceil(n / capacity) leaves of even size, and cuts each level
+// above the same way until one root remains. Sorting on the consequence part first keeps the patterns that
 // conclude at one period offset in the same leaves, so a query's single
 // consequence bit prunes whole subtrees. The build does not change any
 // answer: every internal key is the exact union of its subtree, so a
@@ -155,13 +157,14 @@ class FrozenTpt {
   static constexpr int kMinNodeCapacity = 4;
   static constexpr int kMaxNodeCapacity = 1 << 16;
 
-  /// Packs leaf entry i = (keys[i], payloads[i]) into an arena whose
-  /// nodes hold at most `capacity` entries (see the file comment). The
-  /// layout is a function of the entries alone, not of their input
-  /// order. Returns InvalidArgument when the spans differ in length, a
-  /// key's part lengths differ from the first key's, or `capacity` is
-  /// outside [kMinNodeCapacity, kMaxNodeCapacity].
-  static StatusOr<FrozenTpt> Pack(std::span<const PatternKey> keys,
+  /// Packs leaf entry i = (key block i of `keys`, payloads[i]) into an
+  /// arena whose nodes hold at most `capacity` entries (see the file
+  /// comment). The layout is a function of the entries alone, not of
+  /// their input order. Returns InvalidArgument when `keys` does not hold
+  /// exactly one block per payload, a block sets a bit past its part's
+  /// width, or `capacity` is outside [kMinNodeCapacity,
+  /// kMaxNodeCapacity].
+  static StatusOr<FrozenTpt> Pack(const KeyBlocks& keys,
                                   std::span<const LeafPayload> payloads,
                                   int capacity);
 

@@ -9,24 +9,31 @@ KeyTables KeyTables::Build(const FrequentRegionSet& regions,
   KeyTables tables;
   tables.num_regions_ = regions.NumRegions();
 
-  std::vector<Timestamp> offsets;
-  offsets.reserve(patterns.size());
+  // Mark each consequence offset, then number the marked offsets in
+  // ascending order: time ids are dense and follow offset order.
+  std::vector<int>& time_ids = tables.time_id_of_offset_;
   for (const TrajectoryPattern& p : patterns) {
-    offsets.push_back(regions.Region(p.consequence).offset);
+    const Timestamp offset = regions.Region(p.consequence).offset;
+    HPM_CHECK(offset >= 0);
+    if (static_cast<size_t>(offset) >= time_ids.size()) {
+      time_ids.resize(static_cast<size_t>(offset) + 1, -1);
+    }
+    time_ids[static_cast<size_t>(offset)] = 0;
   }
-  std::sort(offsets.begin(), offsets.end());
-  offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
-  tables.consequence_offsets_ = std::move(offsets);
-  for (size_t i = 0; i < tables.consequence_offsets_.size(); ++i) {
-    tables.offset_to_time_id_.emplace(tables.consequence_offsets_[i],
-                                      static_cast<int>(i));
+  for (size_t offset = 0; offset < time_ids.size(); ++offset) {
+    if (time_ids[offset] < 0) continue;
+    time_ids[offset] = static_cast<int>(tables.consequence_offsets_.size());
+    tables.consequence_offsets_.push_back(static_cast<Timestamp>(offset));
   }
   return tables;
 }
 
 int KeyTables::TimeIdForOffset(Timestamp offset) const {
-  const auto it = offset_to_time_id_.find(offset);
-  return it == offset_to_time_id_.end() ? -1 : it->second;
+  if (offset < 0 ||
+      static_cast<size_t>(offset) >= time_id_of_offset_.size()) {
+    return -1;
+  }
+  return time_id_of_offset_[static_cast<size_t>(offset)];
 }
 
 Timestamp KeyTables::OffsetForTimeId(int time_id) const {
@@ -45,15 +52,28 @@ void KeyTables::EncodePremiseInto(const std::vector<int>& region_ids,
   }
 }
 
-PatternKey KeyTables::EncodePattern(const TrajectoryPattern& pattern,
-                                    const FrequentRegionSet& regions) const {
-  PatternKey key(num_regions_, consequence_key_length());
-  EncodePremiseInto(pattern.premise, &key.mutable_premise());
-  const int time_id =
-      TimeIdForOffset(regions.Region(pattern.consequence).offset);
-  HPM_CHECK(time_id >= 0);
-  key.mutable_consequence().Set(static_cast<size_t>(time_id));
-  return key;
+KeyBlocks KeyTables::EncodePatterns(
+    const std::vector<TrajectoryPattern>& patterns,
+    const FrequentRegionSet& regions) const {
+  KeyBlocks keys;
+  keys.premise_bits = num_regions_;
+  keys.consequence_bits = consequence_key_length();
+  const size_t consequence_words = keys.consequence_words();
+  const size_t stride = keys.stride();
+  keys.words.assign(patterns.size() * stride, 0);
+  uint64_t* block = keys.words.data();
+  for (const TrajectoryPattern& p : patterns) {
+    const int time_id = TimeIdForOffset(regions.Region(p.consequence).offset);
+    HPM_CHECK(time_id >= 0);
+    block[time_id / 64] |= uint64_t{1} << (time_id % 64);
+    uint64_t* premise = block + consequence_words;
+    for (int id : p.premise) {
+      HPM_CHECK(id >= 0 && static_cast<size_t>(id) < num_regions_);
+      premise[id / 64] |= uint64_t{1} << (id % 64);
+    }
+    block += stride;
+  }
+  return keys;
 }
 
 Status KeyTables::EncodeQueryInto(const std::vector<int>& premise_regions,

@@ -4,12 +4,18 @@
 // hash 2^id (the table itself need not be materialised — the hash is the
 // id — but the premise-key length is the number of frequent regions).
 // The consequence key table collects the distinct time offsets appearing
-// as pattern consequences, sorts them, and assigns dense time ids.
+// as pattern consequences, sorts them, and assigns dense time ids; the
+// reverse map is a vector indexed by offset.
+//
+// EncodePatterns is the one pattern encoder: it writes all of a model's
+// keys in a single pass into one KeyBlocks array, already in the frozen
+// arena's leaf-block layout, which FrozenTpt::Pack sorts and copies. A
+// model build, an incremental rebuild and the model loader's key check
+// all encode through it.
 
 #ifndef HPM_TPT_KEY_TABLES_H_
 #define HPM_TPT_KEY_TABLES_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -50,10 +56,11 @@ class KeyTables {
   /// Offset of a time id. Precondition: 0 <= id < consequence count.
   Timestamp OffsetForTimeId(int time_id) const;
 
-  /// Encodes a mined pattern. All of its region ids and its consequence
-  /// offset must be known to the tables (they are, when the tables were
-  /// built from the same mining run).
-  PatternKey EncodePattern(const TrajectoryPattern& pattern,
+  /// Encodes mined patterns into one flat array: block i is the key of
+  /// patterns[i]. Every region id and consequence offset must be known
+  /// to the tables (they are, when the tables were built from the same
+  /// mining run, or from a superset of it).
+  KeyBlocks EncodePatterns(const std::vector<TrajectoryPattern>& patterns,
                            const FrequentRegionSet& regions) const;
 
   /// Encodes a query into `out`: premise bits for the recently-visited
@@ -80,7 +87,9 @@ class KeyTables {
 
   size_t num_regions_ = 0;
   std::vector<Timestamp> consequence_offsets_;
-  std::unordered_map<Timestamp, int> offset_to_time_id_;
+  /// Time id of each offset in [0, last consequence offset], -1 where no
+  /// pattern concludes.
+  std::vector<int> time_id_of_offset_;
 };
 
 }  // namespace hpm

@@ -68,4 +68,13 @@ size_t PatternKey::MemoryBytes() const {
   return premise_.MemoryBytes() + consequence_.MemoryBytes();
 }
 
+PatternKey KeyBlocks::Key(size_t i) const {
+  HPM_CHECK((i + 1) * stride() <= words.size());
+  const uint64_t* at = block(i);
+  return PatternKey(
+      DynamicBitset::FromWords(at + consequence_words(), premise_words(),
+                               premise_bits),
+      DynamicBitset::FromWords(at, consequence_words(), consequence_bits));
+}
+
 }  // namespace hpm

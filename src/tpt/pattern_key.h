@@ -9,7 +9,9 @@
 #ifndef HPM_TPT_PATTERN_KEY_H_
 #define HPM_TPT_PATTERN_KEY_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bitset/dynamic_bitset.h"
 
@@ -75,6 +77,29 @@ class PatternKey {
  private:
   DynamicBitset premise_;
   DynamicBitset consequence_;
+};
+
+/// A model's pattern keys in one flat word array, laid out as the
+/// FrozenTpt arena lays out its leaf blocks: key i occupies words
+/// [i * stride(), (i + 1) * stride()), its consequence words first, then
+/// its premise words, with every bit past a part's width zero. This is
+/// what KeyTables::EncodePatterns writes and FrozenTpt::Pack reads, so a
+/// model's keys are encoded without one allocation per pattern.
+struct KeyBlocks {
+  size_t premise_bits = 0;
+  size_t consequence_bits = 0;
+  std::vector<uint64_t> words;
+
+  size_t premise_words() const { return (premise_bits + 63) / 64; }
+  size_t consequence_words() const { return (consequence_bits + 63) / 64; }
+  size_t stride() const { return consequence_words() + premise_words(); }
+
+  /// Key i's block. Precondition: the array holds more than i blocks.
+  const uint64_t* block(size_t i) const { return words.data() + i * stride(); }
+
+  /// Key i as a PatternKey. Allocates: for tests and checks, not for a
+  /// model build.
+  PatternKey Key(size_t i) const;
 };
 
 }  // namespace hpm

@@ -3,6 +3,29 @@
 #include "proptest/generators.h"
 
 namespace hpm {
+
+StatusOr<KeyBlocks> FlattenKeys(std::span<const PatternKey> keys) {
+  KeyBlocks blocks;
+  if (keys.empty()) return blocks;
+  blocks.premise_bits = keys[0].premise().size();
+  blocks.consequence_bits = keys[0].consequence().size();
+  blocks.words.reserve(keys.size() * blocks.stride());
+  for (const PatternKey& key : keys) {
+    if (key.premise().size() != blocks.premise_bits ||
+        key.consequence().size() != blocks.consequence_bits) {
+      return Status::InvalidArgument(
+          "pattern key part lengths differ from the first key's");
+    }
+    const uint64_t* consequence = key.consequence().words();
+    const uint64_t* premise = key.premise().words();
+    blocks.words.insert(blocks.words.end(), consequence,
+                        consequence + blocks.consequence_words());
+    blocks.words.insert(blocks.words.end(), premise,
+                        premise + blocks.premise_words());
+  }
+  return blocks;
+}
+
 namespace proptest {
 
 std::vector<IndexedPattern> RandomPatternSet(Random& rng, int count,

@@ -1,16 +1,26 @@
 // Random pattern sets for the reference TPT's property suites and
-// benches.
+// benches, and FlattenKeys, which lays PatternKeys out as the flat
+// KeyBlocks array FrozenTpt::Pack reads.
 
 #ifndef HPM_TPT_REFERENCE_PATTERN_SETS_H_
 #define HPM_TPT_REFERENCE_PATTERN_SETS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
+#include "tpt/pattern_key.h"
 #include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
+
+/// `keys` as one KeyBlocks array, block i = keys[i], with the first
+/// key's part lengths. InvalidArgument when a key's part lengths differ
+/// from the first key's.
+StatusOr<KeyBlocks> FlattenKeys(std::span<const PatternKey> keys);
+
 namespace proptest {
 
 /// `count` indexed patterns sharing the given key part lengths, with

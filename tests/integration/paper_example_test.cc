@@ -60,9 +60,10 @@ class PaperExampleTest : public ::testing::Test {
     regions_ = JaneRegions();
     patterns_ = JanePatterns();
     tables_ = KeyTables::Build(regions_, patterns_);
+    keys_ = tables_.EncodePatterns(patterns_, regions_);
     for (size_t i = 0; i < patterns_.size(); ++i) {
       IndexedPattern entry;
-      entry.key = tables_.EncodePattern(patterns_[i], regions_);
+      entry.key = keys_.Key(i);
       entry.confidence = patterns_[i].confidence;
       entry.consequence_region = patterns_[i].consequence;
       entry.pattern_id = static_cast<int>(i);
@@ -72,6 +73,7 @@ class PaperExampleTest : public ::testing::Test {
   FrequentRegionSet regions_;
   std::vector<TrajectoryPattern> patterns_;
   KeyTables tables_;
+  KeyBlocks keys_;
   TptTree tpt_;
 };
 
@@ -98,8 +100,7 @@ TEST_F(PaperExampleTest, TableIIIPatternKeys) {
   const std::vector<std::string> expected = {"0100001", "0100001",
                                              "1000011", "1000101"};
   for (size_t i = 0; i < patterns_.size(); ++i) {
-    EXPECT_EQ(tables_.EncodePattern(patterns_[i], regions_).ToString(),
-              expected[i])
+    EXPECT_EQ(keys_.Key(i).ToString(), expected[i])
         << "pattern " << i;
   }
 }
@@ -126,8 +127,8 @@ TEST_F(PaperExampleTest, SectionVIBRankingArithmetic) {
   PatternKey qkey;
   ASSERT_TRUE(tables_.EncodeQueryInto({0, 1}, 2, &qkey).ok());
 
-  const PatternKey p2 = tables_.EncodePattern(patterns_[2], regions_);
-  const PatternKey p3 = tables_.EncodePattern(patterns_[3], regions_);
+  const PatternKey p2 = keys_.Key(2);
+  const PatternKey p3 = keys_.Key(3);
 
   const double sr2 = PremiseSimilarity(p2.premise(), qkey.premise(),
                                        WeightFunction::kLinear);

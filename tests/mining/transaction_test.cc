@@ -11,27 +11,12 @@ TEST(TransactionTest, BuildsSortedDistinctItems) {
   Transaction t(visits, 8);
   EXPECT_EQ(t.items(), (std::vector<int>{0, 2, 5}));
   EXPECT_EQ(t.size(), 3u);
-  EXPECT_TRUE(t.Contains(0));
-  EXPECT_TRUE(t.Contains(2));
-  EXPECT_TRUE(t.Contains(5));
-  EXPECT_FALSE(t.Contains(1));
 }
 
 TEST(TransactionTest, EmptyVisits) {
   Transaction t({}, 4);
   EXPECT_TRUE(t.empty());
-  EXPECT_TRUE(t.bits().None());
-}
-
-TEST(TransactionTest, ContainsAllSubsetCheck) {
-  Transaction t({{0, 1}, {1, 3}, {2, 4}}, 6);
-  DynamicBitset subset(6);
-  subset.Set(1);
-  subset.Set(4);
-  EXPECT_TRUE(t.ContainsAll(subset));
-  subset.Set(5);
-  EXPECT_FALSE(t.ContainsAll(subset));
-  EXPECT_TRUE(t.ContainsAll(DynamicBitset(6)));  // Empty subset.
+  EXPECT_TRUE(t.items().empty());
 }
 
 TEST(TransactionTest, BuildTransactionsFromMiningResult) {

@@ -50,7 +50,9 @@ StatusOr<FrozenTpt> PackPatterns(const std::vector<IndexedPattern>& patterns,
     payloads.push_back(
         LeafPayload{p.confidence, p.consequence_region, p.pattern_id, 0});
   }
-  return FrozenTpt::Pack(keys, payloads, capacity);
+  StatusOr<KeyBlocks> blocks = FlattenKeys(keys);
+  if (!blocks.ok()) return blocks.status();
+  return FrozenTpt::Pack(*blocks, payloads, capacity);
 }
 
 /// The insertion-built reference at the same node capacity.
@@ -294,11 +296,13 @@ StatusOr<std::vector<IndexedPattern>> MinePatterns(const MinedCase& input,
   const FrequentRegionSet& region_set = offline->discovery.region_set;
   *tables = KeyTables::Build(region_set, offline->mined.patterns);
   *num_regions = region_set.NumRegions();
+  const KeyBlocks keys =
+      tables->EncodePatterns(offline->mined.patterns, region_set);
   std::vector<IndexedPattern> patterns;
   for (size_t i = 0; i < offline->mined.patterns.size(); ++i) {
     const TrajectoryPattern& p = offline->mined.patterns[i];
-    patterns.push_back({tables->EncodePattern(p, region_set), p.confidence,
-                        p.consequence, static_cast<int>(i)});
+    patterns.push_back(
+        {keys.Key(i), p.confidence, p.consequence, static_cast<int>(i)});
   }
   return patterns;
 }
@@ -391,30 +395,41 @@ TEST(PropTptPackTest, PackRejectsMalformedInput) {
     payloads.push_back(LeafPayload{p.confidence, p.consequence_region,
                                    p.pattern_id, 7});
   }
-  StatusOr<FrozenTpt> empty = FrozenTpt::Pack({}, {}, 32);
+  StatusOr<KeyBlocks> blocks = FlattenKeys(keys);
+  ASSERT_TRUE(blocks.ok());
+  StatusOr<FrozenTpt> empty = FrozenTpt::Pack(KeyBlocks{}, {}, 32);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
   EXPECT_EQ(empty->Height(), 0);
 
-  EXPECT_EQ(FrozenTpt::Pack(keys, std::span(payloads).first(9), 32)
+  EXPECT_EQ(FrozenTpt::Pack(*blocks, std::span(payloads).first(9), 32)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(FrozenTpt::Pack(keys, payloads, FrozenTpt::kMinNodeCapacity - 1)
+  EXPECT_EQ(FrozenTpt::Pack(*blocks, payloads, FrozenTpt::kMinNodeCapacity - 1)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(FrozenTpt::Pack(keys, payloads, FrozenTpt::kMaxNodeCapacity + 1)
+  EXPECT_EQ(FrozenTpt::Pack(*blocks, payloads, FrozenTpt::kMaxNodeCapacity + 1)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   std::vector<PatternKey> ragged = keys;
   ragged.back() = PatternKey(17, 4);
-  EXPECT_EQ(FrozenTpt::Pack(ragged, payloads, 32).status().code(),
+  EXPECT_EQ(FlattenKeys(ragged).status().code(),
             StatusCode::kInvalidArgument);
+  // A block with a bit past its part's width (16 premise bits, 4
+  // consequence bits) is not a key.
+  for (const size_t dirty_word : {size_t{0}, blocks->stride() - 1}) {
+    KeyBlocks dirty = *blocks;
+    dirty.words[dirty.words.size() - blocks->stride() + dirty_word] |=
+        uint64_t{1} << 20;
+    EXPECT_EQ(FrozenTpt::Pack(dirty, payloads, 32).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 
   // Supports ride in with the payloads.
-  StatusOr<FrozenTpt> packed = FrozenTpt::Pack(keys, payloads, 4);
+  StatusOr<FrozenTpt> packed = FrozenTpt::Pack(*blocks, payloads, 4);
   ASSERT_TRUE(packed.ok());
   EXPECT_EQ(packed->Height(), 2);
   for (const LeafPayload& p : packed->payloads()) EXPECT_EQ(p.support, 7);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -57,6 +58,13 @@ Point NoisySample(ObjectId id, Timestamp t, uint64_t base) {
 
 // N writers own disjoint objects; M readers hammer point, range, kNN,
 // and batch queries plus the metadata accessors while ingestion runs.
+// Writers and readers meet at a barrier after every writer step (one
+// report per writer), so all readers start together on the views that
+// step just published: each reader opens with a range and a kNN query
+// over the whole fleet, so first calls of a fresh view's per-object
+// memos collide on every step, not only by chance. Readers keep going,
+// step for step, until the writers finish, while the writers ingest the
+// next step.
 // Afterwards the store must hold exactly what a single-threaded store
 // fed the same samples holds.
 void ParallelWritersAndReadersKeepStateExact(int query_threads) {
@@ -67,69 +75,58 @@ void ParallelWritersAndReadersKeepStateExact(int query_threads) {
   MovingObjectStore store(options);
   const Timestamp samples = kPeriodsPerObject * kPeriod;
 
-  std::atomic<bool> stop{false};
+  std::barrier step_published(kWriters + kReaders);
   std::atomic<int> writer_failures{0};
 
+  // No thread leaves the loop early: a missing arrival would stall the
+  // barrier, so failures are counted and the steps run to the end.
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&store, &writer_failures, w, samples, seed] {
-      const ObjectId id = w;  // Disjoint: one object per writer.
-      for (Timestamp t = 0; t < samples; ++t) {
-        if (!store.ReportLocation(id, NoisySample(id, t, seed)).ok()) {
-          writer_failures.fetch_add(1);
-          return;
-        }
-      }
-    });
+    writers.emplace_back(
+        [&store, &step_published, &writer_failures, w, samples, seed] {
+          const ObjectId id = w;  // Disjoint: one object per writer.
+          for (Timestamp t = 0; t < samples; ++t) {
+            if (!store.ReportLocation(id, NoisySample(id, t, seed)).ok()) {
+              writer_failures.fetch_add(1);
+            }
+            step_published.arrive_and_wait();
+          }
+        });
   }
 
   std::vector<std::thread> readers;
   std::atomic<int> reader_failures{0};
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&store, &stop, &reader_failures, r] {
+    readers.emplace_back([&store, &step_published, &reader_failures,
+                          samples] {
       const BoundingBox everywhere{{-1e7, -1e7}, {1e7, 1e7}};
       const std::vector<ObjectId> all_ids = {0, 1, 2, 3};
-      int rounds = 0;
-      while (!stop.load()) {
-        ++rounds;
+      for (Timestamp step = 0; step < samples; ++step) {
+        step_published.arrive_and_wait();
+        // After every report (so always after "now"), and near enough
+        // that the motion function's recurrence stays cheap.
+        const Timestamp tq = samples + step % kPeriod;
+        if (!store.PredictiveRangeQuery(everywhere, tq).ok()) {
+          reader_failures.fetch_add(1);
+        }
+        if (!store.PredictiveNearestNeighbors({0.0, 0.0}, tq, 2).ok()) {
+          reader_failures.fetch_add(1);
+        }
+        if (store.PredictLocationBatch(all_ids, tq).size() != all_ids.size()) {
+          reader_failures.fetch_add(1);
+        }
         // Metadata snapshots must be internally consistent.
         const std::vector<ObjectId> ids = store.ObjectIds();
         if (!std::is_sorted(ids.begin(), ids.end())) {
           reader_failures.fetch_add(1);
-          return;
         }
         for (ObjectId id : ids) {
-          const size_t len = store.HistoryLength(id);
-          if (len == 0) {  // Listed objects have at least one report.
-            reader_failures.fetch_add(1);
-            return;
-          }
-          // Point query far in the future is always after "now".
-          auto point = store.PredictLocation(id, 1000000 + rounds);
+          // Listed objects have at least one report.
+          if (store.HistoryLength(id) == 0) reader_failures.fetch_add(1);
+          auto point = store.PredictLocation(id, tq);
           if (!point.ok() &&
               point.status().code() != StatusCode::kFailedPrecondition) {
             reader_failures.fetch_add(1);
-            return;
-          }
-        }
-        switch (r % 3) {
-          case 0: {
-            auto hits = store.PredictiveRangeQuery(everywhere,
-                                                   1000000 + rounds);
-            if (!hits.ok()) reader_failures.fetch_add(1);
-            break;
-          }
-          case 1: {
-            auto hits = store.PredictiveNearestNeighbors(
-                {0.0, 0.0}, 1000000 + rounds, 2);
-            if (!hits.ok()) reader_failures.fetch_add(1);
-            break;
-          }
-          default: {
-            auto batch =
-                store.PredictLocationBatch(all_ids, 1000000 + rounds);
-            if (batch.size() != all_ids.size()) reader_failures.fetch_add(1);
-            break;
           }
         }
       }
@@ -137,7 +134,6 @@ void ParallelWritersAndReadersKeepStateExact(int query_threads) {
   }
 
   for (std::thread& t : writers) t.join();
-  stop.store(true);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(writer_failures.load(), 0);

@@ -352,9 +352,13 @@ TEST(EpochStressTest, ReadersShareEachViewsMotionFitWhileReportersRepublish) {
     for (ObjectId id = 0; id < kObjects; ++id) {
       ASSERT_TRUE(store.ReportLocation(id, NoisySample(id, t, seed)).ok());
     }
-    // Keep the readers in step, so every tick's views get read.
+    // Keep the readers in step, so every tick's views get read: wait
+    // for rounds completed after this tick's reports, not for a running
+    // total that rounds read before any model existed can already meet.
+    const int64_t published_at = reads.load(std::memory_order_relaxed);
     while (reader_failures.load() == 0 &&
-           reads.load(std::memory_order_relaxed) < 4 * t * kReaders) {
+           reads.load(std::memory_order_relaxed) <
+               published_at + 4 * kReaders) {
       std::this_thread::yield();
     }
   }

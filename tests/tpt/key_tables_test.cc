@@ -96,14 +96,18 @@ TEST_F(KeyTablesPaperTest, TimeIdMapping) {
 }
 
 TEST_F(KeyTablesPaperTest, EncodePatternReproducesTableIII) {
-  EXPECT_EQ(tables_.EncodePattern(patterns_[0], regions_).ToString(),
-            "0100001");
-  EXPECT_EQ(tables_.EncodePattern(patterns_[1], regions_).ToString(),
+  const KeyBlocks keys = tables_.EncodePatterns(patterns_, regions_);
+  EXPECT_EQ(keys.premise_bits, 5u);
+  EXPECT_EQ(keys.consequence_bits, 2u);
+  ASSERT_EQ(keys.words.size(), patterns_.size() * keys.stride());
+  EXPECT_EQ(keys.Key(0).ToString(), "0100001");
+  EXPECT_EQ(keys.Key(1).ToString(),
             "0100001");  // Same key for both offset-1 consequences.
-  EXPECT_EQ(tables_.EncodePattern(patterns_[2], regions_).ToString(),
-            "1000011");
-  EXPECT_EQ(tables_.EncodePattern(patterns_[3], regions_).ToString(),
-            "1000101");
+  EXPECT_EQ(keys.Key(2).ToString(), "1000011");
+  EXPECT_EQ(keys.Key(3).ToString(), "1000101");
+  // Arena block layout: consequence word, then premise word.
+  EXPECT_EQ(keys.block(2)[0], 0b10u);
+  EXPECT_EQ(keys.block(2)[1], 0b00011u);
 }
 
 TEST_F(KeyTablesPaperTest, EncodeQueryMatchesPaperExample) {
@@ -210,7 +214,7 @@ TEST(KeyTablesDeathTest, EncodePatternUnknownConsequenceOffsetAborts) {
   // Region 0 concludes at offset 0, which no pattern's consequence uses,
   // so the consequence-time table has no slot for it.
   const TrajectoryPattern rogue = {{1}, 0, 0.5, 3};
-  EXPECT_DEATH((void)tables.EncodePattern(rogue, regions), "HPM_CHECK");
+  EXPECT_DEATH((void)tables.EncodePatterns({rogue}, regions), "HPM_CHECK");
 }
 
 TEST(KeyTablesDeathTest, OffsetForTimeIdOutOfRangeAborts) {
