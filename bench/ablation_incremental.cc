@@ -65,8 +65,10 @@ int main() {
     table.Print(stdout);
   }
   std::printf(
-      "\nIncremental incorporation reuses the existing regions and index\n"
-      "(no DBSCAN pass, no TPT rebuild), trading a slightly staler region\n"
-      "universe for a large constant-factor saving per batch.\n");
+      "\nincremental_ms mines only the new days over the existing regions\n"
+      "(no DBSCAN pass) and packs a fresh arena from the old leaves plus\n"
+      "the new rules; retrain_ms rediscovers regions and re-mines all\n"
+      "60 + new_days days. The pattern and error columns show what each\n"
+      "model holds and how well it predicts the held-out days.\n");
   return 0;
 }

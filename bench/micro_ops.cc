@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot operations underneath
 // the figure benches: pattern-key ops, TPT insert/search, DBSCAN,
-// Apriori support counting, RMF fitting, and one object's whole model
-// build (HybridPredictor::Train).
+// Apriori support counting, RMF fitting, one object's whole model build
+// (HybridPredictor::Train) and one fleet-wide prediction batch
+// (MovingObjectStore::PredictLocationBatch).
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "cluster/dbscan.h"
 #include "common/random.h"
@@ -13,6 +17,7 @@
 #include "mining/apriori.h"
 #include "mining/transaction.h"
 #include "motion/recursive_motion.h"
+#include "server/object_store.h"
 #include "tpt_reference/brute_force_store.h"
 #include "tpt_reference/tpt_tree.h"
 
@@ -232,6 +237,72 @@ void BM_TrainObject(benchmark::State& state) {
   state.SetLabel(std::to_string(patterns) + " patterns");
 }
 BENCHMARK(BM_TrainObject)->Arg(5)->Arg(16)->Unit(benchmark::kMicrosecond);
+
+/// The repository benchmark's stream and store options
+/// (perfbench/hpm_bench.cc: 1000 objects, T = 20, drift every 4 periods,
+/// seed 1, 2 fan-out threads), ingested for 6 periods so every object
+/// has a trained model. Built once and shared by every run of the batch
+/// benchmark.
+const MovingObjectStore& PredictBatchStore() {
+  static const std::unique_ptr<MovingObjectStore> store = [] {
+    constexpr int kObjects = 1000;
+    constexpr Timestamp kPeriod = 20;
+    constexpr int kPeriods = 6;
+    ReportStreamConfig config;
+    config.num_objects = kObjects;
+    config.period = kPeriod;
+    config.pattern_probability = 0.9;
+    config.noise_sigma = 2.0;
+    config.drift_every_periods = 4;
+    config.drift_fraction = 0.3;
+    config.extent = 1000.0;
+    config.seed = 1;
+    ObjectStoreOptions options;
+    options.predictor.regions.period = kPeriod;
+    options.predictor.regions.dbscan.eps = 15.0;
+    options.predictor.regions.dbscan.min_pts = 3;
+    options.predictor.mining.min_confidence = 0.2;
+    options.predictor.distant_threshold = 8;
+    options.predictor.region_match_slack = 8.0;
+    options.recent_window = 5;
+    options.query_threads = 2;
+    auto built = std::make_unique<MovingObjectStore>(options);
+    ReportStream stream(config);
+    for (const StreamedReport& r :
+         stream.Take(static_cast<size_t>(kObjects) * kPeriods * kPeriod)) {
+      HPM_CHECK(built->ReportLocation(r.object_id, r.location).ok());
+    }
+    return built;
+  }();
+  return *store;
+}
+
+/// One 1,000-id PredictLocationBatch over the whole fleet per iteration,
+/// the horizon cycling through 1..19 so both FQP and BQP run. Wall time:
+/// the batch fans out over the store's 2 query threads.
+void BM_PredictBatch(benchmark::State& state) {
+  const MovingObjectStore& store = PredictBatchStore();
+  const std::vector<ObjectId> ids = store.ObjectIds();
+  const Timestamp now =
+      static_cast<Timestamp>(store.HistoryLength(ids.front())) - 1;
+  Timestamp horizon = 0;
+  size_t pattern_answers = 0;
+  for (auto _ : state) {
+    horizon = horizon % 19 + 1;
+    const auto batch = store.PredictLocationBatch(ids, now + horizon, 2);
+    benchmark::DoNotOptimize(batch.data());
+    for (const auto& answer : batch) {
+      HPM_CHECK(answer.ok());
+      if (answer->front().source == PredictionSource::kPattern) {
+        ++pattern_answers;
+      }
+    }
+  }
+  state.counters["pattern_share"] =
+      static_cast<double>(pattern_answers) /
+      static_cast<double>(state.iterations() * ids.size());
+}
+BENCHMARK(BM_PredictBatch)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hpm

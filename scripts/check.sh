@@ -35,9 +35,10 @@ run_matrix() {
   # bugs must provably run under every sanitizer in the matrix.
   ctest --test-dir "$build_dir" -L tpt "${CTEST_ARGS[@]}" -j "$JOBS"
   # And for the lock-free serving layer (epoch reclamation, the no-lock
-  # store read path, the batched executor): its races and lifetime bugs
-  # only exist under concurrency, so the label must provably run in
-  # every build of the matrix — most importantly TSan and ASan.
+  # store read path, concurrent predictions on one model): its races and
+  # lifetime bugs only exist under concurrency, so the label must
+  # provably run in every build of the matrix — most importantly TSan
+  # and ASan.
   ctest --test-dir "$build_dir" -L concurrency "${CTEST_ARGS[@]}" \
         -j "$JOBS"
   # And for the incremental-mining pipeline (windowed miner counts,
@@ -113,7 +114,7 @@ ctest --test-dir build-fault -L mining "${CTEST_ARGS[@]}" -j "$JOBS"
 # where shutdown/submit and breaker/fan-out races would live; run its
 # suites, plus everything fault- or concurrency-labelled, under TSan
 # with the hooks on (armed fault schedules change which code paths the
-# epoch readers and the batch executor race through).
+# epoch readers and the fan-out lanes race through).
 echo "== ThreadSanitizer + fault hooks: overload + fault + concurrency + server =="
 cmake -B build-tsan-fault -S . -DHPM_SANITIZE=thread \
       -DHPM_ENABLE_FAULTS=ON >/dev/null

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
+#include <iterator>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -31,6 +31,18 @@ StatusOr<FrozenTpt> PackPatterns(const std::vector<TrajectoryPattern>& patterns,
   }
   return FrozenTpt::Pack(tables.EncodePatterns(patterns, regions), payloads,
                          options.max_node_entries);
+}
+
+/// A hash of one key block and a consequence region: the §V-B update's
+/// dedupe table key (equal hashes are confirmed word by word).
+uint64_t BlockHash(const uint64_t* block, size_t stride, int region) {
+  uint64_t hash = static_cast<uint64_t>(static_cast<uint32_t>(region)) *
+                  0x9E3779B97F4A7C15ULL;
+  for (size_t w = 0; w < stride; ++w) {
+    hash = (hash ^ block[w]) * 0xFF51AFD7ED558CCDULL;
+    hash ^= hash >> 32;
+  }
+  return hash;
 }
 
 }  // namespace
@@ -264,278 +276,161 @@ StatusOr<std::vector<Prediction>> HybridPredictor::DegradedAnswer(
   return std::vector<Prediction>{*fallback};
 }
 
-namespace {
-
-/// Runs a PredictTask to completion sequentially — the non-batched entry
-/// points are Step-to-done over the same machinery the batch executor
-/// interleaves, which is what keeps the two bit-identical.
-StatusOr<std::vector<Prediction>> RunToCompletion(
-    const HybridPredictor& predictor, const PredictiveQuery& query,
-    HybridPredictor::PredictTask::Route route) {
-  // Scratch buffers come from the execution context's lane when the query
-  // runs under the serving pipeline; direct callers get function-local
-  // buffers and identical behaviour.
-  PredictScratch local;
-  PredictScratch& s = query.context != nullptr
-                          ? query.context->lane(query.lane)
-                          : local;
-  HybridPredictor::PredictTask task;
-  task.Start(predictor, query, &s, route);
-  while (!task.Step(SIZE_MAX)) {
-  }
-  return task.TakeResult();
-}
-
-}  // namespace
-
-void HybridPredictor::PredictTask::CompleteWith(
-    StatusOr<std::vector<Prediction>> result) {
-  result_ = std::move(result);
-  stage_ = Stage::kDone;
-  searching_ = false;
-}
-
-void HybridPredictor::PredictTask::MotionFallback() {
+StatusOr<std::vector<Prediction>> HybridPredictor::MotionFallback(
+    const PredictiveQuery& query) const {
   // No qualified pattern: call the motion function (Algorithm 2 line 6 /
   // Algorithm 3 line 11).
-  predictor_->counters_.motion_fallbacks.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  StatusOr<Prediction> fallback = predictor_->MotionFunctionPredict(*query_);
-  if (!fallback.ok()) {
-    CompleteWith(fallback.status());
-    return;
-  }
-  CompleteWith(std::vector<Prediction>{*fallback});
+  counters_.motion_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  StatusOr<Prediction> fallback = MotionFunctionPredict(query);
+  if (!fallback.ok()) return fallback.status();
+  return std::vector<Prediction>{*fallback};
 }
 
-bool HybridPredictor::PredictTask::Start(const HybridPredictor& predictor,
-                                         const PredictiveQuery& query,
-                                         PredictScratch* scratch,
-                                         Route route) {
-  predictor_ = &predictor;
-  query_ = &query;
-  scratch_ = scratch;
-  stage_ = Stage::kDone;
-  searching_ = false;
-  round_ = 0;
-
-  const Status valid = ValidateQuery(query);
-  if (!valid.ok()) {
-    CompleteWith(valid);
-    return true;
-  }
-
-  if (route == Route::kAuto) {
-    route = predictor.IsDistant(query.PredictionLength()) ? Route::kBackward
-                                                           : Route::kForward;
-  }
-  if (route == Route::kForward) {
-    predictor.counters_.forward_queries.fetch_add(1,
-                                                  std::memory_order_relaxed);
+StatusOr<std::vector<Prediction>> HybridPredictor::Answer(
+    const PredictiveQuery& query, bool backward) const {
+  HPM_RETURN_IF_ERROR(ValidateQuery(query));
+  if (backward) {
+    counters_.backward_queries.fetch_add(1, std::memory_order_relaxed);
   } else {
-    predictor.counters_.backward_queries.fetch_add(1,
-                                                   std::memory_order_relaxed);
+    counters_.forward_queries.fetch_add(1, std::memory_order_relaxed);
   }
 
   // The pattern side is the expensive half; when it cannot be consulted
   // in time (or at all), serve the cheap RMF answer instead of failing.
   if (query.deadline.expired()) {
-    CompleteWith(
-        predictor.DegradedAnswer(query, DegradedReason::kDeadlineExceeded));
-    return true;
+    return DegradedAnswer(query, DegradedReason::kDeadlineExceeded);
   }
   if (!HPM_FAULT_HIT("core/pattern_lookup").ok()) {
-    CompleteWith(
-        predictor.DegradedAnswer(query, DegradedReason::kPatternUnavailable));
-    return true;
+    return DegradedAnswer(query, DegradedReason::kPatternUnavailable);
   }
 
-  period_ = predictor.regions_.period();
-  tq_offset_ = query.query_time % period_;
-  premise_ = predictor.QueryPremise(query);
+  // Scratch buffers come from the execution context's lane when the query
+  // runs under the serving pipeline; direct callers get function-local
+  // buffers and identical behaviour.
+  PredictScratch local;
+  PredictScratch* scratch = query.context != nullptr
+                                ? &query.context->lane(query.lane)
+                                : &local;
+  return backward ? BackwardBody(query, scratch)
+                  : ForwardBody(query, scratch);
+}
 
-  if (route == Route::kForward) {
-    if (!premise_.empty() &&
-        predictor.key_tables_
-            .EncodeQueryInto(premise_, tq_offset_, &scratch_->query_key)
-            .ok()) {
-      search_stats_ = TptSearchStats{};
-      cursor_ = predictor.tpt_.StartSearch(
-          scratch_->query_key, SearchMode::kPremiseAndConsequence,
-          &scratch_->tpt_hits, &search_stats_);
-      if (!cursor_.done()) {
-        searching_ = true;
-        stage_ = Stage::kForwardSearch;
-        return false;
-      }
-      FinishForwardSearch();  // Empty tree: the search is already over.
-      return true;
-    }
-    MotionFallback();
-    return true;
+StatusOr<std::vector<Prediction>> HybridPredictor::ForwardBody(
+    const PredictiveQuery& query, PredictScratch* scratch) const {
+  PredictScratch& s = *scratch;
+  const Timestamp tq_offset = query.query_time % regions_.period();
+  const std::vector<int> premise = QueryPremise(query);
+  if (premise.empty() ||
+      !key_tables_.EncodeQueryInto(premise, tq_offset, &s.query_key).ok()) {
+    return MotionFallback(query);
   }
 
-  // Backward Query Processing (Algorithm 3): widen the consequence
-  // interval until a pattern is found or its lower edge reaches the
-  // current time.
-  t_eps_ = predictor.RelaxationStep();
-  last_round_ =
-      LastBackwardRound(query.query_time, query.current_time, t_eps_);
-  const double length = static_cast<double>(query.PredictionLength());
-  premise_penalty_ = std::min(
-      1.0,
-      static_cast<double>(predictor.options_.distant_threshold) / length);
-  RunBackwardRounds();
-  return done();
-}
+  TptSearchStats stats;
+  tpt_.SearchInto(s.query_key, SearchMode::kPremiseAndConsequence,
+                  &s.tpt_hits, &stats);
+  if (query.context != nullptr) query.context->AddTptStats(stats);
+  if (s.tpt_hits.empty()) return MotionFallback(query);
 
-bool HybridPredictor::PredictTask::Step(size_t max_entry_tests) {
-  if (stage_ == Stage::kDone) return true;
-  if (!cursor_.Step(max_entry_tests)) return false;
-  searching_ = false;
-  if (stage_ == Stage::kForwardSearch) {
-    FinishForwardSearch();
-  } else if (!EndBackwardRound(/*ran_search=*/true)) {
-    RunBackwardRounds();
-  }
-  return done();
-}
-
-StatusOr<std::vector<Prediction>> HybridPredictor::PredictTask::TakeResult() {
-  HPM_CHECK(stage_ == Stage::kDone);
-  return std::move(result_);
-}
-
-void HybridPredictor::PredictTask::FinishForwardSearch() {
-  if (query_->context != nullptr) query_->context->AddTptStats(search_stats_);
-  PredictScratch& s = *scratch_;
-  const FrozenTpt& tpt = predictor_->tpt_;
   s.candidates.clear();
   s.candidates.reserve(s.tpt_hits.size());
   for (const FrozenTpt::Hit& hit : s.tpt_hits) {
     // Equation 2: Sp = Sr * c (premise similarity and confidence are
     // independent evidences -> compound probability). The pattern's
     // premise is read in place from its arena block.
-    const LeafPayload& payload = tpt.payload(hit);
+    const LeafPayload& payload = tpt_.payload(hit);
     const double sr = PremiseSimilarity(
-        tpt.premise_words(hit), s.query_key.premise().words(),
-        tpt.num_premise_words(), predictor_->options_.weight_function);
+        tpt_.premise_words(hit), s.query_key.premise().words(),
+        tpt_.num_premise_words(), options_.weight_function);
     s.candidates.push_back({sr * payload.confidence, payload.confidence,
                             payload.pattern_id, &payload});
   }
-  if (!s.candidates.empty()) {
-    predictor_->counters_.pattern_answers.fetch_add(
-        1, std::memory_order_relaxed);
-    CompleteWith(
-        RankAndTake(&s.candidates, query_->k, predictor_->regions_));
-    return;
-  }
-  MotionFallback();
+  counters_.pattern_answers.fetch_add(1, std::memory_order_relaxed);
+  return RankAndTake(&s.candidates, query.k, regions_);
 }
 
-void HybridPredictor::PredictTask::EncodeBackwardRound() {
-  PredictScratch& s = *scratch_;
-  // The round's interval as period offsets (it may wrap), encoded into
-  // the lane's key buffers.
-  const OffsetInterval in =
-      BackwardRoundInterval(query_->query_time, round_, t_eps_, period_);
-  if (in.lo <= in.hi) {
-    predictor_->key_tables_.EncodeQueryIntervalInto(premise_, in.lo, in.hi,
-                                                    &s.query_key);
-  } else {
-    predictor_->key_tables_.EncodeQueryIntervalInto(premise_, in.lo,
-                                                    period_ - 1,
-                                                    &s.query_key);
-    predictor_->key_tables_.EncodeQueryIntervalInto(premise_, 0, in.hi,
-                                                    &s.interval_key);
-    s.query_key.UnionWith(s.interval_key);
-  }
-}
+StatusOr<std::vector<Prediction>> HybridPredictor::BackwardBody(
+    const PredictiveQuery& query, PredictScratch* scratch) const {
+  PredictScratch& s = *scratch;
+  const Timestamp period = regions_.period();
+  const Timestamp tq_offset = query.query_time % period;
+  const std::vector<int> premise = QueryPremise(query);
+  const Timestamp t_eps = RelaxationStep();
+  const Timestamp last_round =
+      LastBackwardRound(query.query_time, query.current_time, t_eps);
+  const double premise_penalty =
+      std::min(1.0, static_cast<double>(options_.distant_threshold) /
+                        static_cast<double>(query.PredictionLength()));
 
-void HybridPredictor::PredictTask::RunBackwardRounds() {
-  for (;;) {
-    ++round_;
+  // Widen the consequence interval until a pattern is found or its lower
+  // edge reaches the current time.
+  for (Timestamp round = 1;; ++round) {
     // Each widening step is another TPT search, so the deadline is
     // re-checked per round.
-    if (round_ > 1 && query_->deadline.expired()) {
-      CompleteWith(predictor_->DegradedAnswer(
-          *query_, DegradedReason::kDeadlineExceeded));
-      return;
+    if (round > 1 && query.deadline.expired()) {
+      return DegradedAnswer(query, DegradedReason::kDeadlineExceeded);
     }
-    EncodeBackwardRound();
-    search_stats_ = TptSearchStats{};
-    bool ran_search = false;
-    if (scratch_->query_key.consequence().Any()) {
-      cursor_ = predictor_->tpt_.StartSearch(scratch_->query_key,
-                                             SearchMode::kConsequenceOnly,
-                                             &scratch_->tpt_hits,
-                                             &search_stats_);
-      if (!cursor_.done()) {
-        searching_ = true;
-        stage_ = Stage::kBackwardSearch;
-        return;  // Yield; Step() finishes the round.
-      }
-      ran_search = true;  // Empty tree: the search is already over.
+    // The round's interval as period offsets (it may wrap), encoded into
+    // the lane's key buffers.
+    const OffsetInterval in =
+        BackwardRoundInterval(query.query_time, round, t_eps, period);
+    if (in.lo <= in.hi) {
+      key_tables_.EncodeQueryIntervalInto(premise, in.lo, in.hi,
+                                          &s.query_key);
     } else {
-      scratch_->tpt_hits.clear();
+      key_tables_.EncodeQueryIntervalInto(premise, in.lo, period - 1,
+                                          &s.query_key);
+      key_tables_.EncodeQueryIntervalInto(premise, 0, in.hi,
+                                          &s.interval_key);
+      s.query_key.UnionWith(s.interval_key);
     }
-    if (EndBackwardRound(ran_search)) return;
-  }
-}
 
-bool HybridPredictor::PredictTask::EndBackwardRound(bool ran_search) {
-  if (ran_search && query_->context != nullptr) {
-    query_->context->AddTptStats(search_stats_);
-  }
-  PredictScratch& s = *scratch_;
-  if (!s.tpt_hits.empty()) {
-    const FrozenTpt& tpt = predictor_->tpt_;
-    // BQP searches on the consequence part alone, so the premise width
-    // is checked here rather than by StartSearch.
-    HPM_CHECK(s.query_key.premise().size() == tpt.premise_bits());
-    s.candidates.clear();
-    s.candidates.reserve(s.tpt_hits.size());
-    for (const FrozenTpt::Hit& hit : s.tpt_hits) {
-      const LeafPayload& payload = tpt.payload(hit);
-      // The consequence offset t is the consequence region's offset:
-      // KeyTables::EncodePatterns sets the one consequence bit at that
-      // offset's time id, so this equals decoding the key's bit.
-      const Timestamp t =
-          predictor_->regions_.Region(payload.consequence_region).offset;
-      const double sc = ConsequenceSimilarity(t, tq_offset_, t_eps_);
-      const double sr = PremiseSimilarity(
-          tpt.premise_words(hit), s.query_key.premise().words(),
-          tpt.num_premise_words(), predictor_->options_.weight_function);
-      // Equation 5: Sp = (Sr * d / (tq - tc) + Sc) * c — the premise
-      // evidence is penalised as the prediction length grows.
-      s.candidates.push_back(
-          {(sr * premise_penalty_ + sc) * payload.confidence,
-           payload.confidence, payload.pattern_id, &payload});
+    // A round whose interval holds no consequence offset has nothing to
+    // search.
+    if (s.query_key.consequence().Any()) {
+      TptSearchStats stats;
+      tpt_.SearchInto(s.query_key, SearchMode::kConsequenceOnly,
+                      &s.tpt_hits, &stats);
+      if (query.context != nullptr) query.context->AddTptStats(stats);
+      if (!s.tpt_hits.empty()) break;
     }
-    predictor_->counters_.pattern_answers.fetch_add(
-        1, std::memory_order_relaxed);
-    CompleteWith(
-        RankAndTake(&s.candidates, query_->k, predictor_->regions_));
-    return true;
+    // No qualified pattern anywhere before the interval hit the current
+    // time: fall back instead of widening further.
+    if (round == last_round) return MotionFallback(query);
   }
 
-  // No qualified pattern anywhere before the interval hit the current
-  // time: fall back instead of widening further.
-  if (round_ == last_round_) {
-    MotionFallback();
-    return true;
+  // BQP searches on the consequence part alone, so the premise width is
+  // checked here rather than by SearchInto.
+  HPM_CHECK(s.query_key.premise().size() == tpt_.premise_bits());
+  s.candidates.clear();
+  s.candidates.reserve(s.tpt_hits.size());
+  for (const FrozenTpt::Hit& hit : s.tpt_hits) {
+    const LeafPayload& payload = tpt_.payload(hit);
+    // The consequence offset t is the consequence region's offset:
+    // KeyTables::EncodePatterns sets the one consequence bit at that
+    // offset's time id, so this equals decoding the key's bit.
+    const Timestamp t = regions_.Region(payload.consequence_region).offset;
+    const double sc = ConsequenceSimilarity(t, tq_offset, t_eps);
+    const double sr = PremiseSimilarity(
+        tpt_.premise_words(hit), s.query_key.premise().words(),
+        tpt_.num_premise_words(), options_.weight_function);
+    // Equation 5: Sp = (Sr * d / (tq - tc) + Sc) * c — the premise
+    // evidence is penalised as the prediction length grows.
+    s.candidates.push_back({(sr * premise_penalty + sc) * payload.confidence,
+                            payload.confidence, payload.pattern_id,
+                            &payload});
   }
-  return false;
+  counters_.pattern_answers.fetch_add(1, std::memory_order_relaxed);
+  return RankAndTake(&s.candidates, query.k, regions_);
 }
 
 StatusOr<std::vector<Prediction>> HybridPredictor::ForwardQuery(
     const PredictiveQuery& query) const {
-  return RunToCompletion(*this, query, PredictTask::Route::kForward);
+  return Answer(query, /*backward=*/false);
 }
 
 StatusOr<std::vector<Prediction>> HybridPredictor::BackwardQuery(
     const PredictiveQuery& query) const {
-  return RunToCompletion(*this, query, PredictTask::Route::kBackward);
+  return Answer(query, /*backward=*/true);
 }
 
 std::vector<TrajectoryPattern> HybridPredictor::PatternTable() const {
@@ -564,9 +459,7 @@ std::vector<TrajectoryPattern> HybridPredictor::PatternTable() const {
 }
 
 StatusOr<std::vector<TrajectoryPattern>> HybridPredictor::MineFreshPatterns(
-    const Trajectory& new_history,
-    const std::vector<TrajectoryPattern>& existing_patterns,
-    bool* new_consequence_offset) const {
+    const Trajectory& new_history, bool* new_consequence_offset) const {
   const Timestamp period = options_.regions.period;
   StatusOr<std::vector<Trajectory>> subs =
       new_history.DecomposePeriodic(period);
@@ -588,20 +481,63 @@ StatusOr<std::vector<TrajectoryPattern>> HybridPredictor::MineFreshPatterns(
       MineTrajectoryPatterns(transactions, regions_, options_.mining);
   if (!mined.ok()) return mined.status();
 
-  // Dedupe against the already-indexed rules.
-  std::set<std::pair<std::vector<int>, int>> existing;
-  for (const TrajectoryPattern& p : existing_patterns) {
-    existing.emplace(p.premise, p.consequence);
-  }
-  std::vector<TrajectoryPattern> fresh;
+  // Dedupe against the indexed rules. Only a rule concluding at an offset
+  // the key tables know can repeat one; those are encoded like the
+  // arena's leaves and put in an open-addressing table keyed by a hash of
+  // (key block, consequence region), and one pass over the arena's leaves
+  // marks each rule it holds.
   *new_consequence_offset = false;
-  for (TrajectoryPattern& p : mined->patterns) {
-    if (existing.count({p.premise, p.consequence})) continue;
-    if (key_tables_.TimeIdForOffset(
-            regions_.Region(p.consequence).offset) < 0) {
+  std::vector<TrajectoryPattern>& patterns = mined->patterns;
+  std::vector<char> known(patterns.size(), 0);
+  std::vector<TrajectoryPattern> probes;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const Timestamp offset = regions_.Region(patterns[i].consequence).offset;
+    if (key_tables_.TimeIdForOffset(offset) < 0) {
       *new_consequence_offset = true;
+      continue;
     }
-    fresh.push_back(std::move(p));
+    known[i] = 1;
+    probes.push_back(std::move(patterns[i]));
+  }
+  std::vector<char> indexed(probes.size(), 0);
+  if (!probes.empty()) {
+    const KeyBlocks keys = key_tables_.EncodePatterns(probes, regions_);
+    const size_t stride = keys.stride();
+    HPM_CHECK(stride ==
+              tpt_.num_consequence_words() + tpt_.num_premise_words());
+    // At most half full; a slot holds a probe index + 1, 0 when empty.
+    const size_t mask = std::bit_ceil(2 * probes.size()) - 1;
+    std::vector<uint32_t> slots(mask + 1, 0);
+    std::vector<uint64_t> hashes(probes.size());
+    for (size_t j = 0; j < probes.size(); ++j) {
+      hashes[j] = BlockHash(keys.block(j), stride, probes[j].consequence);
+      size_t slot = hashes[j] & mask;
+      while (slots[slot] != 0) slot = (slot + 1) & mask;
+      slots[slot] = static_cast<uint32_t>(j + 1);
+    }
+    for (const FrozenTpt::Hit& leaf : tpt_.Leaves()) {
+      const uint64_t* block = tpt_.consequence_words(leaf);
+      const int region = tpt_.payload(leaf).consequence_region;
+      const uint64_t hash = BlockHash(block, stride, region);
+      for (size_t slot = hash & mask; slots[slot] != 0;
+           slot = (slot + 1) & mask) {
+        const size_t j = slots[slot] - 1;
+        if (hashes[j] == hash && probes[j].consequence == region &&
+            std::equal(block, block + stride, keys.block(j))) {
+          indexed[j] = 1;
+        }
+      }
+    }
+  }
+
+  std::vector<TrajectoryPattern> fresh;
+  for (size_t i = 0, j = 0; i < patterns.size(); ++i) {
+    if (!known[i]) {
+      fresh.push_back(std::move(patterns[i]));
+      continue;
+    }
+    if (!indexed[j]) fresh.push_back(std::move(probes[j]));
+    ++j;
   }
   return fresh;
 }
@@ -610,22 +546,45 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
     const Trajectory& new_history) const {
   HPM_INJECT_FAULT("core/train");
   bool new_consequence_offset = false;
-  std::vector<TrajectoryPattern> combined = PatternTable();
   StatusOr<std::vector<TrajectoryPattern>> fresh =
-      MineFreshPatterns(new_history, combined, &new_consequence_offset);
+      MineFreshPatterns(new_history, &new_consequence_offset);
   if (!fresh.ok()) return fresh.status();
 
-  combined.reserve(combined.size() + fresh->size());
-  for (TrajectoryPattern& p : *fresh) combined.push_back(std::move(p));
-
-  // When a new consequence offset appears the key universe grows, so the
-  // tables are rebuilt (keys change length). Either way the arena is
-  // packed from the whole combined set.
-  KeyTables tables = new_consequence_offset
-                         ? KeyTables::Build(regions_, combined)
-                         : key_tables_;
-  StatusOr<FrozenTpt> frozen =
-      PackPatterns(combined, tables, regions_, options_.tpt);
+  KeyTables tables = key_tables_;
+  StatusOr<FrozenTpt> frozen = FrozenTpt();
+  if (new_consequence_offset) {
+    // A new consequence offset grows the key universe (keys change
+    // length), so the tables are rebuilt and every pattern re-encoded.
+    std::vector<TrajectoryPattern> combined = PatternTable();
+    combined.insert(combined.end(), std::make_move_iterator(fresh->begin()),
+                    std::make_move_iterator(fresh->end()));
+    tables = KeyTables::Build(regions_, combined);
+    frozen = PackPatterns(combined, tables, regions_, options_.tpt);
+  } else {
+    // The arena's keys stay valid: its leaves in payload order (a packed
+    // arena's leaf order, which Pack then need not sort), followed by the
+    // fresh rules under the next pattern ids.
+    const KeyBlocks added = tables.EncodePatterns(*fresh, regions_);
+    KeyBlocks keys;
+    keys.premise_bits = added.premise_bits;
+    keys.consequence_bits = added.consequence_bits;
+    const size_t stride = keys.stride();
+    keys.words.reserve(tpt_.size() * stride + added.words.size());
+    for (const FrozenTpt::Hit& leaf : tpt_.Leaves()) {
+      const uint64_t* block = tpt_.consequence_words(leaf);
+      keys.words.insert(keys.words.end(), block, block + stride);
+    }
+    keys.words.insert(keys.words.end(), added.words.begin(),
+                      added.words.end());
+    std::vector<LeafPayload> payloads = tpt_.payloads();
+    payloads.reserve(payloads.size() + fresh->size());
+    for (const TrajectoryPattern& p : *fresh) {
+      payloads.push_back(
+          LeafPayload{p.confidence, p.consequence,
+                      static_cast<int32_t>(payloads.size()), p.support});
+    }
+    frozen = FrozenTpt::Pack(keys, payloads, options_.tpt.max_node_entries);
+  }
   if (!frozen.ok()) return frozen.status();
 
   auto updated = std::unique_ptr<HybridPredictor>(new HybridPredictor(
@@ -641,7 +600,7 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
 
 StatusOr<std::vector<Prediction>> HybridPredictor::Predict(
     const PredictiveQuery& query) const {
-  return RunToCompletion(*this, query, PredictTask::Route::kAuto);
+  return Answer(query, IsDistant(query.PredictionLength()));
 }
 
 }  // namespace hpm

@@ -1,6 +1,14 @@
 // HybridPredictor: the paper's primary contribution, tying together the
 // discovery pipeline (§IV), the Trajectory Pattern Tree (§V) and the
 // Hybrid Prediction Algorithm with its two query processors (§VI).
+//
+// The processors are straight-line code, as the paper writes them: FQP
+// (Algorithm 2) encodes the query key, runs one FrozenTpt::SearchInto,
+// scores the hits by Equation 2 and ranks them; BQP (Algorithm 3) does
+// the same on the consequence part with Equation 5, widening the
+// consequence interval and searching again until a round hits or the
+// interval reaches the current time. Either falls back to the RMF motion
+// function when no pattern qualifies.
 
 #ifndef HPM_CORE_HYBRID_PREDICTOR_H_
 #define HPM_CORE_HYBRID_PREDICTOR_H_
@@ -157,89 +165,6 @@ class HybridPredictor {
   /// fallback answers are single).
   StatusOr<std::vector<Prediction>> Predict(const PredictiveQuery& query) const;
 
-  /// A resumable Predict(): the preamble, each TPT search and the
-  /// post-search scoring run as explicit stages, so a batch executor can
-  /// interleave many predictions' tree traversals to hide memory stalls.
-  /// Predict/ForwardQuery/BackwardQuery are themselves implemented as
-  /// Start + Step-to-done + TakeResult, which is what makes batched and
-  /// sequential answers (predictions, counters, degraded stamps, search
-  /// stats) bit-identical by construction rather than by test alone.
-  ///
-  /// The task borrows the predictor, the query and the scratch; all
-  /// three must outlive it and stay at stable addresses while it runs
-  /// (the in-flight search cursor points into the scratch's key words).
-  class PredictTask {
-   public:
-    /// Which processor to run; kAuto routes by prediction length exactly
-    /// the way Predict() does.
-    enum class Route { kAuto, kForward, kBackward };
-
-    PredictTask() = default;
-    PredictTask(const PredictTask&) = delete;
-    PredictTask& operator=(const PredictTask&) = delete;
-
-    /// Runs everything up to the start of the first TPT search —
-    /// validation, counters, deadline/fault checks, premise mapping, key
-    /// encoding. Queries that never reach a search (invalid, degraded,
-    /// no premise, empty tree) complete here. Returns done().
-    bool Start(const HybridPredictor& predictor,
-               const PredictiveQuery& query, PredictScratch* scratch,
-               Route route = Route::kAuto);
-
-    bool done() const { return stage_ == Stage::kDone; }
-
-    /// Advances the in-flight search by at most `max_entry_tests`
-    /// signature tests, finishing the query (or starting the next BQP
-    /// widening round) when a search completes. Returns done().
-    bool Step(size_t max_entry_tests);
-
-    /// Warms the next signature block Step would touch (no-op when
-    /// done); the batch executor calls this before switching away.
-    void Prefetch() const { cursor_.Prefetch(); }
-
-    /// The finished answer; valid once done(), consumed by the call.
-    StatusOr<std::vector<Prediction>> TakeResult();
-
-   private:
-    enum class Stage { kDone, kForwardSearch, kBackwardSearch };
-
-    void CompleteWith(StatusOr<std::vector<Prediction>> result);
-    /// The "no qualified pattern" tail shared by both processors.
-    void MotionFallback();
-    void FinishForwardSearch();
-    /// Runs BQP widening rounds until one leaves a search in flight or
-    /// the query completes.
-    void RunBackwardRounds();
-    /// Encodes round `round_`'s consequence interval into the scratch
-    /// key buffers.
-    void EncodeBackwardRound();
-    /// Round tail once its search (if any) finished; returns true when
-    /// the query completed, false to widen again.
-    bool EndBackwardRound(bool ran_search);
-
-    const HybridPredictor* predictor_ = nullptr;
-    const PredictiveQuery* query_ = nullptr;
-    PredictScratch* scratch_ = nullptr;
-    Stage stage_ = Stage::kDone;
-
-    FrozenTpt::SearchCursor cursor_;
-    TptSearchStats search_stats_;
-    /// True when a cursor is actually in flight for the current round
-    /// (a BQP round with an empty consequence key runs no search).
-    bool searching_ = false;
-
-    // BQP widening-loop state, fixed at Start.
-    Timestamp period_ = 0;
-    Timestamp tq_offset_ = 0;
-    Timestamp t_eps_ = 0;
-    Timestamp round_ = 0;
-    Timestamp last_round_ = 0;
-    double premise_penalty_ = 0.0;
-    std::vector<int> premise_;
-
-    StatusOr<std::vector<Prediction>> result_{std::vector<Prediction>{}};
-  };
-
   /// Forward Query Processing (Algorithm 2), callable directly.
   StatusOr<std::vector<Prediction>> ForwardQuery(
       const PredictiveQuery& query) const;
@@ -290,7 +215,9 @@ class HybridPredictor {
   /// stay monotonic across swaps); the number of patterns added is the
   /// difference of the two pattern counts. The fresh instance's arena is
   /// packed from the combined pattern set; a packed layout depends on
-  /// the entries alone, not on the order they were added in. Safe to
+  /// the entries alone, not on the order they were added in. Unless the
+  /// keys change length, the existing entries keep the key blocks they
+  /// have in this arena, and only the added rules are encoded. Safe to
   /// call while other threads Predict() on *this.
   StatusOr<std::unique_ptr<HybridPredictor>> WithNewHistory(
       const Trajectory& new_history) const;
@@ -380,17 +307,39 @@ class HybridPredictor {
   }
 
   /// Shared §V-B front half: decomposes `new_history`, maps it onto the
-  /// existing regions, mines, and dedupes against `existing_patterns`
-  /// (the model's PatternTable()). Sets `*new_consequence_offset` when a
-  /// mined rule concludes at a time offset the consequence-key table has
-  /// never seen.
+  /// existing regions, mines, and drops every rule the arena already
+  /// indexes (same premise, same consequence region). Sets
+  /// `*new_consequence_offset` when a mined rule concludes at a time
+  /// offset the consequence-key table has never seen.
   StatusOr<std::vector<TrajectoryPattern>> MineFreshPatterns(
-      const Trajectory& new_history,
-      const std::vector<TrajectoryPattern>& existing_patterns,
-      bool* new_consequence_offset) const;
+      const Trajectory& new_history, bool* new_consequence_offset) const;
 
   /// Maps recent movements to visited frequent regions (query premise).
   std::vector<int> QueryPremise(const PredictiveQuery& query) const;
+
+  /// What Predict, ForwardQuery and BackwardQuery share: validates
+  /// `query`, counts it under its processor, and serves the degraded RMF
+  /// answer when the deadline has expired or the pattern side faults.
+  /// Otherwise runs ForwardBody or BackwardBody on the scratch of the
+  /// query's context lane (function-local buffers without a context).
+  StatusOr<std::vector<Prediction>> Answer(const PredictiveQuery& query,
+                                           bool backward) const;
+
+  /// Algorithm 2 after the shared preamble: encode the premise and the
+  /// query offset, search, score by Equation 2, rank.
+  StatusOr<std::vector<Prediction>> ForwardBody(const PredictiveQuery& query,
+                                                PredictScratch* scratch) const;
+
+  /// Algorithm 3 after the shared preamble: widen the consequence
+  /// interval round by round, searching on the consequence part, until a
+  /// round hits (scored by Equation 5) or LastBackwardRound is reached.
+  StatusOr<std::vector<Prediction>> BackwardBody(
+      const PredictiveQuery& query, PredictScratch* scratch) const;
+
+  /// The "no qualified pattern" answer both processors end in: the motion
+  /// function's prediction, counted as a motion fallback.
+  StatusOr<std::vector<Prediction>> MotionFallback(
+      const PredictiveQuery& query) const;
 
   /// The graceful-degradation answer: the RMF motion-function prediction
   /// stamped with `reason`, counted as a (degraded) motion fallback.

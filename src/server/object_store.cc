@@ -657,56 +657,45 @@ CircuitBreaker::State MovingObjectStore::BreakerState(int shard) const {
   return breakers_[static_cast<size_t>(shard)]->state();
 }
 
-std::optional<StatusOr<std::vector<Prediction>>>
-MovingObjectStore::PreparePredict(const ObjectView& view, Timestamp tq,
-                                  int k, QueryContext* ctx, int lane,
-                                  PredictiveQuery* query) const {
-  using Result = StatusOr<std::vector<Prediction>>;
-  if (view.history_size < 2) {
-    return Result(Status::FailedPrecondition(
-        "object has fewer than 2 reported locations"));
-  }
-  if (tq <= view.now) {
-    return Result(Status::InvalidArgument(
-        "query time must be after the object's last report"));
-  }
-  if (ctx != nullptr) ctx->CountObjectEvaluated();
-  query->recent_movements = view.recent;
-  query->current_time = view.now;
-  query->query_time = tq;
-  query->k = k;
-  query->deadline = ctx != nullptr ? ctx->deadline() : Deadline::Infinite();
-  query->context = ctx;
-  query->lane = lane;
-  query->motion = &view.motion;
-
-  if (view.predictor != nullptr) {
-    if (ctx != nullptr && ctx->shed_to_rmf()) {
-      // Rung 1: the pattern side is skipped wholesale; the answer is the
-      // exact RMF prediction, visibly stamped Overloaded.
-      ctx->CountDegradedPrediction();
-      return Result(view.predictor->DegradedPredict(
-          *query, DegradedReason::kOverloaded));
-    }
-    return std::nullopt;  // Pattern path: the caller runs it.
-  }
-  // Cold start: pure motion function until the first training threshold.
-  // This is already the cheapest answer, so overload changes nothing.
-  Prediction prediction;
-  prediction.source = PredictionSource::kMotionFunction;
-  prediction.location = view.motion.Predict(tq, ctx);
-  return Result(std::vector<Prediction>{prediction});
-}
-
 StatusOr<std::vector<Prediction>> MovingObjectStore::PredictView(
     const ObjectView& view, Timestamp tq, int k, QueryContext* ctx,
     int lane) const {
+  if (view.history_size < 2) {
+    return Status::FailedPrecondition(
+        "object has fewer than 2 reported locations");
+  }
+  if (tq <= view.now) {
+    return Status::InvalidArgument(
+        "query time must be after the object's last report");
+  }
+  if (ctx != nullptr) ctx->CountObjectEvaluated();
+  if (view.predictor == nullptr) {
+    // Cold start: pure motion function until the first training
+    // threshold. This is already the cheapest answer, so overload changes
+    // nothing.
+    Prediction prediction;
+    prediction.source = PredictionSource::kMotionFunction;
+    prediction.location = view.motion.Predict(tq, ctx);
+    return std::vector<Prediction>{prediction};
+  }
+
   PredictiveQuery local;
   PredictiveQuery& query =
       ctx != nullptr ? ctx->lane(static_cast<size_t>(lane)).query : local;
-  if (std::optional<StatusOr<std::vector<Prediction>>> finished =
-          PreparePredict(view, tq, k, ctx, lane, &query)) {
-    return std::move(*finished);
+  query.recent_movements = view.recent;
+  query.current_time = view.now;
+  query.query_time = tq;
+  query.k = k;
+  query.deadline = ctx != nullptr ? ctx->deadline() : Deadline::Infinite();
+  query.context = ctx;
+  query.lane = lane;
+  query.motion = &view.motion;
+  if (ctx != nullptr && ctx->shed_to_rmf()) {
+    // Rung 1: the pattern side is skipped wholesale; the answer is the
+    // exact RMF prediction, visibly stamped Overloaded.
+    ctx->CountDegradedPrediction();
+    return view.predictor->DegradedPredict(query,
+                                           DegradedReason::kOverloaded);
   }
   return view.predictor->Predict(query);
 }
@@ -754,54 +743,27 @@ MovingObjectStore::PredictLocationBatch(const std::vector<ObjectId>& ids,
   pipeline.Plan(1);
   QueryContext& ctx = pipeline.context();
 
-  // Plan: pin the query epoch once, resolve every id to its published
-  // view (raw pointers, valid under the pin for the pipeline's life),
-  // and compute the locality order — by shard, then by model identity,
-  // so consecutive in-flight tasks traverse the same frozen arena.
+  // Plan: pin the query epoch once and resolve every id to its published
+  // view (raw pointers, valid under the pin for the pipeline's life).
   std::vector<const ObjectView*> views(ids.size());
-  std::vector<size_t> order;
   pipeline.RunPlan([&] {
     ctx.AdoptEpochGuard(epoch_->Pin());
-    std::vector<size_t> shard_of(ids.size());
-    std::vector<const void*> model_of(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      shard_of[i] = ShardIndex(ids[i], shards_.size());
-      views[i] = FindView(*shards_[shard_of[i]], ids[i]);
-      model_of[i] =
-          views[i] != nullptr ? views[i]->predictor.get() : nullptr;
+      views[i] = FindView(ShardFor(ids[i]), ids[i]);
     }
-    order = BatchExecutor::LocalityOrder(shard_of, model_of);
   });
 
-  // Fan the locality-ordered batch out in contiguous chunks; each chunk
-  // runs its share stall-interleaved. Answers land at their input index,
-  // so the output order is untouched by the reordering.
+  // Fan the batch out in contiguous chunks of the input; each answer
+  // lands at its input index.
   std::vector<std::optional<Result>> results(ids.size());
   pipeline.FanOutChunks(
-      order.size(), [&](size_t begin, size_t end, size_t lane) {
-        BatchExecutor executor(options_.batch, &ctx);
-        const std::vector<size_t> chunk(order.begin() + begin,
-                                        order.begin() + end);
-        executor.Run(
-            chunk,
-            [&](size_t item, PredictiveQuery* query,
-                PredictScratch* scratch,
-                HybridPredictor::PredictTask* task)
-                -> std::optional<Result> {
-              const ObjectView* view = views[item];
-              if (view == nullptr) {
-                return Result(Status::NotFound("unknown object id"));
-              }
-              if (std::optional<Result> finished = PreparePredict(
-                      *view, tq, k, &ctx, static_cast<int>(lane), query)) {
-                return finished;
-              }
-              task->Start(*view->predictor, *query, scratch);
-              return std::nullopt;
-            },
-            [&](size_t item, Result result) {
-              results[item] = std::move(result);
-            });
+      ids.size(), [&](size_t begin, size_t end, size_t lane) {
+        for (size_t i = begin; i < end; ++i) {
+          results[i] = views[i] == nullptr
+                           ? Result(Status::NotFound("unknown object id"))
+                           : PredictView(*views[i], tq, k, &ctx,
+                                         static_cast<int>(lane));
+        }
       });
 
   return pipeline.RunMerge([&] {

@@ -23,9 +23,9 @@
 // tables/views with release stores and Retire() the old ones through
 // the EpochManager, which frees them only after every reader pinned at
 // or before the retirement has unpinned. Fleet queries fan out across
-// shards on an internal thread pool; batches execute stall-interleaved
-// (server/batch_executor.h). Every public member is safe to call
-// concurrently from any number of threads, except move
+// shards on an internal thread pool, and a prediction batch fans out in
+// contiguous chunks of its ids on the same pool. Every public member is
+// safe to call concurrently from any number of threads, except move
 // construction/assignment and SaveToDirectory/LoadFromDirectory's
 // returned store before it is published to other threads.
 
@@ -39,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,7 +55,6 @@
 #include "core/motion_fit.h"
 #include "io/wal.h"
 #include "mining/incremental_miner.h"
-#include "server/batch_executor.h"
 #include "server/query_pipeline.h"
 #include "server/store_types.h"
 
@@ -136,11 +134,6 @@ struct ObjectStoreOptions {
   /// writer lock and published table, so independent shards ingest fully
   /// concurrently (reads never contend regardless). Must be >= 1.
   int num_shards = 8;
-
-  /// Stall-interleaved batch execution (PredictLocationBatch): how many
-  /// predictions each fan-out lane keeps in flight and the traversal
-  /// budget per step. width = 1 runs the batch strictly sequentially.
-  BatchExecOptions batch;
 
   /// Worker threads for fleet-query fan-out (range / kNN / batch).
   /// 0 = ThreadPool::DefaultThreadCount(). With 1, fan-out runs inline
@@ -273,10 +266,10 @@ class MovingObjectStore {
       Deadline deadline = Deadline::Infinite()) const;
 
   /// Amortised multi-object point prediction: one result per input id,
-  /// in input order. Snapshots are taken with one lock acquisition per
-  /// shard and the per-object prediction work fans out on the thread
-  /// pool. `nullopt`-free: every slot holds the same StatusOr that
-  /// PredictLocation(ids[i], tq, k) would have returned at snapshot
+  /// in input order. The batch takes one admission ticket and one epoch
+  /// pin, and its per-object prediction work fans out on the thread pool
+  /// in contiguous chunks of `ids`. Every slot holds the same StatusOr
+  /// that PredictLocation(ids[i], tq, k) would have returned at snapshot
   /// time.
   std::vector<StatusOr<std::vector<Prediction>>> PredictLocationBatch(
       const std::vector<ObjectId>& ids, Timestamp tq, int k = 1,
@@ -577,16 +570,6 @@ class MovingObjectStore {
                                                 Timestamp tq, int k,
                                                 QueryContext* ctx,
                                                 int lane) const;
-
-  /// The shared front half of PredictView and the batched path:
-  /// validation, accounting, query assembly, and the shed / cold-start
-  /// answers. Returns the finished result for queries that never reach
-  /// the pattern side; otherwise fills `*query` and returns nullopt —
-  /// the caller runs `view.predictor->Predict(*query)` (sequential) or
-  /// a PredictTask (batched), which are the same computation.
-  std::optional<StatusOr<std::vector<Prediction>>> PreparePredict(
-      const ObjectView& view, Timestamp tq, int k, QueryContext* ctx,
-      int lane, PredictiveQuery* query) const;
 
   /// Shared ReportLocation/ReportLocationAt back half, one pipeline
   /// instantiation: validates the sample (including `*expected_t`'s

@@ -36,7 +36,6 @@ StoreMetrics::StoreMetrics(MetricsRegistry* registry) {
   objects_evaluated = registry->GetCounter("store.objects_evaluated");
   objects_pruned = registry->GetCounter("store.objects_pruned");
   motion_fits = registry->GetCounter("store.motion_fits");
-  batch_interleaved = registry->GetCounter("batch.interleaved");
   epoch_pinned = registry->GetCounter("epoch.pinned");
   epoch_retired = registry->GetCounter("epoch.retired");
   epoch_freed = registry->GetCounter("epoch.freed");
@@ -242,7 +241,6 @@ void QueryPipeline::Account() {
     m->objects_evaluated->Increment(totals.objects_evaluated);
     m->objects_pruned->Increment(totals.objects_pruned);
     m->motion_fits->Increment(totals.motion_fits);
-    m->batch_interleaved->Increment(totals.batch_interleaved);
     m->tpt_nodes_visited->Increment(totals.tpt_nodes_visited);
     m->tpt_entries_tested->Increment(totals.tpt_entries_tested);
     m->tpt_blocks_scanned->Increment(totals.tpt_blocks_scanned);
@@ -260,9 +258,6 @@ void QueryPipeline::Account() {
     trace.AddCounter("degraded_predictions", totals.degraded_predictions);
     trace.AddCounter("shards_skipped", totals.shards_skipped);
     trace.AddCounter("motion_fits", totals.motion_fits);
-    if (totals.batch_interleaved > 0) {
-      trace.AddCounter("batch_interleaved", totals.batch_interleaved);
-    }
     trace.AddCounter("tpt_nodes_visited", totals.tpt_nodes_visited);
     trace.AddCounter("tpt_entries_tested", totals.tpt_entries_tested);
     trace.AddCounter("tpt_blocks_scanned", totals.tpt_blocks_scanned);

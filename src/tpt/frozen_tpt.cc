@@ -1,6 +1,7 @@
 #include "tpt/frozen_tpt.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -23,7 +24,7 @@ constexpr uint32_t kMaxKeyBits = 1u << 22;
 
 /// Uniform leaf depth in a sane tree is logarithmic in pattern count; a
 /// parsed topology deeper than this is corrupt (and would otherwise
-/// overflow SearchCursor's fixed frame stack).
+/// overflow SearchInto's fixed frame stack).
 constexpr int kMaxHeight = FrozenTpt::kMaxDepth;
 
 size_t WordsForBits(size_t bits) { return (bits + 63) / 64; }
@@ -196,22 +197,26 @@ StatusOr<FrozenTpt> FrozenTpt::Pack(const KeyBlocks& keys,
     o.pattern_id = payloads[i].pattern_id;
     o.source = static_cast<uint32_t>(i);
   }
-  std::sort(order.begin(), order.end(),
-            [&](const PackOrder& a, const PackOrder& b) {
-              if (a.lead[0] != b.lead[0]) return a.lead[0] < b.lead[0];
-              if (a.lead[1] != b.lead[1]) return a.lead[1] < b.lead[1];
-              if (stride > lead_words) {
-                const int c = CompareKeyBits(
-                    words + size_t{a.source} * stride + lead_words,
-                    words + size_t{b.source} * stride + lead_words,
-                    stride - lead_words);
-                if (c != 0) return c < 0;
-              }
-              if (a.pattern_id != b.pattern_id) {
-                return a.pattern_id < b.pattern_id;
-              }
-              return a.source < b.source;
-            });
+  const auto less = [&](const PackOrder& a, const PackOrder& b) {
+    if (a.lead[0] != b.lead[0]) return a.lead[0] < b.lead[0];
+    if (a.lead[1] != b.lead[1]) return a.lead[1] < b.lead[1];
+    if (stride > lead_words) {
+      const int c = CompareKeyBits(
+          words + size_t{a.source} * stride + lead_words,
+          words + size_t{b.source} * stride + lead_words,
+          stride - lead_words);
+      if (c != 0) return c < 0;
+    }
+    if (a.pattern_id != b.pattern_id) return a.pattern_id < b.pattern_id;
+    return a.source < b.source;
+  };
+  // An update lists a packed arena's leaves, already in this order, before
+  // its new entries: only the unsorted tail is sorted, then merged in.
+  // The order is total, so the result is the same as one full sort.
+  const auto sorted_end =
+      std::is_sorted_until(order.begin(), order.end(), less);
+  std::sort(sorted_end, order.end(), less);
+  std::inplace_merge(order.begin(), sorted_end, order.end(), less);
 
   // Level l (leaves = 0) cuts `items` — the sorted entries, or the nodes
   // of level l - 1 — into `nodes` even runs, one run per node.
@@ -312,84 +317,6 @@ std::vector<FrozenTpt::Hit> FrozenTpt::Leaves() const {
   return leaves;
 }
 
-bool FrozenTpt::SearchCursor::Step(size_t max_entry_tests) {
-  size_t budget = max_entry_tests;
-  while (depth_ > 0 && budget > 0) {
-    Frame& frame = frames_[depth_ - 1];
-    const NodeRef node = tree_->nodes_[frame.node];
-    if (frame.entry == node.num_entries) {
-      --depth_;  // This subtree is exhausted; resume in the parent.
-      continue;
-    }
-    const uint32_t i = frame.entry++;
-    const size_t stride = tree_->Stride();
-    const uint64_t* block =
-        tree_->key_words_.data() + (node.first_entry + i) * stride;
-    if (i + 1 < node.num_entries) {
-      __builtin_prefetch(block + stride);
-    }
-    if (stats_ != nullptr) ++stats_->entries_tested;
-    --budget;
-    // Consequence part first (both modes prune on it), premise part only
-    // when FQP still needs it — same short-circuit order as
-    // PatternKey::Intersects, so entries_tested/pruning match a pointer
-    // tree of the same shape exactly.
-    bool match =
-        wordops::AnyCommon(block, query_consequence_,
-                           tree_->consequence_words_);
-    if (stats_ != nullptr) ++stats_->blocks_scanned;
-    if (match && mode_ == SearchMode::kPremiseAndConsequence) {
-      match = wordops::AnyCommon(block + tree_->consequence_words_,
-                                 query_premise_, tree_->premise_words_);
-      if (stats_ != nullptr) ++stats_->blocks_scanned;
-    }
-    if (!match) continue;
-    const uint32_t target = tree_->entry_target_[node.first_entry + i];
-    if (node.is_leaf != 0) {
-      out_->push_back(Hit{node.first_entry + i, target});
-    } else {
-      HPM_CHECK(depth_ < kMaxDepth);
-      frames_[depth_++] = Frame{target, 0};
-      if (stats_ != nullptr) ++stats_->nodes_visited;
-    }
-  }
-  return depth_ == 0;
-}
-
-void FrozenTpt::SearchCursor::Prefetch() const {
-  // Walk up from the current frame to the first node with an untested
-  // entry — that entry's block is the next one Step will touch.
-  for (int d = depth_; d > 0; --d) {
-    const Frame& frame = frames_[d - 1];
-    const NodeRef node = tree_->nodes_[frame.node];
-    if (frame.entry == node.num_entries) continue;
-    __builtin_prefetch(tree_->key_words_.data() +
-                       (node.first_entry + frame.entry) * tree_->Stride());
-    return;
-  }
-}
-
-FrozenTpt::SearchCursor FrozenTpt::StartSearch(
-    const PatternKey& query, SearchMode mode,
-    std::vector<Hit>* out, TptSearchStats* stats) const {
-  out->clear();
-  SearchCursor cursor;
-  if (payloads_.empty()) return cursor;
-  HPM_CHECK(query.consequence().size() == consequence_bits_);
-  if (mode == SearchMode::kPremiseAndConsequence) {
-    HPM_CHECK(query.premise().size() == premise_bits_);
-  }
-  cursor.tree_ = this;
-  cursor.query_consequence_ = query.consequence().words();
-  cursor.query_premise_ = query.premise().words();
-  cursor.mode_ = mode;
-  cursor.out_ = out;
-  cursor.stats_ = stats;
-  cursor.frames_[cursor.depth_++] = SearchCursor::Frame{0, 0};
-  if (stats != nullptr) ++stats->nodes_visited;
-  return cursor;
-}
-
 std::vector<FrozenTpt::Hit> FrozenTpt::Search(const PatternKey& query,
                                               SearchMode mode,
                                               TptSearchStats* stats) const {
@@ -401,8 +328,60 @@ std::vector<FrozenTpt::Hit> FrozenTpt::Search(const PatternKey& query,
 void FrozenTpt::SearchInto(const PatternKey& query, SearchMode mode,
                            std::vector<Hit>* out,
                            TptSearchStats* stats) const {
-  SearchCursor cursor = StartSearch(query, mode, out, stats);
-  while (!cursor.Step(SIZE_MAX)) {
+  out->clear();
+  if (payloads_.empty()) return;
+  HPM_CHECK(query.consequence().size() == consequence_bits_);
+  if (mode == SearchMode::kPremiseAndConsequence) {
+    HPM_CHECK(query.premise().size() == premise_bits_);
+  }
+  const uint64_t* query_consequence = query.consequence().words();
+  const uint64_t* query_premise = query.premise().words();
+  const size_t stride = Stride();
+
+  // frames[0..depth) is the depth-first stack: each frame is a node and
+  // the next of its entries to test.
+  struct Frame {
+    uint32_t node;
+    uint32_t entry;
+  };
+  std::array<Frame, kMaxDepth> frames{};
+  int depth = 0;
+  frames[depth++] = Frame{0, 0};
+  if (stats != nullptr) ++stats->nodes_visited;
+  while (depth > 0) {
+    Frame& frame = frames[depth - 1];
+    const NodeRef node = nodes_[frame.node];
+    if (frame.entry == node.num_entries) {
+      --depth;  // This subtree is exhausted; resume in the parent.
+      continue;
+    }
+    const uint32_t i = frame.entry++;
+    const uint64_t* block = key_words_.data() + (node.first_entry + i) * stride;
+    if (i + 1 < node.num_entries) {
+      __builtin_prefetch(block + stride);
+    }
+    if (stats != nullptr) ++stats->entries_tested;
+    // Consequence part first (both modes prune on it), premise part only
+    // when FQP still needs it — same short-circuit order as
+    // PatternKey::Intersects, so entries_tested/pruning match a pointer
+    // tree of the same shape exactly.
+    bool match =
+        wordops::AnyCommon(block, query_consequence, consequence_words_);
+    if (stats != nullptr) ++stats->blocks_scanned;
+    if (match && mode == SearchMode::kPremiseAndConsequence) {
+      match = wordops::AnyCommon(block + consequence_words_, query_premise,
+                                 premise_words_);
+      if (stats != nullptr) ++stats->blocks_scanned;
+    }
+    if (!match) continue;
+    const uint32_t target = entry_target_[node.first_entry + i];
+    if (node.is_leaf != 0) {
+      out->push_back(Hit{node.first_entry + i, target});
+    } else {
+      HPM_CHECK(depth < kMaxDepth);
+      frames[depth++] = Frame{target, 0};
+      if (stats != nullptr) ++stats->nodes_visited;
+    }
   }
 }
 

@@ -49,7 +49,6 @@
 #ifndef HPM_TPT_FROZEN_TPT_H_
 #define HPM_TPT_FROZEN_TPT_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -160,10 +159,12 @@ class FrozenTpt {
   /// Packs leaf entry i = (key block i of `keys`, payloads[i]) into an
   /// arena whose nodes hold at most `capacity` entries (see the file
   /// comment). The layout is a function of the entries alone, not of
-  /// their input order. Returns InvalidArgument when `keys` does not hold
-  /// exactly one block per payload, a block sets a bit past its part's
-  /// width, or `capacity` is outside [kMinNodeCapacity,
-  /// kMaxNodeCapacity].
+  /// their input order; input whose leading entries are already in leaf
+  /// order (a packed arena's leaves in payload order, then new entries)
+  /// costs a sort of the rest and a merge. Returns InvalidArgument when
+  /// `keys` does not hold exactly one block per payload, a block sets a
+  /// bit past its part's width, or `capacity` is outside
+  /// [kMinNodeCapacity, kMaxNodeCapacity].
   static StatusOr<FrozenTpt> Pack(const KeyBlocks& keys,
                                   std::span<const LeafPayload> payloads,
                                   int capacity);
@@ -180,7 +181,7 @@ class FrozenTpt {
     uint32_t payload = 0;
   };
 
-  /// Depth bound: Parse rejects deeper topologies and SearchCursor's
+  /// Depth bound: Parse rejects deeper topologies and SearchInto's
   /// fixed frame stack assumes it (a sane tree is logarithmic — 64
   /// levels would need ~2^64 patterns).
   static constexpr int kMaxDepth = 64;
@@ -192,62 +193,11 @@ class FrozenTpt {
 
   /// Search writing into a caller-owned vector (cleared first); `stats`,
   /// when given, accumulates rather than resets — callers zero it between
-  /// queries if they want per-call numbers.
+  /// queries if they want per-call numbers. One depth-first pass over a
+  /// fixed stack of kMaxDepth frames; it allocates only when `out` grows.
   void SearchInto(const PatternKey& query, SearchMode mode,
                   std::vector<Hit>* out,
                   TptSearchStats* stats = nullptr) const;
-
-  /// A paused depth-first traversal that can be advanced a few entry
-  /// tests at a time. SearchInto is exactly StartSearch + Step-to-done,
-  /// so interleaved (batched) and sequential execution produce
-  /// bit-identical hits, hit order and TptSearchStats by construction —
-  /// the cursor IS the search, not a second implementation of it.
-  ///
-  /// Lifetime: the cursor borrows the tree, the query key's word arrays,
-  /// `out` and `stats`; all four must outlive it. A default-constructed
-  /// cursor is done.
-  class SearchCursor {
-   public:
-    SearchCursor() = default;
-
-    bool done() const { return depth_ == 0; }
-
-    /// Runs at most `max_entry_tests` entry tests (descents and frame
-    /// pops are free — the budget meters signature-block work, the part
-    /// worth interleaving). Returns done().
-    bool Step(size_t max_entry_tests);
-
-    /// Issues a prefetch for the next signature block Step would test,
-    /// so a batch executor can warm it before switching to another
-    /// query. No effect on results or stats; no-op when done.
-    void Prefetch() const;
-
-   private:
-    friend class FrozenTpt;
-
-    struct Frame {
-      uint32_t node = 0;
-      uint32_t entry = 0;
-    };
-
-    const FrozenTpt* tree_ = nullptr;
-    const uint64_t* query_consequence_ = nullptr;
-    const uint64_t* query_premise_ = nullptr;
-    SearchMode mode_ = SearchMode::kPremiseAndConsequence;
-    std::vector<Hit>* out_ = nullptr;
-    TptSearchStats* stats_ = nullptr;
-    /// frames_[0..depth_) is the DFS stack; depth_ == 0 means done.
-    std::array<Frame, kMaxDepth> frames_;
-    int depth_ = 0;
-  };
-
-  /// Begins a resumable search: clears `out`, validates the query key
-  /// widths, and (for a non-empty tree) visits the root. Drive the
-  /// returned cursor with Step() until done; hits land in `out` in the
-  /// same order SearchInto emits them.
-  SearchCursor StartSearch(const PatternKey& query, SearchMode mode,
-                           std::vector<Hit>* out,
-                           TptSearchStats* stats = nullptr) const;
 
   /// Number of indexed patterns.
   size_t size() const { return payloads_.size(); }

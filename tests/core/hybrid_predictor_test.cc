@@ -495,6 +495,222 @@ TEST(HybridPredictorUpdateTest, WithNewHistoryAddsToAnUntouchedSource) {
   }
 }
 
+/// 40 periods in which offsets 0..9 follow route A (probability 0.7) and
+/// a route-B day follows route B for offsets 0..4 only; every other
+/// sample is scattered over the whole extent. So patterns conclude only
+/// at offsets 1..9, and those at 5..9 never have a route-B premise.
+Trajectory MakeSparseHistory() {
+  Random rng(5);
+  Trajectory traj;
+  for (int d = 0; d < 40; ++d) {
+    const bool on_a = rng.Bernoulli(0.7);
+    for (Timestamp t = 0; t < kPeriod; ++t) {
+      Point p;
+      if (t < 10 && (on_a || t < 5)) {
+        p = on_a ? RouteA(t) : RouteB(t);
+        p.x += rng.Gaussian(0, 1.0);
+        p.y += rng.Gaussian(0, 1.0);
+      } else {
+        p = {rng.UniformDouble(0, 10000), rng.UniformDouble(0, 10000)};
+      }
+      traj.Append(p);
+    }
+  }
+  return traj;
+}
+
+/// Far from every frequent region: a query from here has no premise.
+Point Offroute(Timestamp t) {
+  return {5000.0 + 37.0 * static_cast<double>(t),
+          7000.0 - 11.0 * static_cast<double>(t)};
+}
+
+struct GoldenPrediction {
+  double x = 0.0;
+  double y = 0.0;
+  double score = 0.0;
+  double confidence = 0.0;
+  int pattern_id = -1;
+  PredictionSource source = PredictionSource::kMotionFunction;
+  DegradedReason degraded = DegradedReason::kNone;
+};
+
+struct GoldenQuery {
+  const char* route_name;
+  Point (*route)(Timestamp);
+  Timestamp tc_offset;
+  Timestamp length;
+  bool expired;
+  std::vector<GoldenPrediction> want;
+  QueryCounters counters;  // This query's increments.
+  TptSearchStats tpt;      // Summed over the query's searches.
+};
+
+TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
+  // Exact answers of each FQP/BQP route on a seeded model: locations,
+  // scores and confidences bit for bit, the counters each query bumps
+  // and the search effort its context sums. d = 4, t_eps = 2, k = 3.
+  HybridPredictorOptions options = SmallOptions();
+  options.distant_threshold = 4;
+  auto trained = HybridPredictor::Train(MakeSparseHistory(), options);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const HybridPredictor& predictor = **trained;
+  ASSERT_EQ(predictor.regions().NumRegions(), 15u);
+  ASSERT_EQ(predictor.tpt().size(), 175u);
+
+  constexpr PredictionSource kPattern = PredictionSource::kPattern;
+  constexpr PredictionSource kMotion = PredictionSource::kMotionFunction;
+  constexpr DegradedReason kNone = DegradedReason::kNone;
+  const std::vector<GoldenQuery> queries = {
+      // FQP, pattern hit at offset 5: three full premise matches, tied
+      // on score and confidence, ordered by pattern id.
+      {"route A",
+       RouteA,
+       3,
+       2,
+       false,
+       {{0x1.12f8bc0c8d8fep+9, 0x1.8fcb70df16a4p+6, 0x1p+0, 0x1p+0, 4,
+         kPattern, kNone},
+        {0x1.12f8bc0c8d8fep+9, 0x1.8fcb70df16a4p+6, 0x1p+0, 0x1p+0, 16,
+         kPattern, kNone},
+        {0x1.12f8bc0c8d8fep+9, 0x1.8fcb70df16a4p+6, 0x1p+0, 0x1p+0, 26,
+         kPattern, kNone}},
+       {1, 0, 1, 0, 0},
+       {2, 35, 51}},
+      // FQP fallback, no premise: the search never runs.
+      {"off route",
+       Offroute,
+       15,
+       2,
+       false,
+       {{0x1.5fdp+12, 0x1.a9dp+12, 0x0p+0, 0x0p+0, -1, kMotion, kNone}},
+       {1, 0, 0, 1, 0},
+       {0, 0, 0}},
+      // FQP fallback, no hit: a route-B premise searched at offset 6.
+      {"route B",
+       RouteB,
+       4,
+       2,
+       false,
+       {{0x1.45p+9, 0x1.2cp+10, 0x0p+0, 0x0p+0, -1, kMotion, kNone}},
+       {1, 0, 0, 1, 0},
+       {2, 35, 41}},
+      // BQP at offset 13: round 1 ([11, 15]) has no consequence to
+      // search, round 2 ([9, 17]) hits offset 9.
+      {"route A",
+       RouteA,
+       5,
+       8,
+       false,
+       {{0x1.db007584bdcacp+9, 0x1.8fc752b026085p+6, 0x1p-1, 0x1p+0, 30,
+         kPattern, kNone},
+        {0x1.db007584bdcacp+9, 0x1.8fc752b026085p+6, 0x1p-1, 0x1p+0, 38,
+         kPattern, kNone},
+        {0x1.db007584bdcacp+9, 0x1.8fc752b026085p+6, 0x1p-1, 0x1p+0, 44,
+         kPattern, kNone}},
+       {0, 1, 1, 0, 0},
+       {3, 64, 64}},
+      // BQP at offset 1 of the next period: round 1 wraps to [19, 3].
+      {"route A",
+       RouteA,
+       9,
+       12,
+       false,
+       {{0x1.2c4a27495af7ap+7, 0x1.9086c22eec7ebp+6, 0x1p+0, 0x1p+0, 0,
+         kPattern, kNone},
+        {0x1.2d4ed62af6077p+7, 0x1.2bef3eaa5906ap+10, 0x1p+0, 0x1p+0, 9,
+         kPattern, kNone},
+        {0x1.f4491deed2f5cp+7, 0x1.8f3f8a641c887p+6, 0x1.5555555555556p-1,
+         0x1p+0, 1, kPattern, kNone}},
+       {0, 1, 1, 0, 0},
+       {2, 36, 36}},
+      // BQP at offset 15, last round 2: neither [13, 17] nor [11, 19]
+      // holds a consequence, so it falls back there.
+      {"route A",
+       RouteA,
+       9,
+       6,
+       false,
+       {{0x1.838p+10, 0x1.9p+6, 0x0p+0, 0x0p+0, -1, kMotion, kNone}},
+       {0, 1, 0, 1, 0},
+       {0, 0, 0}},
+      // The first query again under an expired deadline: degraded RMF.
+      {"route A",
+       RouteA,
+       3,
+       2,
+       true,
+       {{0x1.13p+9, 0x1.9p+6, 0x0p+0, 0x0p+0, -1, kMotion,
+         DegradedReason::kDeadlineExceeded}},
+       {1, 0, 0, 1, 1},
+       {0, 0, 0}},
+  };
+
+  TptSearchStats total_tpt;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const GoldenQuery& g = queries[i];
+    SCOPED_TRACE("query " + std::to_string(i) + " (" + g.route_name +
+                 ", tc offset " + std::to_string(g.tc_offset) +
+                 ", length " + std::to_string(g.length) + ")");
+    PredictiveQuery q;
+    const Timestamp base = 50 * kPeriod;
+    for (Timestamp t = g.tc_offset - 3; t <= g.tc_offset; ++t) {
+      q.recent_movements.push_back({base + t, g.route(t)});
+    }
+    q.current_time = base + g.tc_offset;
+    q.query_time = q.current_time + g.length;
+    q.k = 3;
+    if (g.expired) q.deadline = Deadline::Expired();
+    QueryContext ctx;
+    ctx.SetLaneCount(1);
+    q.context = &ctx;
+
+    const QueryCounters before = predictor.counters();
+    const auto answer = predictor.Predict(q);
+    const QueryCounters after = predictor.counters();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    ASSERT_EQ(answer->size(), g.want.size());
+    for (size_t j = 0; j < g.want.size(); ++j) {
+      const Prediction& got = (*answer)[j];
+      const GoldenPrediction& want = g.want[j];
+      SCOPED_TRACE("prediction " + std::to_string(j));
+      EXPECT_EQ(got.location.x, want.x);
+      EXPECT_EQ(got.location.y, want.y);
+      EXPECT_EQ(got.score, want.score);
+      EXPECT_EQ(got.confidence, want.confidence);
+      EXPECT_EQ(got.pattern_id, want.pattern_id);
+      EXPECT_EQ(got.source, want.source);
+      EXPECT_EQ(got.degraded, want.degraded);
+    }
+    EXPECT_EQ(after.forward_queries - before.forward_queries,
+              g.counters.forward_queries);
+    EXPECT_EQ(after.backward_queries - before.backward_queries,
+              g.counters.backward_queries);
+    EXPECT_EQ(after.pattern_answers - before.pattern_answers,
+              g.counters.pattern_answers);
+    EXPECT_EQ(after.motion_fallbacks - before.motion_fallbacks,
+              g.counters.motion_fallbacks);
+    EXPECT_EQ(after.degraded_answers - before.degraded_answers,
+              g.counters.degraded_answers);
+    const QueryContext::Totals totals = ctx.totals();
+    EXPECT_EQ(totals.tpt_nodes_visited, g.tpt.nodes_visited);
+    EXPECT_EQ(totals.tpt_entries_tested, g.tpt.entries_tested);
+    EXPECT_EQ(totals.tpt_blocks_scanned, g.tpt.blocks_scanned);
+    total_tpt.nodes_visited += totals.tpt_nodes_visited;
+    total_tpt.entries_tested += totals.tpt_entries_tested;
+    total_tpt.blocks_scanned += totals.tpt_blocks_scanned;
+  }
+  const QueryCounters counters = predictor.counters();
+  EXPECT_EQ(counters.forward_queries, 4u);
+  EXPECT_EQ(counters.backward_queries, 3u);
+  EXPECT_EQ(counters.pattern_answers, 3u);
+  EXPECT_EQ(counters.motion_fallbacks, 4u);
+  EXPECT_EQ(counters.degraded_answers, 1u);
+  EXPECT_EQ(total_tpt.nodes_visited, 9u);
+  EXPECT_EQ(total_tpt.entries_tested, 170u);
+  EXPECT_EQ(total_tpt.blocks_scanned, 192u);
+}
+
 /// RankAndTake's documented order, written out independently for the
 /// oracle: score descending, then confidence descending, then pattern id
 /// ascending.

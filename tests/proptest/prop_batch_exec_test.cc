@@ -1,17 +1,11 @@
-// Property suite: the stall-interleaved batch executor
-// (server/batch_executor.h) is a pure scheduling optimisation. The
-// contracts under test:
+// Property suite: PredictLocationBatch is the chunked fan-out of the
+// point predictions it amortises. The contracts under test:
 //   * differential — PredictLocationBatch answers every slot
 //     bit-identically (locations, scores, confidences, sources,
 //     degraded stamps, pattern ids, statuses) to the sequential
 //     PredictLocation calls it amortises, for any id multiset mixing
 //     trained, cold, duplicate and unknown objects, under an infinite
 //     deadline and under deterministic rung-1 deadline pressure,
-//   * interleaving width is unobservable — stores answering the same
-//     workload with width = 1 (strictly sequential execution) and an
-//     arbitrary width / step budget agree on every answer and on every
-//     accounting counter; only batch.interleaved may differ, and it is
-//     exactly 0 at width 1,
 //   * the Account stage reconciles — a store serving batches and a
 //     store serving the equivalent singles agree on objects_evaluated,
 //     motion_fits and degraded_predictions; admitted/shed and latency
@@ -19,8 +13,8 @@
 //     admission ticket leaks,
 //   * (with -DHPM_ENABLE_FAULTS=ON) an `always`-armed pattern-lookup
 //     fault degrades batched and sequential answers identically
-//     (order-independent schedules only: the batch admits queries in
-//     locality order, so count-based schedules would legitimately hit
+//     (order-independent schedules only: the batch's chunks run
+//     concurrently, so count-based schedules would legitimately hit
 //     different queries).
 // Every failure replays from its seed.
 
@@ -58,8 +52,6 @@ struct BatchCase {
   /// and never-reported ids, in random order.
   std::vector<ObjectId> query_ids;
   Timestamp query_delta = 1;
-  size_t width = 8;
-  size_t step_entries = 32;
 };
 
 ObjectStoreOptions BatchStoreOptions() {
@@ -117,8 +109,6 @@ BatchCase GenBatchCase(Random& rng) {
     }
   }
   c.query_delta = static_cast<Timestamp>(1 + rng.Uniform(12));
-  c.width = 1 + rng.Uniform(8);
-  c.step_entries = rng.Uniform(4) == 0 ? 0 : 1 + rng.Uniform(48);
   return c;
 }
 
@@ -201,16 +191,13 @@ std::vector<BatchCase> ShrinkBatchCase(const BatchCase& input) {
 // --- P1: batched == sequential, relaxed and under deadline pressure ----
 
 std::string CheckBatchMatchesSequential(const BatchCase& input) {
-  ObjectStoreOptions options = BatchStoreOptions();
-  options.batch.width = input.width;
-  options.batch.step_entries = input.step_entries;
-  MovingObjectStore store(options);
+  MovingObjectStore store(BatchStoreOptions());
   const std::string failure = Replay(store, input.ops);
   if (!failure.empty()) return failure;
   const Timestamp tq = QueryTime(store, input.query_delta);
 
   // Relaxed: the infinite deadline never sheds, so trained objects take
-  // the full pattern path through the interleaved traversals.
+  // the full pattern path.
   {
     const auto batch = store.PredictLocationBatch(input.query_ids, tq, 2);
     const std::string diff = DiffBatchAgainstSingles(
@@ -257,68 +244,7 @@ TEST(PropBatchExecTest, BatchAnswersBitIdenticallyToSequentialSingles) {
   EXPECT_TRUE(result.ok) << result.message;
 }
 
-// --- P2: interleaving width is unobservable ----------------------------
-
-std::string CheckWidthIsUnobservable(const BatchCase& input) {
-  ObjectStoreOptions sequential_options = BatchStoreOptions();
-  sequential_options.batch.width = 1;
-  ObjectStoreOptions interleaved_options = BatchStoreOptions();
-  interleaved_options.batch.width = std::max<size_t>(2, input.width);
-  interleaved_options.batch.step_entries = input.step_entries;
-
-  MovingObjectStore sequential(sequential_options);
-  MovingObjectStore interleaved(interleaved_options);
-  std::string failure = Replay(sequential, input.ops);
-  if (!failure.empty()) return "sequential: " + failure;
-  failure = Replay(interleaved, input.ops);
-  if (!failure.empty()) return "interleaved: " + failure;
-  const Timestamp tq = QueryTime(sequential, input.query_delta);
-
-  const auto a = sequential.PredictLocationBatch(input.query_ids, tq, 2);
-  const auto b = interleaved.PredictLocationBatch(input.query_ids, tq, 2);
-  if (a.size() != b.size()) return "batch sizes differ";
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].ok() != b[i].ok() ||
-        a[i].status().code() != b[i].status().code()) {
-      return "slot " + std::to_string(i) + ": status differs across widths";
-    }
-    if (!a[i].ok()) continue;
-    const std::string diff = DiffPredictions(*a[i], *b[i]);
-    if (!diff.empty()) {
-      return "slot " + std::to_string(i) + ": " + diff +
-             " across widths";
-    }
-  }
-
-  // Accounting must agree exactly; only the interleave counter may
-  // differ, and strictly-sequential execution never interleaves.
-  const MetricsSnapshot sa = sequential.metrics_snapshot();
-  const MetricsSnapshot sb = interleaved.metrics_snapshot();
-  for (const char* name :
-       {"store.objects_evaluated", "store.motion_fits",
-        "store.degraded_predictions", "store.admitted.predict_batch"}) {
-    if (sa.counter(name) != sb.counter(name)) {
-      return std::string(name) + " differs across widths";
-    }
-  }
-  if (sa.counter("batch.interleaved") != 0) {
-    return "width-1 batch claims interleaved work";
-  }
-  return "";
-}
-
-TEST(PropBatchExecTest, InterleavingWidthIsUnobservable) {
-  Property<BatchCase> property("width-unobservable", GenBatchCase,
-                               CheckWidthIsUnobservable);
-  property.WithShrinker(ShrinkBatchCase);
-  RunnerOptions options;
-  options.num_cases = 8;
-  options.max_shrink_checks = 24;
-  const proptest::RunResult result = property.Run(options);
-  EXPECT_TRUE(result.ok) << result.message;
-}
-
-// --- P3: the Account stage reconciles batches against singles ----------
+// --- P2: the Account stage reconciles batches against singles ----------
 
 std::string CheckBatchAccountingReconciles(const BatchCase& input) {
   MovingObjectStore batched(BatchStoreOptions());
@@ -385,23 +311,20 @@ TEST(PropBatchExecTest, AccountingReconcilesBatchesAgainstSingles) {
   EXPECT_TRUE(result.ok) << result.message;
 }
 
-// --- P4: order-independent fault schedules degrade both paths alike ----
+// --- P3: order-independent fault schedules degrade both paths alike ----
 
 #ifdef HPM_ENABLE_FAULTS
 
 std::string CheckAlwaysFaultDegradesBothPathsAlike(const BatchCase& input) {
   FaultInjector::Global().Reset();
-  ObjectStoreOptions options = BatchStoreOptions();
-  options.batch.width = input.width;
-  options.batch.step_entries = input.step_entries;
-  MovingObjectStore store(options);
+  MovingObjectStore store(BatchStoreOptions());
   const std::string failure = Replay(store, input.ops);
   if (!failure.empty()) return failure;
   const Timestamp tq = QueryTime(store, input.query_delta);
 
-  // `always` is the only order-independent schedule: the batch admits
-  // queries in shard/model locality order, so a count-based rule would
-  // legitimately fire on different queries than sequential issue order.
+  // `always` is the only order-independent schedule: the batch's chunks
+  // run concurrently, so a count-based rule would legitimately fire on
+  // different queries than sequential issue order.
   FaultRule rule;
   rule.always = true;
   rule.code = StatusCode::kUnavailable;
