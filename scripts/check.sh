@@ -110,10 +110,10 @@ ctest --test-dir build-fault -L repl "${CTEST_ARGS[@]}" -j "$JOBS"
 ctest --test-dir build-fault -L mining "${CTEST_ARGS[@]}" -j "$JOBS"
 ./build-fault/tools/hpm_tool faultcheck --seed 1
 
-# The overload-control layer (admission, load shedding, breakers) is
-# where shutdown/submit and breaker/fan-out races would live; run its
-# suites, plus everything fault- or concurrency-labelled, under TSan
-# with the hooks on (armed fault schedules change which code paths the
+# The overload-control layer (admission, load shedding, partial fan-out
+# answers) is where shutdown/submit and fan-out lane races would live;
+# run its suites, plus everything fault- or concurrency-labelled, under
+# TSan with the hooks on (armed fault schedules change which code paths the
 # epoch readers and the fan-out lanes race through).
 echo "== ThreadSanitizer + fault hooks: overload + fault + concurrency + server =="
 cmake -B build-tsan-fault -S . -DHPM_SANITIZE=thread \

@@ -28,7 +28,7 @@ const char* const kKnownFaultSites[] = {
     // Per-shard family: the literal sites are "server/shard_query:0",
     // "server/shard_query:1", ... (ShardQueryFaultSite(shard) in
     // server/object_store.h). Arming one fails that shard's share of
-    // every fan-out query — the circuit-breaker kill switch.
+    // every fan-out query, which then answers partial.
     "server/shard_query:<shard>",
 };
 const int kNumKnownFaultSites =

@@ -123,7 +123,7 @@ class QueryContext {
   void CountDegradedPrediction(uint64_t n = 1) {
     degraded_predictions_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// A shard skipped by an open circuit breaker or a failed shard task.
+  /// A fan-out shard whose share returned an error.
   void CountSkippedShard() {
     shards_skipped_.fetch_add(1, std::memory_order_relaxed);
   }

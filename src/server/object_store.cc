@@ -55,17 +55,6 @@ MovingObjectStore::MovingObjectStore(ObjectStoreOptions options)
   pool_options.max_queue_depth = options_.max_pool_queue;
   pool_ = std::make_unique<ThreadPool>(pool_options);
   admission_ = std::make_unique<AdmissionController>(options_.admission);
-  breakers_.reserve(shards_.size());
-  for (int i = 0; i < options_.num_shards; ++i) {
-    breakers_.push_back(
-        std::make_unique<CircuitBreaker>(options_.breaker));
-    if (options_.breaker_listener) {
-      auto listener = options_.breaker_listener;
-      breakers_.back()->SetStateListener(
-          [listener, i](CircuitBreaker::State from,
-                        CircuitBreaker::State to) { listener(i, from, to); });
-    }
-  }
   metrics_ = std::make_unique<StoreMetrics>(metrics_registry_.get());
   wal_disabled_ = std::make_unique<std::atomic<bool>>(false);
   generation_ = std::make_unique<std::atomic<uint64_t>>(0);
@@ -289,7 +278,7 @@ QueryPipeline::Env MovingObjectStore::PipelineEnv() const {
   QueryPipeline::Env env;
   env.admission = admission_.get();
   env.pool = pool_.get();
-  env.breakers = &breakers_;
+  env.num_shards = shards_.size();
   env.metrics = metrics_.get();
   env.degrade_queue_depth = options_.degrade_queue_depth;
   env.degrade_min_headroom = options_.degrade_min_headroom;
@@ -652,11 +641,6 @@ MovingObjectStore::GetPredictor(ObjectId id) const {
   return view->predictor;
 }
 
-CircuitBreaker::State MovingObjectStore::BreakerState(int shard) const {
-  HPM_CHECK(shard >= 0 && shard < static_cast<int>(breakers_.size()));
-  return breakers_[static_cast<size_t>(shard)]->state();
-}
-
 StatusOr<std::vector<Prediction>> MovingObjectStore::PredictView(
     const ObjectView& view, Timestamp tq, int k, QueryContext* ctx,
     int lane) const {
@@ -799,8 +783,8 @@ Status MovingObjectStore::RangeQueryShard(int shard_index,
                                           Timestamp tq, int k_per_object,
                                           QueryContext& ctx,
                                           std::vector<RangeHit>* hits) const {
-  // The per-shard kill switch: a -DHPM_ENABLE_FAULTS=ON build can force
-  // this shard's share of every fan-out to fail, driving its breaker.
+  // A -DHPM_ENABLE_FAULTS=ON build can force this shard's share of every
+  // fan-out to fail; the pipeline then answers partial without it.
   if (Status injected = HPM_FAULT_HIT(ShardQueryFaultSite(shard_index));
       !injected.ok()) {
     return injected.Annotate("shard_query");

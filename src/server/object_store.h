@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/admission.h"
-#include "common/circuit_breaker.h"
 #include "common/deadline.h"
 #include "common/epoch.h"
 #include "common/metrics.h"
@@ -62,7 +61,7 @@ namespace hpm {
 
 /// The fault site that fails shard `shard`'s share of every fan-out
 /// query in a -DHPM_ENABLE_FAULTS=ON build: "server/shard_query:<shard>".
-/// Arming it `always` is the circuit-breaker kill switch.
+/// While it is armed, every range/kNN query answers partial without it.
 std::string ShardQueryFaultSite(int shard);
 
 /// Durable-ingest configuration (docs/ROBUSTNESS.md has the durability
@@ -163,19 +162,6 @@ struct ObjectStoreOptions {
   /// than this much time remaining is answered RMF-only immediately —
   /// the pattern side would blow the budget anyway. 0 = off.
   std::chrono::microseconds degrade_min_headroom{0};
-
-  /// Per-shard circuit breakers over fan-out outcomes: a shard whose
-  /// queries keep failing is tripped out of range/kNN fan-outs (the
-  /// query returns partial=true) until a half-open probe succeeds.
-  /// The defaults never trip on a healthy shard.
-  CircuitBreakerOptions breaker;
-
-  /// Observes every per-shard breaker transition (called under the
-  /// breaker's lock — keep it cheap). For diagnostics; `hpm_tool
-  /// faultcheck` prints these.
-  std::function<void(int shard, CircuitBreaker::State from,
-                     CircuitBreaker::State to)>
-      breaker_listener;
 
   /// Durable ingest: write-ahead journal + quarantine retention. The
   /// default (empty wal_dir) keeps ingest memory-only between snapshots.
@@ -286,11 +272,10 @@ class MovingObjectStore {
   /// A `deadline` bounds the pattern-side work per object: once it
   /// expires, remaining objects are evaluated with their (cheap) RMF
   /// answers, so the result set still covers every eligible object.
-  /// A shard whose circuit breaker is open (or whose share fails) is
-  /// skipped and the result is flagged partial instead of the whole
-  /// query failing; under overload the per-object answers degrade to
-  /// RMF (DegradedReason::kOverloaded) or the call is rejected with
-  /// kUnavailable + retry-after.
+  /// A shard whose share fails is skipped and the result is flagged
+  /// partial instead of the whole query failing; under overload the
+  /// per-object answers degrade to RMF (DegradedReason::kOverloaded) or
+  /// the call is rejected with kUnavailable + retry-after.
   StatusOr<FleetQueryResult> PredictiveRangeQuery(
       const BoundingBox& range, Timestamp tq, int k_per_object = 3,
       Deadline deadline = Deadline::Infinite()) const;
@@ -322,9 +307,6 @@ class MovingObjectStore {
   MetricsSnapshot metrics_snapshot() const {
     return metrics_registry_->TakeSnapshot();
   }
-
-  /// State of shard `shard`'s circuit breaker.
-  CircuitBreaker::State BreakerState(int shard) const;
 
   /// Queued-but-unstarted fan-out tasks (the rung-1 pressure signal).
   size_t PoolQueueDepth() const { return pool_->queue_depth(); }
@@ -687,7 +669,6 @@ class MovingObjectStore {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ContinuousState> continuous_;
   std::unique_ptr<AdmissionController> admission_;
-  std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   std::unique_ptr<MetricsRegistry> metrics_registry_;
   std::unique_ptr<StoreMetrics> metrics_;
   /// Set once by DisableWal when a disk fault drops the store to

@@ -106,69 +106,48 @@ void QueryPipeline::Plan(size_t lanes) {
   ctx_.SetLaneCount(std::max<size_t>(lanes, 1));
 }
 
+void QueryPipeline::RunLanes(
+    size_t n, const std::function<void(size_t lane)>& lane_fn) {
+  if (env_.pool->num_threads() <= 1 || n <= 1) {
+    for (size_t lane = 0; lane < n; ++lane) lane_fn(lane);
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (size_t lane = 0; lane < n; ++lane) {
+    StatusOr<std::future<void>> submitted =
+        env_.pool->TrySubmit([&lane_fn, lane] { lane_fn(lane); });
+    if (submitted.ok()) {
+      futures.push_back(std::move(*submitted));
+    } else {
+      lane_fn(lane);
+    }
+  }
+  for (std::future<void>& f : futures) f.get();
+}
+
 FleetQueryResult QueryPipeline::FanOut(const ShardFn& shard_fn) {
   fanned_out_ = true;
   ScopedSpan span(&ctx_.trace(), "fanout", root_span_);
   const StageTimer timer(&fanout_micros_);
 
-  const std::vector<std::unique_ptr<CircuitBreaker>>& breakers =
-      *env_.breakers;
-  const size_t n = breakers.size();
+  const size_t n = env_.num_shards;
   ctx_.SetLaneCount(n);
   std::vector<std::vector<RangeHit>> hits(n);
   std::vector<Status> statuses(n);
-  std::vector<char> allowed(n, 0);
-
-  // Breaker gate first: an open breaker costs one atomic-ish check, not
-  // a doomed shard query.
-  for (size_t s = 0; s < n; ++s) {
-    allowed[s] = breakers[s]->Allow() ? 1 : 0;
-  }
-
-  if (env_.pool->num_threads() <= 1 || n == 1) {
-    for (size_t s = 0; s < n; ++s) {
-      if (allowed[s]) {
-        statuses[s] = shard_fn(static_cast<int>(s), &hits[s]);
-      }
-    }
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      if (!allowed[s]) continue;
-      // Bounded queue: a saturated pool means the shard runs inline on
-      // the calling thread — backpressure, not unbounded queueing.
-      StatusOr<std::future<void>> submitted =
-          env_.pool->TrySubmit([&shard_fn, &hits, &statuses, s] {
-            statuses[s] = shard_fn(static_cast<int>(s), &hits[s]);
-          });
-      if (submitted.ok()) {
-        futures.push_back(std::move(*submitted));
-      } else {
-        statuses[s] = shard_fn(static_cast<int>(s), &hits[s]);
-      }
-    }
-    for (std::future<void>& f : futures) f.get();
-  }
+  RunLanes(n, [&shard_fn, &hits, &statuses](size_t s) {
+    statuses[s] = shard_fn(static_cast<int>(s), &hits[s]);
+  });
 
   FleetQueryResult result;
   for (size_t s = 0; s < n; ++s) {
-    if (!allowed[s]) {
-      result.partial = true;
-      result.skipped_shards.push_back(static_cast<int>(s));
-      ctx_.CountSkippedShard();
-      continue;
-    }
     if (!statuses[s].ok()) {
-      // The shard failed: feed its breaker and serve without it rather
-      // than failing the whole query.
-      breakers[s]->RecordFailure();
+      // Serve without the failed shard rather than failing the query.
       result.partial = true;
       result.skipped_shards.push_back(static_cast<int>(s));
       ctx_.CountSkippedShard();
       continue;
     }
-    breakers[s]->RecordSuccess();
     result.hits.insert(result.hits.end(),
                        std::make_move_iterator(hits[s].begin()),
                        std::make_move_iterator(hits[s].end()));
@@ -185,31 +164,13 @@ void QueryPipeline::FanOutChunks(
   const StageTimer timer(&fanout_micros_);
 
   const size_t workers = static_cast<size_t>(env_.pool->num_threads());
-  if (workers <= 1 || total < 2) {
-    ctx_.SetLaneCount(1);
-    if (total > 0) chunk_fn(0, total, 0);
-    return;
-  }
-  const size_t chunk = (total + workers - 1) / workers;
+  const size_t chunk = std::max<size_t>((total + workers - 1) / workers, 1);
   const size_t num_chunks = (total + chunk - 1) / chunk;
-  ctx_.SetLaneCount(num_chunks);
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  size_t lane = 0;
-  for (size_t begin = 0; begin < total; begin += chunk, ++lane) {
-    const size_t end = std::min(begin + chunk, total);
-    // Bounded queue: when the pool is saturated the chunk runs inline —
-    // the caller pays with its own time (backpressure) rather than
-    // growing the queue.
-    StatusOr<std::future<void>> submitted = env_.pool->TrySubmit(
-        [&chunk_fn, begin, end, lane] { chunk_fn(begin, end, lane); });
-    if (submitted.ok()) {
-      futures.push_back(std::move(*submitted));
-    } else {
-      chunk_fn(begin, end, lane);
-    }
-  }
-  for (std::future<void>& f : futures) f.get();
+  ctx_.SetLaneCount(std::max<size_t>(num_chunks, 1));
+  RunLanes(num_chunks, [&chunk_fn, chunk, total](size_t lane) {
+    const size_t begin = lane * chunk;
+    chunk_fn(begin, std::min(begin + chunk, total), lane);
+  });
 }
 
 void QueryPipeline::MergeRank(

@@ -9,9 +9,8 @@
 // * Plan     evaluates the rung-1 degradation ladder (queue depth,
 //            deadline headroom) into the QueryContext and sizes its
 //            scratch lanes.
-// * FanOut   runs the per-shard / per-chunk work behind the per-shard
-//            circuit breakers, on the pool with inline fallback under
-//            backpressure.
+// * FanOut   runs the per-shard / per-chunk work as lane tasks on the
+//            pool, inline when the pool refuses a task (backpressure).
 // * MergeRank sorts and truncates fleet results in the entry point's
 //            order.
 // * Account  flushes the context's accumulators into the store's
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "common/admission.h"
-#include "common/circuit_breaker.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -127,7 +125,7 @@ class QueryPipeline {
   struct Env {
     AdmissionController* admission = nullptr;
     ThreadPool* pool = nullptr;
-    const std::vector<std::unique_ptr<CircuitBreaker>>* breakers = nullptr;
+    size_t num_shards = 0;
     StoreMetrics* metrics = nullptr;
     /// Rung-1 ladder thresholds (ObjectStoreOptions values).
     size_t degrade_queue_depth = 0;
@@ -171,18 +169,16 @@ class QueryPipeline {
   }
 
   /// Stage 3 for fleet queries: runs `shard_fn(shard, &hits)` for every
-  /// shard whose breaker admits the call — on the pool when it has more
-  /// than one worker (TrySubmit with inline fallback under backpressure),
-  /// inline otherwise — records each outcome on the shard's breaker, and
-  /// merges healthy shards in shard order. Failed/skipped shards flag the
-  /// result partial (and count into the context) instead of failing the
-  /// query. `shard_fn` writes hits for shard s using scratch lane s.
+  /// shard as one lane task (see RunLanes) and merges the shards that
+  /// answered in shard order. A shard whose share returns an error flags
+  /// the result partial (and counts into the context) instead of failing
+  /// the query. `shard_fn` writes hits for shard s using scratch lane s.
   using ShardFn =
       std::function<Status(int shard, std::vector<RangeHit>* hits)>;
   FleetQueryResult FanOut(const ShardFn& shard_fn);
 
   /// Stage 3 for batches: splits [0, total) into contiguous chunks, one
-  /// per pool worker, running each via TrySubmit with inline fallback.
+  /// per pool worker, running each as one lane task (see RunLanes).
   /// `chunk_fn(begin, end, lane)` owns scratch lane `lane` exclusively.
   void FanOutChunks(
       size_t total,
@@ -220,6 +216,12 @@ class QueryPipeline {
 
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// Runs `lane_fn(lane)` for lane in [0, n): inline when the pool has one
+  /// worker or n is 1, otherwise each via TrySubmit, running a task inline
+  /// when the bounded queue refuses it (backpressure, not unbounded
+  /// queueing). Returns once every lane has finished.
+  void RunLanes(size_t n, const std::function<void(size_t lane)>& lane_fn);
 
   /// Adds the scope's elapsed microseconds to *sink on destruction.
   class StageTimer {

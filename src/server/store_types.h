@@ -25,9 +25,9 @@ struct RangeHit {
 };
 
 /// Result of a fleet query (range / kNN). `partial` is the
-/// overload-resilience contract: a shard whose circuit breaker is open,
-/// or whose share of the fan-out failed, is *skipped* — the query still
-/// answers from the healthy shards instead of failing end to end.
+/// overload-resilience contract: a shard whose share of the fan-out
+/// failed is *skipped* — the query still answers from the other shards
+/// instead of failing end to end.
 struct FleetQueryResult {
   /// Hits from every shard that answered, in the query's sort order.
   std::vector<RangeHit> hits;
@@ -35,8 +35,8 @@ struct FleetQueryResult {
   /// True when at least one shard did not contribute.
   bool partial = false;
 
-  /// Indices of the shards that were skipped (breaker open) or failed
-  /// during this call, ascending.
+  /// Indices of the shards whose share failed during this call,
+  /// ascending.
   std::vector<int> skipped_shards;
 };
 

@@ -14,7 +14,9 @@
 //     any random interleaving, and no admission ticket leaks
 //     (InFlight() returns to 0),
 //   * (with -DHPM_ENABLE_FAULTS=ON) deterministic `always` fault
-//     schedules on shard fan-out sites skip exactly the armed shards.
+//     schedules on shard fan-out sites make every range and kNN query
+//     skip exactly the armed shards, and the first query after the
+//     faults clear covers every object again.
 // Every failure replays from its seed.
 
 #include <algorithm>
@@ -464,15 +466,12 @@ FaultMaskCase GenFaultMaskCase(Random& rng) {
 
 std::string CheckFaultMasksSkipExactlyArmedShards(
     const FaultMaskCase& input) {
+  constexpr int kObjects = 6;
   FaultInjector::Global().Reset();
   ObjectStoreOptions options = PipelineStoreOptions();
   options.num_shards = input.num_shards;
-  // Neutralise the breaker so skipped_shards reflects only this round's
-  // armed mask, not history from earlier rounds.
-  options.breaker.window = 1 << 20;
-  options.breaker.min_samples = 1 << 20;
   MovingObjectStore store(options);
-  for (ObjectId id = 0; id < 6; ++id) {
+  for (ObjectId id = 0; id < kObjects; ++id) {
     const Status status = store.ReportLocation(id, {1.0 * id, 2.0});
     if (!status.ok()) return status.ToString();
     const Status second = store.ReportLocation(id, {1.0 * id + 1, 3.0});
@@ -481,6 +480,11 @@ std::string CheckFaultMasksSkipExactlyArmedShards(
 
   uint64_t expect_skipped = 0;
   const BoundingBox everywhere({-1e7, -1e7}, {1e7, 1e7});
+  const auto query = [&](int q) {
+    return q % 2 == 0
+               ? store.PredictiveRangeQuery(everywhere, 100)
+               : store.PredictiveNearestNeighbors({0.0, 0.0}, 100, kObjects);
+  };
   for (const uint32_t mask : input.masks) {
     std::vector<int> armed;
     for (int s = 0; s < input.num_shards; ++s) {
@@ -494,23 +498,39 @@ std::string CheckFaultMasksSkipExactlyArmedShards(
         FaultInjector::Global().Disarm(ShardQueryFaultSite(s));
       }
     }
-    const auto result = store.PredictiveRangeQuery(everywhere, 100);
-    if (!result.ok()) {
-      FaultInjector::Global().Reset();
-      return "range query failed outright: " + result.status().ToString();
+    // Range and kNN queries alternate; each one skips exactly this
+    // round's armed shards, whatever earlier rounds armed.
+    for (int q = 0; q < 4; ++q) {
+      const auto result = query(q);
+      if (!result.ok()) {
+        FaultInjector::Global().Reset();
+        return "fleet query failed outright: " + result.status().ToString();
+      }
+      if (result->skipped_shards != armed) {
+        FaultInjector::Global().Reset();
+        return "skipped_shards != armed shards for mask " +
+               std::to_string(mask) + " on query " + std::to_string(q);
+      }
+      if (result->partial != !armed.empty()) {
+        FaultInjector::Global().Reset();
+        return "partial flag inconsistent with armed mask";
+      }
+      expect_skipped += armed.size();
     }
-    if (result->skipped_shards != armed) {
-      FaultInjector::Global().Reset();
-      return "skipped_shards != armed shards for mask " +
-             std::to_string(mask);
-    }
-    if (result->partial != !armed.empty()) {
-      FaultInjector::Global().Reset();
-      return "partial flag inconsistent with armed mask";
-    }
-    expect_skipped += armed.size();
   }
   FaultInjector::Global().Reset();
+
+  // The faults are gone: the very first query covers every object.
+  for (int q = 0; q < 2; ++q) {
+    const auto healed = query(q);
+    if (!healed.ok()) return "query after disarm failed";
+    if (healed->partial || !healed->skipped_shards.empty()) {
+      return "query after disarm still skipped a shard";
+    }
+    if (healed->hits.size() != static_cast<size_t>(kObjects)) {
+      return "query after disarm missed objects";
+    }
+  }
 
   if (store.metrics_snapshot().counter("store.shards_skipped") !=
       expect_skipped) {

@@ -543,74 +543,10 @@ int RunFaultcheck(Args args) {
     return Fail("no save was ever killed; kill schedule is miscalibrated");
   }
 
-  // 4. Per-shard circuit breaker: a shard whose fan-out share keeps
-  //    failing is tripped out of fleet queries (answers go partial
-  //    instead of the query failing), and after the fault clears one
-  //    half-open probe restores full coverage. Every breaker transition
-  //    is printed as it happens.
-  CircuitBreakerOptions::Clock::time_point tick{};  // Manual breaker clock.
-  ObjectStoreOptions breaker_options = options;
-  breaker_options.num_shards = 4;
-  breaker_options.query_threads = 1;  // Inline fan-out: ordered prints.
-  breaker_options.breaker.window = 4;
-  breaker_options.breaker.min_samples = 2;
-  breaker_options.breaker.failure_threshold = 0.5;
-  breaker_options.breaker.open_duration = std::chrono::microseconds(1000);
-  breaker_options.breaker.clock = [&tick] { return tick; };
-  int transitions = 0;
-  breaker_options.breaker_listener =
-      [&transitions](int shard, CircuitBreaker::State from,
-                     CircuitBreaker::State to) {
-        ++transitions;
-        std::printf("  breaker[shard %d]: %s -> %s\n", shard,
-                    CircuitBreaker::StateName(from),
-                    CircuitBreaker::StateName(to));
-      };
-  MovingObjectStore fleet(breaker_options);
-  for (ObjectId id = 0; id < 3; ++id) {
-    for (Timestamp t = 0; t < 5 * kPeriod + 11; ++t) {
-      if (Status s = fleet.ReportLocation(id, route(id, t)); !s.ok()) {
-        return Fail("breaker-stage ingest failed: " + s.ToString());
-      }
-    }
-  }
-  std::printf("breaker: killing shard 0's share of every fan-out\n");
-  const BoundingBox everywhere({-1e9, -1e9}, {1e9, 1e9});
-  FaultRule down;
-  down.always = true;
-  injector.Arm(ShardQueryFaultSite(0), down);
-  for (int i = 0; i < 3; ++i) {
-    auto hits = fleet.PredictiveRangeQuery(everywhere, now + 2);
-    if (!hits.ok()) {
-      return Fail("fleet query failed with shard 0 down: " +
-                  hits.status().ToString());
-    }
-    if (!hits->partial) {
-      return Fail("query with shard 0 down was not flagged partial");
-    }
-  }
-  if (fleet.BreakerState(0) != CircuitBreaker::State::kOpen) {
-    return Fail("breaker did not open on a dead shard");
-  }
-  injector.Disarm(ShardQueryFaultSite(0));
-  tick += std::chrono::microseconds(1001);  // The cooldown elapses.
-  auto probed = fleet.PredictiveRangeQuery(everywhere, now + 2);
-  if (!probed.ok() || probed->partial) {
-    return Fail("half-open probe did not restore shard 0");
-  }
-  if (fleet.BreakerState(0) != CircuitBreaker::State::kClosed) {
-    return Fail("breaker did not close after a successful probe");
-  }
-  if (transitions != 3) {
-    return Fail("expected Closed->Open->HalfOpen->Closed, saw " +
-                std::to_string(transitions) + " transitions");
-  }
-
   std::printf("faultcheck --seed %llu: %d degraded / %d pattern answers, "
-              "%d/6 saves killed, all recoveries served committed state, "
-              "breaker tripped and recovered in %d transitions\n",
+              "%d/6 saves killed, all recoveries served committed state\n",
               static_cast<unsigned long long>(seed), degraded,
-              pattern_answers, kills, transitions);
+              pattern_answers, kills);
   TablePrinter table({"site", "calls", "fires"});
   for (const std::string& site : injector.Sites()) {
     table.AddRow({site, std::to_string(injector.calls(site)),
