@@ -1,12 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the hot operations underneath
 // the figure benches: pattern-key ops, TPT insert/search, DBSCAN,
 // Apriori support counting, RMF fitting, one object's whole model build
-// (HybridPredictor::Train) and one fleet-wide prediction batch
+// (HybridPredictor::Train), saving and loading that model
+// (SaveToFile / LoadFromFile) and one fleet-wide prediction batch
 // (MovingObjectStore::PredictLocationBatch).
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/dbscan.h"
@@ -192,16 +197,12 @@ void BM_AprioriSupportCounting(benchmark::State& state) {
 }
 BENCHMARK(BM_AprioriSupportCounting)->Unit(benchmark::kMillisecond);
 
-/// One object's model build — region discovery, Apriori, key encoding
-/// and Pack — on the repository benchmark's stream and predictor
-/// options (perfbench/hpm_bench.cc: 1000 objects, T = 20, drift every 4
-/// periods, seed 1). The object is object 1; the argument is the number
-/// of periods it trains on: 5 is a bootstrap training, 16 the window a
-/// drift rebuild re-mines.
-void BM_TrainObject(benchmark::State& state) {
+/// Object 1's first `periods` periods of the repository benchmark's
+/// stream (perfbench/hpm_bench.cc: 1000 objects, T = 20, drift every 4
+/// periods, seed 1).
+Trajectory BenchObjectHistory(int periods) {
   constexpr int kObjects = 1000;
   constexpr Timestamp kPeriod = 20;
-  const int periods = static_cast<int>(state.range(0));
   ReportStreamConfig config;
   config.num_objects = kObjects;
   config.period = kPeriod;
@@ -219,13 +220,45 @@ void BM_TrainObject(benchmark::State& state) {
                    static_cast<size_t>(kPeriod))) {
     if (r.object_id == 1) history.Append(r.location);
   }
+  return history;
+}
+
+/// The repository benchmark's predictor options.
+HybridPredictorOptions BenchPredictorOptions() {
   HybridPredictorOptions options;
-  options.regions.period = kPeriod;
+  options.regions.period = 20;
   options.regions.dbscan.eps = 15.0;
   options.regions.dbscan.min_pts = 3;
   options.mining.min_confidence = 0.2;
   options.distant_threshold = 8;
   options.region_match_slack = 8.0;
+  return options;
+}
+
+/// The model BM_TrainObject builds for `periods` periods.
+std::unique_ptr<HybridPredictor> BenchObjectModel(int periods) {
+  StatusOr<std::unique_ptr<HybridPredictor>> trained = HybridPredictor::Train(
+      BenchObjectHistory(periods), BenchPredictorOptions());
+  HPM_CHECK(trained.ok());
+  return std::move(*trained);
+}
+
+/// A per-process model file path in the system temp directory.
+std::string BenchModelPath(const char* name) {
+  return (std::filesystem::temp_directory_path() /
+          ("hpm_micro_ops_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+/// One object's model build — region discovery, Apriori, key encoding
+/// and Pack — on the repository benchmark's stream and predictor
+/// options. The object is object 1; the argument is the number of
+/// periods it trains on: 5 is a bootstrap training, 16 the window a
+/// drift rebuild re-mines.
+void BM_TrainObject(benchmark::State& state) {
+  const Trajectory history =
+      BenchObjectHistory(static_cast<int>(state.range(0)));
+  const HybridPredictorOptions options = BenchPredictorOptions();
   size_t patterns = 0;
   for (auto _ : state) {
     StatusOr<std::unique_ptr<HybridPredictor>> trained =
@@ -237,6 +270,43 @@ void BM_TrainObject(benchmark::State& state) {
   state.SetLabel(std::to_string(patterns) + " patterns");
 }
 BENCHMARK(BM_TrainObject)->Arg(5)->Arg(16)->Unit(benchmark::kMicrosecond);
+
+/// SaveToFile of BM_TrainObject's model for the same periods: encoding
+/// plus AtomicWriteFile (temp file, fsync, rename) into the system temp
+/// directory. The `bytes` counter is the model file's size.
+void BM_SaveModel(benchmark::State& state) {
+  const std::unique_ptr<HybridPredictor> model =
+      BenchObjectModel(static_cast<int>(state.range(0)));
+  const std::string path = BenchModelPath("save.hpm");
+  for (auto _ : state) {
+    HPM_CHECK(model->SaveToFile(path).ok());
+  }
+  state.counters["bytes"] =
+      static_cast<double>(std::filesystem::file_size(path));
+  state.SetLabel(std::to_string(model->tpt().size()) + " patterns");
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_SaveModel)->Arg(5)->Arg(16)->Unit(benchmark::kMicrosecond);
+
+/// LoadFromFile of the file BM_SaveModel writes: read, checksums, parse
+/// and every load-time check of the arena.
+void BM_LoadModel(benchmark::State& state) {
+  const std::unique_ptr<HybridPredictor> model =
+      BenchObjectModel(static_cast<int>(state.range(0)));
+  const std::string path = BenchModelPath("load.hpm");
+  HPM_CHECK(model->SaveToFile(path).ok());
+  for (auto _ : state) {
+    StatusOr<std::unique_ptr<HybridPredictor>> loaded =
+        HybridPredictor::LoadFromFile(path);
+    HPM_CHECK(loaded.ok());
+    benchmark::DoNotOptimize(loaded->get());
+  }
+  state.counters["bytes"] =
+      static_cast<double>(std::filesystem::file_size(path));
+  state.SetLabel(std::to_string(model->tpt().size()) + " patterns");
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_LoadModel)->Arg(5)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 /// The repository benchmark's stream and store options
 /// (perfbench/hpm_bench.cc: 1000 objects, T = 20, drift every 4 periods,

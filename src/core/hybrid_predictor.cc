@@ -16,20 +16,24 @@ namespace hpm {
 
 namespace {
 
-/// Encodes `patterns` with `tables` and packs them into the serving
-/// arena; a pattern's id is its index in `patterns`.
+/// Builds `*tables` for `patterns`, encodes them and packs them into the
+/// serving arena; a pattern's id is its index in `patterns`.
 StatusOr<FrozenTpt> PackPatterns(const std::vector<TrajectoryPattern>& patterns,
-                                 const KeyTables& tables,
                                  const FrequentRegionSet& regions,
-                                 const TptOptions& options) {
+                                 const TptOptions& options,
+                                 KeyTables* tables) {
   std::vector<LeafPayload> payloads;
+  std::vector<int> consequences;
   payloads.reserve(patterns.size());
+  consequences.reserve(patterns.size());
   for (size_t i = 0; i < patterns.size(); ++i) {
     const TrajectoryPattern& p = patterns[i];
     payloads.push_back(LeafPayload{p.confidence, p.consequence,
                                    static_cast<int32_t>(i), p.support});
+    consequences.push_back(p.consequence);
   }
-  return FrozenTpt::Pack(tables.EncodePatterns(patterns, regions), payloads,
+  *tables = KeyTables::Build(regions, consequences);
+  return FrozenTpt::Pack(tables->EncodePatterns(patterns, regions), payloads,
                          options.max_node_entries);
 }
 
@@ -110,16 +114,22 @@ HybridPredictor::HybridPredictor(HybridPredictorOptions options,
   }
 }
 
-StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
-    const Trajectory& history, const HybridPredictorOptions& options) {
+Status ValidateQueryOptions(const HybridPredictorOptions& options) {
   if (options.distant_threshold <= 0 ||
       options.distant_threshold >= options.regions.period) {
     return Status::InvalidArgument(
         "distant threshold d must satisfy 0 < d < period");
   }
-  if (options.time_relaxation < 0) {
-    return Status::InvalidArgument("time relaxation must be >= 0");
+  if (options.time_relaxation < 0 ||
+      options.time_relaxation > options.regions.period) {
+    return Status::InvalidArgument("time relaxation must be in [0, period]");
   }
+  return Status::OK();
+}
+
+StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
+    const Trajectory& history, const HybridPredictorOptions& options) {
+  HPM_RETURN_IF_ERROR(ValidateQueryOptions(options));
   HPM_INJECT_FAULT("core/train");
 
   Stopwatch timer;
@@ -131,9 +141,9 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
   FrequentRegionSet& region_set = offline->discovery.region_set;
   AprioriResult& mined = offline->mined;
 
-  KeyTables tables = KeyTables::Build(region_set, mined.patterns);
+  KeyTables tables;
   StatusOr<FrozenTpt> frozen =
-      PackPatterns(mined.patterns, tables, region_set, options.tpt);
+      PackPatterns(mined.patterns, region_set, options.tpt, &tables);
   if (!frozen.ok()) return frozen.status();
 
   auto predictor = std::unique_ptr<HybridPredictor>(
@@ -558,8 +568,7 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
     std::vector<TrajectoryPattern> combined = PatternTable();
     combined.insert(combined.end(), std::make_move_iterator(fresh->begin()),
                     std::make_move_iterator(fresh->end()));
-    tables = KeyTables::Build(regions_, combined);
-    frozen = PackPatterns(combined, tables, regions_, options_.tpt);
+    frozen = PackPatterns(combined, regions_, options_.tpt, &tables);
   } else {
     // The arena's keys stay valid: its leaves in payload order (a packed
     // arena's leaf order, which Pack then need not sort), followed by the

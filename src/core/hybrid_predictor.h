@@ -114,6 +114,12 @@ struct QueryCounters {
 std::vector<Prediction> RankAndTake(std::vector<ScoredHit>* hits, int k,
                                     const FrequentRegionSet& regions);
 
+/// The query-processing options Train and LoadFromFile require:
+/// 0 < distant_threshold < period and 0 <= time_relaxation <= period
+/// (InvalidArgument otherwise). The upper bound keeps BQP's interval
+/// arithmetic far from overflow.
+Status ValidateQueryOptions(const HybridPredictorOptions& options);
+
 /// A range of period offsets, both ends inclusive. `lo > hi` means the
 /// range wraps the period: [lo, period) followed by [0, hi].
 struct OffsetInterval {
@@ -223,18 +229,19 @@ class HybridPredictor {
       const Trajectory& new_history) const;
 
   /// Persists the trained model (options, frequent regions, the
-  /// PatternTable() derived from the arena, and the frozen TPT arena) to
-  /// a binary file. Storing the arena lets load validate bytes instead of
-  /// packing again; the arena section carries its own CRC on top of the
-  /// file footer, so corruption surfaces as DataLoss (→ store
-  /// quarantine), never as a differently-shaped index.
+  /// sub-trajectory count and the frozen TPT arena, which holds the
+  /// patterns) to a binary file. Storing the arena lets load validate
+  /// bytes instead of packing again; the arena section carries its own
+  /// CRC on top of the file footer, so corruption surfaces as DataLoss
+  /// (→ store quarantine), never as a differently-shaped index.
   Status SaveToFile(const std::string& path) const;
 
-  /// Restores a model written by SaveToFile. The file's pattern table is
-  /// read only to cross-check the arena and to fill payload supports;
-  /// the model serves from the arena alone. Fails with InvalidArgument
-  /// on a malformed/foreign file and FailedPrecondition on a version
-  /// mismatch.
+  /// Restores a model written by SaveToFile. The arena is checked against
+  /// the regions (key widths, consequence regions and bits, pattern ids,
+  /// confidences) and the key tables are rebuilt from its payloads.
+  /// Fails with InvalidArgument on a malformed/foreign file, DataLoss on
+  /// a torn, rotted or inconsistent one, and FailedPrecondition on a
+  /// version mismatch (a file of an older format does not load).
   static StatusOr<std::unique_ptr<HybridPredictor>> LoadFromFile(
       const std::string& path);
 
@@ -267,8 +274,9 @@ class HybridPredictor {
   /// from the frozen arena: premise region ids are the set premise bits
   /// of each leaf entry's key block (KeyTables maps region id i to bit
   /// i), and consequence, confidence and support come from its payload.
-  /// The model keeps no other copy of its patterns; this is for saving,
-  /// the §V-B update and inspection, never the query path.
+  /// The model keeps no other copy of its patterns, and model files do
+  /// not store this table; it is for the §V-B update, tests and
+  /// inspection, never the query path.
   std::vector<TrajectoryPattern> PatternTable() const;
 
   /// The frozen serving index — the whole pattern side of the model.
@@ -356,17 +364,6 @@ class HybridPredictor {
   std::vector<Point> consequence_centres_;
   std::vector<uint32_t> centre_begin_;
   TrainingSummary summary_;
-
-  /// Two fields of the v2 model file that the packed build no longer
-  /// uses: the insertion tree's minimum node fill and its byte count. A
-  /// loaded model keeps what its file held, so it re-saves byte for
-  /// byte; a built one writes these defaults (2 is the least fill that
-  /// older readers accept).
-  struct RetiredFileFields {
-    int64_t min_node_entries = 2;
-    uint64_t builder_bytes = 0;
-  };
-  RetiredFileFields retired_file_fields_;
 
   mutable AtomicQueryCounters counters_;
 };

@@ -1,26 +1,25 @@
 // Binary persistence for trained HybridPredictor models.
 //
-// Format v2 (little-endian, as written by the host):
-//   magic "HPM1" | version u32 | options | regions | patterns | num_subs u64
-//   | builder_bytes u64 | frozen TPT section ("FTPT", own CRC)
+// Format v3 (little-endian, as written by the host):
+//   magic "HPM1" | version u32 | options | regions | num_subs u64
+//   | frozen TPT section ("FTPT", own CRC)
 //   | footer: magic "HPMC" | crc32 u32 of every preceding byte
-// Two fields are retired: the options' min_node_entries and
-// builder_bytes described the insertion-built tree that models no
-// longer use. They keep their slots; a loaded model re-saves the values
-// its file held (HybridPredictor::RetiredFileFields).
-// The frozen TPT arena is stored verbatim, so load validates bytes
-// (structure + per-section CRC) instead of packing the patterns again,
-// and cross-checks the arena's leaf payloads against the re-encoded
-// pattern set so a logically inconsistent section can never serve wrong
-// answers. The model keeps no pattern table in memory: save
-// writes HybridPredictor::PatternTable(), derived from the arena, and
-// load reads the table only for that cross-check and for the supports
-// the arena section does not carry. The footer makes torn writes and
-// bit rot detectable (DataLoss) before the field validators run; the
-// file itself is written via AtomicWriteFile, so a crashed save leaves
-// the previous model intact rather than a prefix.
+// The frozen TPT arena is the model's pattern set (each leaf entry is one
+// pattern: its key block holds premise and consequence, its payload the
+// confidence, consequence region, id and support), stored verbatim, so
+// the file carries nothing derived and load validates bytes instead of
+// packing again. Parse checks the arena's structure; the loader checks
+// the arena against the regions (key widths, consequence regions and
+// bits, the pattern-id permutation, confidences) and rebuilds the key
+// tables from the payloads through KeyTables::Build, as Train does. A
+// premise-bit flip or an in-range confidence change that keeps both CRCs
+// valid still loads: the CRCs guard those bytes, as they guard region
+// centres and options. The footer makes torn writes and bit rot
+// detectable (DataLoss) before the field validators run; the file itself
+// is written via AtomicWriteFile, so a crashed save leaves the previous
+// model intact rather than a prefix. A file of another format version is
+// FailedPrecondition: files older than v3 do not load.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -38,7 +37,7 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'P', 'M', '1'};
 constexpr char kFooterMagic[4] = {'H', 'P', 'M', 'C'};
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 constexpr size_t kFooterSize = sizeof(kFooterMagic) + sizeof(uint32_t);
 
 /// Serialises trivially-copyable values into an in-memory buffer; the
@@ -82,9 +81,26 @@ class BinaryReader {
     pos_ += n;
   }
 
+  /// Reads an int64 slot into an int, failing when it does not fit (a
+  /// narrowed value would re-save as different bytes).
+  void ReadInt(int* value) {
+    int64_t wide = 0;
+    Read(&wide);
+    if (wide < INT32_MIN || wide > INT32_MAX) Fail();
+    *value = static_cast<int>(wide);
+  }
+
+  /// Reads a u8 flag, failing on anything but 0 or 1.
+  void ReadFlag(bool* value) {
+    uint8_t byte = 0;
+    Read(&byte);
+    if (byte > 1) Fail();
+    *value = byte != 0;
+  }
+
+  void Fail() { failed_ = true; }
   bool failed() const { return failed_; }
   size_t pos() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
 
  private:
   const char* data_;
@@ -114,18 +130,20 @@ void WriteBox(BinaryWriter* f, const BoundingBox& box) {
   }
 }
 
+/// Fails the reader on a box whose corners are not ordered (or NaN):
+/// BoundingBox would reorder them, and the model would re-save
+/// differently.
 BoundingBox ReadBox(BinaryReader* f) {
-  uint8_t empty = 0;
-  f->Read(&empty);
+  bool empty = false;
+  f->ReadFlag(&empty);
   if (empty) return BoundingBox();
   const Point lo = ReadPoint(f);
   const Point hi = ReadPoint(f);
+  if (!(lo.x <= hi.x && lo.y <= hi.y)) f->Fail();
   return BoundingBox(lo, hi);
 }
 
-/// `min_node_entries` fills the retired slot after the node capacity.
-void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o,
-                  int64_t min_node_entries) {
+void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o) {
   f->Write(o.regions.period);
   f->Write(o.regions.dbscan.eps);
   f->Write(static_cast<int64_t>(o.regions.dbscan.min_pts));
@@ -136,7 +154,6 @@ void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o,
   f->Write(o.mining.premise_window);
   f->Write(static_cast<uint8_t>(o.mining.enable_pruning));
   f->Write(static_cast<int64_t>(o.tpt.max_node_entries));
-  f->Write(min_node_entries);
   f->Write(static_cast<int64_t>(o.weight_function));
   f->Write(o.distant_threshold);
   f->Write(o.time_relaxation);
@@ -147,40 +164,31 @@ void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o,
   WriteBox(f, o.rmf.clamp_box);
 }
 
-/// Sets `*min_node_entries` from the retired slot after the capacity.
-HybridPredictorOptions ReadOptions(BinaryReader* f,
-                                   int64_t* min_node_entries) {
+HybridPredictorOptions ReadOptions(BinaryReader* f) {
   HybridPredictorOptions o;
-  int64_t i64 = 0;
-  uint8_t u8 = 0;
+  int weight_function = 0;
   f->Read(&o.regions.period);
   f->Read(&o.regions.dbscan.eps);
-  f->Read(&i64);
-  o.regions.dbscan.min_pts = static_cast<int>(i64);
-  f->Read(&i64);
-  o.regions.limit_sub_trajectories = static_cast<int>(i64);
+  f->ReadInt(&o.regions.dbscan.min_pts);
+  f->ReadInt(&o.regions.limit_sub_trajectories);
   f->Read(&o.mining.min_confidence);
-  f->Read(&i64);
-  o.mining.min_support = static_cast<int>(i64);
-  f->Read(&i64);
-  o.mining.max_pattern_length = static_cast<int>(i64);
+  f->ReadInt(&o.mining.min_support);
+  f->ReadInt(&o.mining.max_pattern_length);
   f->Read(&o.mining.premise_window);
-  f->Read(&u8);
-  o.mining.enable_pruning = u8 != 0;
-  f->Read(&i64);
-  o.tpt.max_node_entries = static_cast<int>(i64);
-  f->Read(min_node_entries);
-  f->Read(&i64);
-  o.weight_function = static_cast<WeightFunction>(i64);
+  f->ReadFlag(&o.mining.enable_pruning);
+  f->ReadInt(&o.tpt.max_node_entries);
+  f->ReadInt(&weight_function);
+  if (weight_function < 0 ||
+      weight_function > static_cast<int>(WeightFunction::kFactorial)) {
+    f->Fail();
+  }
+  o.weight_function = static_cast<WeightFunction>(weight_function);
   f->Read(&o.distant_threshold);
   f->Read(&o.time_relaxation);
   f->Read(&o.region_match_slack);
-  f->Read(&i64);
-  o.rmf.retrospect = static_cast<int>(i64);
-  f->Read(&u8);
-  o.rmf.auto_retrospect = u8 != 0;
-  f->Read(&i64);
-  o.rmf.window = static_cast<int>(i64);
+  f->ReadInt(&o.rmf.retrospect);
+  f->ReadFlag(&o.rmf.auto_retrospect);
+  f->ReadInt(&o.rmf.window);
   o.rmf.clamp_box = ReadBox(f);
   return o;
 }
@@ -191,7 +199,7 @@ Status HybridPredictor::SaveToFile(const std::string& path) const {
   BinaryWriter f;
   f.WriteBytes(kMagic, sizeof(kMagic));
   f.Write(kFormatVersion);
-  WriteOptions(&f, options_, retired_file_fields_.min_node_entries);
+  WriteOptions(&f, options_);
 
   f.Write(static_cast<uint64_t>(regions_.NumRegions()));
   for (const FrequentRegion& r : regions_.regions()) {
@@ -203,18 +211,7 @@ Status HybridPredictor::SaveToFile(const std::string& path) const {
     f.Write(static_cast<int64_t>(r.support));
   }
 
-  const std::vector<TrajectoryPattern> patterns = PatternTable();
-  f.Write(static_cast<uint64_t>(patterns.size()));
-  for (const TrajectoryPattern& p : patterns) {
-    f.Write(static_cast<uint64_t>(p.premise.size()));
-    for (int id : p.premise) f.Write(static_cast<int64_t>(id));
-    f.Write(static_cast<int64_t>(p.consequence));
-    f.Write(p.confidence);
-    f.Write(static_cast<int64_t>(p.support));
-  }
-
   f.Write(static_cast<uint64_t>(summary_.num_sub_trajectories));
-  f.Write(retired_file_fields_.builder_bytes);
 
   std::string frozen_section;
   tpt_.AppendTo(&frozen_section);
@@ -266,10 +263,10 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
     return Status::FailedPrecondition("unsupported model format version " +
                                       std::to_string(version));
   }
-  RetiredFileFields retired;
-  HybridPredictorOptions options = ReadOptions(&f, &retired.min_node_entries);
+  HybridPredictorOptions options = ReadOptions(&f);
   if (f.failed()) {
-    return Status::InvalidArgument("truncated model file: " + path);
+    return Status::InvalidArgument("corrupt or truncated model options: " +
+                                   path);
   }
   if (options.regions.period <= 0 ||
       options.regions.period > (1 << 24)) {
@@ -279,11 +276,7 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
       options.tpt.max_node_entries > FrozenTpt::kMaxNodeCapacity) {
     return Status::InvalidArgument("corrupt TPT options");
   }
-  if (static_cast<int64_t>(options.weight_function) < 0 ||
-      static_cast<int64_t>(options.weight_function) >
-          static_cast<int64_t>(WeightFunction::kFactorial)) {
-    return Status::InvalidArgument("corrupt weight function");
-  }
+  HPM_RETURN_IF_ERROR(ValidateQueryOptions(options));
 
   FrequentRegionSet regions;
   regions.set_period(options.regions.period);
@@ -294,72 +287,26 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   }
   for (uint64_t i = 0; i < num_regions; ++i) {
     FrequentRegion r;
-    int64_t i64 = 0;
-    f.Read(&i64);
-    r.id = static_cast<int>(i64);
+    int64_t id = 0;
+    f.Read(&id);
     f.Read(&r.offset);
-    f.Read(&i64);
-    r.index_at_offset = static_cast<int>(i64);
+    f.ReadInt(&r.index_at_offset);
     r.center = ReadPoint(&f);
     r.mbr = ReadBox(&f);
-    f.Read(&i64);
-    r.support = static_cast<int>(i64);
-    if (f.failed() || r.id != static_cast<int>(i) || r.offset < 0 ||
-        r.offset >= options.regions.period) {
+    f.ReadInt(&r.support);
+    // Region ids follow offset order (frequent_region.h), which the
+    // predictor's consequence-centre runs rely on.
+    if (f.failed() || id != static_cast<int64_t>(i) || r.offset < 0 ||
+        r.offset >= options.regions.period ||
+        (i > 0 && r.offset < regions.regions().back().offset)) {
       return Status::InvalidArgument("corrupt region record");
     }
+    r.id = static_cast<int>(id);
     regions.AddRegion(std::move(r));
-  }
-
-  std::vector<TrajectoryPattern> patterns;
-  uint64_t num_patterns = 0;
-  f.Read(&num_patterns);
-  if (f.failed() || num_patterns > (1u << 28)) {
-    return Status::InvalidArgument("corrupt pattern count");
-  }
-  patterns.reserve(num_patterns);
-  for (uint64_t i = 0; i < num_patterns; ++i) {
-    TrajectoryPattern p;
-    uint64_t premise_size = 0;
-    f.Read(&premise_size);
-    if (f.failed() || premise_size > 64) {
-      return Status::InvalidArgument("corrupt premise size");
-    }
-    for (uint64_t j = 0; j < premise_size; ++j) {
-      int64_t id = 0;
-      f.Read(&id);
-      if (id < 0 || static_cast<uint64_t>(id) >= num_regions) {
-        return Status::InvalidArgument("premise region id out of range");
-      }
-      // The key holds a premise as a bit set, so only a strictly
-      // ascending id list survives the round trip through the arena.
-      if (!p.premise.empty() && id <= p.premise.back()) {
-        return Status::InvalidArgument(
-            "premise region ids not strictly ascending");
-      }
-      p.premise.push_back(static_cast<int>(id));
-    }
-    int64_t i64 = 0;
-    f.Read(&i64);
-    if (i64 < 0 || static_cast<uint64_t>(i64) >= num_regions) {
-      return Status::InvalidArgument("consequence region id out of range");
-    }
-    p.consequence = static_cast<int>(i64);
-    f.Read(&p.confidence);
-    f.Read(&i64);
-    if (f.failed()) {
-      return Status::InvalidArgument("truncated pattern record");
-    }
-    if (i64 < 0 || i64 > INT32_MAX) {
-      return Status::InvalidArgument("pattern support out of range");
-    }
-    p.support = static_cast<int>(i64);
-    patterns.push_back(std::move(p));
   }
 
   uint64_t num_subs = 0;
   f.Read(&num_subs);
-  f.Read(&retired.builder_bytes);
   if (f.failed()) {
     return Status::InvalidArgument("truncated model file: " + path);
   }
@@ -378,44 +325,53 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
                             path);
   }
 
-  // Cross-check the arena's leaf payloads against the re-encoded
-  // pattern set: every pattern indexed exactly once, with the exact key,
-  // confidence and consequence the miner produced. A section that
-  // passes its CRC but disagrees with the patterns is corruption, not a
-  // servable index.
-  KeyTables tables = KeyTables::Build(regions, patterns);
-  if (frozen->size() != patterns.size()) {
-    return Status::DataLoss("frozen TPT pattern count mismatch: " + path);
+  // The arena against the regions: what the predictor, PatternTable()
+  // and RankAndTake index or sort by must be in range, and each leaf's
+  // one consequence bit must be the time id of its payload region's
+  // offset under the tables rebuilt from the payloads.
+  const auto inconsistent = [&path](const char* what) {
+    return Status::DataLoss(std::string("frozen TPT ") + what + ": " + path);
+  };
+  if (!frozen->empty() && frozen->premise_bits() != regions.NumRegions()) {
+    return inconsistent("premise width is not the region count");
   }
+  std::vector<int> consequences;
+  std::vector<uint8_t> id_seen(frozen->size(), 0);
+  consequences.reserve(frozen->size());
+  for (const LeafPayload& p : frozen->payloads()) {
+    if (p.consequence_region < 0 ||
+        static_cast<size_t>(p.consequence_region) >= regions.NumRegions()) {
+      return inconsistent("consequence region out of range");
+    }
+    if (p.pattern_id < 0 ||
+        static_cast<size_t>(p.pattern_id) >= id_seen.size() ||
+        id_seen[static_cast<size_t>(p.pattern_id)]++ != 0) {
+      return inconsistent("pattern ids are not a permutation");
+    }
+    if (!(p.confidence >= 0.0 && p.confidence <= 1.0)) {
+      return inconsistent("confidence outside [0, 1]");
+    }
+    consequences.push_back(p.consequence_region);
+  }
+  KeyTables tables = KeyTables::Build(regions, consequences);
   if (!frozen->empty() &&
-      (frozen->premise_bits() != tables.premise_key_length() ||
-       frozen->consequence_bits() != tables.consequence_key_length())) {
-    return Status::DataLoss("frozen TPT key widths disagree with tables: " +
-                            path);
+      frozen->consequence_bits() != tables.consequence_key_length()) {
+    return inconsistent("consequence width is not the offset count");
   }
-  const KeyBlocks keys = tables.EncodePatterns(patterns, regions);
-  const size_t stride = keys.stride();
-  std::vector<uint8_t> indexed_once(patterns.size(), 0);
   for (const FrozenTpt::Hit& leaf : frozen->Leaves()) {
-    const LeafPayload& entry = frozen->payload(leaf);
-    if (entry.pattern_id < 0 ||
-        static_cast<size_t>(entry.pattern_id) >= patterns.size() ||
-        indexed_once[static_cast<size_t>(entry.pattern_id)] != 0) {
-      return Status::DataLoss("frozen TPT leaf payload ids corrupt: " + path);
-    }
-    indexed_once[static_cast<size_t>(entry.pattern_id)] = 1;
-    const TrajectoryPattern& p =
-        patterns[static_cast<size_t>(entry.pattern_id)];
-    if (entry.confidence != p.confidence ||
-        entry.consequence_region != p.consequence ||
-        !std::equal(keys.block(static_cast<size_t>(entry.pattern_id)),
-                    keys.block(static_cast<size_t>(entry.pattern_id)) + stride,
-                    frozen->consequence_words(leaf))) {
-      return Status::DataLoss("frozen TPT disagrees with pattern set: " +
-                              path);
+    const Timestamp offset =
+        regions.Region(frozen->payload(leaf).consequence_region).offset;
+    const size_t time_id =
+        static_cast<size_t>(tables.TimeIdForOffset(offset));
+    const uint64_t* bits = frozen->consequence_words(leaf);
+    for (size_t w = 0; w < frozen->num_consequence_words(); ++w) {
+      const uint64_t want =
+          w == time_id / 64 ? uint64_t{1} << (time_id % 64) : 0;
+      if (bits[w] != want) {
+        return inconsistent("consequence bit disagrees with its payload");
+      }
     }
   }
-  frozen->FillSupports(patterns);
 
   auto predictor = std::unique_ptr<HybridPredictor>(
       new HybridPredictor(options, std::move(regions), std::move(tables),
@@ -427,7 +383,6 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   predictor->summary_.num_patterns = predictor->tpt_.size();
   predictor->summary_.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();
   predictor->summary_.tpt_height = predictor->tpt_.Height();
-  predictor->retired_file_fields_ = retired;
   return predictor;
 }
 

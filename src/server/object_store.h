@@ -353,6 +353,9 @@ class MovingObjectStore {
   /// Restores a store written by SaveToDirectory. `options` must match
   /// the one the store was built with (per-object models carry their
   /// own training options; the store options govern thresholds).
+  /// Corrupt files are quarantined and an older generation tried; a
+  /// model file of another format version returns FailedPrecondition and
+  /// leaves the directory untouched.
   static StatusOr<MovingObjectStore> LoadFromDirectory(
       const std::string& directory, ObjectStoreOptions options);
 

@@ -34,8 +34,10 @@
 // save becomes visible only when CURRENT is swapped; a crash anywhere
 // before that leaves the previous generation fully intact. Loads verify
 // checksums, quarantine whatever fails, and fall back generation by
-// generation until one verifies; journal tails torn by a crash are
-// truncated at the first bad frame and replay continues.
+// generation until one verifies; a model file of another format version
+// stops the load instead (FailedPrecondition, nothing quarantined).
+// Journal tails torn by a crash are truncated at the first bad frame and
+// replay continues.
 
 #include <algorithm>
 #include <cinttypes>
@@ -569,6 +571,11 @@ StatusOr<MovingObjectStore> MovingObjectStore::LoadFromDirectory(
       return store;
     }
     last_error = store.status().Annotate(ManifestName(gen));
+    // A model file of another format version is not corrupt: stop, and
+    // leave the snapshot as it is for a build that reads it.
+    if (last_error.code() == StatusCode::kFailedPrecondition) {
+      return last_error;
+    }
     // Retries are exhausted by now: the file is corrupt (or persistently
     // unreadable), so move it aside and fall back a generation.
     if (!bad_file.empty() &&

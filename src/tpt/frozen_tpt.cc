@@ -15,7 +15,7 @@ namespace {
 
 /// Wire-format constants for the "FTPT" section (see AppendTo).
 constexpr char kSectionMagic[4] = {'F', 'T', 'P', 'T'};
-constexpr uint32_t kSectionVersion = 1;
+constexpr uint32_t kSectionVersion = 2;
 
 /// Sanity bound on key widths: wider than any region-grid encoding this
 /// system can produce, small enough that a corrupt header cannot make us
@@ -289,14 +289,6 @@ StatusOr<FrozenTpt> FrozenTpt::Pack(const KeyBlocks& keys,
   return packed;
 }
 
-void FrozenTpt::FillSupports(const std::vector<TrajectoryPattern>& table) {
-  for (LeafPayload& p : payloads_) {
-    HPM_CHECK(p.pattern_id >= 0 &&
-              static_cast<size_t>(p.pattern_id) < table.size());
-    p.support = table[static_cast<size_t>(p.pattern_id)].support;
-  }
-}
-
 PatternKey FrozenTpt::KeyOf(const Hit& hit) const {
   return PatternKey(
       DynamicBitset::FromWords(premise_words(hit), premise_words_,
@@ -445,6 +437,7 @@ void FrozenTpt::AppendTo(std::string* out) const {
     AppendF64(out, p.confidence);
     AppendI32(out, p.consequence_region);
     AppendI32(out, p.pattern_id);
+    AppendI32(out, p.support);
   }
   AppendU32(out, Crc32(out->data() + start, out->size() - start));
 }
@@ -591,7 +584,7 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
   const uint64_t body_bytes = uint64_t{num_nodes} * 12 +
                               uint64_t{num_entries} * 4 +
                               uint64_t{num_entries} * stride * 8 +
-                              uint64_t{num_patterns} * 16;
+                              uint64_t{num_patterns} * 20;
   if (body_bytes + sizeof(uint32_t) > reader.remaining()) {
     return Status::DataLoss("truncated frozen TPT section body");
   }
@@ -599,7 +592,8 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
     return Status::DataLoss("frozen TPT payload count exceeds entries");
   }
   if ((num_nodes == 0) != (num_entries == 0) ||
-      (num_nodes == 0 && num_patterns != 0)) {
+      (num_nodes == 0 &&
+       (num_patterns != 0 || premise_bits != 0 || consequence_bits != 0))) {
     return Status::DataLoss("inconsistent frozen TPT counts");
   }
 
@@ -621,7 +615,7 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
   for (LeafPayload& p : payloads) {
     HPM_CHECK(reader.ReadF64(&p.confidence) &&
               reader.ReadI32(&p.consequence_region) &&
-              reader.ReadI32(&p.pattern_id));
+              reader.ReadI32(&p.pattern_id) && reader.ReadI32(&p.support));
   }
 
   const size_t body_end = reader.consumed();
@@ -650,8 +644,14 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
     }
   }
 
+  for (const LeafPayload& p : payloads) {
+    if (p.support < 0) {
+      return Status::DataLoss("frozen TPT payload has a negative support");
+    }
+  }
+
   // A thinned internal key would make search silently prune matches
-  // away; the leaf cross-check in the model loader cannot see it.
+  // away: no check on the leaves can see it.
   if (!InternalKeysAreUnions(nodes, targets, key_words.data(), stride)) {
     return Status::DataLoss(
         "frozen TPT internal key is not the union of its child's keys");

@@ -20,8 +20,11 @@
 // predicates call) with prefetch of the upcoming blocks. A leaf entry's
 // key lives only in the arena: a Hit names the entry (its key block) and
 // its payload, and the predictor scores premise similarity straight
-// from the block's premise words. The arena is the whole serving model;
-// the pattern table a model file stores is derived from it on save.
+// from the block's premise words. The arena is the whole pattern side of
+// a model: a leaf entry is one trajectory pattern, its premise and
+// consequence in the key block and its confidence, consequence region,
+// id and support in the payload, so a model file stores the arena and no
+// other copy of the patterns.
 //
 // Pack builds the arena the way a packed R-tree is built (Kamel and
 // Faloutsos, CIKM 1993; STR, ICDE 1997), not by the paper's Algorithm 1
@@ -56,7 +59,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "mining/apriori.h"
 #include "tpt/pattern_key.h"
 
 namespace hpm {
@@ -104,9 +106,7 @@ struct LeafPayload {
   /// Index of the pattern in the model's pattern table.
   int32_t pattern_id = 0;
 
-  /// Transactions containing premise ∪ consequence. The FTPT section
-  /// does not carry it: Pack takes it with the payload, and a parsed
-  /// arena gets it from FillSupports.
+  /// Transactions containing premise ∪ consequence.
   int32_t support = 0;
 };
 static_assert(sizeof(LeafPayload) <= 24, "leaf payload must stay compact");
@@ -168,11 +168,6 @@ class FrozenTpt {
   static StatusOr<FrozenTpt> Pack(const KeyBlocks& keys,
                                   std::span<const LeafPayload> payloads,
                                   int capacity);
-
-  /// Sets each payload's support to `table[pattern_id].support` — the
-  /// FTPT section does not carry supports. Call before the tree is
-  /// shared. Precondition: every payload's pattern id indexes `table`.
-  void FillSupports(const std::vector<TrajectoryPattern>& table);
 
   /// One matching leaf entry: `entry` indexes the key arena (its block is
   /// the pattern's key), `payload` the payload array.
@@ -256,8 +251,10 @@ class FrozenTpt {
   /// Parses a section written by AppendTo starting at `data`. On success
   /// `*consumed` is the section's byte length. Structural damage —
   /// truncation, corrupt counts, dangling child/payload indices, dirty
-  /// tail bits, a CRC mismatch — returns DataLoss without crashing, so
-  /// callers can quarantine the source file and rebuild from patterns.
+  /// tail bits, a negative support, a CRC mismatch — returns DataLoss
+  /// without crashing, so callers can quarantine the source file. What
+  /// the payloads mean (region ids, pattern ids, confidences) is the
+  /// model loader's to check.
   static StatusOr<FrozenTpt> Parse(const char* data, size_t size,
                                    size_t* consumed);
 

@@ -5,15 +5,15 @@
 namespace hpm {
 
 KeyTables KeyTables::Build(const FrequentRegionSet& regions,
-                           const std::vector<TrajectoryPattern>& patterns) {
+                           std::span<const int> consequence_regions) {
   KeyTables tables;
   tables.num_regions_ = regions.NumRegions();
 
   // Mark each consequence offset, then number the marked offsets in
   // ascending order: time ids are dense and follow offset order.
   std::vector<int>& time_ids = tables.time_id_of_offset_;
-  for (const TrajectoryPattern& p : patterns) {
-    const Timestamp offset = regions.Region(p.consequence).offset;
+  for (int region : consequence_regions) {
+    const Timestamp offset = regions.Region(region).offset;
     HPM_CHECK(offset >= 0);
     if (static_cast<size_t>(offset) >= time_ids.size()) {
       time_ids.resize(static_cast<size_t>(offset) + 1, -1);

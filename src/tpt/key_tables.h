@@ -7,15 +7,18 @@
 // as pattern consequences, sorts them, and assigns dense time ids; the
 // reverse map is a vector indexed by offset.
 //
-// EncodePatterns is the one pattern encoder: it writes all of a model's
-// keys in a single pass into one KeyBlocks array, already in the frozen
-// arena's leaf-block layout, which FrozenTpt::Pack sorts and copies. A
-// model build, an incremental rebuild and the model loader's key check
-// all encode through it.
+// Build is the one table builder: a model build and an incremental
+// rebuild call it with their patterns' consequence regions, the model
+// loader with its arena payloads' consequence regions, so a loaded model
+// holds the tables its build made. EncodePatterns is the one pattern
+// encoder: it writes all of a model's keys in a single pass into one
+// KeyBlocks array, already in the frozen arena's leaf-block layout, which
+// FrozenTpt::Pack sorts and copies.
 
 #ifndef HPM_TPT_KEY_TABLES_H_
 #define HPM_TPT_KEY_TABLES_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -31,11 +34,12 @@ class KeyTables {
  public:
   KeyTables() = default;
 
-  /// Builds the tables from the mined regions and patterns: premise-key
-  /// length = number of regions; consequence-key length = number of
-  /// distinct consequence offsets among `patterns`.
+  /// Builds the tables from the mined regions and the consequence region
+  /// of every pattern: premise-key length = number of regions;
+  /// consequence-key length = number of distinct offsets among those
+  /// regions. Precondition: every id indexes `regions`.
   static KeyTables Build(const FrequentRegionSet& regions,
-                         const std::vector<TrajectoryPattern>& patterns);
+                         std::span<const int> consequence_regions);
 
   /// Length of every premise key (number of frequent regions).
   size_t premise_key_length() const { return num_regions_; }

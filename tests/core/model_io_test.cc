@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,17 +202,21 @@ TEST(ModelIoTest, SaveToUnwritablePathFails) {
 // one specific field each and assert the file is rejected (instead of,
 // say, a multi-gigabyte allocation on a corrupt count). Offsets of the
 // tail fields are computed from the trained model's own structure:
-//   ... | u64 num_regions | regions | u64 num_patterns | patterns
-//       | u64 num_subs | u64 builder_bytes | "FTPT" frozen arena section
-//       | footer ("HPMC" + crc32, 8 bytes, at the end)
-// where each pattern is u64 premise_size + 8*premise + 24 bytes and
-// each region is 48 bytes + its MBR (1 byte empty flag, +32 if set).
-// The frozen section's offset is found by scanning for its magic and
-// verifying with FrozenTpt::Parse, which anchors every field before it.
-// Each surgical edit re-stamps the footer CRC so the corruption reaches
-// the semantic validator it targets instead of tripping the checksum.
+//   ... | u64 num_regions | regions | u64 num_subs
+//       | "FTPT" frozen arena section | footer ("HPMC" + crc32, 8 bytes)
+// where each region is 48 bytes + its MBR (1 byte empty flag, +32 if
+// set). The frozen section's offset is found by scanning for its magic
+// and verifying with FrozenTpt::Parse, which anchors every field before
+// it. Section layout: "FTPT" | version u32 | premise_bits u32 |
+// consequence_bits u32 | num_nodes u32 | num_entries u32 |
+// num_patterns u32 | nodes (3 x u32) | targets u32 | key words |
+// payloads (confidence f64, consequence region i32, pattern id i32,
+// support i32: 20 bytes) | crc32. Each surgical edit re-stamps the
+// footer CRC so the corruption reaches the semantic validator it targets
+// instead of tripping the checksum.
 
 constexpr size_t kFooterSize = 8;
+constexpr size_t kPayloadSize = 20;
 
 void RestampFooter(std::vector<unsigned char>& bytes) {
   ASSERT_GE(bytes.size(), kFooterSize);
@@ -248,6 +253,11 @@ void OverwriteU64(std::vector<unsigned char>& bytes, size_t offset,
   std::memcpy(bytes.data() + offset, &value, sizeof(value));
 }
 
+/// Bytes of one region record: id, offset, index, centre, MBR, support.
+size_t RegionRecordBytes(const FrequentRegion& r) {
+  return 48 + (r.mbr.IsEmpty() ? 1 : 33);
+}
+
 class ModelCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -259,14 +269,9 @@ class ModelCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(model_->SaveToFile(path_).ok());
     bytes_ = ReadFileBytes(path_);
 
-    table_ = model_->PatternTable();
-    size_t patterns_bytes = 0;
-    for (const TrajectoryPattern& p : table_) {
-      patterns_bytes += 8 + 8 * p.premise.size() + 24;
-    }
     size_t regions_bytes = 0;
     for (const FrequentRegion& r : model_->regions().regions()) {
-      regions_bytes += 48 + (r.mbr.IsEmpty() ? 1 : 33);
+      regions_bytes += RegionRecordBytes(r);
     }
     // Locate the frozen-TPT section: the only "FTPT" run that parses
     // cleanly and ends exactly at the footer is the real one.
@@ -285,29 +290,10 @@ class ModelCorruptionTest : public ::testing::Test {
     }
     ASSERT_LT(ftpt_offset_, bytes_.size()) << "frozen TPT section not found";
 
-    num_subs_offset_ = ftpt_offset_ - 16;  // num_subs, then builder_bytes.
-    first_premise_size_offset_ = num_subs_offset_ - patterns_bytes;
-    num_patterns_offset_ = first_premise_size_offset_ - 8;
-    num_regions_offset_ = num_patterns_offset_ - regions_bytes - 8;
-  }
-
-  /// Offset of pattern record `index`: u64 premise_size | i64 ids |
-  /// i64 consequence | f64 confidence | i64 support.
-  size_t PatternRecordOffset(size_t index) const {
-    size_t offset = first_premise_size_offset_;
-    for (size_t i = 0; i < index; ++i) {
-      offset += 8 + 8 * table_[i].premise.size() + 24;
-    }
-    return offset;
-  }
-
-  /// Index of the first pattern whose premise has at least `size` ids.
-  size_t PatternWithPremiseOf(size_t size) const {
-    for (size_t i = 0; i < table_.size(); ++i) {
-      if (table_[i].premise.size() >= size) return i;
-    }
-    ADD_FAILURE() << "no pattern with a premise of " << size << " ids";
-    return 0;
+    num_subs_offset_ = ftpt_offset_ - 8;
+    num_regions_offset_ = num_subs_offset_ - regions_bytes - 8;
+    payloads_offset_ = bytes_.size() - kFooterSize - 4 -
+                       size_t{ReadSectionU32(24)} * kPayloadSize;
   }
 
   /// Re-stamps the footer CRC, writes the corrupted bytes and returns
@@ -319,29 +305,56 @@ class ModelCorruptionTest : public ::testing::Test {
     return HybridPredictor::LoadFromFile(path).status();
   }
 
+  /// Recomputes the section's own trailing CRC so a corruption deeper in
+  /// the parse pipeline (topology, the loader's checks) is what rejects
+  /// the file, not the checksum.
+  void RestampSectionCrc() {
+    const size_t section_end = bytes_.size() - kFooterSize;
+    const uint32_t crc = Crc32(bytes_.data() + ftpt_offset_,
+                               section_end - 4 - ftpt_offset_);
+    std::memcpy(bytes_.data() + section_end - 4, &crc, sizeof(crc));
+  }
+
+  uint32_t ReadSectionU32(size_t rel) const {
+    uint32_t v = 0;
+    std::memcpy(&v, bytes_.data() + ftpt_offset_ + rel, sizeof(v));
+    return v;
+  }
+
+  void WriteSectionU32(size_t rel, uint32_t v) {
+    std::memcpy(bytes_.data() + ftpt_offset_ + rel, &v, sizeof(v));
+  }
+
+  /// File offset of payload `index`'s field at `field` (0 confidence,
+  /// 8 consequence region, 12 pattern id, 16 support).
+  size_t PayloadField(size_t index, size_t field) const {
+    return payloads_offset_ + index * kPayloadSize + field;
+  }
+
   std::unique_ptr<HybridPredictor> model_;
-  std::vector<TrajectoryPattern> table_;
   std::string path_;
   std::vector<unsigned char> bytes_;
   size_t ftpt_offset_ = 0;
   size_t num_subs_offset_ = 0;
-  size_t first_premise_size_offset_ = 0;
-  size_t num_patterns_offset_ = 0;
   size_t num_regions_offset_ = 0;
+  size_t payloads_offset_ = 0;
 };
 
 TEST_F(ModelCorruptionTest, SanityCheckOffsetsByRoundTrip) {
   // The computed offsets must point at the real fields: overwriting each
   // with its current value must leave the file loadable.
   uint64_t current = 0;
-  std::memcpy(&current, bytes_.data() + num_patterns_offset_, 8);
-  ASSERT_EQ(current, model_->PatternTable().size());
   std::memcpy(&current, bytes_.data() + num_regions_offset_, 8);
   ASSERT_EQ(current, model_->regions().NumRegions());
-  std::memcpy(&current, bytes_.data() + first_premise_size_offset_, 8);
-  ASSERT_EQ(current, model_->PatternTable().front().premise.size());
   std::memcpy(&current, bytes_.data() + num_subs_offset_, 8);
   ASSERT_EQ(current, model_->summary().num_sub_trajectories);
+  ASSERT_EQ(ReadSectionU32(24), model_->PatternTable().size());
+  const LeafPayload& last = model_->tpt().payloads().back();
+  int32_t support = 0;
+  std::memcpy(&support,
+              bytes_.data() + PayloadField(model_->tpt().size() - 1, 16),
+              sizeof(support));
+  ASSERT_EQ(support, last.support);
   EXPECT_TRUE(LoadCorrupted("model_untouched.hpm").ok());
 }
 
@@ -364,6 +377,26 @@ TEST_F(ModelCorruptionTest, RejectsCorruptPeriod) {
   EXPECT_NE(status.message().find("corrupt period"), std::string::npos);
 }
 
+TEST_F(ModelCorruptionTest, RejectsQueryOptionsTrainWouldRefuse) {
+  // The time relaxation is the int64 at byte 97 (after magic, version,
+  // eight 8-byte options, the pruning flag, the node capacity, the
+  // weight function and d). BQP's interval arithmetic would overflow on
+  // a value like this one, so the loader applies Train's bounds.
+  int64_t current = 0;
+  std::memcpy(&current, bytes_.data() + 97, sizeof(current));
+  ASSERT_EQ(current, model_->options().time_relaxation);
+  OverwriteU64(bytes_, 97, uint64_t{1} << 62);
+  const Status status = LoadCorrupted("model_bad_relaxation.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("time relaxation"), std::string::npos)
+      << status.ToString();
+  // Train refuses the same value: both apply ValidateQueryOptions.
+  HybridPredictorOptions options = Options();
+  options.time_relaxation = kPeriod + 1;
+  EXPECT_EQ(HybridPredictor::Train(MakeHistory(30), options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(ModelCorruptionTest, RejectsOversizedRegionCount) {
   OverwriteU64(bytes_, num_regions_offset_, 1ull << 40);
   const Status status = LoadCorrupted("model_bad_region_count.hpm");
@@ -372,84 +405,65 @@ TEST_F(ModelCorruptionTest, RejectsOversizedRegionCount) {
             std::string::npos);
 }
 
+TEST_F(ModelCorruptionTest, RejectsRegionsOutOfOffsetOrder) {
+  // Region ids follow period offsets; the predictor's consequence-centre
+  // runs rely on it. Move the last region to offset 0, ahead of its
+  // predecessors.
+  const FrequentRegion& last = model_->regions().regions().back();
+  ASSERT_GT(last.offset, model_->regions().regions().front().offset);
+  OverwriteU64(bytes_, num_subs_offset_ - RegionRecordBytes(last) + 8, 0);
+  const Status status = LoadCorrupted("model_region_order.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("corrupt region record"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(ModelCorruptionTest, RejectsOversizedPatternCount) {
-  OverwriteU64(bytes_, num_patterns_offset_, 1ull << 40);
+  // The pattern count is the arena's payload count: a billion payloads
+  // must fail the section's up-front body-size check, before allocating.
+  WriteSectionU32(24, 1u << 30);
   const Status status = LoadCorrupted("model_bad_pattern_count.hpm");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("corrupt pattern count"),
-            std::string::npos);
-}
-
-TEST_F(ModelCorruptionTest, RejectsOversizedPremiseKey) {
-  // A premise longer than 64 regions cannot be encoded into a pattern
-  // key; the loader must reject it before touching the ids.
-  OverwriteU64(bytes_, first_premise_size_offset_, 65);
-  const Status status = LoadCorrupted("model_oversized_premise.hpm");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("corrupt premise size"),
-            std::string::npos);
-}
-
-// A premise is a set of region ids, and the pattern key encodes it as
-// bits, so a record with swapped or repeated ids still matches the
-// arena. The loader refuses it anyway: the model derives its table
-// from the arena, so only the canonical (strictly ascending) list could
-// be written back.
-TEST_F(ModelCorruptionTest, RejectsUnsortedPremiseIds) {
-  const size_t record = PatternRecordOffset(PatternWithPremiseOf(2));
-  uint64_t first = 0, second = 0;
-  std::memcpy(&first, bytes_.data() + record + 8, 8);
-  std::memcpy(&second, bytes_.data() + record + 16, 8);
-  ASSERT_LT(first, second);
-  OverwriteU64(bytes_, record + 8, second);
-  OverwriteU64(bytes_, record + 16, first);
-  const Status status = LoadCorrupted("model_unsorted_premise.hpm");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("premise region ids not strictly"),
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("truncated frozen TPT section body"),
             std::string::npos)
       << status.ToString();
 }
 
-TEST_F(ModelCorruptionTest, RejectsDuplicatedPremiseIds) {
-  // Repeat the first id of a premise in place: one more id, same bits.
-  const size_t index = PatternWithPremiseOf(1);
-  const size_t record = PatternRecordOffset(index);
-  OverwriteU64(bytes_, record, table_[index].premise.size() + 1);
-  const auto first_id = bytes_.begin() + static_cast<long>(record) + 8;
-  const std::vector<unsigned char> id(first_id, first_id + 8);
-  bytes_.insert(first_id, id.begin(), id.end());
-  const Status status = LoadCorrupted("model_duplicated_premise.hpm");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("premise region ids not strictly"),
+TEST_F(ModelCorruptionTest, RejectsOversizedPremiseKey) {
+  // Premise bit i is region i, so a premise part wider than the region
+  // count could name a region the model does not have.
+  ASSERT_NE(ReadSectionU32(8) % 64, 0u) << "the edit must keep the words";
+  WriteSectionU32(8, ReadSectionU32(8) + 1);
+  RestampSectionCrc();
+  const Status status = LoadCorrupted("model_oversized_premise.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("premise width is not the region count"),
             std::string::npos)
       << status.ToString();
 }
 
 TEST_F(ModelCorruptionTest, RejectsNegativeSupport) {
-  const size_t record = PatternRecordOffset(0);
-  const size_t support_offset =
-      record + 8 + 8 * table_[0].premise.size() + 16;
-  int64_t support = 0;
-  std::memcpy(&support, bytes_.data() + support_offset, 8);
-  ASSERT_EQ(support, table_[0].support);
-  OverwriteU64(bytes_, support_offset, static_cast<uint64_t>(-1));
+  const uint32_t negative = static_cast<uint32_t>(-1);
+  std::memcpy(bytes_.data() + PayloadField(0, 16), &negative,
+              sizeof(negative));
+  RestampSectionCrc();
   const Status status = LoadCorrupted("model_negative_support.hpm");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("pattern support out of range"),
-            std::string::npos)
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("negative support"), std::string::npos)
       << status.ToString();
 }
 
-TEST_F(ModelCorruptionTest, LoadedSupportsComeFromThePatternTable) {
-  // The arena section carries no supports; the loader fills them from
-  // the file's table, so they survive the round trip.
+TEST_F(ModelCorruptionTest, LoadedSupportsComeFromTheArena) {
+  // The arena section carries each payload's support, so the supports
+  // survive the round trip with no other table in the file.
+  const std::vector<TrajectoryPattern> table = model_->PatternTable();
   auto loaded = HybridPredictor::LoadFromFile(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::vector<TrajectoryPattern> restored = (*loaded)->PatternTable();
-  ASSERT_EQ(restored.size(), table_.size());
-  for (size_t i = 0; i < table_.size(); ++i) {
-    EXPECT_GT(table_[i].support, 0);
-    EXPECT_EQ(restored[i].support, table_[i].support);
+  ASSERT_EQ(restored.size(), table.size());
+  for (size_t i = 0; i < table.size(); ++i) {
+    EXPECT_GT(table[i].support, 0);
+    EXPECT_EQ(restored[i].support, table[i].support);
   }
 }
 
@@ -477,7 +491,7 @@ TEST_F(ModelCorruptionTest, TornWriteWithoutFooterIsDataLoss) {
 TEST_F(ModelCorruptionTest, BitRotWithoutRestampIsChecksumMismatch) {
   // Flip one body byte but keep the old footer: the CRC catches it
   // before any field validator runs.
-  bytes_[num_patterns_offset_] ^= 0x01;
+  bytes_[num_regions_offset_] ^= 0x01;
   const std::string path = TempPath("model_bitrot.hpm");
   WriteFileBytes(path, bytes_);
   const Status status = HybridPredictor::LoadFromFile(path).status();
@@ -487,51 +501,40 @@ TEST_F(ModelCorruptionTest, BitRotWithoutRestampIsChecksumMismatch) {
 
 // --- Frozen-TPT section corruption -----------------------------------
 //
-// The v2 format stores the frozen search arena verbatim; its parser must
-// reject every corruption with a clean DataLoss (which the store layer
-// turns into quarantine + fallback), never crash or over-allocate.
-// Section layout: "FTPT" | version u32 | premise_bits u32 |
-// consequence_bits u32 | num_nodes u32 | num_entries u32 |
-// num_patterns u32 | nodes | targets | key words | payloads | crc32.
+// The v3 format stores the frozen search arena verbatim, and the arena is
+// the model's only copy of its patterns. Its parser rejects structural
+// damage, and the loader rejects an arena that disagrees with the
+// regions, each with a clean DataLoss (which the store layer turns into
+// quarantine + fallback), never a crash or an over-allocation.
 
 class FrozenSectionCorruptionTest : public ModelCorruptionTest {
  protected:
-  /// Recomputes the section's own trailing CRC so a corruption deeper in
-  /// the parse pipeline (topology, payload cross-check) is what rejects
-  /// the file, not the checksum.
-  void RestampSectionCrc() {
-    const size_t section_end = bytes_.size() - kFooterSize;
-    const uint32_t crc = Crc32(bytes_.data() + ftpt_offset_,
-                               section_end - 4 - ftpt_offset_);
-    std::memcpy(bytes_.data() + section_end - 4, &crc, sizeof(crc));
+  /// Byte offset of entry `entry`'s key block (consequence words first).
+  size_t KeyBlockOffset(size_t entry) const {
+    const size_t stride =
+        (ReadSectionU32(8) + 63) / 64 + (ReadSectionU32(12) + 63) / 64;
+    return ftpt_offset_ + 28 + size_t{ReadSectionU32(16)} * 12 +
+           size_t{ReadSectionU32(20)} * 4 + entry * stride * 8;
   }
 
-  uint32_t ReadSectionU32(size_t rel) const {
-    uint32_t v = 0;
-    std::memcpy(&v, bytes_.data() + ftpt_offset_ + rel, sizeof(v));
-    return v;
-  }
-
-  void WriteSectionU32(size_t rel, uint32_t v) {
-    std::memcpy(bytes_.data() + ftpt_offset_ + rel, &v, sizeof(v));
+  /// The last entry in DFS preorder: a leaf, whose payload is the last.
+  size_t LastLeafBlock() const {
+    return KeyBlockOffset(ReadSectionU32(20) - 1);
   }
 
   /// Re-derives every internal entry key as the union of its child
   /// node's keys, so a corruption of leaf keys alone reaches the loader's
-  /// cross-check instead of the section's union check. Nodes are in DFS
+  /// checks instead of the section's union check. Nodes are in DFS
   /// preorder (children after parents), so a reverse sweep sees every
   /// child before its parent.
   void RestampInternalKeys() {
     const uint32_t num_nodes = ReadSectionU32(16);
-    const uint32_t num_entries = ReadSectionU32(20);
     const size_t stride =
         (ReadSectionU32(8) + 63) / 64 + (ReadSectionU32(12) + 63) / 64;
     const size_t targets = 28 + size_t{num_nodes} * 12;
-    const size_t keys = targets + size_t{num_entries} * 4;
     const auto word = [&](size_t entry, size_t w) {
       uint64_t v = 0;
-      std::memcpy(&v, bytes_.data() + ftpt_offset_ + keys +
-                          (entry * stride + w) * 8,
+      std::memcpy(&v, bytes_.data() + KeyBlockOffset(entry) + w * 8,
                   sizeof(v));
       return v;
     };
@@ -548,12 +551,29 @@ class FrozenSectionCorruptionTest : public ModelCorruptionTest {
           for (uint32_t c = child_first; c < child_first + child_count; ++c) {
             merged |= word(c, w);
           }
-          std::memcpy(bytes_.data() + ftpt_offset_ + keys +
-                          (size_t{e} * stride + w) * 8,
-                      &merged, sizeof(merged));
+          std::memcpy(bytes_.data() + KeyBlockOffset(e) + w * 8, &merged,
+                      sizeof(merged));
         }
       }
     }
+  }
+
+  /// The last payload's consequence region id.
+  int32_t LastConsequenceRegion() const {
+    int32_t region = 0;
+    std::memcpy(&region,
+                bytes_.data() + PayloadField(model_->tpt().size() - 1, 8),
+                sizeof(region));
+    return region;
+  }
+
+  /// Overwrites the last payload's field at `field` and re-stamps the
+  /// section CRC.
+  template <typename T>
+  void SetLastPayloadField(size_t field, T value) {
+    std::memcpy(bytes_.data() + PayloadField(model_->tpt().size() - 1, field),
+                &value, sizeof(value));
+    RestampSectionCrc();
   }
 };
 
@@ -602,53 +622,145 @@ TEST_F(FrozenSectionCorruptionTest, StructuralRotIsCaughtByTopologyCheck) {
 }
 
 TEST_F(FrozenSectionCorruptionTest, PayloadDriftIsCaughtByCrossCheck) {
-  // Perturb one stored confidence and re-stamp both checksums: the
-  // loader's cross-check against the re-encoded pattern set must notice
-  // the arena no longer matches the model it claims to index.
-  const uint32_t num_patterns = ReadSectionU32(24);
-  ASSERT_GT(num_patterns, 0u);
-  const size_t payloads_end = bytes_.size() - kFooterSize - 4;
-  const size_t confidence_offset = payloads_end - 16;  // Last payload.
-  bytes_[confidence_offset + 6] ^= 0x04;  // Mantissa bit flip.
-  RestampSectionCrc();
+  // Point the last payload at an in-range region at another offset and
+  // re-stamp both checksums: its key's consequence bit still names the
+  // old offset, and the loader's check of each leaf's bit against its
+  // payload region must notice.
+  const int32_t old_region = LastConsequenceRegion();
+  const Timestamp old_offset = model_->regions().Region(old_region).offset;
+  int32_t moved = -1;
+  for (const FrequentRegion& r : model_->regions().regions()) {
+    if (r.offset != old_offset) moved = r.id;
+  }
+  ASSERT_GE(moved, 0);
+  SetLastPayloadField<int32_t>(8, moved);
   const Status status = LoadCorrupted("model_payload_drift.hpm");
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-  EXPECT_NE(status.message().find("frozen TPT disagrees with pattern set"),
-            std::string::npos);
-}
-
-TEST_F(FrozenSectionCorruptionTest, ArenaKeyDriftIsCaughtByCrossCheck) {
-  // Flip bit 0 of the arena's last word, carry the flip into the
-  // internal keys above it and re-stamp both checksums. DFS preorder
-  // ends in a leaf, so that word is the premise of a leaf entry, and
-  // bit 0 (region 0) is inside the premise width: only the cross-check
-  // against the re-encoded pattern set can object.
-  const uint32_t num_patterns = ReadSectionU32(24);
-  const size_t payloads_begin =
-      bytes_.size() - kFooterSize - 4 - size_t{num_patterns} * 16;
-  bytes_[payloads_begin - 8] ^= 0x01;
-  RestampInternalKeys();
-  RestampSectionCrc();
-  const Status status = LoadCorrupted("model_key_drift.hpm");
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-  EXPECT_NE(status.message().find("frozen TPT disagrees with pattern set"),
+  EXPECT_NE(status.message().find("consequence bit disagrees with its payload"),
             std::string::npos)
       << status.ToString();
 }
 
+TEST_F(FrozenSectionCorruptionTest, ArenaKeyDriftIsCaughtByCrossCheck) {
+  // Move the last leaf's consequence bit to another time id inside the
+  // width, carry the change into the internal keys above it and re-stamp
+  // both checksums. The structure is sound; only the check of the bit
+  // against the payload's region can object.
+  ASSERT_GE(ReadSectionU32(12), 2u) << "need two consequence time ids";
+  ASSERT_LE(ReadSectionU32(12), 64u);
+  const size_t block = LastLeafBlock();
+  uint64_t word = 0;
+  std::memcpy(&word, bytes_.data() + block, sizeof(word));
+  ASSERT_EQ(__builtin_popcountll(word), 1);
+  const uint64_t moved = word == 1 ? 2 : 1;
+  std::memcpy(bytes_.data() + block, &moved, sizeof(moved));
+  RestampInternalKeys();
+  RestampSectionCrc();
+  const Status status = LoadCorrupted("model_key_drift.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("consequence bit disagrees with its payload"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(FrozenSectionCorruptionTest, SecondConsequenceBitIsDataLoss) {
+  // A leaf concludes at one offset: a second bit in its consequence part
+  // (carried up, both checksums re-stamped) is refused.
+  ASSERT_GE(ReadSectionU32(12), 2u) << "need two consequence time ids";
+  const size_t block = LastLeafBlock();
+  uint64_t word = 0;
+  std::memcpy(&word, bytes_.data() + block, sizeof(word));
+  word |= word == 1 ? 2 : 1;
+  std::memcpy(bytes_.data() + block, &word, sizeof(word));
+  RestampInternalKeys();
+  RestampSectionCrc();
+  const Status status = LoadCorrupted("model_two_consequence_bits.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("consequence bit disagrees with its payload"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(FrozenSectionCorruptionTest, ConsequenceWidthIsTheOffsetCount) {
+  // One more consequence bit than there are distinct consequence offsets
+  // (same word count, so the section still parses).
+  ASSERT_NE(ReadSectionU32(12) % 64, 0u);
+  WriteSectionU32(12, ReadSectionU32(12) + 1);
+  RestampSectionCrc();
+  const Status status = LoadCorrupted("model_wide_consequence.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("consequence width is not the offset count"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(FrozenSectionCorruptionTest, ConsequenceRegionOutOfRangeIsDataLoss) {
+  SetLastPayloadField<int32_t>(
+      8, static_cast<int32_t>(model_->regions().NumRegions()));
+  const Status status = LoadCorrupted("model_region_out_of_range.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("consequence region out of range"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(FrozenSectionCorruptionTest, RepeatedPatternIdIsDataLoss) {
+  // Two payloads with one pattern id leave another id unused: the ids
+  // are no longer a permutation of 0..n-1.
+  int32_t first_id = 0;
+  std::memcpy(&first_id, bytes_.data() + PayloadField(0, 12),
+              sizeof(first_id));
+  SetLastPayloadField<int32_t>(12, first_id);
+  const Status status = LoadCorrupted("model_repeated_pattern_id.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("pattern ids are not a permutation"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(FrozenSectionCorruptionTest, ConfidenceOutsideUnitIntervalIsDataLoss) {
+  const std::vector<unsigned char> pristine = bytes_;
+  for (const double confidence :
+       {1.5, -0.25, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    bytes_ = pristine;
+    SetLastPayloadField<double>(0, confidence);
+    const Status status = LoadCorrupted("model_bad_confidence.hpm");
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << confidence;
+    EXPECT_NE(status.message().find("confidence outside [0, 1]"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST_F(FrozenSectionCorruptionTest, InRangeDriftWithRestampedChecksumsLoads) {
+  // What the loader cannot see: the file holds one copy of each pattern,
+  // so a premise bit flipped inside the width, or a confidence moved
+  // inside [0, 1], with both CRCs re-stamped, is a valid model. The CRCs
+  // guard these bytes, as they guard region centres and options.
+  const size_t premise_word =
+      LastLeafBlock() + ((ReadSectionU32(12) + 63) / 64) * 8;
+  bytes_[premise_word] ^= 0x01;  // Region 0's bit.
+  RestampInternalKeys();
+  SetLastPayloadField<double>(0, 0.5);
+  const std::string path = TempPath("model_in_range_drift.hpm");
+  RestampFooter(bytes_);
+  WriteFileBytes(path, bytes_);
+  auto loaded = HybridPredictor::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE((*loaded)->tpt().CheckInvariants().ok());
+  EXPECT_EQ((*loaded)->tpt().payloads().back().confidence, 0.5);
+}
+
 TEST_F(FrozenSectionCorruptionTest, ThinnedInternalKeyIsDataLoss) {
   // Clear one set bit of the root's first entry key and re-stamp both
-  // checksums. The leaves still match the pattern table, so only the
+  // checksums. The leaves still agree with the regions, so only the
   // union check can notice that search would now prune that subtree's
   // matches.
   ASSERT_EQ(ReadSectionU32(28 + 8), 0u) << "root must be internal";
-  const uint32_t num_nodes = ReadSectionU32(16);
-  const uint32_t num_entries = ReadSectionU32(20);
   const size_t stride =
       (ReadSectionU32(8) + 63) / 64 + (ReadSectionU32(12) + 63) / 64;
-  const size_t block = ftpt_offset_ + 28 + size_t{num_nodes} * 12 +
-                       size_t{num_entries} * 4 +
-                       size_t{ReadSectionU32(28)} * stride * 8;
+  const size_t block = KeyBlockOffset(ReadSectionU32(28));
   bool thinned = false;
   for (size_t w = 0; w < stride && !thinned; ++w) {
     uint64_t word = 0;
@@ -667,32 +779,65 @@ TEST_F(FrozenSectionCorruptionTest, ThinnedInternalKeyIsDataLoss) {
       << status.ToString();
 }
 
-// tests/core/testdata/model_v2.hpm is a format-v2 model (97 patterns,
-// 12 regions, a 3-level arena) written by SaveToFile while every model
-// still kept its own pattern table beside the arena. Loading it and
-// saving it again must reproduce it byte for byte: the table a model
-// writes is now derived from its arena, and the file format must not
-// notice.
+TEST(ModelFileLayoutTest, FileIsOptionsRegionsSubCountAndArena) {
+  // A model file holds no per-pattern bytes outside the arena: its size
+  // is exactly the header, the options, the regions, the sub-trajectory
+  // count, the FTPT section and the footer.
+  auto trained = HybridPredictor::Train(MakeHistory(30), Options());
+  ASSERT_TRUE(trained.ok());
+  const HybridPredictor& model = **trained;
+  ASSERT_GT(model.tpt().size(), 0u);
+  const std::string path = TempPath("model_layout.hpm");
+  ASSERT_TRUE(model.SaveToFile(path).ok());
+  const StatusOr<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+
+  constexpr size_t kHeader = 4 + 4;  // "HPM1", version.
+  // Fifteen 8-byte fields, two u8 flags, and the RMF clamp box (a u8
+  // empty flag, then two corners of two doubles when set).
+  const size_t options =
+      15 * 8 + 2 + 1 + (model.options().rmf.clamp_box.IsEmpty() ? 0 : 32);
+  size_t regions = 8;  // u64 count.
+  for (const FrequentRegion& r : model.regions().regions()) {
+    regions += RegionRecordBytes(r);
+  }
+  constexpr size_t kNumSubs = 8;
+  std::string section;
+  model.tpt().AppendTo(&section);
+  EXPECT_EQ(bytes->size(),
+            kHeader + options + regions + kNumSubs + section.size() +
+                kFooterSize);
+  EXPECT_EQ(bytes->substr(bytes->size() - kFooterSize - section.size(),
+                          section.size()),
+            section);
+}
+
+// tests/core/testdata/model_v3.hpm is a format-v3 model (FTPT section
+// version 2; 875 patterns, 20 regions, a 4-level arena) written by
+// SaveToFile from MakeHistory(30) under Options() with node capacity 8.
+// Loading it and saving it again must reproduce it
+// byte for byte: a change that means to alter the file bytes bumps the
+// format version instead.
 TEST(ModelFileFixtureTest, OlderWriterFileReSavesByteForByte) {
   const std::string fixture =
-      std::string(HPM_TESTDATA_DIR) + "/model_v2.hpm";
+      std::string(HPM_TESTDATA_DIR) + "/model_v3.hpm";
   const StatusOr<std::string> original = ReadFileToString(fixture);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
   uint32_t version = 0;
   std::memcpy(&version, original->data() + 4, sizeof(version));
-  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(version, 3u);
   const size_t section = original->find("FTPT");
   ASSERT_NE(section, std::string::npos);
   uint32_t section_version = 0;
   std::memcpy(&section_version, original->data() + section + 4,
               sizeof(section_version));
-  EXPECT_EQ(section_version, 1u);
+  EXPECT_EQ(section_version, 2u);
 
   auto loaded = HybridPredictor::LoadFromFile(fixture);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->tpt().size(), 97u);
-  EXPECT_EQ((*loaded)->regions().NumRegions(), 12u);
-  EXPECT_EQ((*loaded)->tpt().Height(), 3);
+  EXPECT_EQ((*loaded)->tpt().size(), 875u);
+  EXPECT_EQ((*loaded)->regions().NumRegions(), 20u);
+  EXPECT_EQ((*loaded)->tpt().Height(), 4);
   EXPECT_TRUE((*loaded)->tpt().CheckInvariants().ok());
 
   const std::string path = TempPath("fixture_resaved.hpm");

@@ -59,7 +59,7 @@ class PaperExampleTest : public ::testing::Test {
   void SetUp() override {
     regions_ = JaneRegions();
     patterns_ = JanePatterns();
-    tables_ = KeyTables::Build(regions_, patterns_);
+    tables_ = KeyTables::Build(regions_, std::vector<int>{1, 2, 3, 4});
     keys_ = tables_.EncodePatterns(patterns_, regions_);
     for (size_t i = 0; i < patterns_.size(); ++i) {
       IndexedPattern entry;

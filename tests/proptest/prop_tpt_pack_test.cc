@@ -294,7 +294,11 @@ StatusOr<std::vector<IndexedPattern>> MinePatterns(const MinedCase& input,
       MineOffline(*history, regions, mining);
   if (!offline.ok()) return offline.status();
   const FrequentRegionSet& region_set = offline->discovery.region_set;
-  *tables = KeyTables::Build(region_set, offline->mined.patterns);
+  std::vector<int> consequences;
+  for (const TrajectoryPattern& p : offline->mined.patterns) {
+    consequences.push_back(p.consequence);
+  }
+  *tables = KeyTables::Build(region_set, consequences);
   *num_regions = region_set.NumRegions();
   const KeyBlocks keys =
       tables->EncodePatterns(offline->mined.patterns, region_set);

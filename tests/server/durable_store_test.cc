@@ -9,6 +9,7 @@
 // plain builds; everything else runs everywhere.
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -16,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "io/atomic_file.h"
 #include "io/wal.h"
 #include "server/object_store.h"
 
@@ -189,6 +192,49 @@ TEST_F(DurableStoreTest, ReplayRetrainsModelsBitIdentically) {
   // model again and predicts exactly like the never-crashed store.
   ASSERT_TRUE(restored->GetPredictor(0).ok());
   ExpectSameServing(reference, *restored);
+}
+
+TEST_F(DurableStoreTest, OlderModelFormatIsRefusedNotQuarantined) {
+  // A snapshot whose model files carry an older format version is valid
+  // data this build cannot read: the load must stop with the version
+  // error and leave every file where it is, not quarantine the files
+  // and fall back generation by generation.
+  const std::string dir = FreshDir("durable_old_model_format");
+  {
+    MovingObjectStore store((Options("")));
+    for (Timestamp t = 0; t < 6 * kPeriod; ++t) {
+      ASSERT_TRUE(store.ReportLocation(0, Route(0, t)).ok());
+    }
+    ASSERT_TRUE(store.GetPredictor(0).ok());
+    ASSERT_TRUE(store.SaveToDirectory(dir).ok());
+    ASSERT_TRUE(store.SaveToDirectory(dir).ok());
+  }
+  // Stamp each model file as format version 2 (the u32 after the magic)
+  // and re-stamp its footer CRC, as the older writer would have.
+  std::vector<std::string> models;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".model") continue;
+    std::string bytes = *ReadFileToString(entry.path().string());
+    const uint32_t version = 2;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    const uint32_t crc = Crc32(bytes.data(), bytes.size() - 8);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    ASSERT_TRUE(AtomicWriteFile(entry.path().string(), bytes).ok());
+    models.push_back(entry.path().string());
+  }
+  ASSERT_EQ(models.size(), 2u);
+
+  const auto restored = MovingObjectStore::LoadFromDirectory(dir, Options(""));
+  EXPECT_EQ(restored.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(restored.status().message().find(
+                "unsupported model format version 2"),
+            std::string::npos)
+      << restored.status().ToString();
+  for (const std::string& model : models) {
+    EXPECT_TRUE(std::filesystem::exists(model)) << model;
+  }
+  EXPECT_TRUE(!std::filesystem::exists(dir + "/quarantine") ||
+              std::filesystem::is_empty(dir + "/quarantine"));
 }
 
 TEST_F(DurableStoreTest, SaveRetiresCoveredSegments) {

@@ -10,6 +10,8 @@
 //   8  premise_bits u32  24 num_patterns u32
 //   12 consequence_bits  28 nodes (3 x u32 each) | targets | key words
 //                           | payloads | crc32 over everything before it
+// A payload is 20 bytes: confidence f64, consequence region i32,
+// pattern id i32, support i32.
 
 #include "tpt/frozen_tpt.h"
 
@@ -21,6 +23,7 @@
 
 #include "common/crc32.h"
 #include "common/random.h"
+#include "tpt_reference/pattern_sets.h"
 #include "tpt_reference/tpt_tree.h"
 
 namespace hpm {
@@ -170,17 +173,40 @@ TEST(FrozenTptTest, LeavesCarryTheBuilderKeys) {
   }
 }
 
-TEST(FrozenTptTest, FillSupportsSetsEachPayloadFromItsPatternId) {
-  FrozenTpt frozen = BuildTree(40, 17).Freeze();
-  std::vector<TrajectoryPattern> table(frozen.size());
-  for (size_t i = 0; i < table.size(); ++i) {
-    table[i].support = static_cast<int>(100 + i);
+TEST(FrozenTptTest, SupportsRoundTripThroughTheSection) {
+  // The section carries each payload's support, so a parsed arena holds
+  // the supports its packed original did.
+  Random rng(17);
+  std::vector<PatternKey> keys;
+  std::vector<LeafPayload> payloads;
+  for (int i = 0; i < 40; ++i) {
+    keys.push_back(RandomKey(&rng, 40, 10));
+    payloads.push_back(LeafPayload{0.5, i % 7, i, 100 + i});
   }
-  for (const LeafPayload& p : frozen.payloads()) EXPECT_EQ(p.support, 0);
-  frozen.FillSupports(table);
-  for (const LeafPayload& p : frozen.payloads()) {
+  const StatusOr<KeyBlocks> blocks = FlattenKeys(keys);
+  ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
+  const StatusOr<FrozenTpt> packed = FrozenTpt::Pack(*blocks, payloads, 5);
+  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+  const std::string wire = Wire(*packed);
+  size_t consumed = 0;
+  const StatusOr<FrozenTpt> parsed =
+      FrozenTpt::Parse(wire.data(), wire.size(), &consumed);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), payloads.size());
+  for (const LeafPayload& p : parsed->payloads()) {
     EXPECT_EQ(p.support, 100 + p.pattern_id);
   }
+}
+
+TEST(FrozenTptTest, ParseRejectsNegativeSupport) {
+  std::string wire = Wire(BuildTree(20, 24).Freeze());
+  // The last payload's support is the i32 before the trailing CRC.
+  WriteU32At(&wire, wire.size() - 8, static_cast<uint32_t>(-1));
+  RestampSectionCrc(&wire);
+  const Status status = ParseStatus(wire);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("negative support"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(FrozenTptTest, MemoryBytesIsWhatTheArraysAllocate) {

@@ -58,6 +58,16 @@ std::vector<TrajectoryPattern> PatternsConcludingAtEveryOffset(int n) {
   return out;
 }
 
+/// KeyTables::Build over the consequence regions of `patterns`.
+KeyTables BuildFor(const FrequentRegionSet& regions,
+                   const std::vector<TrajectoryPattern>& patterns) {
+  std::vector<int> consequences;
+  for (const TrajectoryPattern& p : patterns) {
+    consequences.push_back(p.consequence);
+  }
+  return KeyTables::Build(regions, consequences);
+}
+
 /// EncodeQueryIntervalInto a fresh key.
 PatternKey IntervalKey(const KeyTables& tables, const std::vector<int>& premise,
                        Timestamp lo, Timestamp hi) {
@@ -71,7 +81,7 @@ class KeyTablesPaperTest : public ::testing::Test {
   void SetUp() override {
     regions_ = PaperRegions();
     patterns_ = PaperPatterns();
-    tables_ = KeyTables::Build(regions_, patterns_);
+    tables_ = BuildFor(regions_, patterns_);
   }
   FrequentRegionSet regions_;
   std::vector<TrajectoryPattern> patterns_;
@@ -160,10 +170,10 @@ TEST(KeyTablesTest, ReusedScratchKeyMatchesAFreshEncoding) {
   // larger or smaller previous key left behind.
   const FrequentRegionSet wide_regions = ManyRegions(150);
   const KeyTables wide =
-      KeyTables::Build(wide_regions, PatternsConcludingAtEveryOffset(150));
+      BuildFor(wide_regions, PatternsConcludingAtEveryOffset(150));
   ASSERT_GT(wide.premise_key_length(), 128u);
   ASSERT_GT(wide.consequence_key_length(), 64u);
-  const KeyTables narrow = KeyTables::Build(PaperRegions(), PaperPatterns());
+  const KeyTables narrow = BuildFor(PaperRegions(), PaperPatterns());
 
   PatternKey scratch;
   const auto expect_query = [&](const KeyTables& tables,
@@ -196,21 +206,21 @@ TEST(KeyTablesTest, ReusedScratchKeyMatchesAFreshEncoding) {
 
 TEST(KeyTablesDeathTest, EncodeQueryBadRegionAborts) {
   const FrequentRegionSet regions = PaperRegions();
-  const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
+  const KeyTables tables = BuildFor(regions, PaperPatterns());
   PatternKey q;
   EXPECT_DEATH((void)tables.EncodeQueryInto({7}, 1, &q), "HPM_CHECK");
 }
 
 TEST(KeyTablesDeathTest, EncodeQueryNegativeRegionAborts) {
   const FrequentRegionSet regions = PaperRegions();
-  const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
+  const KeyTables tables = BuildFor(regions, PaperPatterns());
   PatternKey q;
   EXPECT_DEATH((void)tables.EncodeQueryInto({-1}, 1, &q), "HPM_CHECK");
 }
 
 TEST(KeyTablesDeathTest, EncodePatternUnknownConsequenceOffsetAborts) {
   const FrequentRegionSet regions = PaperRegions();
-  const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
+  const KeyTables tables = BuildFor(regions, PaperPatterns());
   // Region 0 concludes at offset 0, which no pattern's consequence uses,
   // so the consequence-time table has no slot for it.
   const TrajectoryPattern rogue = {{1}, 0, 0.5, 3};
@@ -219,7 +229,7 @@ TEST(KeyTablesDeathTest, EncodePatternUnknownConsequenceOffsetAborts) {
 
 TEST(KeyTablesDeathTest, OffsetForTimeIdOutOfRangeAborts) {
   const FrequentRegionSet regions = PaperRegions();
-  const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
+  const KeyTables tables = BuildFor(regions, PaperPatterns());
   EXPECT_DEATH((void)tables.OffsetForTimeId(99), "HPM_CHECK");
   EXPECT_DEATH((void)tables.OffsetForTimeId(-1), "HPM_CHECK");
 }
