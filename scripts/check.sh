@@ -81,14 +81,17 @@ run_matrix build-tsan -DHPM_SANITIZE=thread
 # UBSan is the leg that would catch misaligned loads, bad shifts and
 # out-of-range enum/int conversions there. The miner's tidsets are the
 # same kind of code (word shifts, popcounts over hand-indexed flat
-# arrays), so the mining label runs here too. The full tier-1 set rides
-# along since the build already exists.
-echo "== UndefinedBehaviorSanitizer: tier1 + tpt + mining =="
+# arrays), so the mining label runs here too. So does the net label:
+# the socket read buffer is offset arithmetic over bytes from the peer,
+# and its property suite (prop_frame_test) carries no tier1 label. The
+# full tier-1 set rides along since the build already exists.
+echo "== UndefinedBehaviorSanitizer: tier1 + tpt + mining + net =="
 cmake -B build-ubsan -S . -DHPM_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 ctest --test-dir build-ubsan -L tier1 "${CTEST_ARGS[@]}" -j "$JOBS"
 ctest --test-dir build-ubsan -L tpt "${CTEST_ARGS[@]}" -j "$JOBS"
 ctest --test-dir build-ubsan -L mining "${CTEST_ARGS[@]}" -j "$JOBS"
+ctest --test-dir build-ubsan -L net "${CTEST_ARGS[@]}" -j "$JOBS"
 ctest --test-dir build-ubsan -L concurrency "${CTEST_ARGS[@]}" -j "$JOBS"
 
 echo "== AddressSanitizer + fault hooks: tier1 + fault =="

@@ -62,8 +62,13 @@ StatusOr<HpmClient::Envelope> HpmClient::CallOnce(
       !sent.ok()) {
     return Transport("send", sent);
   }
-  StatusOr<std::string> payload =
-      RecvFrame(*socket, Deadline::After(options_.io_timeout));
+  // The reply cannot be there yet, so wait before the first recv rather
+  // than try it.
+  const Deadline reply_deadline = Deadline::After(options_.io_timeout);
+  if (Status ready = socket->WaitReadable(reply_deadline); !ready.ok()) {
+    return Transport("recv", ready);
+  }
+  StatusOr<std::string> payload = RecvFrame(*socket, reply_deadline);
   if (!payload.ok()) {
     // Includes the pooled-connection race: the server idle-closed a
     // connection we just checked out — clean EOF, retry reconnects.
@@ -88,11 +93,7 @@ StatusOr<HpmClient::Envelope> HpmClient::CallOnce(
 }
 
 StatusOr<HpmClient::Envelope> HpmClient::Call(const std::string& request) {
-  uint64_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    seq = call_seq_++;
-  }
+  const uint64_t seq = call_seq_.fetch_add(1, std::memory_order_relaxed);
   // Per-call jitter stream: deterministic given the seed, decorrelated
   // across concurrent calls.
   Random rng(options_.retry_seed ^ (seq * 0x2545F4914F6CDD1Dull + 1));

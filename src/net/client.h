@@ -14,6 +14,7 @@
 #ifndef HPM_NET_CLIENT_H_
 #define HPM_NET_CLIENT_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -98,9 +99,9 @@ class HpmClient {
   HpmClientOptions options_;
   std::function<void(std::chrono::microseconds)> sleep_fn_;
 
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  // guards pool_
   std::vector<Socket> pool_;
-  uint64_t call_seq_ = 0;
+  std::atomic<uint64_t> call_seq_{0};
 };
 
 }  // namespace hpm

@@ -1,5 +1,8 @@
 #include "net/frame.h"
 
+#include <algorithm>
+#include <string_view>
+
 #include <sys/socket.h>
 
 #include "common/crc32.h"
@@ -14,23 +17,25 @@ constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
 
 Status SendFrame(Socket& socket, const std::string& payload,
                  Deadline deadline) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  wire::PutU32(&frame, Crc32(payload));
-  frame += payload;
+  std::string header;
+  wire::PutU32(&header, static_cast<uint32_t>(payload.size()));
+  wire::PutU32(&header, Crc32(payload));
 
   const Status fault = HPM_FAULT_HIT("net/send");
   if (!fault.ok()) {
     // Model the torn frame the site stands for: half the frame reaches
     // the peer, then the connection dies mid-stream. The peer must see
     // kDataLoss, never a short frame silently accepted.
-    (void)socket.SendAll(frame.data(), frame.size() / 2, deadline);
+    const size_t half = (kFrameHeaderBytes + payload.size()) / 2;
+    const size_t from_header = std::min(half, kFrameHeaderBytes);
+    (void)socket.SendAll(
+        std::string_view(header).substr(0, from_header),
+        std::string_view(payload).substr(0, half - from_header), deadline);
     ::shutdown(socket.fd(), SHUT_RDWR);
     socket.Close();
     return fault;
   }
-  return socket.SendAll(frame.data(), frame.size(), deadline);
+  return socket.SendAll(header, payload, deadline);
 }
 
 StatusOr<std::string> RecvFrame(Socket& socket, Deadline deadline,
@@ -51,10 +56,15 @@ StatusOr<std::string> RecvFrame(Socket& socket, Deadline deadline,
   }
   std::string payload(length, '\0');
   if (length > 0) {
-    // A disconnect mid-payload is a torn frame: RecvAll reports the
-    // clean-close case as kDataLoss here because bytes were consumed.
-    HPM_RETURN_IF_ERROR(
-        socket.RecvAll(payload.data(), length, deadline, nullptr));
+    // The header was consumed, so even a close before the first payload
+    // byte is a torn frame, not the clean end of the stream.
+    bool closed_after_header = false;
+    const Status got = socket.RecvAll(payload.data(), length, deadline,
+                                      &closed_after_header);
+    if (closed_after_header) {
+      return Status::DataLoss("connection closed after a frame header");
+    }
+    HPM_RETURN_IF_ERROR(got);
   }
   if (Crc32(payload) != stored_crc) {
     return Status::DataLoss("frame checksum mismatch");

@@ -31,12 +31,15 @@ namespace hpm {
 /// stream corruption. Snapshot files ship in chunks well below this.
 constexpr size_t kMaxNetPayloadBytes = 4 * 1024 * 1024;
 
-/// Sends one framed payload.
+/// Sends one framed payload: header and payload in one gather write,
+/// the payload not copied.
 Status SendFrame(Socket& socket, const std::string& payload,
                  Deadline deadline);
 
 /// Receives one framed payload. `clean_eof` (optional) reports a clean
-/// peer close on a frame boundary — the normal end of a connection.
+/// peer close on a frame boundary — the normal end of a connection. The
+/// length field is checked against kMaxNetPayloadBytes before the
+/// payload is allocated.
 StatusOr<std::string> RecvFrame(Socket& socket, Deadline deadline,
                                 bool* clean_eof = nullptr);
 

@@ -10,6 +10,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "io/eintr.h"
@@ -62,6 +63,8 @@ bool ParseAddress(const std::string& host, int port, sockaddr_in* addr) {
   return ::inet_pton(AF_INET, host.c_str(), &addr->sin_addr) == 1;
 }
 
+bool WouldBlock() { return errno == EAGAIN || errno == EWOULDBLOCK; }
+
 }  // namespace
 
 void Socket::Close() {
@@ -69,6 +72,8 @@ void Socket::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  buffer_.reset();
+  begin_ = end_ = 0;
 }
 
 StatusOr<Socket> Socket::Connect(const std::string& host, int port,
@@ -85,8 +90,8 @@ StatusOr<Socket> Socket::Connect(const std::string& host, int port,
   Socket socket(fd);
 
   // Non-blocking connect + poll-for-writable gives the deadline teeth;
-  // the socket goes back to blocking afterwards (all transfers are
-  // poll-gated anyway).
+  // the socket goes back to blocking afterwards (every transfer passes
+  // MSG_DONTWAIT and polls on EAGAIN anyway).
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   const int rc = RetryOnEintr([&] {
@@ -115,20 +120,44 @@ StatusOr<Socket> Socket::Connect(const std::string& host, int port,
   return socket;
 }
 
-Status Socket::SendAll(const void* data, size_t n, Deadline deadline) {
-  const char* p = static_cast<const char*>(data);
-  size_t done = 0;
-  while (done < n) {
-    HPM_RETURN_IF_ERROR(WaitFor(fd_, POLLOUT, deadline, "send"));
-    const ssize_t sent = RetryOnEintr([&] {
-      return ::send(fd_, p + done, n - done, MSG_NOSIGNAL);
-    });
-    if (sent < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::Unavailable(std::string("send: ") +
-                                 std::strerror(errno));
+Status Socket::SendAll(std::string_view head, std::string_view body,
+                       Deadline deadline) {
+  struct iovec iov[2];
+  iov[0].iov_base = const_cast<char*>(head.data());
+  iov[0].iov_len = head.size();
+  iov[1].iov_base = const_cast<char*>(body.data());
+  iov[1].iov_len = body.size();
+  int first = 0;  // iov[first..1] is what is left to send
+  const auto skip_sent = [&](size_t sent) {
+    while (first < 2 && sent >= iov[first].iov_len) {
+      sent -= iov[first].iov_len;
+      ++first;
     }
-    done += static_cast<size_t>(sent);
+    if (first < 2) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
+  };
+  skip_sent(0);  // drop empty pieces
+  if (first < 2 && deadline.expired()) {
+    return Status::DeadlineExceeded("send timed out");
+  }
+  while (first < 2) {
+    struct msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = static_cast<size_t>(2 - first);
+    const ssize_t sent = RetryOnEintr(
+        [&] { return ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT); });
+    if (sent < 0) {
+      if (!WouldBlock()) {
+        return Status::Unavailable(std::string("send: ") +
+                                   std::strerror(errno));
+      }
+      HPM_RETURN_IF_ERROR(WaitFor(fd_, POLLOUT, deadline, "send"));
+      continue;
+    }
+    skip_sent(static_cast<size_t>(sent));
   }
   return Status::OK();
 }
@@ -136,16 +165,38 @@ Status Socket::SendAll(const void* data, size_t n, Deadline deadline) {
 Status Socket::RecvAll(void* data, size_t n, Deadline deadline,
                        bool* clean_eof) {
   if (clean_eof != nullptr) *clean_eof = false;
+  if (n > 0 && deadline.expired()) {
+    return Status::DeadlineExceeded("recv timed out");
+  }
   char* p = static_cast<char*>(data);
   size_t done = 0;
   while (done < n) {
-    HPM_RETURN_IF_ERROR(WaitFor(fd_, POLLIN, deadline, "recv"));
-    const ssize_t got =
-        RetryOnEintr([&] { return ::recv(fd_, p + done, n - done, 0); });
+    if (begin_ < end_) {
+      const size_t take = std::min(end_ - begin_, n - done);
+      std::memcpy(p + done, buffer_.get() + begin_, take);
+      begin_ += take;
+      done += take;
+      continue;
+    }
+    // The buffer is empty. A large remainder is read straight into the
+    // caller's memory, never past `n`; a small one reads a whole buffer,
+    // so the rest of a frame and any frame pipelined behind it arrive in
+    // this one recv.
+    const bool direct = n - done >= kReadBufferBytes;
+    if (!direct && buffer_ == nullptr) {
+      buffer_ = std::make_unique<char[]>(kReadBufferBytes);
+    }
+    char* into = direct ? p + done : buffer_.get();
+    const size_t want = direct ? n - done : kReadBufferBytes;
+    const ssize_t got = RetryOnEintr(
+        [&] { return ::recv(fd_, into, want, MSG_DONTWAIT); });
     if (got < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::Unavailable(std::string("recv: ") +
-                                 std::strerror(errno));
+      if (!WouldBlock()) {
+        return Status::Unavailable(std::string("recv: ") +
+                                   std::strerror(errno));
+      }
+      HPM_RETURN_IF_ERROR(WaitFor(fd_, POLLIN, deadline, "recv"));
+      continue;
     }
     if (got == 0) {
       if (done == 0) {
@@ -156,12 +207,18 @@ Status Socket::RecvAll(void* data, size_t n, Deadline deadline,
                               std::to_string(done) + "/" +
                               std::to_string(n) + " bytes)");
     }
-    done += static_cast<size_t>(got);
+    if (direct) {
+      done += static_cast<size_t>(got);
+    } else {
+      begin_ = 0;
+      end_ = static_cast<size_t>(got);
+    }
   }
   return Status::OK();
 }
 
 Status Socket::WaitReadable(Deadline deadline) {
+  if (begin_ < end_) return Status::OK();
   return WaitFor(fd_, POLLIN, deadline, "wait");
 }
 

@@ -3,10 +3,12 @@
 
 #include <sys/socket.h>
 
+#include <cerrno>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "gtest/gtest.h"
 #include "net/frame.h"
 #include "net/protocol.h"
@@ -168,6 +170,38 @@ TEST(FrameTest, ImplausibleLengthIsRejectedWithoutAllocating) {
   StatusOr<std::string> got = RecvFrame(pair.b, Deadline::AfterMillis(2000));
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(FrameTest, PipelinedFrameIsServedFromTheBuffer) {
+  SocketPair pair;
+  std::string both;
+  for (const std::string payload : {"first", "second"}) {
+    wire::PutU32(&both, static_cast<uint32_t>(payload.size()));
+    wire::PutU32(&both, Crc32(payload));
+    both += payload;
+  }
+  ASSERT_TRUE(
+      pair.a.SendAll(both.data(), both.size(), Deadline::AfterMillis(2000))
+          .ok());
+  StatusOr<std::string> first = RecvFrame(pair.b, Deadline::AfterMillis(2000));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(*first, "first");
+
+  // The second frame came off the kernel queue with the first, so only
+  // the buffer can tell WaitReadable that a request is waiting.
+  char probe = 0;
+  errno = 0;
+  EXPECT_EQ(::recv(pair.b.fd(), &probe, 1, MSG_PEEK | MSG_DONTWAIT), -1);
+  EXPECT_EQ(errno, EAGAIN);
+  EXPECT_TRUE(pair.b.WaitReadable(Deadline::AfterMillis(1)).ok());
+
+  const std::string rest = both.substr(8 + 5);
+  std::string got(rest.size(), '\0');
+  ASSERT_TRUE(pair.b
+                  .RecvAll(got.data(), got.size(), Deadline::AfterMillis(2000),
+                           nullptr)
+                  .ok());
+  EXPECT_EQ(got, rest);
 }
 
 TEST(ProtocolTest, RequestsRoundTrip) {
