@@ -10,28 +10,16 @@ ThreadPool::ThreadPool(ThreadPoolOptions options) : options_(options) {
   }
 }
 
-ThreadPool::~ThreadPool() { Shutdown(DrainPolicy::kRunPending); }
+ThreadPool::~ThreadPool() { Shutdown(); }
 
-ThreadPool::DrainStats ThreadPool::Shutdown(DrainPolicy policy) {
-  DrainStats stats;
+void ThreadPool::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return stats;  // Second call: someone already decided.
+    if (stopping_) return;  // Second call: already stopped.
     stopping_ = true;
-    if (policy == DrainPolicy::kDiscardPending) {
-      // Destroying the queued closures destroys their packaged_tasks,
-      // which breaks their promises — every discarded task is reported
-      // through its future, never silently lost.
-      stats.discarded = queue_.size();
-      std::queue<std::function<void()>>().swap(queue_);
-    } else {
-      stats.ran = queue_.size();
-    }
-    queue_depth_.store(queue_.size(), std::memory_order_relaxed);
   }
   condition_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  return stats;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -46,9 +34,7 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
       queue_depth_.store(queue_.size(), std::memory_order_relaxed);
     }
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
     task();
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

@@ -1,32 +1,16 @@
-// Fixed-size worker pool for shard fan-out in the serving layer, with an
-// optional queue bound so overload turns into backpressure instead of
-// unbounded memory growth.
+// Fixed-size worker pool for shard fan-out and connection handling in
+// the serving layer, with an optional queue bound so overload turns into
+// backpressure instead of unbounded memory growth.
 //
-// Two submission paths:
-//   * Submit()    — legacy unbounded enqueue; never rejects (aborts if
-//                   the pool is already shut down). For work that must
-//                   not be dropped.
-//   * TrySubmit() — honors `max_queue_depth`; returns kUnavailable when
-//                   the queue is full or the pool is shutting down, so
-//                   callers can fail fast or run the task inline (the
-//                   store's fan-out does the latter: a saturated pool
-//                   slows the caller down rather than queueing).
+// TrySubmit() honors `max_queue_depth`: it returns kUnavailable when the
+// queue is full or the pool is shutting down, so callers can fail fast
+// or run the task inline (the store's fan-out does the latter: a
+// saturated pool slows the caller down rather than queueing).
 //
-// Shutdown is deterministic: every task handed to the pool either runs
-// to completion or — under Shutdown(kDiscardPending) — is reported, both
-// through the returned DrainStats and through its future, which throws
-// std::future_error(broken_promise). Nothing is ever silently dropped.
-//
-// Locking design note: the serving layer pairs this pool with one plain
-// std::shared_mutex per store shard rather than a hand-rolled spinning
-// reader-writer lock. Shard critical sections are short (append one
-// sample, copy a recent-movement window, swap a shared_ptr), but the
-// *writer* sections occasionally stretch — initial model training is
-// milliseconds — and a spinlock would burn a core per blocked reader for
-// that whole stretch. std::shared_mutex parks waiters in the kernel,
-// costs one uncontended atomic on the fast path, and keeps the code
-// obviously correct under TSan; at our shard counts the fast-path
-// difference is unmeasurable next to prediction work.
+// Shutdown is deterministic: every task TrySubmit accepted runs to
+// completion before Shutdown (or the destructor) returns, and a
+// TrySubmit that loses the race with Shutdown is refused. Nothing
+// accepted is ever dropped.
 
 #ifndef HPM_COMMON_THREAD_POOL_H_
 #define HPM_COMMON_THREAD_POOL_H_
@@ -54,8 +38,7 @@ struct ThreadPoolOptions {
   int num_threads = 1;
 
   /// Queued-but-unstarted tasks TrySubmit tolerates before rejecting.
-  /// 0 = unbounded (TrySubmit only rejects during shutdown). Submit()
-  /// ignores the bound by design.
+  /// 0 = unbounded (TrySubmit only rejects during shutdown).
   size_t max_queue_depth = 0;
 };
 
@@ -69,8 +52,7 @@ class ThreadPool {
 
   explicit ThreadPool(ThreadPoolOptions options);
 
-  /// Shutdown(kRunPending): drains the queue (pending tasks still
-  /// execute) and joins.
+  /// Shutdown(): runs every queued task, then joins.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -78,29 +60,12 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues `f` and returns a future for its result, ignoring
-  /// max_queue_depth. Safe to call from any thread, including pool
+  /// Enqueues `f` and returns a future for its result; kUnavailable when
+  /// the queue already holds max_queue_depth tasks (backpressure) or the
+  /// pool is shutting down. Safe to call from any thread, including pool
   /// workers — but a task that *blocks* on a future of another task can
   /// deadlock once every worker does it, so fan-out code should submit
-  /// leaves only. Aborts (HPM_CHECK) if the pool has been shut down.
-  template <typename F>
-  auto Submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      HPM_CHECK(!stopping_);
-      queue_.push([task] { (*task)(); });
-      queue_depth_.store(queue_.size(), std::memory_order_relaxed);
-    }
-    condition_.notify_one();
-    return future;
-  }
-
-  /// Bounded enqueue: kUnavailable when the queue already holds
-  /// max_queue_depth tasks (backpressure) or the pool is shutting down.
+  /// leaves only.
   template <typename F>
   auto TrySubmit(F&& f)
       -> StatusOr<std::future<std::invoke_result_t<F>>> {
@@ -131,31 +96,9 @@ class ThreadPool {
     return queue_depth_.load(std::memory_order_relaxed);
   }
 
-  /// Tasks currently executing on a worker (relaxed snapshot).
-  int in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
-
-  /// What Shutdown does with queued-but-unstarted tasks.
-  enum class DrainPolicy {
-    kRunPending,      ///< Workers finish every queued task before joining.
-    kDiscardPending,  ///< Queued tasks are dropped; their futures throw
-                      ///< std::future_error(broken_promise) on get().
-  };
-
-  /// Accounting of one Shutdown: how many queued tasks were handed to
-  /// the chosen fate. Tasks already *running* when Shutdown is called
-  /// always finish and appear in neither count.
-  struct DrainStats {
-    size_t ran = 0;        ///< Queued tasks guaranteed to have executed.
-    size_t discarded = 0;  ///< Queued tasks dropped (futures broken).
-  };
-
-  /// Stops the pool and joins the workers. Idempotent: the first call
-  /// decides the drain policy and returns the real stats, later calls
-  /// (and the destructor) are no-ops returning zeros. After shutdown,
-  /// TrySubmit returns kUnavailable and Submit aborts.
-  DrainStats Shutdown(DrainPolicy policy = DrainPolicy::kRunPending);
+  /// Stops the pool: every queued task still runs, then the workers
+  /// join. Idempotent; afterwards TrySubmit returns kUnavailable.
+  void Shutdown();
 
   /// hardware_concurrency, or 2 when the runtime cannot tell.
   static int DefaultThreadCount();
@@ -169,7 +112,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   bool stopping_ = false;
   std::atomic<size_t> queue_depth_{0};
-  std::atomic<int> in_flight_{0};
   std::vector<std::thread> workers_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -141,26 +142,6 @@ bool ParseRecordPayload(const std::string& payload, WalRecord* record) {
   return false;
 }
 
-std::string SegmentFileName(int shard, uint64_t seq) {
-  return "wal-" + std::to_string(shard) + "-" + std::to_string(seq) + ".log";
-}
-
-bool ParseSegmentFileName(const std::string& name, int* shard,
-                          uint64_t* seq) {
-  int parsed_shard = 0;
-  unsigned long long parsed_seq = 0;  // NOLINT: sscanf needs the C type
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "wal-%d-%llu.lo%c", &parsed_shard,
-                  &parsed_seq, &tail) != 3 ||
-      tail != 'g' || parsed_shard < 0) {
-    return false;
-  }
-  if (name != SegmentFileName(parsed_shard, parsed_seq)) return false;
-  *shard = parsed_shard;
-  *seq = static_cast<uint64_t>(parsed_seq);
-  return true;
-}
-
 /// What a frame boundary scan found at one offset.
 enum class FrameScan { kOk, kTornTail, kCorrupt };
 
@@ -203,6 +184,32 @@ const char* WalSyncPolicyName(WalSyncPolicy policy) {
 
 std::string EncodeWalFrame(const WalRecord& record) {
   return FrameFor(RecordPayload(record));
+}
+
+std::string SegmentFileName(int shard, uint64_t seq) {
+  return "wal-" + std::to_string(shard) + "-" + std::to_string(seq) + ".log";
+}
+
+bool ParseSegmentFileName(std::string_view name, int* shard,
+                          uint64_t* seq) {
+  // from_chars reports an out-of-range number instead of wrapping it; the
+  // round trip refuses leading zeros and any other suffix.
+  constexpr std::string_view kPrefix = "wal-";
+  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
+  const char* const end = name.data() + name.size();
+  int parsed_shard = 0;
+  uint64_t parsed_seq = 0;
+  const auto dash =
+      std::from_chars(name.data() + kPrefix.size(), end, parsed_shard);
+  if (dash.ec != std::errc() || parsed_shard < 0 || dash.ptr == end ||
+      *dash.ptr != '-' ||
+      std::from_chars(dash.ptr + 1, end, parsed_seq).ec != std::errc() ||
+      name != SegmentFileName(parsed_shard, parsed_seq)) {
+    return false;
+  }
+  *shard = parsed_shard;
+  *seq = parsed_seq;
+  return true;
 }
 
 std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir) {

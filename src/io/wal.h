@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -89,6 +90,13 @@ struct WalRecord {
 /// Serialises `record` into a complete frame (length + crc + payload),
 /// ready to be appended to a segment. Exposed for tests and hpm_tool.
 std::string EncodeWalFrame(const WalRecord& record);
+
+/// "wal-<shard>-<seq>.log": the name of one journal segment file.
+std::string SegmentFileName(int shard, uint64_t seq);
+
+/// The inverse of SegmentFileName: true only for a name it returns for a
+/// shard >= 0; refuses signs, leading zeros and out-of-range numbers.
+bool ParseSegmentFileName(std::string_view name, int* shard, uint64_t* seq);
 
 /// One segment discovered on disk. `shard`/`seq` parse from the file
 /// name; `base_gen` comes from the header frame. When the header is

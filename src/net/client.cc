@@ -178,14 +178,13 @@ StatusOr<ReplFetchReply> HpmClient::ReplFetch(
   return reply;
 }
 
-Status HpmClient::FetchFile(const std::string& name, uint32_t chunk_bytes,
-                            std::string* contents) {
+Status HpmClient::FetchFile(const std::string& name, std::string* contents) {
   contents->clear();
   for (;;) {
     ReplFetchRequest request;
     request.name = name;
     request.offset = contents->size();
-    request.max_bytes = chunk_bytes;
+    request.max_bytes = kReplFetchChunkBytes;
     StatusOr<ReplFetchReply> chunk = ReplFetch(request);
     HPM_RETURN_IF_ERROR(chunk.status().Annotate("fetch " + name));
     contents->append(chunk->bytes);

@@ -67,9 +67,8 @@ class HpmClient {
   StatusOr<ReplStateReply> ReplState(const ReplStateRequest& request);
   StatusOr<ReplFetchReply> ReplFetch(const ReplFetchRequest& request);
 
-  /// Downloads one store file in chunks (ReplFetch until eof).
-  Status FetchFile(const std::string& name, uint32_t chunk_bytes,
-                   std::string* contents);
+  /// Downloads one store file, kReplFetchChunkBytes per ReplFetch.
+  Status FetchFile(const std::string& name, std::string* contents);
 
   /// Test hook: replaces the real sleep between retries.
   void set_sleep_fn(std::function<void(std::chrono::microseconds)> fn) {

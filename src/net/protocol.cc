@@ -1,7 +1,5 @@
 #include "net/protocol.h"
 
-#include <cstdio>
-
 #include "net/frame.h"
 #include "net/wire.h"
 
@@ -420,40 +418,6 @@ Status DecodeRequest(const std::string& payload, Request* request) {
                             std::to_string(type));
   }
   return Status::OK();
-}
-
-bool IsFetchableStoreFile(const std::string& name, bool* is_wal) {
-  *is_wal = false;
-  if (name == "CURRENT") return true;
-  unsigned long long a = 0, b = 0;  // NOLINT: sscanf needs the C types
-  char tail = '\0';
-  char trailing[8] = {0};
-  if (std::sscanf(name.c_str(), "MANIFEST-%llu%c", &a, &tail) == 1) {
-    // Round-trip to reject leading zeros / plus signs sscanf accepts.
-    return name == "MANIFEST-" + std::to_string(a);
-  }
-  long long id = 0;  // NOLINT
-  if (std::sscanf(name.c_str(), "%lld-%llu.cs%1s", &id, &a, trailing) == 3 &&
-      trailing[0] == 'v') {
-    return name ==
-           std::to_string(id) + "-" + std::to_string(a) + ".csv";
-  }
-  if (std::sscanf(name.c_str(), "%lld-%llu.mode%1s", &id, &a, trailing) ==
-          3 &&
-      trailing[0] == 'l') {
-    return name ==
-           std::to_string(id) + "-" + std::to_string(a) + ".model";
-  }
-  if (std::sscanf(name.c_str(), "wal/wal-%llu-%llu.lo%1s", &a, &b,
-                  trailing) == 3 &&
-      trailing[0] == 'g') {
-    if (name == "wal/wal-" + std::to_string(a) + "-" + std::to_string(b) +
-                    ".log") {
-      *is_wal = true;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace hpm

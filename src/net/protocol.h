@@ -90,12 +90,15 @@ struct ReplStateRequest {
 
 /// Byte-range fetch of one store file (snapshot object file, manifest,
 /// CURRENT, or a WAL segment). Names are validated server-side against
-/// the store layout — nothing outside the data directory is fetchable.
+/// the store layout (server/store_layout.h) — nothing else is fetchable.
 struct ReplFetchRequest {
   std::string name;
   uint64_t offset = 0;
   uint32_t max_bytes = 0;
 };
+
+/// Bytes per kReplFetch: what a replica asks for, the most a server sends.
+constexpr uint32_t kReplFetchChunkBytes = 256 * 1024;
 
 std::string EncodePing();
 std::string EncodeReport(const ReportRequest& req);
@@ -200,12 +203,6 @@ struct Request {
 /// Decodes a request payload (kDataLoss on malformed input, including
 /// unknown message types).
 Status DecodeRequest(const std::string& payload, Request* request);
-
-/// True when `name` is a fetchable store file: "CURRENT",
-/// "MANIFEST-<gen>", "<id>-<gen>.csv", "<id>-<gen>.model" or
-/// "wal/wal-<shard>-<seq>.log". Rejects anything else (path traversal,
-/// absolute paths, unrelated files). `*is_wal` reports the wal/ prefix.
-bool IsFetchableStoreFile(const std::string& name, bool* is_wal);
 
 }  // namespace hpm
 

@@ -14,6 +14,7 @@
 #include "io/eintr.h"
 #include "io/wal.h"
 #include "net/frame.h"
+#include "server/store_layout.h"
 
 namespace hpm {
 
@@ -277,8 +278,8 @@ std::string HpmServer::HandleReplState(const ReplStateRequest& request) {
   }
 
   std::vector<WireSegment> segments;
-  if (!options_.wal_dir.empty()) {
-    for (const WalSegmentInfo& info : ListWalSegments(options_.wal_dir)) {
+  if (!options_.data_dir.empty() && store_->wal_enabled()) {
+    for (const WalSegmentInfo& info : ListWalSegments(store_->wal_dir())) {
       if (!info.header_ok) continue;
       WireSegment segment;
       segment.shard = info.shard;
@@ -309,21 +310,11 @@ std::string HpmServer::HandleReplFetch(const ReplFetchRequest& request) {
         Status::FailedPrecondition("server has no data directory"), stamp,
         "");
   }
-  bool is_wal = false;
-  if (!IsFetchableStoreFile(request.name, &is_wal)) {
-    return EncodeReply(
-        Status::InvalidArgument("not a fetchable store file: " +
-                                request.name),
-        stamp, "");
-  }
-  // WAL names are served from wal_dir (which need not live under
-  // data_dir); everything else from the store directory itself.
-  const std::string path =
-      is_wal ? (options_.wal_dir.empty()
-                    ? options_.data_dir + "/" + request.name
-                    : options_.wal_dir + "/" + request.name.substr(4))
-             : options_.data_dir + "/" + request.name;
-  const int fd = RetryOnEintr([&] { return ::open(path.c_str(), O_RDONLY); });
+  const StatusOr<std::string> path = FetchableStoreFilePath(
+      options_.data_dir, store_->wal_dir(), request.name);
+  if (!path.ok()) return EncodeReply(path.status(), stamp, "");
+  const int fd =
+      RetryOnEintr([&] { return ::open(path->c_str(), O_RDONLY); });
   if (fd < 0) {
     return EncodeReply(
         Status::NotFound("cannot open " + request.name + ": " +
@@ -340,9 +331,9 @@ std::string HpmServer::HandleReplFetch(const ReplFetchRequest& request) {
   bool eof = true;
   if (request.offset < file_size) {
     const uint32_t cap = std::min(
-        request.max_bytes == 0 ? options_.max_fetch_bytes
-                               : std::min(request.max_bytes,
-                                          options_.max_fetch_bytes),
+        request.max_bytes == 0
+            ? kReplFetchChunkBytes
+            : std::min(request.max_bytes, kReplFetchChunkBytes),
         static_cast<uint32_t>(kMaxNetPayloadBytes / 2));
     const uint64_t want =
         std::min<uint64_t>(cap, file_size - request.offset);

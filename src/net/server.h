@@ -11,7 +11,8 @@
 // deadline.
 //
 // Roles: a kPrimary serves everything, including the replication RPCs
-// (kReplState / kReplFetch) that ship its snapshot + journal bytes. A
+// (kReplState / kReplFetch) that ship the snapshot + journal bytes of
+// the store it serves (names and paths from server/store_layout.h). A
 // kReplica serves reads only — reports are refused with
 // kFailedPrecondition("not primary") — and stamps every reply with the
 // generation + staleness its Replicator last reached (the stale-ok
@@ -80,17 +81,13 @@ struct HpmServerOptions {
   /// Suggested client back-off when the handler pool is saturated.
   std::chrono::microseconds busy_retry_after{20000};
 
-  /// Primary only: the store directory replication RPCs serve files
-  /// from (empty disables kReplFetch).
+  /// Primary only: the directory the store is saved to. When set, the
+  /// replication RPCs list and serve its snapshot and the store's own
+  /// journal (MovingObjectStore::wal_dir()); empty serves no files.
   std::string data_dir;
-  /// Primary only: the journal directory listed by kReplState
-  /// (conventionally <data_dir>/wal; empty lists no segments).
-  std::string wal_dir;
   /// Primary: a follower reporting more lag than this flips the
   /// repl.follower_lagging health flag (ingest is never blocked).
   uint64_t follower_lag_warn_bytes = 4 * 1024 * 1024;
-  /// Largest byte range one kReplFetch returns.
-  uint32_t max_fetch_bytes = 1024 * 1024;
 
   /// Replica only: a reply is stamped stale_degraded once no sync has
   /// succeeded within this window.

@@ -294,6 +294,9 @@ class MovingObjectStore {
   /// (DurabilityOptions::wal_dir non-empty).
   bool wal_enabled() const { return !options_.durability.wal_dir.empty(); }
 
+  /// DurabilityOptions::wal_dir: empty when the store keeps no journal.
+  const std::string& wal_dir() const { return options_.durability.wal_dir; }
+
   /// True while the journal is healthy: enabled and no disk fault has
   /// dropped the store to non-durable serving. Mirrors the
   /// store.wal_disabled metric (the health flag `hpm_tool stats` reports).

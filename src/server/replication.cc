@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 #include <vector>
@@ -14,14 +12,11 @@
 #include "io/atomic_file.h"
 #include "io/eintr.h"
 #include "io/wal.h"
+#include "server/store_layout.h"
 
 namespace hpm {
 
 namespace {
-
-std::string SegmentFileName(int shard, uint64_t seq) {
-  return "wal-" + std::to_string(shard) + "-" + std::to_string(seq) + ".log";
-}
 
 /// The size of a mirror file, 0 when absent.
 uint64_t LocalSize(const std::string& path) {
@@ -54,11 +49,9 @@ Status AppendBytes(const std::string& path, const std::string& bytes) {
 }  // namespace
 
 StatusOr<uint64_t> BootstrapReplica(HpmClient& client,
-                                    const std::string& data_dir,
-                                    uint32_t fetch_chunk_bytes) {
+                                    const std::string& data_dir) {
   std::error_code ec;
   std::filesystem::create_directories(data_dir, ec);
-  if (!ec) std::filesystem::create_directories(data_dir + "/wal", ec);
   if (ec) {
     return Status::InvalidArgument("cannot create replica directory " +
                                    data_dir + ": " + ec.message());
@@ -69,46 +62,28 @@ StatusOr<uint64_t> BootstrapReplica(HpmClient& client,
   const uint64_t gen = state->generation;
   if (gen == 0) return uint64_t{0};  // primary never saved; journal-only
 
-  const std::string manifest_name = "MANIFEST-" + std::to_string(gen);
+  const std::string manifest_name = ManifestName(gen);
   std::string manifest;
   HPM_RETURN_IF_ERROR(
-      client.FetchFile(manifest_name, fetch_chunk_bytes, &manifest)
-          .Annotate("bootstrap"));
+      client.FetchFile(manifest_name, &manifest).Annotate("bootstrap"));
+  std::vector<ManifestEntry> entries;
+  HPM_RETURN_IF_ERROR(ParseManifest(manifest, &entries)
+                          .Annotate("bootstrap " + manifest_name));
 
-  // Fetch every object file the manifest names. The manifest's own
-  // format is verified (header + checksum) by the store load after
-  // bootstrap; here only the file names are needed, so parse leniently.
-  size_t pos = 0;
-  while (pos < manifest.size()) {
-    const size_t eol = manifest.find('\n', pos);
-    const std::string line =
-        manifest.substr(pos, eol == std::string::npos ? eol : eol - pos);
-    pos = eol == std::string::npos ? manifest.size() : eol + 1;
-    int64_t id = 0;
-    size_t history_len = 0, consumed = 0;
-    int has_model = 0;
-    if (std::sscanf(line.c_str(), "object %" SCNd64 " %zu %zu %d", &id,
-                    &history_len, &consumed, &has_model) != 4) {
-      continue;
-    }
-    const std::string stem = std::to_string(id) + "-" + std::to_string(gen);
-    std::vector<std::string> names = {stem + ".csv"};
-    if (has_model != 0) names.push_back(stem + ".model");
-    for (const std::string& name : names) {
-      std::string contents;
-      HPM_RETURN_IF_ERROR(client.FetchFile(name, fetch_chunk_bytes, &contents)
-                              .Annotate("bootstrap"));
+  // The generation's files end with the manifest itself, already in hand.
+  for (const std::string& name : GenerationFiles(gen, entries)) {
+    std::string fetched;
+    if (name != manifest_name) {
       HPM_RETURN_IF_ERROR(
-          AtomicWriteFile(data_dir + "/" + name, contents));
+          client.FetchFile(name, &fetched).Annotate("bootstrap"));
     }
+    HPM_RETURN_IF_ERROR(AtomicWriteFile(
+        data_dir + "/" + name, name == manifest_name ? manifest : fetched));
   }
-  HPM_RETURN_IF_ERROR(
-      AtomicWriteFile(data_dir + "/" + manifest_name, manifest));
   // The commit point, mirroring SaveToDirectory: only once CURRENT
   // lands is the bootstrapped snapshot loadable. A kill anywhere above
   // leaves a directory a re-run simply overwrites.
-  HPM_RETURN_IF_ERROR(
-      AtomicWriteFile(data_dir + "/CURRENT", manifest_name + "\n"));
+  HPM_RETURN_IF_ERROR(WriteCurrent(data_dir, gen));
   return gen;
 }
 
@@ -189,8 +164,8 @@ Status Replicator::CatchUpFromMirror() {
 }
 
 Status Replicator::SyncSegment(const WireSegment& segment, uint64_t* lag) {
-  const std::string name = SegmentFileName(segment.shard, segment.seq);
-  const std::string path = mirror_dir_ + "/" + name;
+  const std::string path =
+      mirror_dir_ + "/" + SegmentFileName(segment.shard, segment.seq);
   uint64_t local = LocalSize(path);
 
   if (local > segment.size) {
@@ -209,10 +184,10 @@ Status Replicator::SyncSegment(const WireSegment& segment, uint64_t* lag) {
 
   while (local < segment.size) {
     ReplFetchRequest request;
-    request.name = "wal/" + name;
+    request.name = SegmentFetchName(segment.shard, segment.seq);
     request.offset = local;
     request.max_bytes = static_cast<uint32_t>(
-        std::min<uint64_t>(options_.fetch_chunk_bytes, segment.size - local));
+        std::min<uint64_t>(kReplFetchChunkBytes, segment.size - local));
     StatusOr<ReplFetchReply> chunk = client_->ReplFetch(request);
     HPM_RETURN_IF_ERROR(chunk.status().Annotate("fetch " + request.name));
     if (chunk->bytes.empty()) {
@@ -246,13 +221,9 @@ Status Replicator::SyncOnce() {
     if (!synced.ok()) {
       // Keep syncing the other shards' streams — they are independent —
       // but report the failure and skip the health stamp below.
-      lag += segment.size > LocalSize(mirror_dir_ + "/" +
-                                      SegmentFileName(segment.shard,
-                                                      segment.seq))
-                 ? segment.size -
-                       LocalSize(mirror_dir_ + "/" +
-                                 SegmentFileName(segment.shard, segment.seq))
-                 : 0;
+      const uint64_t local = LocalSize(
+          mirror_dir_ + "/" + SegmentFileName(segment.shard, segment.seq));
+      lag += segment.size > local ? segment.size - local : 0;
       if (result.ok()) result = synced;
     }
   }

@@ -5,9 +5,11 @@
 // The replica state machine (docs/ROBUSTNESS.md §replication):
 //
 //   bootstrap   BootstrapReplica fetches the primary's current snapshot
-//               generation G — manifest, object files, then CURRENT
-//               *last* (the same commit-point discipline as a local
-//               save: a crash mid-bootstrap leaves no CURRENT, so a
+//               generation G: the manifest, which must pass the store's
+//               own checksum check (server/store_layout.h), then exactly
+//               the files it lists, then CURRENT *last* (the same
+//               commit-point discipline as a local save: a crash or a
+//               refused manifest mid-bootstrap leaves no CURRENT, so a
 //               reload finds nothing half-loaded).
 //   catch-up    The replica loads the snapshot with no journal writer
 //               attached, then CatchUpFromMirror re-applies every
@@ -52,13 +54,13 @@
 namespace hpm {
 
 /// Copies the primary's current snapshot generation into `data_dir`
-/// (creating it and its wal/ mirror directory), writing CURRENT last.
+/// (creating it), writing CURRENT last.
 /// Returns the bootstrapped generation (0 when the primary has never
 /// saved — the replica then starts from an empty store and pure journal
-/// replay). Safe to re-run over a half-bootstrapped directory.
+/// replay). kDataLoss, with no CURRENT written, when the manifest fails
+/// its checksum. Safe to re-run over a half-bootstrapped directory.
 StatusOr<uint64_t> BootstrapReplica(HpmClient& client,
-                                    const std::string& data_dir,
-                                    uint32_t fetch_chunk_bytes = 256 * 1024);
+                                    const std::string& data_dir);
 
 struct ReplicatorOptions {
   /// The replica's store directory; the journal mirror lives in
@@ -66,8 +68,6 @@ struct ReplicatorOptions {
   std::string data_dir;
   /// Steady-state poll spacing.
   std::chrono::milliseconds poll_interval{200};
-  /// Byte range per fetch request.
-  uint32_t fetch_chunk_bytes = 256 * 1024;
 };
 
 class Replicator {

@@ -1,4 +1,5 @@
 // Directory persistence for MovingObjectStore — generational, crash-safe.
+// Owns the snapshot layout that server/store_layout.h declares.
 //
 // Layout (docs/ROBUSTNESS.md has the recovery semantics):
 //   <dir>/CURRENT            "MANIFEST-<gen>\n"; atomically swapped *last*,
@@ -40,11 +41,13 @@
 // replay continues.
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/crc32.h"
@@ -52,19 +55,20 @@
 #include "common/retry.h"
 #include "io/atomic_file.h"
 #include "io/csv.h"
+#include "io/wal.h"
 #include "server/object_store.h"
+#include "server/store_layout.h"
 
 namespace hpm {
 
 namespace {
 
 constexpr char kManifestHeader[] = "hpm-store-manifest v2";
+constexpr std::string_view kWalFetchPrefix = "wal/";
 constexpr uint64_t kStoreIoRetrySeed = 0x73746f72655f696fULL;  // "store_io"
 
-std::string CurrentPath(const std::string& dir) { return dir + "/CURRENT"; }
-
-std::string ManifestName(uint64_t gen) {
-  return "MANIFEST-" + std::to_string(gen);
+std::string CurrentPath(const std::string& dir) {
+  return dir + "/" + kCurrentFileName;
 }
 
 std::string ManifestPath(const std::string& dir, uint64_t gen) {
@@ -72,27 +76,42 @@ std::string ManifestPath(const std::string& dir, uint64_t gen) {
 }
 
 std::string CsvPath(const std::string& dir, ObjectId id, uint64_t gen) {
-  return dir + "/" + std::to_string(id) + "-" + std::to_string(gen) + ".csv";
+  return dir + "/" + ObjectCsvName(id, gen);
 }
 
 std::string ModelPath(const std::string& dir, ObjectId id, uint64_t gen) {
-  return dir + "/" + std::to_string(id) + "-" + std::to_string(gen) +
-         ".model";
+  return dir + "/" + ObjectModelName(id, gen);
 }
 
+// from_chars reports an out-of-range number instead of wrapping it; the
+// name parsers then accept only the exact name the writer makes.
+
 /// Parses the generation number out of a "MANIFEST-<gen>" name.
-bool ParseManifestName(const std::string& name, uint64_t* gen) {
-  const std::string prefix = "MANIFEST-";
-  if (name.rfind(prefix, 0) != 0 || name.size() == prefix.size()) {
-    return false;
-  }
+bool ParseManifestName(std::string_view name, uint64_t* gen) {
+  constexpr std::string_view kPrefix = "MANIFEST-";
+  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
   uint64_t value = 0;
-  for (size_t i = prefix.size(); i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
+  const char* const end = name.data() + name.size();
+  if (std::from_chars(name.data() + kPrefix.size(), end, value).ec !=
+          std::errc() ||
+      name != ManifestName(value)) {
+    return false;
   }
   *gen = value;
   return true;
+}
+
+/// True when `name` is an object's csv or model file of some generation.
+bool IsObjectFileName(std::string_view name) {
+  const char* const end = name.data() + name.size();
+  ObjectId id = 0;
+  uint64_t gen = 0;
+  const auto id_end = std::from_chars(name.data(), end, id);
+  if (id_end.ec != std::errc() || id_end.ptr == end || *id_end.ptr != '-' ||
+      std::from_chars(id_end.ptr + 1, end, gen).ec != std::errc()) {
+    return false;
+  }
+  return name == ObjectCsvName(id, gen) || name == ObjectModelName(id, gen);
 }
 
 /// All generations with a manifest file in `dir`, descending.
@@ -160,17 +179,30 @@ bool QuarantineFile(const std::string& dir, const std::string& path,
   return moved;
 }
 
-/// One parsed manifest entry.
-struct ManifestEntry {
-  ObjectId id = 0;
-  size_t history_len = 0;
-  size_t consumed = 0;
-  bool has_model = false;
-  uint32_t csv_crc = 0;
-};
+/// Reads a file through the load-side fault site with transient-failure
+/// retry.
+StatusOr<std::string> ReadStoreFile(const std::string& path, Random& rng) {
+  return RetryWithBackoff(
+      RetryPolicy{}, rng, [&]() -> StatusOr<std::string> {
+        HPM_INJECT_FAULT("store/load_read");
+        return ReadFileToString(path);
+      });
+}
 
-/// Parses and checksum-verifies a v2 manifest. On failure the manifest
-/// itself is the corrupt file.
+}  // namespace
+
+std::string ManifestName(uint64_t gen) {
+  return "MANIFEST-" + std::to_string(gen);
+}
+
+std::string ObjectCsvName(ObjectId id, uint64_t gen) {
+  return std::to_string(id) + "-" + std::to_string(gen) + ".csv";
+}
+
+std::string ObjectModelName(ObjectId id, uint64_t gen) {
+  return std::to_string(id) + "-" + std::to_string(gen) + ".model";
+}
+
 Status ParseManifest(const std::string& content,
                      std::vector<ManifestEntry>* entries) {
   // The trailing line must be "crc32 <hex>" over every byte before it.
@@ -219,17 +251,52 @@ Status ParseManifest(const std::string& content,
   return Status::OK();
 }
 
-/// Reads a file through the load-side fault site with transient-failure
-/// retry.
-StatusOr<std::string> ReadStoreFile(const std::string& path, Random& rng) {
-  return RetryWithBackoff(
-      RetryPolicy{}, rng, [&]() -> StatusOr<std::string> {
-        HPM_INJECT_FAULT("store/load_read");
-        return ReadFileToString(path);
-      });
+std::vector<std::string> GenerationFiles(
+    uint64_t gen, const std::vector<ManifestEntry>& entries) {
+  std::vector<std::string> files;
+  for (const ManifestEntry& entry : entries) {
+    files.push_back(ObjectCsvName(entry.id, gen));
+    if (entry.has_model) files.push_back(ObjectModelName(entry.id, gen));
+  }
+  files.push_back(ManifestName(gen));
+  return files;
 }
 
-}  // namespace
+Status WriteCurrent(const std::string& dir, uint64_t gen) {
+  return AtomicWriteFile(CurrentPath(dir), ManifestName(gen) + "\n");
+}
+
+std::string SegmentFetchName(int shard, uint64_t seq) {
+  return std::string(kWalFetchPrefix) + SegmentFileName(shard, seq);
+}
+
+bool IsFetchableStoreFile(const std::string& name, bool* is_wal) {
+  *is_wal = false;
+  uint64_t gen = 0;
+  if (name == kCurrentFileName || ParseManifestName(name, &gen) ||
+      IsObjectFileName(name)) {
+    return true;
+  }
+  const std::string_view view = name;
+  int shard = 0;
+  uint64_t seq = 0;
+  *is_wal = view.substr(0, kWalFetchPrefix.size()) == kWalFetchPrefix &&
+            ParseSegmentFileName(view.substr(kWalFetchPrefix.size()),
+                                 &shard, &seq);
+  return *is_wal;
+}
+
+StatusOr<std::string> FetchableStoreFilePath(const std::string& dir,
+                                             const std::string& wal_dir,
+                                             const std::string& name) {
+  bool is_wal = false;
+  if (!IsFetchableStoreFile(name, &is_wal)) {
+    return Status::InvalidArgument("not a fetchable store file: " + name);
+  }
+  if (!is_wal) return dir + "/" + name;
+  if (wal_dir.empty()) return Status::NotFound("no journal: " + name);
+  return wal_dir + "/" + name.substr(kWalFetchPrefix.size());
+}
 
 Status MovingObjectStore::SaveToDirectory(
     const std::string& directory) const {
@@ -343,7 +410,7 @@ Status MovingObjectStore::SaveToDirectory(
   // The commit point: after this rename the new generation is live.
   Status committed = RetryWithBackoff(policy, retry_rng, [&]() -> Status {
     HPM_INJECT_FAULT("store/save_commit");
-    return AtomicWriteFile(CurrentPath(directory), ManifestName(gen) + "\n");
+    return WriteCurrent(directory, gen);
   });
   if (!committed.ok()) return committed.Annotate("commit");
   generation_->store(gen, std::memory_order_relaxed);
@@ -352,18 +419,16 @@ Status MovingObjectStore::SaveToDirectory(
   // recovery target if this generation's files later rot).
   for (uint64_t old_gen : ListGenerations(directory)) {
     if (old_gen + 1 >= gen) continue;
+    // An unreadable manifest still goes; its object files stay.
+    std::vector<ManifestEntry> entries;
     StatusOr<std::string> old_manifest =
         ReadFileToString(ManifestPath(directory, old_gen));
-    if (old_manifest.ok()) {
-      std::vector<ManifestEntry> entries;
-      if (ParseManifest(*old_manifest, &entries).ok()) {
-        for (const ManifestEntry& entry : entries) {
-          std::remove(CsvPath(directory, entry.id, old_gen).c_str());
-          std::remove(ModelPath(directory, entry.id, old_gen).c_str());
-        }
-      }
+    if (!old_manifest.ok() || !ParseManifest(*old_manifest, &entries).ok()) {
+      entries.clear();
     }
-    std::remove(ManifestPath(directory, old_gen).c_str());
+    for (const std::string& name : GenerationFiles(old_gen, entries)) {
+      std::remove((directory + "/" + name).c_str());
+    }
   }
 
   // Journal retention mirrors the manifest retention above: a segment

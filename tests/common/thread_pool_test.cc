@@ -22,8 +22,9 @@ TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
 
 TEST(ThreadPoolTest, SubmitReturnsResultThroughFuture) {
   ThreadPool pool(2);
-  std::future<int> result = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(result.get(), 42);
+  auto result = pool.TrySubmit([] { return 6 * 7; });
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->get(), 42);
 }
 
 TEST(ThreadPoolTest, RunsManyTasksExactlyOnce) {
@@ -32,9 +33,10 @@ TEST(ThreadPoolTest, RunsManyTasksExactlyOnce) {
   std::vector<std::future<void>> futures;
   futures.reserve(200);
   for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.Submit([&counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-    }));
+    auto future = pool.TrySubmit(
+        [&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+    ASSERT_TRUE(future.ok());
+    futures.push_back(std::move(*future));
   }
   for (std::future<void>& f : futures) f.get();
   EXPECT_EQ(counter.load(), 200);
@@ -45,7 +47,9 @@ TEST(ThreadPoolTest, TasksReturnDistinctValues) {
   std::vector<std::future<int>> futures;
   futures.reserve(50);
   for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
+    auto future = pool.TrySubmit([i] { return i * i; });
+    ASSERT_TRUE(future.ok());
+    futures.push_back(std::move(*future));
   }
   long long sum = 0;
   for (std::future<int>& f : futures) sum += f.get();
@@ -58,12 +62,15 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   std::vector<std::future<void>> futures;
   {
     ThreadPool pool(1);  // Single worker: tasks queue up behind the sleep.
-    futures.push_back(pool.Submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }));
+    auto sleeper = pool.TrySubmit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(50)); });
+    ASSERT_TRUE(sleeper.ok());
+    futures.push_back(std::move(*sleeper));
     for (int i = 0; i < 10; ++i) {
-      futures.push_back(pool.Submit(
-          [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
+      auto future = pool.TrySubmit(
+          [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      ASSERT_TRUE(future.ok());
+      futures.push_back(std::move(*future));
     }
   }  // Destructor must let every queued task run before joining.
   EXPECT_EQ(ran.load(), 10);
@@ -75,12 +82,15 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
 
 TEST(ThreadPoolTest, SubmitFromWorkerDoesNotDeadlock) {
   ThreadPool pool(2);
-  std::future<int> outer = pool.Submit([&pool] {
+  auto outer = pool.TrySubmit([&pool] {
     // Fire-and-forget leaf task submitted from inside a worker.
-    pool.Submit([] {}).wait();
+    auto leaf = pool.TrySubmit([] {});
+    if (!leaf.ok()) return -1;
+    leaf->wait();
     return 7;
   });
-  EXPECT_EQ(outer.get(), 7);
+  ASSERT_TRUE(outer.ok());
+  EXPECT_EQ(outer->get(), 7);
 }
 
 TEST(ThreadPoolDeathTest, RejectsZeroThreads) {
@@ -94,10 +104,15 @@ TEST(ThreadPoolDeathTest, RejectsZeroThreads) {
 struct BlockedPool {
   explicit BlockedPool(size_t max_queue_depth)
       : pool(ThreadPoolOptions{1, max_queue_depth}) {
-    gate_future = pool.Submit([this] { gate.get_future().wait(); });
+    auto parked = pool.TrySubmit([this] {
+      started.store(true);
+      gate.get_future().wait();
+    });
+    EXPECT_TRUE(parked.ok());
+    if (parked.ok()) gate_future = std::move(*parked);
     // Wait until the worker has actually *started* the blocking task, so
     // later submissions sit in the queue rather than racing it.
-    while (pool.in_flight() == 0) std::this_thread::yield();
+    while (!started.load()) std::this_thread::yield();
   }
   ~BlockedPool() { Open(); }
   void Open() {
@@ -107,6 +122,7 @@ struct BlockedPool {
     }
   }
   ThreadPool pool;
+  std::atomic<bool> started{false};
   std::promise<void> gate;
   std::future<void> gate_future;
   bool opened = false;
@@ -123,12 +139,9 @@ TEST(ThreadPoolTest, TrySubmitRejectsWhenQueueIsFull) {
   auto c = blocked.pool.TrySubmit([] { return 3; });
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kUnavailable);
-  // Unbounded Submit still accepts (legacy path ignores the bound).
-  std::future<int> d = blocked.pool.Submit([] { return 4; });
   blocked.Open();
   EXPECT_EQ(a->get(), 1);
   EXPECT_EQ(b->get(), 2);
-  EXPECT_EQ(d.get(), 4);
 }
 
 TEST(ThreadPoolTest, TrySubmitUnboundedOnlyRejectsDuringShutdown) {
@@ -144,12 +157,12 @@ TEST(ThreadPoolTest, TrySubmitUnboundedOnlyRejectsDuringShutdown) {
 
 TEST(ThreadPoolTest, QueueDepthAndInFlightTrackTheWorker) {
   BlockedPool blocked(0);
-  EXPECT_EQ(blocked.pool.in_flight(), 1);
   EXPECT_EQ(blocked.pool.queue_depth(), 0u);
-  std::future<void> queued = blocked.pool.Submit([] {});
+  auto queued = blocked.pool.TrySubmit([] {});
+  ASSERT_TRUE(queued.ok());
   EXPECT_EQ(blocked.pool.queue_depth(), 1u);
   blocked.Open();
-  queued.wait();
+  queued->wait();
   EXPECT_EQ(blocked.pool.queue_depth(), 0u);
   blocked.gate_future.wait();
 }
@@ -160,65 +173,36 @@ TEST(ThreadPoolTest, ShutdownRunPendingExecutesEveryQueuedTask) {
   std::atomic<int> ran{0};
   BlockedPool blocked(0);
   for (int i = 0; i < 8; ++i) {
-    blocked.pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  blocked.Open();
-  const ThreadPool::DrainStats stats =
-      blocked.pool.Shutdown(ThreadPool::DrainPolicy::kRunPending);
-  // Every queued task ran; none were dropped. (Tasks the worker had
-  // already dequeued before Shutdown don't count as "queued".)
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_EQ(stats.discarded, 0u);
-  EXPECT_LE(stats.ran, 8u);
-}
-
-TEST(ThreadPoolTest, ShutdownDiscardPendingReportsEveryDroppedTask) {
-  std::atomic<int> ran{0};
-  BlockedPool blocked(0);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(blocked.pool.Submit([&ran] { ran.fetch_add(1); }));
+    ASSERT_TRUE(blocked.pool.TrySubmit([&ran] { ran.fetch_add(1); }).ok());
   }
   EXPECT_EQ(blocked.pool.queue_depth(), 8u);
   blocked.Open();
-  const ThreadPool::DrainStats stats =
-      blocked.pool.Shutdown(ThreadPool::DrainPolicy::kDiscardPending);
-  // run-or-report: each of the 8 tasks either executed or is accounted
-  // discarded — no silent drops.
-  EXPECT_EQ(static_cast<size_t>(ran.load()) + stats.discarded, 8u);
-  // Discarded tasks report through their futures too: broken promise.
-  size_t broken = 0;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (const std::future_error& e) {
-      EXPECT_EQ(e.code(), std::future_errc::broken_promise);
-      ++broken;
-    }
-  }
-  EXPECT_EQ(broken, stats.discarded);
+  blocked.pool.Shutdown();
+  // Every queued task ran before Shutdown returned; none was dropped.
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPoolTest, ShutdownIsIdempotent) {
+  std::atomic<int> ran{0};
   ThreadPool pool(2);
-  pool.Submit([] {}).wait();
-  const ThreadPool::DrainStats first = pool.Shutdown();
-  const ThreadPool::DrainStats second = pool.Shutdown();
-  EXPECT_EQ(first.discarded, 0u);
-  EXPECT_EQ(second.ran, 0u);
-  EXPECT_EQ(second.discarded, 0u);
+  auto task = pool.TrySubmit([&ran] { ran.fetch_add(1); });
+  ASSERT_TRUE(task.ok());
+  task->wait();
+  pool.Shutdown();
+  pool.Shutdown();
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(pool.TrySubmit([] {}).status().code(), StatusCode::kUnavailable);
 }
 
 // The shutdown-vs-submit race regression (run under TSan by
 // scripts/check.sh): concurrent TrySubmit during Shutdown must yield, for
-// every task, exactly one of {executed, kUnavailable rejection, broken
-// promise} — never a hang, double-run, or silent drop.
+// every task, exactly one of {executed, kUnavailable rejection} — never a
+// hang, double-run, or silent drop.
 TEST(ThreadPoolTest, ConcurrentTrySubmitDuringShutdownNeverDropsSilently) {
   for (int round = 0; round < 20; ++round) {
     auto pool = std::make_unique<ThreadPool>(ThreadPoolOptions{2, 4});
     std::atomic<int> ran{0};
     std::atomic<int> rejected{0};
-    std::atomic<int> broken{0};
     constexpr int kSubmitters = 4;
     constexpr int kPerThread = 25;
     std::vector<std::thread> submitters;
@@ -231,23 +215,14 @@ TEST(ThreadPoolTest, ConcurrentTrySubmitDuringShutdownNeverDropsSilently) {
             rejected.fetch_add(1);
             continue;
           }
-          try {
-            result->get();
-          } catch (const std::future_error&) {
-            broken.fetch_add(1);
-          }
+          result->get();
         }
       });
     }
     // Race the shutdown against the submitters.
-    const ThreadPool::DrainStats stats =
-        pool->Shutdown(round % 2 == 0
-                           ? ThreadPool::DrainPolicy::kRunPending
-                           : ThreadPool::DrainPolicy::kDiscardPending);
+    pool->Shutdown();
     for (std::thread& t : submitters) t.join();
-    EXPECT_EQ(ran.load() + rejected.load() + broken.load(),
-              kSubmitters * kPerThread);
-    EXPECT_EQ(static_cast<size_t>(broken.load()), stats.discarded);
+    EXPECT_EQ(ran.load() + rejected.load(), kSubmitters * kPerThread);
   }
 }
 

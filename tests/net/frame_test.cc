@@ -320,25 +320,5 @@ TEST(ProtocolTest, ReplStateBodyRoundTrips) {
   EXPECT_EQ(decoded[1].size, 128u);
 }
 
-TEST(ProtocolTest, FetchableFileWhitelist) {
-  bool is_wal = false;
-  EXPECT_TRUE(IsFetchableStoreFile("CURRENT", &is_wal));
-  EXPECT_FALSE(is_wal);
-  EXPECT_TRUE(IsFetchableStoreFile("MANIFEST-12", &is_wal));
-  EXPECT_TRUE(IsFetchableStoreFile("7-3.csv", &is_wal));
-  EXPECT_TRUE(IsFetchableStoreFile("7-3.model", &is_wal));
-  EXPECT_TRUE(IsFetchableStoreFile("wal/wal-0-2.log", &is_wal));
-  EXPECT_TRUE(is_wal);
-
-  EXPECT_FALSE(IsFetchableStoreFile("", &is_wal));
-  EXPECT_FALSE(IsFetchableStoreFile("../etc/passwd", &is_wal));
-  EXPECT_FALSE(IsFetchableStoreFile("/etc/passwd", &is_wal));
-  EXPECT_FALSE(IsFetchableStoreFile("wal/../CURRENT", &is_wal));
-  EXPECT_FALSE(IsFetchableStoreFile("MANIFEST-", &is_wal));
-  EXPECT_FALSE(IsFetchableStoreFile("MANIFEST-01", &is_wal));
-  EXPECT_FALSE(IsFetchableStoreFile("7-3.csv.bak", &is_wal));
-  EXPECT_FALSE(IsFetchableStoreFile("quarantine/7-3.csv", &is_wal));
-}
-
 }  // namespace
 }  // namespace hpm

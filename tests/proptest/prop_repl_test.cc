@@ -252,7 +252,6 @@ std::string CheckReplicaConvergesBitIdentically(const ReplCase& input) {
 
   HpmServerOptions server_options;
   server_options.data_dir = primary_dir;
-  server_options.wal_dir = primary_dir + "/wal";
   StatusOr<std::unique_ptr<HpmServer>> server =
       HpmServer::Start(&primary, server_options);
   if (!server.ok()) return "server: " + server.status().ToString();

@@ -22,6 +22,7 @@
 #include "net/server.h"
 #include "server/object_store.h"
 #include "server/replication.h"
+#include "server/store_layout.h"
 
 namespace hpm {
 namespace {
@@ -96,7 +97,6 @@ class ReplicationTest : public ::testing::Test {
   void StartServer() {
     HpmServerOptions options;
     options.data_dir = primary_dir_;
-    options.wal_dir = primary_dir_ + "/wal";
     StatusOr<std::unique_ptr<HpmServer>> server =
         HpmServer::Start(primary_.get(), options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -289,6 +289,33 @@ TEST_F(ReplicationTest, TornMirrorTailIsTruncatedAndRefetched) {
               ReadFileBytes(primary_dir_ + "/wal/" + name))
         << name;
   }
+}
+
+TEST_F(ReplicationTest, BootstrapRefusesAManifestThatFailsItsChecksum) {
+  Feed(1, 6);
+  Feed(2, 6);
+  ASSERT_TRUE(primary_->SaveToDirectory(primary_dir_).ok());
+  // Flip one hex digit of the trailing checksum line: every object line
+  // still names a real file, so only the checksum check can refuse it.
+  const std::string manifest_path =
+      primary_dir_ + "/" + ManifestName(primary_->generation());
+  std::string manifest = ReadFileBytes(manifest_path);
+  const size_t crc_line = manifest.rfind("crc32 ");
+  ASSERT_NE(crc_line, std::string::npos);
+  char& digit = manifest[crc_line + 6];
+  digit = digit == '0' ? '1' : '0';
+  std::FILE* f = std::fopen(manifest_path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(manifest.data(), 1, manifest.size(), f),
+            manifest.size());
+  std::fclose(f);
+  StartServer();
+
+  StatusOr<uint64_t> gen = BootstrapReplica(*client_, replica_dir_);
+  ASSERT_FALSE(gen.ok());
+  EXPECT_EQ(gen.status().code(), StatusCode::kDataLoss)
+      << gen.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(replica_dir_ + "/CURRENT"));
 }
 
 TEST_F(ReplicationTest, JournalGapFlipsResyncRequired) {

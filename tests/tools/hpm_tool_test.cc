@@ -2,11 +2,18 @@
 // a real process against temp files.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
+
+#include "io/wal.h"
+#include "server/object_store.h"
 
 namespace hpm {
 namespace {
@@ -260,6 +267,57 @@ TEST(HpmToolTest, ServeValidatesFlags) {
   EXPECT_NE(wrapped.output.find("--replica-of must be HOST:PORT"),
             std::string::npos)
       << wrapped.output;
+}
+
+TEST(HpmToolTest, ServeWithoutJournalListsNoSegments) {
+  // An earlier journaled run left segments in <dir>/wal.
+  const std::string dir = Tmp("serve_no_wal");
+  std::filesystem::remove_all(dir);
+  {
+    ObjectStoreOptions options;
+    options.durability.wal_dir = dir + "/wal";
+    MovingObjectStore store(options);
+    for (Timestamp t = 0; t < 5; ++t) {
+      ASSERT_TRUE(store.ReportLocation(1, Point(1.0 * t, 2.0)).ok());
+    }
+  }
+  ASSERT_FALSE(ListWalSegments(dir + "/wal").empty());
+
+  // `serve --wal 0` neither replays nor journals to it, so it must not
+  // advertise it to a replica either.
+  const std::string port_file = dir + ".port";
+  std::filesystem::remove(port_file);
+  std::string tool = ToolPath();
+  std::vector<std::string> args = {tool,        "serve", "--dir",
+                                   dir,         "--wal", "0",
+                                   "--threads", "1",     "--port-file",
+                                   port_file};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    ::execv(tool.c_str(), argv.data());
+    ::_exit(127);
+  }
+  ASSERT_GT(pid, 0);
+  int port = 0;
+  for (int i = 0; i < 1500 && port == 0; ++i) {
+    if (std::FILE* f = std::fopen(port_file.c_str(), "rb")) {
+      if (std::fscanf(f, "%d", &port) != 1) port = 0;
+      std::fclose(f);
+    }
+    if (port == 0) ::usleep(10000);
+  }
+  const RunResult r =
+      port > 0 ? RunTool("repl --port " + std::to_string(port)) : RunResult{};
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, nullptr, 0);
+  ASSERT_GT(port, 0) << "serve never published its port";
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("generation 0, 0 journal segment(s)"),
+            std::string::npos)
+      << r.output;
 }
 
 }  // namespace

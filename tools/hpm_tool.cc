@@ -100,6 +100,7 @@
 #include "net/server.h"
 #include "server/object_store.h"
 #include "server/replication.h"
+#include "server/store_layout.h"
 
 namespace {
 
@@ -764,7 +765,6 @@ int RunServe(Args args) {
 
     server_options.role = ServerRole::kPrimary;
     server_options.data_dir = dir;
-    server_options.wal_dir = dir + "/wal";
     StatusOr<std::unique_ptr<HpmServer>> server =
         HpmServer::Start(&store, server_options);
     if (!server.ok()) return Fail("start: " + server.status().message());
@@ -788,7 +788,7 @@ int RunServe(Args args) {
   client_options.port = primary_port;
   HpmClient client(client_options);
 
-  if (!std::filesystem::exists(dir + "/CURRENT", ec)) {
+  if (!std::filesystem::exists(dir + "/" + kCurrentFileName, ec)) {
     StatusOr<uint64_t> bootstrapped = BootstrapReplica(client, dir);
     if (!bootstrapped.ok()) {
       return Fail("bootstrap: " + bootstrapped.status().message());
