@@ -2,8 +2,10 @@
 // the figure benches: pattern-key ops, TPT insert/search, DBSCAN,
 // Apriori support counting, RMF fitting, one object's whole model build
 // (HybridPredictor::Train), saving and loading that model
-// (SaveToFile / LoadFromFile) and one fleet-wide prediction batch
-// (MovingObjectStore::PredictLocationBatch).
+// (SaveToFile / LoadFromFile), one fleet-wide prediction batch
+// (MovingObjectStore::PredictLocationBatch) and one predictive range or
+// kNN query over the same fleet, with the objects each evaluates and
+// prunes.
 
 #include <benchmark/benchmark.h>
 
@@ -373,6 +375,80 @@ void BM_PredictBatch(benchmark::State& state) {
       static_cast<double>(state.iterations() * ids.size());
 }
 BENCHMARK(BM_PredictBatch)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+/// Ten queries at each horizon 1..19: a fixed count, so the per-query
+/// object counts repeat exactly from run to run.
+constexpr int kFleetQueryIterations = 190;
+
+/// Reports the fleet queries' per-query objects_evaluated and
+/// objects_pruned since `before` as counters.
+void ReportFleetCounters(benchmark::State& state,
+                         const MovingObjectStore& store,
+                         const MetricsSnapshot& before) {
+  const MetricsSnapshot after = store.metrics_snapshot();
+  const auto per_query = [&](const std::string& name) {
+    return static_cast<double>(after.counter(name) - before.counter(name)) /
+           static_cast<double>(state.iterations());
+  };
+  state.counters["objects_evaluated"] =
+      per_query("store.objects_evaluated");
+  state.counters["objects_pruned"] = per_query("store.objects_pruned");
+}
+
+/// One predictive range query per iteration over the batch store's fleet:
+/// a 200 x 200 box at a uniform position (the repository benchmark's
+/// box), the horizon cycling through 1..19 as BM_PredictBatch does.
+void BM_FleetRange(benchmark::State& state) {
+  const MovingObjectStore& store = PredictBatchStore();
+  const Timestamp now =
+      static_cast<Timestamp>(store.HistoryLength(store.ObjectIds().front())) -
+      1;
+  Random rng(7);
+  Timestamp horizon = 0;
+  const MetricsSnapshot before = store.metrics_snapshot();
+  for (auto _ : state) {
+    horizon = horizon % 19 + 1;
+    const Point corner(rng.UniformDouble(0.0, 800.0),
+                       rng.UniformDouble(0.0, 800.0));
+    const auto result = store.PredictiveRangeQuery(
+        BoundingBox(corner, Point(corner.x + 200.0, corner.y + 200.0)),
+        now + horizon);
+    HPM_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->hits.data());
+  }
+  ReportFleetCounters(state, store, before);
+}
+BENCHMARK(BM_FleetRange)
+    ->Iterations(kFleetQueryIterations)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+/// One predictive 10-nearest-neighbour query per iteration over the batch
+/// store's fleet, from a uniform target, the horizon cycling through
+/// 1..19.
+void BM_FleetKnn(benchmark::State& state) {
+  const MovingObjectStore& store = PredictBatchStore();
+  const Timestamp now =
+      static_cast<Timestamp>(store.HistoryLength(store.ObjectIds().front())) -
+      1;
+  Random rng(8);
+  Timestamp horizon = 0;
+  const MetricsSnapshot before = store.metrics_snapshot();
+  for (auto _ : state) {
+    horizon = horizon % 19 + 1;
+    const Point target(rng.UniformDouble(0.0, 1000.0),
+                       rng.UniformDouble(0.0, 1000.0));
+    const auto result =
+        store.PredictiveNearestNeighbors(target, now + horizon, 10);
+    HPM_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->hits.data());
+  }
+  ReportFleetCounters(state, store, before);
+}
+BENCHMARK(BM_FleetKnn)
+    ->Iterations(kFleetQueryIterations)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace hpm

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -227,11 +228,13 @@ StatusOr<Prediction> HybridPredictor::MotionFunctionPredict(
 
 OffsetInterval BackwardRoundInterval(Timestamp tq, Timestamp round,
                                      Timestamp t_eps, Timestamp period) {
-  const Timestamp lo_raw = tq - round * t_eps;
-  const Timestamp hi_raw = tq + round * t_eps;
-  if (hi_raw - lo_raw >= period) return {0, period - 1};
-  return {((lo_raw % period) + period) % period,
-          ((hi_raw % period) + period) % period};
+  // 2 * round * t_eps >= period, without forming the product.
+  if (round >= (period + 2 * t_eps - 1) / (2 * t_eps)) return {0, period - 1};
+  // Widen the offset, not tq: the reach is below period / 2 here, so
+  // nothing overflows whatever tq is.
+  const Timestamp offset = ((tq % period) + period) % period;
+  const Timestamp reach = round * t_eps;
+  return {(offset - reach + period) % period, (offset + reach) % period};
 }
 
 Timestamp LastBackwardRound(Timestamp tq, Timestamp now, Timestamp t_eps) {
@@ -239,29 +242,45 @@ Timestamp LastBackwardRound(Timestamp tq, Timestamp now, Timestamp t_eps) {
   return std::max<Timestamp>(1, (tq - now - 1) / t_eps);
 }
 
-CentreRuns HybridPredictor::PatternAnswerCentres(Timestamp now,
-                                                 Timestamp tq) const {
-  HPM_CHECK(tq > now);
-  const Timestamp period = regions_.period();
+CentreRuns HybridPredictor::CentresIn(OffsetInterval in) const {
   const auto run = [this](Timestamp lo, Timestamp hi) {
     const uint32_t begin = centre_begin_[static_cast<size_t>(lo)];
     const uint32_t end = centre_begin_[static_cast<size_t>(hi) + 1];
     return std::span<const Point>(consequence_centres_.data() + begin,
                                   end - begin);
   };
+  if (in.lo <= in.hi) return {{run(in.lo, in.hi), {}}};
+  return {{run(in.lo, regions_.period() - 1), run(0, in.hi)}};
+}
+
+std::optional<Timestamp> HybridPredictor::BackwardAnswerRound(
+    Timestamp now, Timestamp tq) const {
+  HPM_CHECK(tq > now);
+  const Timestamp period = regions_.period();
+  const Timestamp t_eps = RelaxationStep();
+  const Timestamp last_round = LastBackwardRound(tq, now, t_eps);
+  for (Timestamp round = 1; round <= last_round; ++round) {
+    const CentreRuns centres =
+        CentresIn(BackwardRoundInterval(tq, round, t_eps, period));
+    if (!centres.runs[0].empty() || !centres.runs[1].empty()) return round;
+    // This round holds every offset, so no wider one can hit.
+    if (2 * round * t_eps >= period) break;
+  }
+  return std::nullopt;
+}
+
+CentreRuns HybridPredictor::PatternAnswerCentres(Timestamp now,
+                                                 Timestamp tq) const {
+  HPM_CHECK(tq > now);
+  const Timestamp period = regions_.period();
   if (!IsDistant(tq - now)) {
     const Timestamp offset = tq % period;
-    return {{run(offset, offset), {}}};
+    return CentresIn({offset, offset});
   }
-  // A round spanning the period reaches every offset.
-  const Timestamp t_eps = RelaxationStep();
-  const Timestamp round = LastBackwardRound(tq, now, t_eps);
-  if (round >= (period + 2 * t_eps - 1) / (2 * t_eps)) {
-    return {{run(0, period - 1), {}}};
-  }
-  const OffsetInterval widest = BackwardRoundInterval(tq, round, t_eps, period);
-  if (widest.lo <= widest.hi) return {{run(widest.lo, widest.hi), {}}};
-  return {{run(widest.lo, period - 1), run(0, widest.hi)}};
+  const std::optional<Timestamp> round = BackwardAnswerRound(now, tq);
+  if (!round.has_value()) return {};
+  return CentresIn(
+      BackwardRoundInterval(tq, *round, RelaxationStep(), period));
 }
 
 StatusOr<std::vector<Prediction>> HybridPredictor::DegradedPredict(
@@ -363,50 +382,43 @@ StatusOr<std::vector<Prediction>> HybridPredictor::BackwardBody(
   PredictScratch& s = *scratch;
   const Timestamp period = regions_.period();
   const Timestamp tq_offset = query.query_time % period;
-  const std::vector<int> premise = QueryPremise(query);
   const Timestamp t_eps = RelaxationStep();
-  const Timestamp last_round =
-      LastBackwardRound(query.query_time, query.current_time, t_eps);
   const double premise_penalty =
       std::min(1.0, static_cast<double>(options_.distant_threshold) /
                         static_cast<double>(query.PredictionLength()));
 
-  // Widen the consequence interval until a pattern is found or its lower
-  // edge reaches the current time.
-  for (Timestamp round = 1;; ++round) {
-    // Each widening step is another TPT search, so the deadline is
-    // re-checked per round.
-    if (round > 1 && query.deadline.expired()) {
-      return DegradedAnswer(query, DegradedReason::kDeadlineExceeded);
-    }
-    // The round's interval as period offsets (it may wrap), encoded into
-    // the lane's key buffers.
-    const OffsetInterval in =
-        BackwardRoundInterval(query.query_time, round, t_eps, period);
-    if (in.lo <= in.hi) {
-      key_tables_.EncodeQueryIntervalInto(premise, in.lo, in.hi,
-                                          &s.query_key);
-    } else {
-      key_tables_.EncodeQueryIntervalInto(premise, in.lo, period - 1,
-                                          &s.query_key);
-      key_tables_.EncodeQueryIntervalInto(premise, 0, in.hi,
-                                          &s.interval_key);
-      s.query_key.UnionWith(s.interval_key);
-    }
-
-    // A round whose interval holds no consequence offset has nothing to
-    // search.
-    if (s.query_key.consequence().Any()) {
-      TptSearchStats stats;
-      tpt_.SearchInto(s.query_key, SearchMode::kConsequenceOnly,
-                      &s.tpt_hits, &stats);
-      if (query.context != nullptr) query.context->AddTptStats(stats);
-      if (!s.tpt_hits.empty()) break;
-    }
-    // No qualified pattern anywhere before the interval hit the current
-    // time: fall back instead of widening further.
-    if (round == last_round) return MotionFallback(query);
+  // The widening stops at the first round whose interval holds a
+  // consequence offset; no pattern anywhere before the interval hits the
+  // current time means the motion function answers.
+  const std::optional<Timestamp> round =
+      BackwardAnswerRound(query.current_time, query.query_time);
+  if (!round.has_value()) return MotionFallback(query);
+  // Each widening step is another TPT search in the paper's loop, so the
+  // deadline is re-checked before searching past round 1.
+  if (*round > 1 && query.deadline.expired()) {
+    return DegradedAnswer(query, DegradedReason::kDeadlineExceeded);
   }
+
+  // The round's interval as period offsets (it may wrap), encoded into
+  // the lane's key buffers.
+  const std::vector<int> premise = QueryPremise(query);
+  const OffsetInterval in =
+      BackwardRoundInterval(query.query_time, *round, t_eps, period);
+  if (in.lo <= in.hi) {
+    key_tables_.EncodeQueryIntervalInto(premise, in.lo, in.hi, &s.query_key);
+  } else {
+    key_tables_.EncodeQueryIntervalInto(premise, in.lo, period - 1,
+                                        &s.query_key);
+    key_tables_.EncodeQueryIntervalInto(premise, 0, in.hi, &s.interval_key);
+    s.query_key.UnionWith(s.interval_key);
+  }
+  TptSearchStats stats;
+  tpt_.SearchInto(s.query_key, SearchMode::kConsequenceOnly, &s.tpt_hits,
+                  &stats);
+  if (query.context != nullptr) query.context->AddTptStats(stats);
+  // The key tables number exactly the offsets the arena's patterns
+  // conclude at, so a pattern concluding in the interval is a hit.
+  HPM_CHECK(!s.tpt_hits.empty());
 
   // BQP searches on the consequence part alone, so the premise width is
   // checked here rather than by SearchInto.

@@ -5,10 +5,12 @@
 // The processors are straight-line code, as the paper writes them: FQP
 // (Algorithm 2) encodes the query key, runs one FrozenTpt::SearchInto,
 // scores the hits by Equation 2 and ranks them; BQP (Algorithm 3) does
-// the same on the consequence part with Equation 5, widening the
-// consequence interval and searching again until a round hits or the
-// interval reaches the current time. Either falls back to the RMF motion
-// function when no pattern qualifies.
+// the same on the consequence part with Equation 5, in the first
+// widening round that hits before the interval reaches the current time.
+// A consequence-only search hits exactly when the round's interval holds
+// an offset some pattern concludes at, so that round is found from the
+// model's offsets and searched once. Either processor falls back to the
+// RMF motion function when no pattern qualifies.
 
 #ifndef HPM_CORE_HYBRID_PREDICTOR_H_
 #define HPM_CORE_HYBRID_PREDICTOR_H_
@@ -17,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -127,17 +130,20 @@ struct OffsetInterval {
   Timestamp hi = 0;
 };
 
-/// BQP's consequence interval in widening round `round` (Algorithm 3):
-/// the raw times [tq - round * t_eps, tq + round * t_eps] as period
-/// offsets. An interval spanning a period or more covers every offset.
+/// BQP's consequence interval in widening round `round` >= 1
+/// (Algorithm 3): the raw times [tq - round * t_eps, tq + round * t_eps]
+/// as period offsets, for t_eps >= 1. An interval spanning a period or
+/// more (2 * round * t_eps >= period) covers every offset. The offsets
+/// are taken from tq mod period, so every int64 tq is safe.
 OffsetInterval BackwardRoundInterval(Timestamp tq, Timestamp round,
                                      Timestamp t_eps, Timestamp period);
 
-/// BQP's widest round for a query from `now` at `tq`: the first round
-/// r >= 1 whose next widening would reach the current time, i.e.
-/// tq - (r + 1) * t_eps <= now. A round without hits falls back to the
-/// motion function there instead of widening further. Closed form, so a
-/// far horizon costs no more than a near one.
+/// The round after which BQP stops widening for a query from `now` at
+/// `tq`: the first round r >= 1 whose next widening would reach the
+/// current time, i.e. tq - (r + 1) * t_eps <= now. When no round up to
+/// it hits, BQP falls back to the motion function. Closed form, so a far
+/// horizon costs no more than a near one; HybridPredictor::
+/// BackwardAnswerRound bounds its search by this round and the period.
 Timestamp LastBackwardRound(Timestamp tq, Timestamp now, Timestamp t_eps);
 
 /// The region centres a pattern answer can take, as at most two
@@ -184,13 +190,25 @@ class HybridPredictor {
   StatusOr<Prediction> MotionFunctionPredict(
       const PredictiveQuery& query) const;
 
+  /// The round BQP answers a query from `now` at `tq` from: the first
+  /// round in [1, LastBackwardRound] whose consequence interval holds an
+  /// offset some pattern concludes at, or none when no such round exists
+  /// (BQP then answers from the motion function). It depends on the
+  /// model's consequence offsets alone, not on the query's premise. The
+  /// search stops at the first round spanning the period, so it takes at
+  /// most period / (2 * t_eps) + 1 rounds whatever the horizon. Requires
+  /// tq > now.
+  std::optional<Timestamp> BackwardAnswerRound(Timestamp now,
+                                               Timestamp tq) const;
+
   /// Every location a pattern answer to a query from `now` at `tq` can
   /// take: the centres of the consequence regions at offset tq mod T
-  /// when FQP answers, or of those inside the widest consequence
-  /// interval BQP can reach (the same interval its last round searches).
-  /// Together with the motion-function answer this bounds whatever
-  /// Predict returns, which lets fleet queries skip objects whose every
-  /// possible answer misses them. Requires tq > now.
+  /// when FQP answers, or of those inside the interval of
+  /// BackwardAnswerRound (the one interval BQP searches) when BQP does;
+  /// none when BQP has no answering round. Together with the
+  /// motion-function answer this bounds whatever Predict returns, which
+  /// lets fleet queries skip objects whose every possible answer misses
+  /// them. Requires tq > now.
   CentreRuns PatternAnswerCentres(Timestamp now, Timestamp tq) const;
 
   /// The load-shedding entry point: answers `query` with the RMF motion
@@ -338,9 +356,11 @@ class HybridPredictor {
   StatusOr<std::vector<Prediction>> ForwardBody(const PredictiveQuery& query,
                                                 PredictScratch* scratch) const;
 
-  /// Algorithm 3 after the shared preamble: widen the consequence
-  /// interval round by round, searching on the consequence part, until a
-  /// round hits (scored by Equation 5) or LastBackwardRound is reached.
+  /// Algorithm 3 after the shared preamble: search the interval of
+  /// BackwardAnswerRound on the consequence part and score its hits by
+  /// Equation 5, or fall back when no round answers. The rounds before
+  /// it hold no consequence offset, so the paper's loop would search
+  /// nothing in them.
   StatusOr<std::vector<Prediction>> BackwardBody(
       const PredictiveQuery& query, PredictScratch* scratch) const;
 
@@ -358,6 +378,10 @@ class HybridPredictor {
   FrequentRegionSet regions_;
   KeyTables key_tables_;
   FrozenTpt tpt_;
+  /// The centres of consequence regions at offsets `in` holds, as one
+  /// run, or two when `in` wraps the period.
+  CentreRuns CentresIn(OffsetInterval in) const;
+
   /// Centres of the regions some pattern concludes in, in region-id
   /// (hence offset) order; those at offset t are
   /// [centre_begin_[t], centre_begin_[t + 1]).

@@ -101,6 +101,26 @@ bool ParseManifestName(std::string_view name, uint64_t* gen) {
   return true;
 }
 
+/// Parses all of `text` as one number in `base`: false on an empty or
+/// out-of-range number, a sign on an unsigned type and trailing bytes.
+template <typename T>
+bool ParseWhole(std::string_view text, T* value, int base = 10) {
+  const char* const end = text.data() + text.size();
+  const auto parsed = std::from_chars(text.data(), end, *value, base);
+  return parsed.ec == std::errc() && parsed.ptr == end;
+}
+
+/// The space-separated fields of a manifest line, empty ones included.
+std::vector<std::string_view> SplitFields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  for (size_t start = 0;;) {
+    const size_t space = line.find(' ', start);
+    fields.push_back(line.substr(start, space - start));
+    if (space == std::string_view::npos) return fields;
+    start = space + 1;
+  }
+}
+
 /// True when `name` is an object's csv or model file of some generation.
 bool IsObjectFileName(std::string_view name) {
   const char* const end = name.data() + name.size();
@@ -213,11 +233,12 @@ Status ParseManifest(const std::string& content,
       last_newline == std::string::npos) {
     return Status::DataLoss("manifest missing checksum line");
   }
-  const std::string crc_line =
-      content.substr(last_newline + 1,
-                     content.size() - last_newline - 2);
+  const std::vector<std::string_view> crc_fields = SplitFields(
+      std::string_view(content).substr(last_newline + 1,
+                                       content.size() - last_newline - 2));
   uint32_t stored_crc = 0;
-  if (std::sscanf(crc_line.c_str(), "crc32 %" SCNx32, &stored_crc) != 1) {
+  if (crc_fields.size() != 2 || crc_fields[0] != "crc32" ||
+      !ParseWhole(crc_fields[1], &stored_crc, 16)) {
     return Status::DataLoss("manifest missing checksum line");
   }
   if (Crc32(content.data(), last_newline + 1) != stored_crc) {
@@ -237,15 +258,19 @@ Status ParseManifest(const std::string& content,
       header_seen = true;
       continue;
     }
+    // A bootstrapping replica parses its peer's manifest, so each field
+    // must parse whole and fit its type.
+    const std::vector<std::string_view> fields = SplitFields(line);
     ManifestEntry entry;
-    int has_model = 0;
-    if (std::sscanf(line.c_str(),
-                    "object %" SCNd64 " %zu %zu %d %" SCNx32, &entry.id,
-                    &entry.history_len, &entry.consumed, &has_model,
-                    &entry.csv_crc) != 5) {
+    if (fields.size() != 6 || fields[0] != "object" ||
+        !ParseWhole(fields[1], &entry.id) ||
+        !ParseWhole(fields[2], &entry.history_len) ||
+        !ParseWhole(fields[3], &entry.consumed) ||
+        (fields[4] != "0" && fields[4] != "1") ||
+        !ParseWhole(fields[5], &entry.csv_crc, 16)) {
       return Status::DataLoss("malformed manifest line: " + line);
     }
-    entry.has_model = has_model != 0;
+    entry.has_model = fields[4] == "1";
     entries->push_back(entry);
   }
   return Status::OK();

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -380,6 +383,175 @@ TEST(HybridPredictorBqpTest, LastBackwardRoundIsTheFirstRoundReachingNow) {
   const Timestamp round = LastBackwardRound(far + 7, 7, 3);
   EXPECT_LE(far + 7 - (round + 1) * 3, 7);
   EXPECT_GT(far + 7 - round * 3, 7);
+}
+
+TEST(HybridPredictorBqpTest, RoundIntervalIsExactAtTheLargestTimestamps) {
+  // The interval is widened around tq's offset, not around tq, so the
+  // largest timestamps give the intervals of a small tq with the same
+  // offset (INT64_MAX mod 20 is 7) instead of overflowing.
+  for (const Timestamp tq : {INT64_MAX, INT64_MAX - 1}) {
+    const Timestamp near = tq % kPeriod + kPeriod;
+    for (const Timestamp t_eps : {2, 3}) {
+      for (Timestamp round = 1; round <= 3; ++round) {
+        const OffsetInterval want =
+            BackwardRoundInterval(near, round, t_eps, kPeriod);
+        const OffsetInterval got =
+            BackwardRoundInterval(tq, round, t_eps, kPeriod);
+        EXPECT_EQ(got.lo, want.lo) << tq << " round " << round;
+        EXPECT_EQ(got.hi, want.hi) << tq << " round " << round;
+        EXPECT_EQ(want.lo, ((near - round * t_eps) % kPeriod + kPeriod) %
+                               kPeriod);
+        EXPECT_EQ(want.hi, (near + round * t_eps) % kPeriod);
+      }
+    }
+  }
+  const OffsetInterval first = BackwardRoundInterval(INT64_MAX, 1, 2, kPeriod);
+  EXPECT_EQ(first.lo, 5);
+  EXPECT_EQ(first.hi, 9);
+}
+
+/// A model whose regions sit at `dwell_offsets` alone: the object rests
+/// at one place per listed offset every period and wanders across a wide
+/// field at every other offset, too sparsely for DBSCAN to cluster.
+/// Every region but the earliest concludes some pattern.
+std::unique_ptr<HybridPredictor> TrainDwellModel(
+    const std::vector<Timestamp>& dwell_offsets) {
+  Random rng(29);
+  Trajectory history;
+  for (int day = 0; day < 40; ++day) {
+    for (Timestamp t = 0; t < kPeriod; ++t) {
+      const bool dwells = std::find(dwell_offsets.begin(),
+                                    dwell_offsets.end(),
+                                    t) != dwell_offsets.end();
+      Point p = dwells ? Point(1000.0 * static_cast<double>(t), 500.0)
+                       : Point(rng.UniformDouble(0, 1e6),
+                               rng.UniformDouble(0, 1e6));
+      p.x += rng.Gaussian(0, 1.0);
+      p.y += rng.Gaussian(0, 1.0);
+      history.Append(p);
+    }
+  }
+  auto trained = HybridPredictor::Train(history, SmallOptions());
+  if (!trained.ok()) {
+    ADD_FAILURE() << trained.status().ToString();
+    return nullptr;
+  }
+  return std::move(*trained);
+}
+
+/// The offsets some pattern of `model` concludes at.
+std::vector<Timestamp> ConsequenceOffsets(const HybridPredictor& model) {
+  std::vector<Timestamp> offsets;
+  for (Timestamp t = 0; t < kPeriod; ++t) {
+    if (model.key_tables().TimeIdForOffset(t) >= 0) offsets.push_back(t);
+  }
+  return offsets;
+}
+
+/// The centres of `model`'s regions at `offset`, in region-id order.
+std::vector<Point> CentresAt(const HybridPredictor& model, Timestamp offset) {
+  std::vector<Point> centres;
+  for (const FrequentRegion& region : model.regions().regions()) {
+    if (region.offset == offset) centres.push_back(region.center);
+  }
+  return centres;
+}
+
+std::vector<Point> RunPoints(std::span<const Point> run) {
+  return {run.begin(), run.end()};
+}
+
+/// A distant query from `now` at `tq`, its recent movements off every
+/// region.
+PredictiveQuery DwellQuery(Timestamp now, Timestamp tq) {
+  PredictiveQuery q;
+  for (Timestamp t = now - 3; t <= now; ++t) {
+    q.recent_movements.push_back(
+        {t, Point(50.0 * static_cast<double>(t - now), 9000.0)});
+  }
+  q.current_time = now;
+  q.query_time = tq;
+  q.k = 3;
+  return q;
+}
+
+TEST(HybridPredictorBqpTest, BoundHoldsOnlyTheAnsweringRoundsCentres) {
+  // Consequences at offsets 14 and 18. From tq offset 11 (t_eps 2),
+  // round 1's [9, 13] holds neither and round 2's [7, 15] holds 14; the
+  // last round (5) spans the period and would reach 18 as well.
+  const auto model = TrainDwellModel({2, 14, 18});
+  ASSERT_NE(model, nullptr);
+  ASSERT_EQ(ConsequenceOffsets(*model), (std::vector<Timestamp>{14, 18}));
+  const Timestamp now = 50 * kPeriod - 1;
+  const Timestamp tq = now + 12;
+  ASSERT_EQ(tq % kPeriod, 11);
+  ASSERT_EQ(LastBackwardRound(tq, now, 2), 5);
+  EXPECT_EQ(model->BackwardAnswerRound(now, tq), 2);
+
+  const CentreRuns bound = model->PatternAnswerCentres(now, tq);
+  EXPECT_EQ(RunPoints(bound.runs[0]), CentresAt(*model, 14));
+  EXPECT_TRUE(bound.runs[1].empty());
+
+  const auto answer = model->Predict(DwellQuery(now, tq));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_FALSE(answer->empty());
+  for (const Prediction& p : *answer) {
+    EXPECT_EQ(p.source, PredictionSource::kPattern);
+    EXPECT_EQ(model->regions().Region(p.consequence_region).offset, 14);
+  }
+}
+
+TEST(HybridPredictorBqpTest, NoAnsweringRoundLeavesOnlyTheMotionFunction) {
+  // The one consequence offset is 14. From tq offset 4 at horizon 8 the
+  // last round is 3, whose [18, 10] (wrapped) still misses 14.
+  const auto model = TrainDwellModel({2, 14});
+  ASSERT_NE(model, nullptr);
+  ASSERT_EQ(ConsequenceOffsets(*model), (std::vector<Timestamp>{14}));
+  const Timestamp now = 50 * kPeriod - 4;
+  const Timestamp tq = now + 8;
+  ASSERT_EQ(tq % kPeriod, 4);
+  ASSERT_EQ(LastBackwardRound(tq, now, 2), 3);
+  EXPECT_EQ(model->BackwardAnswerRound(now, tq), std::nullopt);
+
+  const CentreRuns bound = model->PatternAnswerCentres(now, tq);
+  EXPECT_TRUE(bound.runs[0].empty());
+  EXPECT_TRUE(bound.runs[1].empty());
+
+  const auto answer = model->Predict(DwellQuery(now, tq));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_EQ(answer->size(), 1u);
+  EXPECT_EQ(answer->front().source, PredictionSource::kMotionFunction);
+  EXPECT_EQ(answer->front().degraded, DegradedReason::kNone);
+
+  // Four steps later (offset 8) round 3's [2, 14] reaches 14.
+  EXPECT_EQ(model->BackwardAnswerRound(now, tq + 4), 3);
+}
+
+TEST(HybridPredictorBqpTest, WrappedAnsweringIntervalBoundsBothRuns) {
+  // Consequences at offsets 1 and 19. From tq offset 0, round 1's
+  // interval wraps to [18, 19] and [0, 2], and each run holds one.
+  const auto model = TrainDwellModel({0, 1, 19});
+  ASSERT_NE(model, nullptr);
+  ASSERT_EQ(ConsequenceOffsets(*model), (std::vector<Timestamp>{1, 19}));
+  const Timestamp now = 50 * kPeriod - 10;
+  const Timestamp tq = now + 10;
+  EXPECT_EQ(model->BackwardAnswerRound(now, tq), 1);
+
+  const CentreRuns bound = model->PatternAnswerCentres(now, tq);
+  EXPECT_EQ(RunPoints(bound.runs[0]), CentresAt(*model, 19));
+  EXPECT_EQ(RunPoints(bound.runs[1]), CentresAt(*model, 1));
+  EXPECT_FALSE(bound.runs[0].empty());
+  EXPECT_FALSE(bound.runs[1].empty());
+
+  const auto answer = model->Predict(DwellQuery(now, tq));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_FALSE(answer->empty());
+  for (const Prediction& p : *answer) {
+    EXPECT_EQ(p.source, PredictionSource::kPattern);
+    const Timestamp offset =
+        model->regions().Region(p.consequence_region).offset;
+    EXPECT_TRUE(offset == 1 || offset == 19) << offset;
+  }
 }
 
 TEST(HybridPredictorCountersTest, TotalsAddUpSingleThreaded) {

@@ -16,12 +16,14 @@
 // answer to "everywhere"; k_per_object is 1, 3 or INT32_MAX and n is 1,
 // 10 or more than the fleet. Each case also runs under an expired
 // deadline and under rung-1 shedding. A fixed case queries trained
-// fleets about 1e9 time units ahead under a time budget.
+// fleets about 1e9 time units ahead and at INT64_MAX under a time
+// budget.
 // Every failure replays from its seed.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -331,11 +333,32 @@ std::string Replay(MovingObjectStore& store, const PruneCase& input) {
   return "";
 }
 
-std::string CheckPruneMatchesBruteForce(const PruneCase& input) {
+/// True when some trained object's BQP answer to one of `input`'s
+/// queries comes from widening round 2 or later.
+bool WidensPastRoundOne(const MovingObjectStore& store,
+                        const PruneCase& input) {
+  for (const ObjectId id : store.ObjectIds()) {
+    const auto model = store.GetPredictor(id);
+    if (!model.ok()) continue;
+    const Timestamp now = static_cast<Timestamp>(store.HistoryLength(id)) - 1;
+    for (const FleetQuerySpec& q : input.queries) {
+      if (q.tq - now < input.distant_threshold) continue;
+      const std::optional<Timestamp> round =
+          (*model)->BackwardAnswerRound(now, q.tq);
+      if (round.has_value() && *round >= 2) return true;
+    }
+  }
+  return false;
+}
+
+/// Counts the cases that widen past round 1 in `*widened_cases`.
+std::string CheckPruneMatchesBruteForce(const PruneCase& input,
+                                        size_t* widened_cases) {
   MovingObjectStore store(PruneStoreOptions(input));
   if (std::string failure = Replay(store, input); !failure.empty()) {
     return failure;
   }
+  if (WidensPastRoundOne(store, input)) ++*widened_cases;
   for (const FleetQuerySpec& q : input.queries) {
     const std::string at = "tq " + std::to_string(q.tq) + ", k " +
                            std::to_string(q.k_per_object) + ": ";
@@ -354,14 +377,21 @@ std::string CheckPruneMatchesBruteForce(const PruneCase& input) {
 }
 
 TEST(PropFleetPruneTest, PrunedFleetQueriesMatchBruteForcePredictions) {
-  Property<PruneCase> property("fleet-prune-vs-brute-force", GenPruneCase,
-                               CheckPruneMatchesBruteForce);
+  size_t widened_cases = 0;
+  Property<PruneCase> property(
+      "fleet-prune-vs-brute-force", GenPruneCase,
+      [&widened_cases](const PruneCase& input) {
+        return CheckPruneMatchesBruteForce(input, &widened_cases);
+      });
   property.WithShrinker(ShrinkPruneCase);
   RunnerOptions options;
   options.num_cases = 100;
   options.max_shrink_checks = 40;
   const proptest::RunResult result = property.Run(options);
   EXPECT_TRUE(result.ok) << result.message;
+  // The bound is the answering round's interval, so the generator must
+  // reach answers past round 1 for the oracle to check a narrowed bound.
+  if (!proptest::ForcedSeed().has_value()) EXPECT_GT(widened_cases, 0u);
 }
 
 std::string CheckShedPruneMatchesBruteForce(const PruneCase& input) {
@@ -438,6 +468,12 @@ PruneCase FarHorizonCase(uint64_t seed) {
     q.n = 1;
     c.queries.push_back(q);
   }
+  // The largest timestamp the wire accepts: BQP's intervals must not
+  // overflow there.
+  FleetQuerySpec last = c.queries.back();
+  last.box = BoxKind::kAroundAnswer;
+  last.tq = INT64_MAX;
+  c.queries.push_back(last);
   return c;
 }
 
@@ -456,6 +492,13 @@ TEST(PropFleetPruneTest, FarHorizonQueriesStayFastAndMatchBruteForce) {
       ASSERT_TRUE(answer.ok()) << answer.status().ToString();
       ASSERT_EQ(answer->front().source, PredictionSource::kPattern)
           << "seed " << seed << ", object " << id;
+    }
+    // Nor at INT64_MAX, so no answer steps the RMF recurrence there.
+    for (const ObjectId id : store.ObjectIds()) {
+      const auto answer = store.PredictLocation(id, INT64_MAX, 1);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      ASSERT_EQ(answer->front().source, PredictionSource::kPattern)
+          << "seed " << seed << ", object " << id << " at INT64_MAX";
     }
     const auto start = std::chrono::steady_clock::now();
     for (const FleetQuerySpec& q : input.queries) {

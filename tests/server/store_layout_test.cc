@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "io/atomic_file.h"
 #include "io/wal.h"
 #include "server/object_store.h"
@@ -200,6 +201,50 @@ TEST(StoreLayoutTest, EveryFileAStoreWritesIsFetchable) {
   }
   expected.erase(ObjectCsvName(1, 2));
   EXPECT_EQ(snapshot_files, expected);
+}
+
+/// A manifest holding `object_line` under a valid header and checksum,
+/// so only the line itself can make it fail.
+std::string ManifestWith(const std::string& object_line) {
+  std::string manifest = "hpm-store-manifest v2\n" + object_line + "\n";
+  char crc_line[32];
+  std::snprintf(crc_line, sizeof(crc_line), "crc32 %08x\n",
+                Crc32(manifest));
+  return manifest + crc_line;
+}
+
+TEST(StoreLayoutTest, ManifestFieldsParseWholeOrNotAtAll) {
+  std::vector<ManifestEntry> entries;
+  ASSERT_TRUE(
+      ParseManifest(ManifestWith("object -7 40 38 1 0a0b0c0d"), &entries)
+          .ok());
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].id, -7);
+  EXPECT_EQ(entries[0].history_len, 40u);
+  EXPECT_EQ(entries[0].consumed, 38u);
+  EXPECT_TRUE(entries[0].has_model);
+  EXPECT_EQ(entries[0].csv_crc, 0x0a0b0c0du);
+
+  // A peer's manifest is checksummed, not trusted: a field that does not
+  // fit, carries a sign it cannot have or trailing bytes is DataLoss.
+  const std::string refused[] = {
+      "object 1 18446744073709551616000 38 1 0a0b0c0d",  // 23-digit length
+      "object 92233720368547758070000 40 38 1 0a0b0c0d",  // 23-digit id
+      "object 1 -5 38 1 0a0b0c0d",                        // signed length
+      "object 1 40 38 99999999999 0a0b0c0d",              // has_model
+      "object 1 40 38 2 0a0b0c0d",
+      "object 1 +40 38 1 0a0b0c0d",
+      "object 1 40 38 1 0a0b0c0d trailing",
+      "object 1 40x 38 1 0a0b0c0d",
+      "object 1 40 38 1 1ffffffff",
+      "object 1  40 38 1 0a0b0c0d",
+  };
+  for (const std::string& line : refused) {
+    entries.clear();
+    EXPECT_EQ(ParseManifest(ManifestWith(line), &entries).code(),
+              StatusCode::kDataLoss)
+        << line;
+  }
 }
 
 }  // namespace
