@@ -2,7 +2,8 @@
 // the figure benches: pattern-key ops, TPT insert/search, DBSCAN,
 // Apriori support counting, RMF fitting, one object's whole model build
 // (HybridPredictor::Train), saving and loading that model
-// (SaveToFile / LoadFromFile), one fleet-wide prediction batch
+// (SaveToFile / LoadFromFile), the byte codec on one report's wire and
+// journal messages, one fleet-wide prediction batch
 // (MovingObjectStore::PredictLocationBatch) and one predictive range or
 // kNN query over the same fleet, with the objects each evaluates and
 // prunes.
@@ -21,9 +22,11 @@
 #include "core/hybrid_predictor.h"
 #include "core/similarity.h"
 #include "datagen/report_stream.h"
+#include "io/wal.h"
 #include "mining/apriori.h"
 #include "mining/transaction.h"
 #include "motion/recursive_motion.h"
+#include "net/protocol.h"
 #include "server/object_store.h"
 #include "tpt_reference/brute_force_store.h"
 #include "tpt_reference/tpt_tree.h"
@@ -309,6 +312,51 @@ void BM_LoadModel(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_LoadModel)->Arg(5)->Arg(16)->Unit(benchmark::kMicrosecond);
+
+/// The byte codec (common/bytes.h) on the messages a report and a
+/// prediction move: encode and decode a report request, a reply body of
+/// 10 pattern predictions with uncertainty boxes, and a journal report
+/// record. The `bytes` counter is the encoded bytes per iteration.
+void BM_WireCodec(benchmark::State& state) {
+  const ReportRequest report{41, 1234, 512.25, -87.5};
+  std::vector<Prediction> predictions(10);
+  for (size_t i = 0; i < predictions.size(); ++i) {
+    Prediction& p = predictions[i];
+    p.location = Point(100.0 + static_cast<double>(i), 200.5);
+    p.score = 0.5 / static_cast<double>(i + 1);
+    p.source = PredictionSource::kPattern;
+    p.pattern_id = static_cast<int>(i);
+    p.consequence_region = static_cast<int>(3 * i);
+    p.confidence = 0.75;
+    p.uncertainty = BoundingBox(Point(90.0, 190.0), Point(120.0, 210.0));
+  }
+  WalRecord record;
+  record.id = report.id;
+  record.t = report.t;
+  record.x = report.x;
+  record.y = report.y;
+
+  size_t encoded = 0;
+  for (auto _ : state) {
+    const std::string request = EncodeReport(report);
+    Request decoded_request;
+    HPM_CHECK(DecodeRequest(request, &decoded_request).ok());
+    const std::string body = EncodePredictionsBody(predictions);
+    std::vector<Prediction> decoded_predictions;
+    HPM_CHECK(DecodePredictionsBody(body, &decoded_predictions).ok());
+    const std::string frame = EncodeWalFrame(record);
+    WalRecord decoded_record;
+    HPM_CHECK(DecodeWalRecord(std::string_view(frame).substr(8),
+                              &decoded_record)
+                  .ok());
+    benchmark::DoNotOptimize(decoded_request);
+    benchmark::DoNotOptimize(decoded_predictions.data());
+    benchmark::DoNotOptimize(decoded_record);
+    encoded = request.size() + body.size() + frame.size();
+  }
+  state.counters["bytes"] = static_cast<double>(encoded);
+}
+BENCHMARK(BM_WireCodec);
 
 /// The repository benchmark's stream and store options
 /// (perfbench/hpm_bench.cc: 1000 objects, T = 20, drift every 4 periods,

@@ -1,6 +1,6 @@
 // Binary persistence for trained HybridPredictor models.
 //
-// Format v3 (little-endian, as written by the host):
+// Format v3 (little-endian, written and read with common/bytes.h):
 //   magic "HPM1" | version u32 | options | regions | num_subs u64
 //   | frozen TPT section ("FTPT", own CRC)
 //   | footer: magic "HPMC" | crc32 u32 of every preceding byte
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "core/hybrid_predictor.h"
 #include "io/atomic_file.h"
@@ -40,187 +41,113 @@ constexpr char kFooterMagic[4] = {'H', 'P', 'M', 'C'};
 constexpr uint32_t kFormatVersion = 3;
 constexpr size_t kFooterSize = sizeof(kFooterMagic) + sizeof(uint32_t);
 
-/// Serialises trivially-copyable values into an in-memory buffer; the
-/// whole buffer is checksummed and written atomically at the end.
-class BinaryWriter {
- public:
-  template <typename T>
-  void Write(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteBytes(&value, sizeof(T));
-  }
-
-  void WriteBytes(const void* data, size_t n) {
-    buffer_.append(static_cast<const char*>(data), n);
-  }
-
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-/// Reads trivially-copyable values back out of a byte range, latching an
-/// error (like the old FILE-based reader) on reads past the end.
-class BinaryReader {
- public:
-  BinaryReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  void Read(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    ReadBytes(value, sizeof(T));
-  }
-
-  void ReadBytes(void* data, size_t n) {
-    if (failed_ || n > size_ - pos_) {
-      failed_ = true;
-      return;
-    }
-    std::memcpy(data, data_ + pos_, n);
-    pos_ += n;
-  }
-
-  /// Reads an int64 slot into an int, failing when it does not fit (a
-  /// narrowed value would re-save as different bytes).
-  void ReadInt(int* value) {
-    int64_t wide = 0;
-    Read(&wide);
-    if (wide < INT32_MIN || wide > INT32_MAX) Fail();
-    *value = static_cast<int>(wide);
-  }
-
-  /// Reads a u8 flag, failing on anything but 0 or 1.
-  void ReadFlag(bool* value) {
-    uint8_t byte = 0;
-    Read(&byte);
-    if (byte > 1) Fail();
-    *value = byte != 0;
-  }
-
-  void Fail() { failed_ = true; }
-  bool failed() const { return failed_; }
-  size_t pos() const { return pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-void WritePoint(BinaryWriter* f, const Point& p) {
-  f->Write(p.x);
-  f->Write(p.y);
+void PutPoint(std::string* out, const Point& p) {
+  bytes::PutF64(out, p.x);
+  bytes::PutF64(out, p.y);
 }
 
-Point ReadPoint(BinaryReader* f) {
+Point ReadPoint(bytes::Cursor* in) {
   Point p;
-  f->Read(&p.x);
-  f->Read(&p.y);
+  in->F64(&p.x);
+  in->F64(&p.y);
   return p;
 }
 
-void WriteBox(BinaryWriter* f, const BoundingBox& box) {
-  const uint8_t empty = box.IsEmpty() ? 1 : 0;
-  f->Write(empty);
+void PutBox(std::string* out, const BoundingBox& box) {
+  bytes::PutU8(out, box.IsEmpty() ? 1 : 0);
   if (!box.IsEmpty()) {
-    WritePoint(f, box.min());
-    WritePoint(f, box.max());
+    PutPoint(out, box.min());
+    PutPoint(out, box.max());
   }
 }
 
-/// Fails the reader on a box whose corners are not ordered (or NaN):
+/// Fails the cursor on a box whose corners are not ordered (or NaN):
 /// BoundingBox would reorder them, and the model would re-save
 /// differently.
-BoundingBox ReadBox(BinaryReader* f) {
+BoundingBox ReadBox(bytes::Cursor* in) {
   bool empty = false;
-  f->ReadFlag(&empty);
+  in->Flag(&empty);
   if (empty) return BoundingBox();
-  const Point lo = ReadPoint(f);
-  const Point hi = ReadPoint(f);
-  if (!(lo.x <= hi.x && lo.y <= hi.y)) f->Fail();
+  const Point lo = ReadPoint(in);
+  const Point hi = ReadPoint(in);
+  if (!(lo.x <= hi.x && lo.y <= hi.y)) in->Fail();
   return BoundingBox(lo, hi);
 }
 
-void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o) {
-  f->Write(o.regions.period);
-  f->Write(o.regions.dbscan.eps);
-  f->Write(static_cast<int64_t>(o.regions.dbscan.min_pts));
-  f->Write(static_cast<int64_t>(o.regions.limit_sub_trajectories));
-  f->Write(o.mining.min_confidence);
-  f->Write(static_cast<int64_t>(o.mining.min_support));
-  f->Write(static_cast<int64_t>(o.mining.max_pattern_length));
-  f->Write(o.mining.premise_window);
-  f->Write(static_cast<uint8_t>(o.mining.enable_pruning));
-  f->Write(static_cast<int64_t>(o.tpt.max_node_entries));
-  f->Write(static_cast<int64_t>(o.weight_function));
-  f->Write(o.distant_threshold);
-  f->Write(o.time_relaxation);
-  f->Write(o.region_match_slack);
-  f->Write(static_cast<int64_t>(o.rmf.retrospect));
-  f->Write(static_cast<uint8_t>(o.rmf.auto_retrospect));
-  f->Write(static_cast<int64_t>(o.rmf.window));
-  WriteBox(f, o.rmf.clamp_box);
+void PutOptions(std::string* out, const HybridPredictorOptions& o) {
+  bytes::PutI64(out, o.regions.period);
+  bytes::PutF64(out, o.regions.dbscan.eps);
+  bytes::PutI64(out, o.regions.dbscan.min_pts);
+  bytes::PutI64(out, o.regions.limit_sub_trajectories);
+  bytes::PutF64(out, o.mining.min_confidence);
+  bytes::PutI64(out, o.mining.min_support);
+  bytes::PutI64(out, o.mining.max_pattern_length);
+  bytes::PutI64(out, o.mining.premise_window);
+  bytes::PutU8(out, o.mining.enable_pruning ? 1 : 0);
+  bytes::PutI64(out, o.tpt.max_node_entries);
+  bytes::PutI64(out, static_cast<int64_t>(o.weight_function));
+  bytes::PutI64(out, o.distant_threshold);
+  bytes::PutI64(out, o.time_relaxation);
+  bytes::PutF64(out, o.region_match_slack);
+  bytes::PutI64(out, o.rmf.retrospect);
+  bytes::PutU8(out, o.rmf.auto_retrospect ? 1 : 0);
+  bytes::PutI64(out, o.rmf.window);
+  PutBox(out, o.rmf.clamp_box);
 }
 
-HybridPredictorOptions ReadOptions(BinaryReader* f) {
+HybridPredictorOptions ReadOptions(bytes::Cursor* in) {
   HybridPredictorOptions o;
   int weight_function = 0;
-  f->Read(&o.regions.period);
-  f->Read(&o.regions.dbscan.eps);
-  f->ReadInt(&o.regions.dbscan.min_pts);
-  f->ReadInt(&o.regions.limit_sub_trajectories);
-  f->Read(&o.mining.min_confidence);
-  f->ReadInt(&o.mining.min_support);
-  f->ReadInt(&o.mining.max_pattern_length);
-  f->Read(&o.mining.premise_window);
-  f->ReadFlag(&o.mining.enable_pruning);
-  f->ReadInt(&o.tpt.max_node_entries);
-  f->ReadInt(&weight_function);
+  in->I64(&o.regions.period);
+  in->F64(&o.regions.dbscan.eps);
+  in->Int(&o.regions.dbscan.min_pts);
+  in->Int(&o.regions.limit_sub_trajectories);
+  in->F64(&o.mining.min_confidence);
+  in->Int(&o.mining.min_support);
+  in->Int(&o.mining.max_pattern_length);
+  in->I64(&o.mining.premise_window);
+  in->Flag(&o.mining.enable_pruning);
+  in->Int(&o.tpt.max_node_entries);
+  in->Int(&weight_function);
   if (weight_function < 0 ||
       weight_function > static_cast<int>(WeightFunction::kFactorial)) {
-    f->Fail();
+    in->Fail();
   }
   o.weight_function = static_cast<WeightFunction>(weight_function);
-  f->Read(&o.distant_threshold);
-  f->Read(&o.time_relaxation);
-  f->Read(&o.region_match_slack);
-  f->ReadInt(&o.rmf.retrospect);
-  f->ReadFlag(&o.rmf.auto_retrospect);
-  f->ReadInt(&o.rmf.window);
-  o.rmf.clamp_box = ReadBox(f);
+  in->I64(&o.distant_threshold);
+  in->I64(&o.time_relaxation);
+  in->F64(&o.region_match_slack);
+  in->Int(&o.rmf.retrospect);
+  in->Flag(&o.rmf.auto_retrospect);
+  in->Int(&o.rmf.window);
+  o.rmf.clamp_box = ReadBox(in);
   return o;
 }
 
 }  // namespace
 
 Status HybridPredictor::SaveToFile(const std::string& path) const {
-  BinaryWriter f;
-  f.WriteBytes(kMagic, sizeof(kMagic));
-  f.Write(kFormatVersion);
-  WriteOptions(&f, options_);
+  std::string content;
+  bytes::PutBytes(&content, kMagic, sizeof(kMagic));
+  bytes::PutU32(&content, kFormatVersion);
+  PutOptions(&content, options_);
 
-  f.Write(static_cast<uint64_t>(regions_.NumRegions()));
+  bytes::PutU64(&content, regions_.NumRegions());
   for (const FrequentRegion& r : regions_.regions()) {
-    f.Write(static_cast<int64_t>(r.id));
-    f.Write(r.offset);
-    f.Write(static_cast<int64_t>(r.index_at_offset));
-    WritePoint(&f, r.center);
-    WriteBox(&f, r.mbr);
-    f.Write(static_cast<int64_t>(r.support));
+    bytes::PutI64(&content, r.id);
+    bytes::PutI64(&content, r.offset);
+    bytes::PutI64(&content, r.index_at_offset);
+    PutPoint(&content, r.center);
+    PutBox(&content, r.mbr);
+    bytes::PutI64(&content, r.support);
   }
 
-  f.Write(static_cast<uint64_t>(summary_.num_sub_trajectories));
+  bytes::PutU64(&content, summary_.num_sub_trajectories);
+  tpt_.AppendTo(&content);
 
-  std::string frozen_section;
-  tpt_.AppendTo(&frozen_section);
-  f.WriteBytes(frozen_section.data(), frozen_section.size());
-
-  std::string content = f.buffer();
   const uint32_t crc = Crc32(content);
-  content.append(kFooterMagic, sizeof(kFooterMagic));
-  content.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  bytes::PutBytes(&content, kFooterMagic, sizeof(kFooterMagic));
+  bytes::PutU32(&content, crc);
   return AtomicWriteFile(path, content).Annotate("model");
 }
 
@@ -248,23 +175,23 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   }
   const size_t body_size = content.size() - kFooterSize;
   uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc,
-              content.data() + body_size + sizeof(kFooterMagic),
-              sizeof(stored_crc));
+  bytes::Cursor(content.data() + body_size + sizeof(kFooterMagic),
+                sizeof(stored_crc))
+      .U32(&stored_crc);
   if (Crc32(content.data(), body_size) != stored_crc) {
     return Status::DataLoss("model file checksum mismatch: " + path);
   }
 
-  BinaryReader f(content.data() + sizeof(kMagic),
-                 body_size - sizeof(kMagic));
+  bytes::Cursor in(content.data() + sizeof(kMagic),
+                  body_size - sizeof(kMagic));
   uint32_t version = 0;
-  f.Read(&version);
+  in.U32(&version);
   if (version != kFormatVersion) {
     return Status::FailedPrecondition("unsupported model format version " +
                                       std::to_string(version));
   }
-  HybridPredictorOptions options = ReadOptions(&f);
-  if (f.failed()) {
+  HybridPredictorOptions options = ReadOptions(&in);
+  if (!in.ok()) {
     return Status::InvalidArgument("corrupt or truncated model options: " +
                                    path);
   }
@@ -281,22 +208,22 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   FrequentRegionSet regions;
   regions.set_period(options.regions.period);
   uint64_t num_regions = 0;
-  f.Read(&num_regions);
-  if (f.failed() || num_regions > (1u << 24)) {
+  in.U64(&num_regions);
+  if (!in.ok() || num_regions > (1u << 24)) {
     return Status::InvalidArgument("corrupt region count");
   }
   for (uint64_t i = 0; i < num_regions; ++i) {
     FrequentRegion r;
     int64_t id = 0;
-    f.Read(&id);
-    f.Read(&r.offset);
-    f.ReadInt(&r.index_at_offset);
-    r.center = ReadPoint(&f);
-    r.mbr = ReadBox(&f);
-    f.ReadInt(&r.support);
+    in.I64(&id);
+    in.I64(&r.offset);
+    in.Int(&r.index_at_offset);
+    r.center = ReadPoint(&in);
+    r.mbr = ReadBox(&in);
+    in.Int(&r.support);
     // Region ids follow offset order (frequent_region.h), which the
     // predictor's consequence-centre runs rely on.
-    if (f.failed() || id != static_cast<int64_t>(i) || r.offset < 0 ||
+    if (!in.ok() || id != static_cast<int64_t>(i) || r.offset < 0 ||
         r.offset >= options.regions.period ||
         (i > 0 && r.offset < regions.regions().back().offset)) {
       return Status::InvalidArgument("corrupt region record");
@@ -306,15 +233,15 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   }
 
   uint64_t num_subs = 0;
-  f.Read(&num_subs);
-  if (f.failed()) {
+  in.U64(&num_subs);
+  if (!in.ok()) {
     return Status::InvalidArgument("truncated model file: " + path);
   }
 
   // The serving index loads straight from the stored arena — no
   // packing. Parse validates structure and the section CRC (DataLoss on
   // damage, so the store layer quarantines the file).
-  const size_t section_offset = sizeof(kMagic) + f.pos();
+  const size_t section_offset = sizeof(kMagic) + in.pos();
   size_t section_consumed = 0;
   StatusOr<FrozenTpt> frozen = FrozenTpt::Parse(
       content.data() + section_offset, body_size - section_offset,

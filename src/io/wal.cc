@@ -11,6 +11,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "io/atomic_file.h"
@@ -27,47 +28,11 @@ constexpr size_t kHeaderPayloadBytes = sizeof(kWalMagic) + 4 + 8 + 8;
 // corrupt length field, not a large record.
 constexpr uint32_t kMaxPayloadBytes = 1 << 20;
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void PutF64(std::string* out, double v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-double GetF64(const char* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 std::string FrameFor(const std::string& payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload));
+  bytes::PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  bytes::PutU32(&frame, Crc32(payload));
   frame += payload;
   return frame;
 }
@@ -75,71 +40,38 @@ std::string FrameFor(const std::string& payload) {
 std::string HeaderPayload(int shard, uint64_t seq, uint64_t base_gen) {
   std::string payload;
   payload.reserve(kHeaderPayloadBytes);
-  payload.append(kWalMagic, sizeof(kWalMagic));
-  PutU32(&payload, static_cast<uint32_t>(shard));
-  PutU64(&payload, seq);
-  PutU64(&payload, base_gen);
+  bytes::PutBytes(&payload, kWalMagic, sizeof(kWalMagic));
+  bytes::PutU32(&payload, static_cast<uint32_t>(shard));
+  bytes::PutU64(&payload, seq);
+  bytes::PutU64(&payload, base_gen);
   return payload;
 }
 
-bool ParseHeaderPayload(const std::string& payload, int* shard,
+bool ParseHeaderPayload(std::string_view payload, int* shard,
                         uint64_t* seq, uint64_t* base_gen) {
-  if (payload.size() != kHeaderPayloadBytes) return false;
-  if (std::memcmp(payload.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    return false;
-  }
-  const char* p = payload.data() + sizeof(kWalMagic);
-  *shard = static_cast<int>(GetU32(p));
-  *seq = GetU64(p + 4);
-  *base_gen = GetU64(p + 12);
-  return true;
+  bytes::Cursor in(payload);
+  char magic[sizeof(kWalMagic)];
+  uint32_t raw_shard = 0;
+  in.Bytes(magic, sizeof(magic));
+  in.U32(&raw_shard);
+  in.U64(seq);
+  in.U64(base_gen);
+  *shard = static_cast<int>(raw_shard);
+  return in.done() && std::memcmp(magic, kWalMagic, sizeof(magic)) == 0;
 }
 
 std::string RecordPayload(const WalRecord& record) {
   std::string payload;
-  payload.push_back(static_cast<char>(record.type));
-  PutU64(&payload, static_cast<uint64_t>(record.id));
+  bytes::PutU8(&payload, static_cast<uint8_t>(record.type));
+  bytes::PutI64(&payload, record.id);
   if (record.type == WalRecord::Type::kReport) {
-    PutU64(&payload, static_cast<uint64_t>(record.t));
-    PutF64(&payload, record.x);
-    PutF64(&payload, record.y);
+    bytes::PutI64(&payload, record.t);
+    bytes::PutF64(&payload, record.x);
+    bytes::PutF64(&payload, record.y);
   } else if (record.type == WalRecord::Type::kRejectedBaseline) {
-    PutU64(&payload, static_cast<uint64_t>(record.t));
+    bytes::PutI64(&payload, record.t);
   }
   return payload;
-}
-
-bool ParseRecordPayload(const std::string& payload, WalRecord* record) {
-  if (payload.empty()) return false;
-  const auto type = static_cast<WalRecord::Type>(payload[0]);
-  const char* p = payload.data() + 1;
-  switch (type) {
-    case WalRecord::Type::kReport:
-      if (payload.size() != 1 + 8 + 8 + 8 + 8) return false;
-      record->type = type;
-      record->id = static_cast<int64_t>(GetU64(p));
-      record->t = static_cast<int64_t>(GetU64(p + 8));
-      record->x = GetF64(p + 16);
-      record->y = GetF64(p + 24);
-      return true;
-    case WalRecord::Type::kRejected:
-      if (payload.size() != 1 + 8) return false;
-      record->type = type;
-      record->id = static_cast<int64_t>(GetU64(p));
-      record->t = 0;
-      record->x = 0.0;
-      record->y = 0.0;
-      return true;
-    case WalRecord::Type::kRejectedBaseline:
-      if (payload.size() != 1 + 8 + 8) return false;
-      record->type = type;
-      record->id = static_cast<int64_t>(GetU64(p));
-      record->t = static_cast<int64_t>(GetU64(p + 8));
-      record->x = 0.0;
-      record->y = 0.0;
-      return true;
-  }
-  return false;
 }
 
 /// What a frame boundary scan found at one offset.
@@ -152,11 +84,12 @@ enum class FrameScan { kOk, kTornTail, kCorrupt };
 FrameScan ScanFrame(const std::string& content, size_t offset,
                     std::string* payload, size_t* next_offset) {
   const size_t remaining = content.size() - offset;
-  if (remaining < kFrameHeaderBytes) return FrameScan::kTornTail;
-  const uint32_t length = GetU32(content.data() + offset);
+  bytes::Cursor in(content.data() + offset, remaining);
+  uint32_t length = 0;
+  uint32_t stored_crc = 0;
+  if (!in.U32(&length) || !in.U32(&stored_crc)) return FrameScan::kTornTail;
   if (length > kMaxPayloadBytes) return FrameScan::kCorrupt;
   if (remaining < kFrameHeaderBytes + length) return FrameScan::kTornTail;
-  const uint32_t stored_crc = GetU32(content.data() + offset + 4);
   const char* data = content.data() + offset + kFrameHeaderBytes;
   const bool last_frame =
       offset + kFrameHeaderBytes + length == content.size();
@@ -184,6 +117,32 @@ const char* WalSyncPolicyName(WalSyncPolicy policy) {
 
 std::string EncodeWalFrame(const WalRecord& record) {
   return FrameFor(RecordPayload(record));
+}
+
+Status DecodeWalRecord(std::string_view payload, WalRecord* record) {
+  bytes::Cursor in(payload);
+  uint8_t type = 0;
+  WalRecord decoded;
+  in.U8(&type);
+  in.I64(&decoded.id);
+  decoded.type = static_cast<WalRecord::Type>(type);
+  switch (decoded.type) {
+    case WalRecord::Type::kReport:
+      in.I64(&decoded.t);
+      in.F64(&decoded.x);
+      in.F64(&decoded.y);
+      break;
+    case WalRecord::Type::kRejected:
+      break;
+    case WalRecord::Type::kRejectedBaseline:
+      in.I64(&decoded.t);
+      break;
+    default:
+      in.Fail();
+  }
+  if (!in.done()) return Status::DataLoss("malformed wal record");
+  *record = decoded;
+  return Status::OK();
 }
 
 std::string SegmentFileName(int shard, uint64_t seq) {
@@ -227,23 +186,25 @@ std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir) {
     const int fd =
         RetryOnEintr([&] { return ::open(info.path.c_str(), O_RDONLY); });
     if (fd >= 0) {
-      char buf[kFrameHeaderBytes + kHeaderPayloadBytes];
+      char buf[kFrameHeaderBytes + kHeaderPayloadBytes] = {};
       const ssize_t n = ReadFullFd(fd, buf, sizeof(buf));
       ::close(fd);
-      if (n == static_cast<ssize_t>(sizeof(buf)) &&
-          GetU32(buf) == kHeaderPayloadBytes &&
-          Crc32(static_cast<const void*>(buf + kFrameHeaderBytes),
-                kHeaderPayloadBytes) ==
-              GetU32(buf + 4)) {
-        int header_shard = 0;
-        uint64_t header_seq = 0;
-        const std::string payload(buf + kFrameHeaderBytes,
-                                  kHeaderPayloadBytes);
-        info.header_ok =
-            ParseHeaderPayload(payload, &header_shard, &header_seq,
-                               &info.base_gen) &&
-            header_shard == info.shard && header_seq == info.seq;
-      }
+      bytes::Cursor in(buf, sizeof(buf));
+      uint32_t length = 0;
+      uint32_t stored_crc = 0;
+      in.U32(&length);
+      in.U32(&stored_crc);
+      const std::string_view payload(buf + kFrameHeaderBytes,
+                                     kHeaderPayloadBytes);
+      int header_shard = 0;
+      uint64_t header_seq = 0;
+      info.header_ok =
+          n == static_cast<ssize_t>(sizeof(buf)) &&
+          length == kHeaderPayloadBytes &&
+          Crc32(payload.data(), payload.size()) == stored_crc &&
+          ParseHeaderPayload(payload, &header_shard, &header_seq,
+                             &info.base_gen) &&
+          header_shard == info.shard && header_seq == info.seq;
     }
     segments.push_back(std::move(info));
   }
@@ -303,7 +264,7 @@ StatusOr<WalSegmentContents> ReadWalSegment(const std::string& path,
     switch (ScanFrame(*content, offset, &payload, &next)) {
       case FrameScan::kOk: {
         WalRecord record;
-        if (!ParseRecordPayload(payload, &record)) {
+        if (!DecodeWalRecord(payload, &record).ok()) {
           // A checksummed frame that fails to decode is not a crash
           // artifact — report it as corruption, keep what parsed.
           result.corrupt = true;

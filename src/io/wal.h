@@ -91,6 +91,10 @@ struct WalRecord {
 /// ready to be appended to a segment. Exposed for tests and hpm_tool.
 std::string EncodeWalFrame(const WalRecord& record);
 
+/// Decodes one record payload: an encoded frame less its 8-byte header.
+/// kDataLoss unless `payload` is exactly one record of a known type.
+Status DecodeWalRecord(std::string_view payload, WalRecord* record);
+
 /// "wal-<shard>-<seq>.log": the name of one journal segment file.
 std::string SegmentFileName(int shard, uint64_t seq);
 

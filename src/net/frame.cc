@@ -5,9 +5,9 @@
 
 #include <sys/socket.h>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/fault_injection.h"
-#include "net/wire.h"
 
 namespace hpm {
 
@@ -18,8 +18,8 @@ constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
 Status SendFrame(Socket& socket, const std::string& payload,
                  Deadline deadline) {
   std::string header;
-  wire::PutU32(&header, static_cast<uint32_t>(payload.size()));
-  wire::PutU32(&header, Crc32(payload));
+  bytes::PutU32(&header, static_cast<uint32_t>(payload.size()));
+  bytes::PutU32(&header, Crc32(payload));
 
   const Status fault = HPM_FAULT_HIT("net/send");
   if (!fault.ok()) {
@@ -45,11 +45,11 @@ StatusOr<std::string> RecvFrame(Socket& socket, Deadline deadline,
   char header[kFrameHeaderBytes];
   HPM_RETURN_IF_ERROR(
       socket.RecvAll(header, sizeof(header), deadline, clean_eof));
-  wire::Cursor cursor(header, sizeof(header));
+  bytes::Cursor in(header, sizeof(header));
   uint32_t length = 0;
   uint32_t stored_crc = 0;
-  cursor.U32(&length);
-  cursor.U32(&stored_crc);
+  in.U32(&length);
+  in.U32(&stored_crc);
   if (length > kMaxNetPayloadBytes) {
     return Status::DataLoss("implausible frame length " +
                             std::to_string(length));

@@ -1,69 +1,81 @@
 #include "net/protocol.h"
 
+#include <cstring>
+
+#include "common/bytes.h"
 #include "net/frame.h"
-#include "net/wire.h"
 
 namespace hpm {
 
 namespace {
 
 constexpr uint8_t kLastStatusCode = static_cast<uint8_t>(StatusCode::kDataLoss);
-constexpr size_t kMaxListedSegments = 1 << 16;
-constexpr size_t kMaxResultEntries = 1 << 20;
+
+// The fewest bytes one counted item takes, by which a body's count is
+// refused before anything is reserved for it (bytes::Cursor::Count).
+constexpr size_t kMinPredictionBytes = 8 + 8 + 8 + 1 + 8 + 8 + 8 + 1 + 1;
+constexpr size_t kMinFleetHitBytes = 8 + kMinPredictionBytes;
+constexpr size_t kSegmentBytes = 4 + 8 + 8 + 8;
+constexpr size_t kShardBytes = 4;
 
 void PutMsgType(std::string* out, MsgType type) {
-  wire::PutU8(out, static_cast<uint8_t>(type));
+  bytes::PutU8(out, static_cast<uint8_t>(type));
 }
 
 void PutPrediction(std::string* out, const Prediction& p) {
-  wire::PutF64(out, p.location.x);
-  wire::PutF64(out, p.location.y);
-  wire::PutF64(out, p.score);
-  wire::PutU8(out, static_cast<uint8_t>(p.source));
-  wire::PutI64(out, p.pattern_id);
-  wire::PutI64(out, p.consequence_region);
-  wire::PutF64(out, p.confidence);
-  wire::PutU8(out, p.uncertainty.IsEmpty() ? 0 : 1);
+  bytes::PutF64(out, p.location.x);
+  bytes::PutF64(out, p.location.y);
+  bytes::PutF64(out, p.score);
+  bytes::PutU8(out, static_cast<uint8_t>(p.source));
+  bytes::PutI64(out, p.pattern_id);
+  bytes::PutI64(out, p.consequence_region);
+  bytes::PutF64(out, p.confidence);
+  bytes::PutU8(out, p.uncertainty.IsEmpty() ? 0 : 1);
   if (!p.uncertainty.IsEmpty()) {
-    wire::PutF64(out, p.uncertainty.min().x);
-    wire::PutF64(out, p.uncertainty.min().y);
-    wire::PutF64(out, p.uncertainty.max().x);
-    wire::PutF64(out, p.uncertainty.max().y);
+    bytes::PutF64(out, p.uncertainty.min().x);
+    bytes::PutF64(out, p.uncertainty.min().y);
+    bytes::PutF64(out, p.uncertainty.max().x);
+    bytes::PutF64(out, p.uncertainty.max().y);
   }
-  wire::PutU8(out, static_cast<uint8_t>(p.degraded));
+  bytes::PutU8(out, static_cast<uint8_t>(p.degraded));
 }
 
-bool GetPrediction(wire::Cursor* cursor, Prediction* p) {
+// `inline` so GCC 12 at -O2 inlines it into both body decoders rather
+// than calling it once per entry.
+inline bool GetPrediction(bytes::Cursor* in, Prediction* p) {
   uint8_t source = 0;
   uint8_t degraded = 0;
-  uint8_t has_uncertainty = 0;
-  int64_t pattern_id = 0;
-  int64_t consequence_region = 0;
-  cursor->F64(&p->location.x);
-  cursor->F64(&p->location.y);
-  cursor->F64(&p->score);
-  cursor->U8(&source);
-  cursor->I64(&pattern_id);
-  cursor->I64(&consequence_region);
-  cursor->F64(&p->confidence);
-  if (!cursor->U8(&has_uncertainty)) return false;
-  if (has_uncertainty != 0) {
+  bool has_uncertainty = false;
+  in->F64(&p->location.x);
+  in->F64(&p->location.y);
+  in->F64(&p->score);
+  in->U8(&source);
+  in->Int(&p->pattern_id);
+  in->Int(&p->consequence_region);
+  in->F64(&p->confidence);
+  if (!in->Flag(&has_uncertainty)) return false;
+  if (has_uncertainty) {
     Point lo, hi;
-    cursor->F64(&lo.x);
-    cursor->F64(&lo.y);
-    cursor->F64(&hi.x);
-    if (!cursor->F64(&hi.y)) return false;
+    in->F64(&lo.x);
+    in->F64(&lo.y);
+    in->F64(&hi.x);
+    if (!in->F64(&hi.y)) return false;
+    // BoundingBox reorders corners and rewrites NaN and -0/+0 pairs; a
+    // box it would not keep as sent is refused, so an accepted body
+    // re-encodes to the same bytes.
     p->uncertainty = BoundingBox(lo, hi);
+    if (std::memcmp(&p->uncertainty.min(), &lo, sizeof(lo)) != 0 ||
+        std::memcmp(&p->uncertainty.max(), &hi, sizeof(hi)) != 0) {
+      return false;
+    }
   }
-  if (!cursor->U8(&degraded)) return false;
+  if (!in->U8(&degraded)) return false;
   if (source > static_cast<uint8_t>(PredictionSource::kMotionFunction) ||
       degraded > static_cast<uint8_t>(DegradedReason::kOverloaded)) {
     return false;
   }
   p->source = static_cast<PredictionSource>(source);
   p->degraded = static_cast<DegradedReason>(degraded);
-  p->pattern_id = static_cast<int>(pattern_id);
-  p->consequence_region = static_cast<int>(consequence_region);
   return true;
 }
 
@@ -88,44 +100,44 @@ std::string EncodePing() {
 std::string EncodeReport(const ReportRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kReport);
-  wire::PutI64(&out, req.id);
-  wire::PutI64(&out, req.t);
-  wire::PutF64(&out, req.x);
-  wire::PutF64(&out, req.y);
+  bytes::PutI64(&out, req.id);
+  bytes::PutI64(&out, req.t);
+  bytes::PutF64(&out, req.x);
+  bytes::PutF64(&out, req.y);
   return out;
 }
 
 std::string EncodePredict(const PredictRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kPredict);
-  wire::PutI64(&out, req.id);
-  wire::PutI64(&out, req.tq);
-  wire::PutU32(&out, static_cast<uint32_t>(req.k));
-  wire::PutU64(&out, req.deadline_us);
+  bytes::PutI64(&out, req.id);
+  bytes::PutI64(&out, req.tq);
+  bytes::PutU32(&out, static_cast<uint32_t>(req.k));
+  bytes::PutU64(&out, req.deadline_us);
   return out;
 }
 
 std::string EncodeRange(const RangeRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kRange);
-  wire::PutF64(&out, req.min_x);
-  wire::PutF64(&out, req.min_y);
-  wire::PutF64(&out, req.max_x);
-  wire::PutF64(&out, req.max_y);
-  wire::PutI64(&out, req.tq);
-  wire::PutU32(&out, static_cast<uint32_t>(req.k_per_object));
-  wire::PutU64(&out, req.deadline_us);
+  bytes::PutF64(&out, req.min_x);
+  bytes::PutF64(&out, req.min_y);
+  bytes::PutF64(&out, req.max_x);
+  bytes::PutF64(&out, req.max_y);
+  bytes::PutI64(&out, req.tq);
+  bytes::PutU32(&out, static_cast<uint32_t>(req.k_per_object));
+  bytes::PutU64(&out, req.deadline_us);
   return out;
 }
 
 std::string EncodeKnn(const KnnRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kKnn);
-  wire::PutF64(&out, req.x);
-  wire::PutF64(&out, req.y);
-  wire::PutI64(&out, req.tq);
-  wire::PutU32(&out, static_cast<uint32_t>(req.n));
-  wire::PutU64(&out, req.deadline_us);
+  bytes::PutF64(&out, req.x);
+  bytes::PutF64(&out, req.y);
+  bytes::PutI64(&out, req.tq);
+  bytes::PutU32(&out, static_cast<uint32_t>(req.n));
+  bytes::PutU64(&out, req.deadline_us);
   return out;
 }
 
@@ -138,17 +150,17 @@ std::string EncodeStats() {
 std::string EncodeReplState(const ReplStateRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kReplState);
-  wire::PutU64(&out, req.follower_lag_bytes);
-  wire::PutU64(&out, req.follower_applied_records);
+  bytes::PutU64(&out, req.follower_lag_bytes);
+  bytes::PutU64(&out, req.follower_applied_records);
   return out;
 }
 
 std::string EncodeReplFetch(const ReplFetchRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kReplFetch);
-  wire::PutString(&out, req.name);
-  wire::PutU64(&out, req.offset);
-  wire::PutU32(&out, req.max_bytes);
+  bytes::PutString(&out, req.name);
+  bytes::PutU64(&out, req.offset);
+  bytes::PutU32(&out, req.max_bytes);
   return out;
 }
 
@@ -156,12 +168,12 @@ std::string EncodeReply(const Status& status, const ReplyInfo& info,
                         const std::string& body) {
   std::string out;
   PutMsgType(&out, MsgType::kReply);
-  wire::PutU8(&out, static_cast<uint8_t>(status.code()));
-  wire::PutString(&out, status.message());
-  wire::PutU8(&out, static_cast<uint8_t>(info.role));
-  wire::PutU64(&out, info.generation);
-  wire::PutU64(&out, info.staleness_us);
-  wire::PutU8(&out, info.stale_degraded ? 1 : 0);
+  bytes::PutU8(&out, static_cast<uint8_t>(status.code()));
+  bytes::PutString(&out, status.message());
+  bytes::PutU8(&out, static_cast<uint8_t>(info.role));
+  bytes::PutU64(&out, info.generation);
+  bytes::PutU64(&out, info.staleness_us);
+  bytes::PutU8(&out, info.stale_degraded ? 1 : 0);
   out += body;
   return out;
 }
@@ -169,21 +181,21 @@ std::string EncodeReply(const Status& status, const ReplyInfo& info,
 std::string EncodePredictionsBody(
     const std::vector<Prediction>& predictions) {
   std::string out;
-  wire::PutU32(&out, static_cast<uint32_t>(predictions.size()));
+  bytes::PutU32(&out, static_cast<uint32_t>(predictions.size()));
   for (const Prediction& p : predictions) PutPrediction(&out, p);
   return out;
 }
 
 std::string EncodeFleetBody(const FleetQueryResult& result) {
   std::string out;
-  wire::PutU8(&out, result.partial ? 1 : 0);
-  wire::PutU32(&out, static_cast<uint32_t>(result.skipped_shards.size()));
+  bytes::PutU8(&out, result.partial ? 1 : 0);
+  bytes::PutU32(&out, static_cast<uint32_t>(result.skipped_shards.size()));
   for (int shard : result.skipped_shards) {
-    wire::PutU32(&out, static_cast<uint32_t>(shard));
+    bytes::PutU32(&out, static_cast<uint32_t>(shard));
   }
-  wire::PutU32(&out, static_cast<uint32_t>(result.hits.size()));
+  bytes::PutU32(&out, static_cast<uint32_t>(result.hits.size()));
   for (const RangeHit& hit : result.hits) {
-    wire::PutI64(&out, hit.id);
+    bytes::PutI64(&out, hit.id);
     PutPrediction(&out, hit.prediction);
   }
   return out;
@@ -191,20 +203,20 @@ std::string EncodeFleetBody(const FleetQueryResult& result) {
 
 std::string EncodeStatsBody(const std::string& json) {
   std::string out;
-  wire::PutString(&out, json);
+  bytes::PutString(&out, json);
   return out;
 }
 
 std::string EncodeReplStateBody(uint64_t generation,
                                 const std::vector<WireSegment>& segments) {
   std::string out;
-  wire::PutU64(&out, generation);
-  wire::PutU32(&out, static_cast<uint32_t>(segments.size()));
+  bytes::PutU64(&out, generation);
+  bytes::PutU32(&out, static_cast<uint32_t>(segments.size()));
   for (const WireSegment& segment : segments) {
-    wire::PutU32(&out, static_cast<uint32_t>(segment.shard));
-    wire::PutU64(&out, segment.seq);
-    wire::PutU64(&out, segment.base_gen);
-    wire::PutU64(&out, segment.size);
+    bytes::PutU32(&out, static_cast<uint32_t>(segment.shard));
+    bytes::PutU64(&out, segment.seq);
+    bytes::PutU64(&out, segment.base_gen);
+    bytes::PutU64(&out, segment.size);
   }
   return out;
 }
@@ -212,40 +224,35 @@ std::string EncodeReplStateBody(uint64_t generation,
 std::string EncodeReplFetchBody(uint64_t file_size, bool eof,
                                 const std::string& bytes) {
   std::string out;
-  wire::PutU64(&out, file_size);
-  wire::PutU8(&out, eof ? 1 : 0);
-  wire::PutString(&out, bytes);
+  bytes::PutU64(&out, file_size);
+  bytes::PutU8(&out, eof ? 1 : 0);
+  bytes::PutString(&out, bytes);
   return out;
 }
 
 Status DecodeReply(const std::string& payload, ReplyInfo* info,
                    std::string* body, Status* transported) {
-  wire::Cursor cursor(payload);
+  bytes::Cursor in(payload);
   uint8_t type = 0;
   uint8_t code = 0;
   uint8_t role = 0;
-  uint8_t stale_degraded = 0;
   std::string message;
-  cursor.U8(&type);
-  cursor.U8(&code);
-  cursor.String(&message);
-  cursor.U8(&role);
-  cursor.U64(&info->generation);
-  cursor.U64(&info->staleness_us);
-  if (!cursor.U8(&stale_degraded) ||
+  in.U8(&type);
+  in.U8(&code);
+  in.String(&message);
+  in.U8(&role);
+  in.U64(&info->generation);
+  in.U64(&info->staleness_us);
+  // An OK reply carries no message: one that does would not re-encode.
+  if (!in.Flag(&info->stale_degraded) ||
       type != static_cast<uint8_t>(MsgType::kReply) ||
       code > kLastStatusCode ||
-      role > static_cast<uint8_t>(ServerRole::kReplica)) {
+      role > static_cast<uint8_t>(ServerRole::kReplica) ||
+      (code == 0 && !message.empty())) {
     return Status::DataLoss("malformed reply envelope");
   }
   info->role = static_cast<ServerRole>(role);
-  info->stale_degraded = stale_degraded != 0;
-  if (body != nullptr) {
-    // The envelope is everything the fixed reads above consumed; the
-    // body is the remainder. Re-derive its offset from the sizes.
-    const size_t envelope_bytes = 1 + 1 + 4 + message.size() + 1 + 8 + 8 + 1;
-    *body = payload.substr(envelope_bytes);
-  }
+  if (body != nullptr) *body = payload.substr(in.pos());
   *transported = code == 0
                      ? Status::OK()
                      : Status(static_cast<StatusCode>(code),
@@ -255,59 +262,58 @@ Status DecodeReply(const std::string& payload, ReplyInfo* info,
 
 Status DecodePredictionsBody(const std::string& body,
                              std::vector<Prediction>* predictions) {
-  wire::Cursor cursor(body);
+  bytes::Cursor in(body);
   uint32_t count = 0;
-  if (!cursor.U32(&count) || count > kMaxResultEntries) {
+  if (!in.Count(&count, kMinPredictionBytes)) {
     return Status::DataLoss("malformed predictions body");
   }
   predictions->clear();
   predictions->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Prediction p;
-    if (!GetPrediction(&cursor, &p)) {
+    if (!GetPrediction(&in, &p)) {
       return Status::DataLoss("malformed prediction entry");
     }
     predictions->push_back(std::move(p));
   }
-  if (!cursor.done()) return Status::DataLoss("trailing prediction bytes");
+  if (!in.done()) return Status::DataLoss("trailing prediction bytes");
   return Status::OK();
 }
 
 Status DecodeFleetBody(const std::string& body, FleetQueryResult* result) {
-  wire::Cursor cursor(body);
-  uint8_t partial = 0;
+  bytes::Cursor in(body);
   uint32_t skipped = 0;
-  cursor.U8(&partial);
-  if (!cursor.U32(&skipped) || skipped > kMaxResultEntries) {
+  in.Flag(&result->partial);
+  if (!in.Count(&skipped, kShardBytes)) {
     return Status::DataLoss("malformed fleet body");
   }
-  result->partial = partial != 0;
   result->skipped_shards.clear();
+  result->skipped_shards.reserve(skipped);
   for (uint32_t i = 0; i < skipped; ++i) {
     uint32_t shard = 0;
-    if (!cursor.U32(&shard)) return Status::DataLoss("malformed fleet body");
+    in.U32(&shard);
     result->skipped_shards.push_back(static_cast<int>(shard));
   }
   uint32_t hits = 0;
-  if (!cursor.U32(&hits) || hits > kMaxResultEntries) {
+  if (!in.Count(&hits, kMinFleetHitBytes)) {
     return Status::DataLoss("malformed fleet body");
   }
   result->hits.clear();
   result->hits.reserve(hits);
   for (uint32_t i = 0; i < hits; ++i) {
     RangeHit hit;
-    if (!cursor.I64(&hit.id) || !GetPrediction(&cursor, &hit.prediction)) {
+    if (!in.I64(&hit.id) || !GetPrediction(&in, &hit.prediction)) {
       return Status::DataLoss("malformed fleet hit");
     }
     result->hits.push_back(std::move(hit));
   }
-  if (!cursor.done()) return Status::DataLoss("trailing fleet bytes");
+  if (!in.done()) return Status::DataLoss("trailing fleet bytes");
   return Status::OK();
 }
 
 Status DecodeStatsBody(const std::string& body, std::string* json) {
-  wire::Cursor cursor(body);
-  if (!cursor.String(json, kMaxResultEntries) || !cursor.done()) {
+  bytes::Cursor in(body);
+  if (!in.String(json) || !in.done()) {
     return Status::DataLoss("malformed stats body");
   }
   return Status::OK();
@@ -315,10 +321,10 @@ Status DecodeStatsBody(const std::string& body, std::string* json) {
 
 Status DecodeReplStateBody(const std::string& body, uint64_t* generation,
                            std::vector<WireSegment>* segments) {
-  wire::Cursor cursor(body);
+  bytes::Cursor in(body);
   uint32_t count = 0;
-  cursor.U64(generation);
-  if (!cursor.U32(&count) || count > kMaxListedSegments) {
+  in.U64(generation);
+  if (!in.Count(&count, kSegmentBytes)) {
     return Status::DataLoss("malformed repl-state body");
   }
   segments->clear();
@@ -326,86 +332,82 @@ Status DecodeReplStateBody(const std::string& body, uint64_t* generation,
   for (uint32_t i = 0; i < count; ++i) {
     WireSegment segment;
     uint32_t shard = 0;
-    cursor.U32(&shard);
-    cursor.U64(&segment.seq);
-    cursor.U64(&segment.base_gen);
-    if (!cursor.U64(&segment.size)) {
-      return Status::DataLoss("malformed repl-state segment");
-    }
+    in.U32(&shard);
+    in.U64(&segment.seq);
+    in.U64(&segment.base_gen);
+    in.U64(&segment.size);
     segment.shard = static_cast<int>(shard);
     segments->push_back(segment);
   }
-  if (!cursor.done()) return Status::DataLoss("trailing repl-state bytes");
+  if (!in.done()) return Status::DataLoss("trailing repl-state bytes");
   return Status::OK();
 }
 
 Status DecodeReplFetchBody(const std::string& body, uint64_t* file_size,
                            bool* eof, std::string* bytes) {
-  wire::Cursor cursor(body);
-  uint8_t eof_byte = 0;
-  cursor.U64(file_size);
-  cursor.U8(&eof_byte);
-  if (!cursor.String(bytes, kMaxNetPayloadBytes) || !cursor.done()) {
+  bytes::Cursor in(body);
+  in.U64(file_size);
+  in.Flag(eof);
+  if (!in.String(bytes, kMaxNetPayloadBytes) || !in.done()) {
     return Status::DataLoss("malformed repl-fetch body");
   }
-  *eof = eof_byte != 0;
   return Status::OK();
 }
 
 Status DecodeRequest(const std::string& payload, Request* request) {
-  wire::Cursor cursor(payload);
+  bytes::Cursor in(payload);
   uint8_t type = 0;
-  if (!cursor.U8(&type)) return Status::DataLoss("empty request");
+  if (!in.U8(&type)) return Status::DataLoss("empty request");
   request->type = static_cast<MsgType>(type);
   switch (request->type) {
     case MsgType::kPing:
     case MsgType::kStats:
       break;
     case MsgType::kReport:
-      cursor.I64(&request->report.id);
-      cursor.I64(&request->report.t);
-      cursor.F64(&request->report.x);
-      cursor.F64(&request->report.y);
+      in.I64(&request->report.id);
+      in.I64(&request->report.t);
+      in.F64(&request->report.x);
+      in.F64(&request->report.y);
       break;
     case MsgType::kPredict: {
       uint32_t k = 0;
-      cursor.I64(&request->predict.id);
-      cursor.I64(&request->predict.tq);
-      cursor.U32(&k);
-      cursor.U64(&request->predict.deadline_us);
+      in.I64(&request->predict.id);
+      in.I64(&request->predict.tq);
+      in.U32(&k);
+      in.U64(&request->predict.deadline_us);
       request->predict.k = static_cast<int32_t>(k);
       break;
     }
     case MsgType::kRange: {
       uint32_t k = 0;
-      cursor.F64(&request->range.min_x);
-      cursor.F64(&request->range.min_y);
-      cursor.F64(&request->range.max_x);
-      cursor.F64(&request->range.max_y);
-      cursor.I64(&request->range.tq);
-      cursor.U32(&k);
-      cursor.U64(&request->range.deadline_us);
+      in.F64(&request->range.min_x);
+      in.F64(&request->range.min_y);
+      in.F64(&request->range.max_x);
+      in.F64(&request->range.max_y);
+      in.I64(&request->range.tq);
+      in.U32(&k);
+      in.U64(&request->range.deadline_us);
       request->range.k_per_object = static_cast<int32_t>(k);
       break;
     }
     case MsgType::kKnn: {
       uint32_t n = 0;
-      cursor.F64(&request->knn.x);
-      cursor.F64(&request->knn.y);
-      cursor.I64(&request->knn.tq);
-      cursor.U32(&n);
-      cursor.U64(&request->knn.deadline_us);
+      in.F64(&request->knn.x);
+      in.F64(&request->knn.y);
+      in.I64(&request->knn.tq);
+      in.U32(&n);
+      in.U64(&request->knn.deadline_us);
       request->knn.n = static_cast<int32_t>(n);
       break;
     }
     case MsgType::kReplState:
-      cursor.U64(&request->repl_state.follower_lag_bytes);
-      cursor.U64(&request->repl_state.follower_applied_records);
+      in.U64(&request->repl_state.follower_lag_bytes);
+      in.U64(&request->repl_state.follower_applied_records);
       break;
     case MsgType::kReplFetch:
-      cursor.String(&request->repl_fetch.name, 4096);
-      cursor.U64(&request->repl_fetch.offset);
-      cursor.U32(&request->repl_fetch.max_bytes);
+      in.String(&request->repl_fetch.name, 4096);
+      in.U64(&request->repl_fetch.offset);
+      in.U32(&request->repl_fetch.max_bytes);
       break;
     case MsgType::kReply:
       return Status::DataLoss("reply message sent as request");
@@ -413,7 +415,7 @@ Status DecodeRequest(const std::string& payload, Request* request) {
       return Status::DataLoss("unknown message type " +
                               std::to_string(type));
   }
-  if (!cursor.done()) {
+  if (!in.done()) {
     return Status::DataLoss("malformed request body for type " +
                             std::to_string(type));
   }

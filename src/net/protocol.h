@@ -1,9 +1,9 @@
 // The HPM wire protocol: request/reply message types and their binary
-// encodings (docs/ARCHITECTURE.md §10 has the frame diagram).
+// encodings (docs/ARCHITECTURE.md §11 has the frame diagram).
 //
 // Transport: each message is one CRC frame (net/frame.h). The first
 // payload byte is the message type; the rest is the type-specific body
-// encoded with net/wire.h primitives.
+// encoded with common/bytes.h.
 //
 // Every reply shares an envelope:
 //   u8 kReply | u8 status_code | string status_message |
@@ -173,11 +173,15 @@ std::string EncodeReplFetchBody(uint64_t file_size, bool eof,
 /// and the *transported* status (the Status the server put in the
 /// envelope — retry-after hints intact). The return value is the frame's
 /// own validity: kDataLoss when the payload is malformed (a transport
-/// problem, distinct from a well-formed error reply).
+/// problem, distinct from a well-formed error reply); an OK status with
+/// a message is malformed. The body is the rest of the payload.
 Status DecodeReply(const std::string& payload, ReplyInfo* info,
                    std::string* body, Status* transported);
 
-/// Body decoders (kDataLoss on malformed bodies).
+/// Body decoders (kDataLoss on malformed bodies). A body they accept
+/// re-encodes to the same bytes: flags are 0 or 1, i64 ids fit an int,
+/// and an uncertainty box is kept as sent. A count whose entries cannot
+/// fit in the body is refused before anything is reserved for it.
 Status DecodePredictionsBody(const std::string& body,
                              std::vector<Prediction>* predictions);
 Status DecodeFleetBody(const std::string& body, FleetQueryResult* result);

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "bitset/word_ops.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace hpm {
@@ -77,57 +78,6 @@ struct PackOrder {
 size_t EvenRunStart(size_t count, size_t runs, size_t r) {
   return r * (count / runs) + std::min(r, count % runs);
 }
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendI32(std::string* out, int32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-/// Bounds-checked cursor over the section bytes; every Read returns
-/// false on truncation instead of walking past the buffer.
-class SectionReader {
- public:
-  SectionReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadBytes(void* out, size_t n) {
-    if (size_ - pos_ < n) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool ReadU32(uint32_t* out) { return ReadBytes(out, sizeof(*out)); }
-  bool ReadU64(uint64_t* out) { return ReadBytes(out, sizeof(*out)); }
-  bool ReadF64(double* out) { return ReadBytes(out, sizeof(*out)); }
-  bool ReadI32(int32_t* out) { return ReadBytes(out, sizeof(*out)); }
-
-  size_t consumed() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -417,29 +367,28 @@ Status FrozenTpt::CheckInvariants() const {
 
 void FrozenTpt::AppendTo(std::string* out) const {
   const size_t start = out->size();
-  out->append(kSectionMagic, sizeof(kSectionMagic));
-  AppendU32(out, kSectionVersion);
-  AppendU32(out, static_cast<uint32_t>(premise_bits_));
-  AppendU32(out, static_cast<uint32_t>(consequence_bits_));
-  AppendU32(out, static_cast<uint32_t>(nodes_.size()));
-  AppendU32(out, static_cast<uint32_t>(entry_target_.size()));
-  AppendU32(out, static_cast<uint32_t>(payloads_.size()));
+  bytes::PutBytes(out, kSectionMagic, sizeof(kSectionMagic));
+  bytes::PutU32(out, kSectionVersion);
+  bytes::PutU32(out, static_cast<uint32_t>(premise_bits_));
+  bytes::PutU32(out, static_cast<uint32_t>(consequence_bits_));
+  bytes::PutU32(out, static_cast<uint32_t>(nodes_.size()));
+  bytes::PutU32(out, static_cast<uint32_t>(entry_target_.size()));
+  bytes::PutU32(out, static_cast<uint32_t>(payloads_.size()));
   for (const NodeRef& node : nodes_) {
-    AppendU32(out, node.first_entry);
-    AppendU32(out, node.num_entries);
-    AppendU32(out, node.is_leaf);
+    bytes::PutU32(out, node.first_entry);
+    bytes::PutU32(out, node.num_entries);
+    bytes::PutU32(out, node.is_leaf);
   }
-  for (uint32_t target : entry_target_) AppendU32(out, target);
-  for (size_t w = 0; w < key_words_.size(); ++w) {
-    AppendU64(out, key_words_.data()[w]);
-  }
+  for (uint32_t target : entry_target_) bytes::PutU32(out, target);
+  bytes::PutBytes(out, key_words_.data(),
+                  key_words_.size() * sizeof(uint64_t));
   for (const LeafPayload& p : payloads_) {
-    AppendF64(out, p.confidence);
-    AppendI32(out, p.consequence_region);
-    AppendI32(out, p.pattern_id);
-    AppendI32(out, p.support);
+    bytes::PutF64(out, p.confidence);
+    bytes::PutI32(out, p.consequence_region);
+    bytes::PutI32(out, p.pattern_id);
+    bytes::PutI32(out, p.support);
   }
-  AppendU32(out, Crc32(out->data() + start, out->size() - start));
+  bytes::PutU32(out, Crc32(out->data() + start, out->size() - start));
 }
 
 Status FrozenTpt::ValidateTopology(const std::vector<NodeRef>& nodes,
@@ -554,18 +503,21 @@ bool FrozenTpt::InternalKeysAreUnions(const std::vector<NodeRef>& nodes,
 
 StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
                                      size_t* consumed) {
-  SectionReader reader(data, size);
+  bytes::Cursor in(data, size);
   char magic[sizeof(kSectionMagic)];
-  if (!reader.ReadBytes(magic, sizeof(magic)) ||
+  if (!in.Bytes(magic, sizeof(magic)) ||
       std::memcmp(magic, kSectionMagic, sizeof(magic)) != 0) {
     return Status::DataLoss("bad frozen TPT section magic");
   }
   uint32_t version = 0;
   uint32_t premise_bits = 0, consequence_bits = 0;
   uint32_t num_nodes = 0, num_entries = 0, num_patterns = 0;
-  if (!reader.ReadU32(&version) || !reader.ReadU32(&premise_bits) ||
-      !reader.ReadU32(&consequence_bits) || !reader.ReadU32(&num_nodes) ||
-      !reader.ReadU32(&num_entries) || !reader.ReadU32(&num_patterns)) {
+  in.U32(&version);
+  in.U32(&premise_bits);
+  in.U32(&consequence_bits);
+  in.U32(&num_nodes);
+  in.U32(&num_entries);
+  if (!in.U32(&num_patterns)) {
     return Status::DataLoss("truncated frozen TPT section header");
   }
   if (version != kSectionVersion) {
@@ -585,7 +537,7 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
                               uint64_t{num_entries} * 4 +
                               uint64_t{num_entries} * stride * 8 +
                               uint64_t{num_patterns} * 20;
-  if (body_bytes + sizeof(uint32_t) > reader.remaining()) {
+  if (body_bytes + sizeof(uint32_t) > in.remaining()) {
     return Status::DataLoss("truncated frozen TPT section body");
   }
   if (num_patterns > num_entries) {
@@ -599,34 +551,32 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
 
   std::vector<NodeRef> nodes(num_nodes);
   for (NodeRef& node : nodes) {
-    HPM_CHECK(reader.ReadU32(&node.first_entry) &&
-              reader.ReadU32(&node.num_entries) &&
-              reader.ReadU32(&node.is_leaf));
+    in.U32(&node.first_entry);
+    in.U32(&node.num_entries);
+    in.U32(&node.is_leaf);
   }
   std::vector<uint32_t> targets(num_entries);
-  for (uint32_t& target : targets) {
-    HPM_CHECK(reader.ReadU32(&target));
-  }
+  for (uint32_t& target : targets) in.U32(&target);
   AlignedWordArena key_words(num_entries * stride);
-  for (size_t w = 0; w < key_words.size(); ++w) {
-    HPM_CHECK(reader.ReadU64(&key_words.data()[w]));
-  }
+  in.Bytes(key_words.data(), key_words.size() * sizeof(uint64_t));
   std::vector<LeafPayload> payloads(num_patterns);
   for (LeafPayload& p : payloads) {
-    HPM_CHECK(reader.ReadF64(&p.confidence) &&
-              reader.ReadI32(&p.consequence_region) &&
-              reader.ReadI32(&p.pattern_id) && reader.ReadI32(&p.support));
+    in.F64(&p.confidence);
+    in.I32(&p.consequence_region);
+    in.I32(&p.pattern_id);
+    in.I32(&p.support);
   }
 
-  const size_t body_end = reader.consumed();
+  const size_t body_end = in.pos();
   uint32_t stored_crc = 0;
-  HPM_CHECK(reader.ReadU32(&stored_crc));
+  in.U32(&stored_crc);
+  HPM_CHECK(in.ok());  // the body was sized against the bytes up front
   if (Crc32(data, body_end) != stored_crc) {
     return Status::DataLoss("frozen TPT section checksum mismatch");
   }
 
   FrozenTpt frozen;
-  *consumed = reader.consumed();
+  *consumed = in.pos();
   if (num_nodes == 0) return frozen;
 
   int height = 0;

@@ -1,5 +1,5 @@
-// Wire primitives, CRC framing over real sockets, and protocol
-// encode/decode round trips.
+// CRC framing over real sockets, and protocol encode/decode round
+// trips.
 
 #include <sys/socket.h>
 
@@ -8,12 +8,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "gtest/gtest.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/socket.h"
-#include "net/wire.h"
 
 namespace hpm {
 namespace {
@@ -29,58 +29,6 @@ struct SocketPair {
     b = Socket(fds[1]);
   }
 };
-
-TEST(WireTest, RoundTripsEveryPrimitive) {
-  std::string buf;
-  wire::PutU8(&buf, 0xAB);
-  wire::PutU32(&buf, 0xDEADBEEF);
-  wire::PutU64(&buf, 0x0123456789ABCDEFull);
-  wire::PutI64(&buf, -42);
-  wire::PutF64(&buf, 2.5);
-  wire::PutString(&buf, "hello");
-
-  wire::Cursor cursor(buf);
-  uint8_t u8 = 0;
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
-  int64_t i64 = 0;
-  double f64 = 0;
-  std::string s;
-  EXPECT_TRUE(cursor.U8(&u8));
-  EXPECT_TRUE(cursor.U32(&u32));
-  EXPECT_TRUE(cursor.U64(&u64));
-  EXPECT_TRUE(cursor.I64(&i64));
-  EXPECT_TRUE(cursor.F64(&f64));
-  EXPECT_TRUE(cursor.String(&s));
-  EXPECT_TRUE(cursor.done());
-  EXPECT_EQ(u8, 0xAB);
-  EXPECT_EQ(u32, 0xDEADBEEFu);
-  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
-  EXPECT_EQ(i64, -42);
-  EXPECT_EQ(f64, 2.5);
-  EXPECT_EQ(s, "hello");
-}
-
-TEST(WireTest, UnderrunPoisonsTheCursor) {
-  std::string buf;
-  wire::PutU32(&buf, 7);
-  wire::Cursor cursor(buf);
-  uint64_t v = 0;
-  EXPECT_FALSE(cursor.U64(&v));
-  EXPECT_FALSE(cursor.ok());
-  uint32_t w = 0;
-  EXPECT_FALSE(cursor.U32(&w));  // poisoned: even a fitting read fails
-}
-
-TEST(WireTest, OversizedStringLengthIsRejected) {
-  std::string buf;
-  wire::PutU32(&buf, 1u << 30);  // length prefix far beyond the payload
-  buf.append("xx");
-  wire::Cursor cursor(buf);
-  std::string s;
-  EXPECT_FALSE(cursor.String(&s));
-  EXPECT_FALSE(cursor.ok());
-}
 
 TEST(FrameTest, RoundTripsOverASocket) {
   SocketPair pair;
@@ -161,8 +109,8 @@ TEST(FrameTest, CorruptedPayloadFailsTheCrc) {
 TEST(FrameTest, ImplausibleLengthIsRejectedWithoutAllocating) {
   SocketPair pair;
   std::string header;
-  wire::PutU32(&header, 0x7FFFFFFF);  // 2 GiB "payload"
-  wire::PutU32(&header, 0);
+  bytes::PutU32(&header, 0x7FFFFFFF);  // 2 GiB "payload"
+  bytes::PutU32(&header, 0);
   ASSERT_TRUE(pair.a
                   .SendAll(header.data(), header.size(),
                            Deadline::AfterMillis(2000))
@@ -176,8 +124,8 @@ TEST(FrameTest, PipelinedFrameIsServedFromTheBuffer) {
   SocketPair pair;
   std::string both;
   for (const std::string payload : {"first", "second"}) {
-    wire::PutU32(&both, static_cast<uint32_t>(payload.size()));
-    wire::PutU32(&both, Crc32(payload));
+    bytes::PutU32(&both, static_cast<uint32_t>(payload.size()));
+    bytes::PutU32(&both, Crc32(payload));
     both += payload;
   }
   ASSERT_TRUE(
@@ -318,6 +266,37 @@ TEST(ProtocolTest, ReplStateBodyRoundTrips) {
   EXPECT_EQ(decoded[1].seq, 7u);
   EXPECT_EQ(decoded[1].base_gen, 2u);
   EXPECT_EQ(decoded[1].size, 128u);
+}
+
+TEST(ProtocolTest, PredictionIdThatDoesNotFitAnIntIsDataLoss) {
+  Prediction p;
+  p.source = PredictionSource::kPattern;
+  p.pattern_id = 5;
+  std::string body = EncodePredictionsBody({p});
+  // pattern_id is the i64 after the count, the location, score and source.
+  std::string wide;
+  bytes::PutI64(&wide, int64_t{1} << 40);
+  body.replace(4 + 8 + 8 + 8 + 1, 8, wide);
+  std::vector<Prediction> decoded;
+  EXPECT_EQ(DecodePredictionsBody(body, &decoded).code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(ProtocolTest, ReplyThatWouldNotReEncodeIsDataLoss) {
+  ReplyInfo info;
+  std::string body;
+  Status transported;
+  // An OK status with a message: the envelope's code byte is 0.
+  std::string ok_with_message =
+      EncodeReply(Status::Unavailable("busy"), info, "");
+  ok_with_message[1] = 0;
+  EXPECT_EQ(DecodeReply(ok_with_message, &info, &body, &transported).code(),
+            StatusCode::kDataLoss);
+  // stale_degraded, the envelope's last byte, is a 0/1 flag.
+  std::string flag_two = EncodeReply(Status::OK(), info, "");
+  flag_two.back() = 2;
+  EXPECT_EQ(DecodeReply(flag_two, &info, &body, &transported).code(),
+            StatusCode::kDataLoss);
 }
 
 }  // namespace

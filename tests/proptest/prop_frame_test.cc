@@ -24,10 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "net/frame.h"
 #include "net/socket.h"
-#include "net/wire.h"
 #include "proptest/proptest.h"
 
 // Allocation probe: records the largest operator-new request made by
@@ -88,8 +88,8 @@ Deadline Soon() { return Deadline::AfterMillis(5000); }
 
 std::string FrameBytes(const std::string& payload) {
   std::string out;
-  wire::PutU32(&out, static_cast<uint32_t>(payload.size()));
-  wire::PutU32(&out, Crc32(payload));
+  bytes::PutU32(&out, static_cast<uint32_t>(payload.size()));
+  bytes::PutU32(&out, Crc32(payload));
   return out + payload;
 }
 
@@ -317,8 +317,8 @@ LyingCase GenLying(Random& rng) {
   c.length = static_cast<uint32_t>(
       kMaxNetPayloadBytes + 1 +
       rng.Uniform(uint64_t{0xFFFFFFFFu} - kMaxNetPayloadBytes));
-  wire::PutU32(&c.bytes, c.length);
-  wire::PutU32(&c.bytes, static_cast<uint32_t>(rng.NextUint64()));
+  bytes::PutU32(&c.bytes, c.length);
+  bytes::PutU32(&c.bytes, static_cast<uint32_t>(rng.NextUint64()));
   c.bytes += std::string(rng.Uniform(64), 'x');
   return c;
 }
