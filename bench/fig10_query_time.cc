@@ -43,8 +43,7 @@ int main() {
       const EvalResult rmf = RunRmf(cases, sweep);
       table.AddRow({std::to_string(subs), Fmt(hpm.mean_response_ms, 4),
                     Fmt(rmf.mean_response_ms, 4),
-                    std::to_string(
-                        predictor->counters().motion_fallbacks)});
+                    std::to_string(hpm.motion_answers)});
     }
     std::printf("\n[%s]\n", DatasetName(kind));
     table.Print(stdout);

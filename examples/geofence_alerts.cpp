@@ -1,15 +1,16 @@
-// Geofence alerts: continuous predictive monitoring on the
-// MovingObjectStore.
+// Geofence alerts: predictive monitoring on the MovingObjectStore.
 //
-// A dispatcher registers a standing query — "tell me whenever any van is
-// predicted to be inside the depot zone forty ticks from now" — and
-// the store emits enter/leave events as location reports stream in. The
-// same fleet is also asked for the predicted nearest vans to an incident
-// location (predictive k-NN).
+// A dispatcher asks "which vans are predicted to be inside the depot
+// zone forty ticks from now?" once per tick, with one predictive range
+// query, and reports the vans that entered or left that set since the
+// previous tick as location reports stream in. The same fleet is also
+// asked for the predicted nearest vans to an incident location
+// (predictive k-NN).
 //
 // Build & run:  ./build/examples/geofence_alerts
 
 #include <cstdio>
+#include <set>
 
 #include "common/random.h"
 #include "common/table_printer.h"
@@ -78,12 +79,17 @@ int main() {
   const Point depot =
       (*van0)->regions().Region(regions_at_140[0]).center;
   const BoundingBox zone(depot - Point{500, 500}, depot + Point{500, 500});
-  const int query_id = store.RegisterContinuousQuery(zone, 40);
-  std::printf("geofence registered (query %d): %.0fx%.0f zone around "
-              "(%.0f, %.0f), horizon +40\n\n",
-              query_id, 1000.0, 1000.0, depot.x, depot.y);
+  constexpr Timestamp kHorizon = 40;
+  std::printf("geofence: %.0fx%.0f zone around (%.0f, %.0f), "
+              "horizon +%ld\n\n",
+              1000.0, 1000.0, depot.x, depot.y,
+              static_cast<long>(kHorizon));
 
-  // Live morning: stream the first 120 ticks of today for every van.
+  // Live morning: stream the first 120 ticks of today for every van,
+  // then ask which vans are predicted inside the zone 40 ticks ahead.
+  // A van that joins that set since the previous tick entered the zone,
+  // and one that drops out of it left.
+  std::set<ObjectId> inside;
   int alerts = 0;
   for (Timestamp t = 0; t < 120; ++t) {
     for (int v = 0; v < kFleet; ++v) {
@@ -93,17 +99,35 @@ int main() {
         return 1;
       }
     }
-    for (const auto& event : store.DrainContinuousEvents()) {
+    const Timestamp at = static_cast<Timestamp>(kDays) * kPeriod + t +
+                         kHorizon;
+    auto in_zone = store.PredictiveRangeQuery(zone, at);
+    if (!in_zone.ok()) {
+      std::fprintf(stderr, "%s\n", in_zone.status().ToString().c_str());
+      return 1;
+    }
+    std::set<ObjectId> inside_now;
+    for (const RangeHit& hit : in_zone->hits) {
+      inside_now.insert(hit.id);
+      if (inside.count(hit.id) > 0) continue;
       ++alerts;
-      std::printf("  tick %3ld: van #%ld predicted to %s the zone "
+      std::printf("  tick %3ld: van #%ld predicted to ENTER the zone "
                   "(for t=%ld via %s)\n",
-                  static_cast<long>(t), static_cast<long>(event.object),
-                  event.entered ? "ENTER" : "LEAVE",
-                  static_cast<long>(event.evaluated_at),
-                  event.prediction.source == PredictionSource::kPattern
+                  static_cast<long>(t), static_cast<long>(hit.id),
+                  static_cast<long>(at),
+                  hit.prediction.source == PredictionSource::kPattern
                       ? "pattern"
                       : "motion");
     }
+    for (const ObjectId id : inside) {
+      if (inside_now.count(id) > 0) continue;
+      ++alerts;
+      std::printf("  tick %3ld: van #%ld predicted to LEAVE the zone "
+                  "(for t=%ld)\n",
+                  static_cast<long>(t), static_cast<long>(id),
+                  static_cast<long>(at));
+    }
+    inside = std::move(inside_now);
   }
   std::printf("\n%d geofence alerts emitted during the morning\n\n",
               alerts);

@@ -52,46 +52,6 @@ uint64_t BlockHash(const uint64_t* block, size_t stride, int region) {
 
 }  // namespace
 
-HybridPredictor::AtomicQueryCounters&
-HybridPredictor::AtomicQueryCounters::operator=(
-    const AtomicQueryCounters& other) {
-  forward_queries.store(other.forward_queries.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  backward_queries.store(
-      other.backward_queries.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  pattern_answers.store(other.pattern_answers.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  motion_fallbacks.store(
-      other.motion_fallbacks.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  degraded_answers.store(
-      other.degraded_answers.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  return *this;
-}
-
-QueryCounters HybridPredictor::AtomicQueryCounters::Snapshot() const {
-  QueryCounters snapshot;
-  snapshot.forward_queries = forward_queries.load(std::memory_order_relaxed);
-  snapshot.backward_queries =
-      backward_queries.load(std::memory_order_relaxed);
-  snapshot.pattern_answers = pattern_answers.load(std::memory_order_relaxed);
-  snapshot.motion_fallbacks =
-      motion_fallbacks.load(std::memory_order_relaxed);
-  snapshot.degraded_answers =
-      degraded_answers.load(std::memory_order_relaxed);
-  return snapshot;
-}
-
-QueryCounters HybridPredictor::counters() const {
-  return counters_.Snapshot();
-}
-
-void HybridPredictor::ResetCounters() const {
-  counters_ = AtomicQueryCounters{};
-}
-
 HybridPredictor::HybridPredictor(HybridPredictorOptions options,
                                  FrequentRegionSet regions,
                                  KeyTables key_tables, FrozenTpt tpt)
@@ -287,18 +247,11 @@ StatusOr<std::vector<Prediction>> HybridPredictor::DegradedPredict(
     const PredictiveQuery& query, DegradedReason reason) const {
   HPM_CHECK(reason != DegradedReason::kNone);
   HPM_RETURN_IF_ERROR(ValidateQuery(query));
-  if (IsDistant(query.PredictionLength())) {
-    counters_.backward_queries.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.forward_queries.fetch_add(1, std::memory_order_relaxed);
-  }
   return DegradedAnswer(query, reason);
 }
 
 StatusOr<std::vector<Prediction>> HybridPredictor::DegradedAnswer(
     const PredictiveQuery& query, DegradedReason reason) const {
-  counters_.motion_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  counters_.degraded_answers.fetch_add(1, std::memory_order_relaxed);
   StatusOr<Prediction> fallback = MotionFunctionPredict(query);
   if (!fallback.ok()) return fallback.status();
   fallback->degraded = reason;
@@ -309,7 +262,6 @@ StatusOr<std::vector<Prediction>> HybridPredictor::MotionFallback(
     const PredictiveQuery& query) const {
   // No qualified pattern: call the motion function (Algorithm 2 line 6 /
   // Algorithm 3 line 11).
-  counters_.motion_fallbacks.fetch_add(1, std::memory_order_relaxed);
   StatusOr<Prediction> fallback = MotionFunctionPredict(query);
   if (!fallback.ok()) return fallback.status();
   return std::vector<Prediction>{*fallback};
@@ -318,11 +270,6 @@ StatusOr<std::vector<Prediction>> HybridPredictor::MotionFallback(
 StatusOr<std::vector<Prediction>> HybridPredictor::Answer(
     const PredictiveQuery& query, bool backward) const {
   HPM_RETURN_IF_ERROR(ValidateQuery(query));
-  if (backward) {
-    counters_.backward_queries.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.forward_queries.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // The pattern side is the expensive half; when it cannot be consulted
   // in time (or at all), serve the cheap RMF answer instead of failing.
@@ -373,7 +320,6 @@ StatusOr<std::vector<Prediction>> HybridPredictor::ForwardBody(
     s.candidates.push_back({sr * payload.confidence, payload.confidence,
                             payload.pattern_id, &payload});
   }
-  counters_.pattern_answers.fetch_add(1, std::memory_order_relaxed);
   return RankAndTake(&s.candidates, query.k, regions_);
 }
 
@@ -441,7 +387,6 @@ StatusOr<std::vector<Prediction>> HybridPredictor::BackwardBody(
                             payload.confidence, payload.pattern_id,
                             &payload});
   }
-  counters_.pattern_answers.fetch_add(1, std::memory_order_relaxed);
   return RankAndTake(&s.candidates, query.k, regions_);
 }
 
@@ -614,8 +559,6 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
   updated->summary_.num_patterns = updated->tpt_.size();
   updated->summary_.tpt_frozen_bytes = updated->tpt_.MemoryBytes();
   updated->summary_.tpt_height = updated->tpt_.Height();
-  // Carry the counts so they stay monotonic across snapshot swaps.
-  updated->counters_ = counters_;
   return updated;
 }
 

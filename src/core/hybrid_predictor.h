@@ -16,7 +16,6 @@
 #define HPM_CORE_HYBRID_PREDICTOR_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -85,22 +84,6 @@ struct TrainingSummary {
   double train_seconds = 0.0;
 };
 
-/// Per-predictor counters describing how queries were answered; the
-/// motion-fallback rate drives the paper's Fig. 10 discussion. This is
-/// the plain snapshot type returned by counters(); internally the
-/// predictor keeps atomic counters so concurrent readers can count.
-struct QueryCounters {
-  size_t forward_queries = 0;
-  size_t backward_queries = 0;
-  size_t pattern_answers = 0;
-  size_t motion_fallbacks = 0;
-
-  /// Subset of motion_fallbacks produced because the pattern side could
-  /// not be consulted (expired deadline / pattern-side fault) rather than
-  /// because no pattern matched. The serving degradation rate.
-  size_t degraded_answers = 0;
-};
-
 /// Ranks the scored pattern hits of one query and materialises the best
 /// min(k, hits) of them as predictions, best first (FQP/BQP's "return the
 /// top k"). The order is total, so the answer never depends on the order
@@ -155,9 +138,11 @@ struct CentreRuns {
 /// A trained Hybrid Prediction Model for one moving object.
 ///
 /// Train() mines the object's history once; Predict() answers any number
-/// of queries. The model state is immutable after training, and the
-/// query counters are atomic, so a trained predictor is safe to share
-/// across concurrently-predicting readers. Updates produce *new*
+/// of queries. The model is immutable after training and keeps no
+/// per-query state: each answer says how it was produced
+/// (Prediction::source, Prediction::degraded), and the serving layer
+/// counts answers in its QueryContext. So a trained predictor is safe to
+/// share across concurrently-predicting readers. Updates produce *new*
 /// predictors via WithNewHistory(); the only mutating member,
 /// set_weight_function(), must be externally serialised against readers
 /// (the serving layer never mutates a shared predictor).
@@ -213,11 +198,8 @@ class HybridPredictor {
 
   /// The load-shedding entry point: answers `query` with the RMF motion
   /// function alone, stamped with `reason`, without touching the pattern
-  /// side. Counters stay consistent with Predict() — the call is counted
-  /// as a forward/backward query (by prediction length), a motion
-  /// fallback and a degraded answer — so the rung-1 ladder response
-  /// (DegradedReason::kOverloaded) is indistinguishable from a deadline
-  /// degradation in every aggregate metric. `reason` must not be kNone.
+  /// side. The answer is the one Predict() gives when its deadline has
+  /// expired, stamped with `reason` instead. `reason` must not be kNone.
   StatusOr<std::vector<Prediction>> DegradedPredict(
       const PredictiveQuery& query, DegradedReason reason) const;
 
@@ -235,8 +217,7 @@ class HybridPredictor {
   /// unchanged and only the pattern set grows.
   ///
   /// *this is left untouched: the result is a fresh predictor carrying
-  /// the combined pattern set (and a query-counter snapshot, so counts
-  /// stay monotonic across swaps); the number of patterns added is the
+  /// the combined pattern set; the number of patterns added is the
   /// difference of the two pattern counts. The fresh instance's arena is
   /// packed from the combined pattern set; a packed layout depends on
   /// the entries alone, not on the order they were added in. Unless the
@@ -265,20 +246,6 @@ class HybridPredictor {
 
   const TrainingSummary& summary() const { return summary_; }
 
-  /// A consistent-enough snapshot of the query counters (each field is
-  /// read with a relaxed atomic load; fields may straddle a concurrent
-  /// query, but every increment is eventually visible exactly once).
-  QueryCounters counters() const;
-  void ResetCounters() const;
-
-  /// Copies `other`'s query-counter values into this predictor, so a
-  /// freshly rebuilt model keeps the aggregate counts monotonic across a
-  /// snapshot swap (what WithNewHistory does internally). Call before
-  /// publishing this predictor to readers — it races with nothing then.
-  void CarryCountersFrom(const HybridPredictor& other) const {
-    counters_ = other.counters_;
-  }
-
   /// Runtime-tunable ranking knob: switches the premise-weight family
   /// without retraining (the weights only affect query scoring). Not
   /// thread-safe: call before sharing the predictor across threads.
@@ -303,22 +270,6 @@ class HybridPredictor {
   const HybridPredictorOptions& options() const { return options_; }
 
  private:
-  /// Relaxed atomic counterpart of QueryCounters. Copying snapshots the
-  /// source (so move/copy of a predictor carries the counts over).
-  struct AtomicQueryCounters {
-    std::atomic<size_t> forward_queries{0};
-    std::atomic<size_t> backward_queries{0};
-    std::atomic<size_t> pattern_answers{0};
-    std::atomic<size_t> motion_fallbacks{0};
-    std::atomic<size_t> degraded_answers{0};
-
-    AtomicQueryCounters() = default;
-    AtomicQueryCounters(const AtomicQueryCounters& other) { *this = other; }
-    AtomicQueryCounters& operator=(const AtomicQueryCounters& other);
-
-    QueryCounters Snapshot() const;
-  };
-
   HybridPredictor(HybridPredictorOptions options, FrequentRegionSet regions,
                   KeyTables key_tables, FrozenTpt tpt);
 
@@ -344,10 +295,10 @@ class HybridPredictor {
   std::vector<int> QueryPremise(const PredictiveQuery& query) const;
 
   /// What Predict, ForwardQuery and BackwardQuery share: validates
-  /// `query`, counts it under its processor, and serves the degraded RMF
-  /// answer when the deadline has expired or the pattern side faults.
-  /// Otherwise runs ForwardBody or BackwardBody on the scratch of the
-  /// query's context lane (function-local buffers without a context).
+  /// `query` and serves the degraded RMF answer when the deadline has
+  /// expired or the pattern side faults. Otherwise runs ForwardBody or
+  /// BackwardBody on the scratch of the query's context lane
+  /// (function-local buffers without a context).
   StatusOr<std::vector<Prediction>> Answer(const PredictiveQuery& query,
                                            bool backward) const;
 
@@ -365,12 +316,12 @@ class HybridPredictor {
       const PredictiveQuery& query, PredictScratch* scratch) const;
 
   /// The "no qualified pattern" answer both processors end in: the motion
-  /// function's prediction, counted as a motion fallback.
+  /// function's prediction.
   StatusOr<std::vector<Prediction>> MotionFallback(
       const PredictiveQuery& query) const;
 
   /// The graceful-degradation answer: the RMF motion-function prediction
-  /// stamped with `reason`, counted as a (degraded) motion fallback.
+  /// stamped with `reason`.
   StatusOr<std::vector<Prediction>> DegradedAnswer(
       const PredictiveQuery& query, DegradedReason reason) const;
 
@@ -388,8 +339,6 @@ class HybridPredictor {
   std::vector<Point> consequence_centres_;
   std::vector<uint32_t> centre_begin_;
   TrainingSummary summary_;
-
-  mutable AtomicQueryCounters counters_;
 };
 
 }  // namespace hpm

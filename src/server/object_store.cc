@@ -35,7 +35,6 @@ auto NearerFirst(const Point& target) {
 
 MovingObjectStore::MovingObjectStore(ObjectStoreOptions options)
     : options_(std::move(options)),
-      continuous_(std::make_unique<ContinuousState>()),
       metrics_registry_(std::make_unique<MetricsRegistry>()) {
   HPM_CHECK(options_.min_training_periods >= 1);
   HPM_CHECK(options_.rebuild.miner.window_periods >= 1 &&
@@ -378,13 +377,6 @@ Status MovingObjectStore::Ingest(ObjectId id, const Point& location,
   });
   HPM_RETURN_IF_ERROR(appended);
   HPM_RETURN_IF_ERROR(MaybeTrain(shard, id, pipeline));
-  if (HasContinuousQueries()) {
-    pipeline.RunMerge([&] {
-      const EpochManager::Guard guard = epoch_->Pin();
-      const ObjectView* view = FindView(shard, id);
-      if (view != nullptr) EvaluateContinuousQueries(*view);
-    });
-  }
   return Status::OK();
 }
 
@@ -533,8 +525,6 @@ Status MovingObjectStore::BuildModel(Shard& shard, ObjectId id,
   metrics_->tpt_frozen_bytes->Increment(
       record.predictor->summary().tpt_frozen_bytes);
   if (previous != nullptr) {
-    // Monotonic aggregate query counters survive the swap.
-    record.predictor->CarryCountersFrom(*previous);
     metrics_->rebuild_completed->Increment();
     metrics_->rebuild_build_us->RecordMicros(
         static_cast<uint64_t>(timer.ElapsedMicros()));
@@ -642,7 +632,7 @@ MovingObjectStore::GetPredictor(ObjectId id) const {
 }
 
 StatusOr<std::vector<Prediction>> MovingObjectStore::PredictView(
-    const ObjectView& view, Timestamp tq, int k, QueryContext* ctx,
+    const ObjectView& view, Timestamp tq, int k, QueryContext& ctx,
     int lane) const {
   if (view.history_size < 2) {
     return Status::FailedPrecondition(
@@ -652,32 +642,30 @@ StatusOr<std::vector<Prediction>> MovingObjectStore::PredictView(
     return Status::InvalidArgument(
         "query time must be after the object's last report");
   }
-  if (ctx != nullptr) ctx->CountObjectEvaluated();
+  ctx.CountObjectEvaluated();
   if (view.predictor == nullptr) {
     // Cold start: pure motion function until the first training
     // threshold. This is already the cheapest answer, so overload changes
     // nothing.
     Prediction prediction;
     prediction.source = PredictionSource::kMotionFunction;
-    prediction.location = view.motion.Predict(tq, ctx);
+    prediction.location = view.motion.Predict(tq, &ctx);
     return std::vector<Prediction>{prediction};
   }
 
-  PredictiveQuery local;
-  PredictiveQuery& query =
-      ctx != nullptr ? ctx->lane(static_cast<size_t>(lane)).query : local;
+  PredictiveQuery& query = ctx.lane(static_cast<size_t>(lane)).query;
   query.recent_movements = view.recent;
   query.current_time = view.now;
   query.query_time = tq;
   query.k = k;
-  query.deadline = ctx != nullptr ? ctx->deadline() : Deadline::Infinite();
-  query.context = ctx;
+  query.deadline = ctx.deadline();
+  query.context = &ctx;
   query.lane = lane;
   query.motion = &view.motion;
-  if (ctx != nullptr && ctx->shed_to_rmf()) {
+  if (ctx.shed_to_rmf()) {
     // Rung 1: the pattern side is skipped wholesale; the answer is the
     // exact RMF prediction, visibly stamped Overloaded.
-    ctx->CountDegradedPrediction();
+    ctx.CountDegradedPrediction();
     return view.predictor->DegradedPredict(query,
                                            DegradedReason::kOverloaded);
   }
@@ -706,7 +694,7 @@ StatusOr<std::vector<Prediction>> MovingObjectStore::PredictLocation(
     return Status::NotFound("unknown object id");
   }
   return pipeline.RunFanOut(
-      [&] { return PredictView(*view, tq, k, &ctx, /*lane=*/0); });
+      [&] { return PredictView(*view, tq, k, ctx, /*lane=*/0); });
 }
 
 std::vector<StatusOr<std::vector<Prediction>>>
@@ -745,7 +733,7 @@ MovingObjectStore::PredictLocationBatch(const std::vector<ObjectId>& ids,
         for (size_t i = begin; i < end; ++i) {
           results[i] = views[i] == nullptr
                            ? Result(Status::NotFound("unknown object id"))
-                           : PredictView(*views[i], tq, k, &ctx,
+                           : PredictView(*views[i], tq, k, ctx,
                                          static_cast<int>(lane));
         }
       });
@@ -810,7 +798,7 @@ Status MovingObjectStore::RangeQueryShard(int shard_index,
     // each remaining object's answer degrades to the cheap RMF
     // prediction instead of the shard aborting with partial coverage.
     StatusOr<std::vector<Prediction>> predictions =
-        PredictView(view, tq, k_per_object, &ctx, shard_index);
+        PredictView(view, tq, k_per_object, ctx, shard_index);
     if (!predictions.ok()) {
       return predictions.status();
     }
@@ -879,7 +867,7 @@ Status MovingObjectStore::NearestNeighborShard(
     }
     const ObjectView& view = *order[i].view;
     StatusOr<std::vector<Prediction>> predictions =
-        PredictView(view, tq, 1, &ctx, shard_index);
+        PredictView(view, tq, 1, ctx, shard_index);
     if (!predictions.ok()) {
       return predictions.status();
     }
@@ -941,74 +929,6 @@ StatusOr<FleetQueryResult> MovingObjectStore::PredictiveNearestNeighbors(
       });
   pipeline.MergeRank(&result, NearerFirst(target), /*limit=*/n);
   return result;
-}
-
-int MovingObjectStore::RegisterContinuousQuery(const BoundingBox& range,
-                                               Timestamp horizon,
-                                               int k_per_object) {
-  HPM_CHECK(!range.IsEmpty());
-  HPM_CHECK(horizon >= 1);
-  HPM_CHECK(k_per_object >= 1);
-  std::lock_guard<std::mutex> lock(continuous_->mutex);
-  ContinuousQuery query;
-  query.id = continuous_->next_query_id++;
-  query.range = range;
-  query.horizon = horizon;
-  query.k_per_object = k_per_object;
-  const int id = query.id;
-  continuous_->queries.emplace(id, std::move(query));
-  return id;
-}
-
-void MovingObjectStore::UnregisterContinuousQuery(int query_id) {
-  std::lock_guard<std::mutex> lock(continuous_->mutex);
-  continuous_->queries.erase(query_id);
-}
-
-bool MovingObjectStore::HasContinuousQueries() const {
-  std::lock_guard<std::mutex> lock(continuous_->mutex);
-  return !continuous_->queries.empty();
-}
-
-void MovingObjectStore::EvaluateContinuousQueries(const ObjectView& view) {
-  if (view.history_size < 2) return;
-  std::lock_guard<std::mutex> lock(continuous_->mutex);
-  for (auto& [query_id, query] : continuous_->queries) {
-    const Timestamp tq = view.now + query.horizon;
-    StatusOr<std::vector<Prediction>> predictions =
-        PredictView(view, tq, query.k_per_object, /*ctx=*/nullptr,
-                    /*lane=*/0);
-    if (!predictions.ok()) continue;
-    const Prediction* matching = nullptr;
-    for (const Prediction& p : *predictions) {
-      if (query.range.Contains(p.location)) {
-        if (matching == nullptr || p.score > matching->score) matching = &p;
-      }
-    }
-    const bool inside_now = matching != nullptr;
-    const auto it = query.inside.find(view.id);
-    const bool inside_before = it != query.inside.end() && it->second;
-    if (inside_now != inside_before) {
-      ContinuousEvent event;
-      event.query_id = query_id;
-      event.object = view.id;
-      event.entered = inside_now;
-      event.prediction = inside_now ? *matching : predictions->front();
-      event.evaluated_at = tq;
-      std::lock_guard<std::mutex> events_lock(continuous_->events_mutex);
-      continuous_->pending_events.push_back(std::move(event));
-    }
-    query.inside[view.id] = inside_now;
-  }
-}
-
-std::vector<MovingObjectStore::ContinuousEvent>
-MovingObjectStore::DrainContinuousEvents() {
-  std::lock_guard<std::mutex> lock(continuous_->events_mutex);
-  std::vector<ContinuousEvent> events =
-      std::move(continuous_->pending_events);
-  continuous_->pending_events.clear();
-  return events;
 }
 
 }  // namespace hpm

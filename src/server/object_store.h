@@ -317,35 +317,6 @@ class MovingObjectStore {
   /// Entry-point calls currently admitted and running.
   int InFlight() const { return admission_->in_flight(); }
 
-  /// ---- Continuous monitoring -----------------------------------------
-  /// Registers a standing range query: after every location report, the
-  /// reporting object's predicted membership in `range` at
-  /// (its now + horizon) is re-evaluated, and a ContinuousEvent is
-  /// queued whenever the membership flips. Returns the query id.
-  int RegisterContinuousQuery(const BoundingBox& range, Timestamp horizon,
-                              int k_per_object = 3);
-
-  /// Removes a standing query; pending events for it stay in the queue.
-  void UnregisterContinuousQuery(int query_id);
-
-  /// One membership flip detected by a standing query.
-  struct ContinuousEvent {
-    int query_id = 0;
-    ObjectId object = 0;
-    /// True when the object is now predicted inside the range; false
-    /// when it just left.
-    bool entered = false;
-    /// The triggering prediction (last matching one when entering; the
-    /// best available when leaving).
-    Prediction prediction;
-    /// The object-clock time the evaluation targeted (now + horizon).
-    Timestamp evaluated_at = 0;
-  };
-
-  /// Returns and clears the queued events, oldest first. Safe under
-  /// concurrent reporters (the event queue has its own mutex).
-  std::vector<ContinuousEvent> DrainContinuousEvents();
-
   /// ---- Persistence ----------------------------------------------------
   /// Writes the whole store (per-object history CSV + trained model +
   /// manifest) under `directory`, creating it if needed. Each object is
@@ -505,26 +476,6 @@ class MovingObjectStore {
     std::atomic<const ShardTable*> table;
   };
 
-  struct ContinuousQuery {
-    int id = 0;
-    BoundingBox range;
-    Timestamp horizon = 0;
-    int k_per_object = 3;
-    /// Last known predicted-membership per object.
-    std::map<ObjectId, bool> inside;
-  };
-
-  /// Standing-query registry and pending-event queue. Lock ordering:
-  /// `mutex` before `events_mutex`; neither is ever held while taking a
-  /// shard lock.
-  struct ContinuousState {
-    std::mutex mutex;
-    int next_query_id = 1;
-    std::map<int, ContinuousQuery> queries;
-    std::mutex events_mutex;
-    std::vector<ContinuousEvent> pending_events;
-  };
-
   static size_t ShardIndex(ObjectId id, size_t num_shards);
   Shard& ShardFor(ObjectId id) const {
     return *shards_[ShardIndex(id, shards_.size())];
@@ -548,20 +499,19 @@ class MovingObjectStore {
   const ObjectView* FindView(const Shard& shard, ObjectId id) const;
 
   /// Predicts against a published view; the caller holds an epoch pin,
-  /// no locks. Mirrors the pre-shard PredictForState semantics exactly.
-  /// The execution context (may be null for context-free callers —
-  /// continuous queries) supplies the deadline, the rung-1 shed verdict
-  /// (a trained object's answer is then the RMF motion function stamped
-  /// DegradedReason::kOverloaded), scratch lane `lane`, and per-query
-  /// accounting.
+  /// no locks. Before the first model the answer is the view's motion
+  /// function alone. The execution context supplies the deadline, the
+  /// rung-1 shed verdict (a trained object's answer is then the RMF
+  /// motion function stamped DegradedReason::kOverloaded), scratch lane
+  /// `lane`, and per-query accounting.
   StatusOr<std::vector<Prediction>> PredictView(const ObjectView& view,
                                                 Timestamp tq, int k,
-                                                QueryContext* ctx,
+                                                QueryContext& ctx,
                                                 int lane) const;
 
   /// Shared ReportLocation/ReportLocationAt back half, one pipeline
   /// instantiation: validates the sample (including `*expected_t`'s
-  /// range when non-null), appends, trains, feeds continuous queries.
+  /// range when non-null), appends and trains.
   Status Ingest(ObjectId id, const Point& location,
                 const Timestamp* expected_t);
 
@@ -664,16 +614,9 @@ class MovingObjectStore {
   /// receives.
   QueryPipeline::Env PipelineEnv() const;
 
-  /// Re-evaluates every standing query for the object that just
-  /// reported, against the given view (caller holds an epoch pin).
-  void EvaluateContinuousQueries(const ObjectView& view);
-
-  bool HasContinuousQueries() const;
-
   ObjectStoreOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<ContinuousState> continuous_;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<MetricsRegistry> metrics_registry_;
   std::unique_ptr<StoreMetrics> metrics_;

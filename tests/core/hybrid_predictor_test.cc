@@ -72,6 +72,35 @@ PredictiveQuery RouteAQuery(Timestamp tc_offset, Timestamp length,
   return q;
 }
 
+/// Two answers are the same prediction for prediction: every field, the
+/// doubles bit for bit. Names the first field that differs.
+::testing::AssertionResult SameAnswers(const std::vector<Prediction>& got,
+                                       const std::vector<Prediction>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " predictions, want " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    const Prediction& a = got[i];
+    const Prediction& b = want[i];
+    const bool same_box =
+        a.uncertainty.IsEmpty() == b.uncertainty.IsEmpty() &&
+        (b.uncertainty.IsEmpty() ||
+         (a.uncertainty.min() == b.uncertainty.min() &&
+          a.uncertainty.max() == b.uncertainty.max()));
+    if (!(a.location == b.location) || a.score != b.score ||
+        a.source != b.source || a.pattern_id != b.pattern_id ||
+        a.consequence_region != b.consequence_region ||
+        a.confidence != b.confidence || !same_box ||
+        a.degraded != b.degraded) {
+      return ::testing::AssertionFailure()
+             << "prediction " << i << ": " << a.ToString() << ", want "
+             << b.ToString();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 class HybridPredictorTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -130,12 +159,26 @@ TEST_F(HybridPredictorTest, BackwardQueryPredictsDistantOffset) {
 }
 
 TEST_F(HybridPredictorTest, PredictDispatchesOnDistantThreshold) {
-  predictor_->ResetCounters();
-  ASSERT_TRUE(predictor_->Predict(RouteAQuery(10, 4)).ok());
-  EXPECT_EQ(predictor_->counters().forward_queries, 1u);
-  EXPECT_EQ(predictor_->counters().backward_queries, 0u);
-  ASSERT_TRUE(predictor_->Predict(RouteAQuery(5, 12)).ok());
-  EXPECT_EQ(predictor_->counters().backward_queries, 1u);
+  // d = 8: every length below it gets FQP's answer, every length at or
+  // above it BQP's. The two processors answer differently on both sides
+  // of d, so a dispatch on the wrong side shows.
+  const Timestamp d = predictor_->options().distant_threshold;
+  ASSERT_EQ(d, 8);
+  int other_differs = 0;
+  for (Timestamp length = 1; length <= 14; ++length) {
+    SCOPED_TRACE("length " + std::to_string(length));
+    PredictiveQuery q = RouteAQuery(5, length);
+    q.k = 3;
+    const auto got = predictor_->Predict(q);
+    const auto forward = predictor_->ForwardQuery(q);
+    const auto backward = predictor_->BackwardQuery(q);
+    ASSERT_TRUE(got.ok() && forward.ok() && backward.ok());
+    EXPECT_TRUE(SameAnswers(*got, length < d ? *forward : *backward));
+    if (!SameAnswers(*got, length < d ? *backward : *forward)) {
+      ++other_differs;
+    }
+  }
+  EXPECT_EQ(other_differs, 14);
 }
 
 TEST_F(HybridPredictorTest, TopKReturnsBothRoutes) {
@@ -197,10 +240,19 @@ TEST_F(HybridPredictorTest, InvalidQueriesRejectedEverywhere) {
 }
 
 TEST_F(HybridPredictorTest, CountersTrackAnswerSources) {
-  predictor_->ResetCounters();
-  ASSERT_TRUE(predictor_->Predict(RouteAQuery(10, 4)).ok());
-  EXPECT_EQ(predictor_->counters().pattern_answers, 1u);
-  EXPECT_EQ(predictor_->counters().motion_fallbacks, 0u);
+  // Each answer carries its source, which is what every count of pattern
+  // answers and motion fallbacks (EvalResult, the store's metrics) reads:
+  // a route-A query is answered from patterns, and every prediction of
+  // it says so.
+  PredictiveQuery q = RouteAQuery(10, 4);
+  q.k = 3;
+  const auto answer = predictor_->Predict(q);
+  ASSERT_TRUE(answer.ok());
+  ASSERT_FALSE(answer->empty());
+  for (const Prediction& p : *answer) {
+    EXPECT_EQ(p.source, PredictionSource::kPattern);
+    EXPECT_EQ(p.degraded, DegradedReason::kNone);
+  }
 }
 
 TEST(HybridPredictorTrainTest, InvalidOptionsRejected) {
@@ -554,53 +606,45 @@ TEST(HybridPredictorBqpTest, WrappedAnsweringIntervalBoundsBothRuns) {
   }
 }
 
-TEST(HybridPredictorCountersTest, TotalsAddUpSingleThreaded) {
-  auto predictor = HybridPredictor::Train(MakeHistory(40), SmallOptions());
-  ASSERT_TRUE(predictor.ok());
-  constexpr int kForward = 7;
-  constexpr int kBackward = 5;
-  for (int i = 0; i < kForward; ++i) {
-    ASSERT_TRUE((*predictor)->Predict(RouteAQuery(10, 4)).ok());
-  }
-  for (int i = 0; i < kBackward; ++i) {
-    ASSERT_TRUE((*predictor)->Predict(RouteAQuery(5, 12)).ok());
-  }
-  const QueryCounters counters = (*predictor)->counters();
-  EXPECT_EQ(counters.forward_queries, static_cast<size_t>(kForward));
-  EXPECT_EQ(counters.backward_queries, static_cast<size_t>(kBackward));
-  // Every Predict is answered exactly once, by pattern or fallback.
-  EXPECT_EQ(counters.pattern_answers + counters.motion_fallbacks,
-            static_cast<size_t>(kForward + kBackward));
-  (*predictor)->ResetCounters();
-  const QueryCounters cleared = (*predictor)->counters();
-  EXPECT_EQ(cleared.forward_queries, 0u);
-  EXPECT_EQ(cleared.backward_queries, 0u);
-  EXPECT_EQ(cleared.pattern_answers, 0u);
-  EXPECT_EQ(cleared.motion_fallbacks, 0u);
-}
-
 TEST(HybridPredictorCountersTest, ConcurrentPredictsLoseNoCounts) {
+  // One trained model shared by four threads, each predicting forward
+  // and backward queries: every thread's answers equal the ones a single
+  // thread got before the threads started (under TSan, also a race check
+  // of the shared model).
   auto predictor = HybridPredictor::Train(MakeHistory(40), SmallOptions());
   ASSERT_TRUE(predictor.ok());
+  const HybridPredictor& model = **predictor;
+  std::vector<PredictiveQuery> queries;
+  std::vector<std::vector<Prediction>> want;
+  for (Timestamp length : {2, 4, 8, 12}) {
+    PredictiveQuery q = RouteAQuery(length < 8 ? 10 : 5, length);
+    q.k = 3;
+    const auto answer = model.Predict(q);
+    ASSERT_TRUE(answer.ok());
+    queries.push_back(q);
+    want.push_back(*answer);
+  }
   constexpr int kThreads = 4;
   constexpr int kQueriesPerThread = 50;
+  std::vector<std::vector<std::vector<Prediction>>> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&predictor, t] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        const bool forward = (t + i) % 2 == 0;
-        ASSERT_TRUE(
-            (*predictor)->Predict(RouteAQuery(forward ? 10 : 5,
-                                              forward ? 4 : 12)).ok());
+        const auto answer = model.Predict(queries[(t + i) % queries.size()]);
+        got[t].push_back(answer.ok() ? *answer : std::vector<Prediction>{});
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  const QueryCounters counters = (*predictor)->counters();
-  constexpr size_t kTotal =
-      static_cast<size_t>(kThreads) * kQueriesPerThread;
-  EXPECT_EQ(counters.forward_queries + counters.backward_queries, kTotal);
-  EXPECT_EQ(counters.pattern_answers + counters.motion_fallbacks, kTotal);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), static_cast<size_t>(kQueriesPerThread));
+    for (int i = 0; i < kQueriesPerThread; ++i) {
+      SCOPED_TRACE("thread " + std::to_string(t) + ", query " +
+                   std::to_string(i));
+      EXPECT_TRUE(SameAnswers(got[t][i], want[(t + i) % queries.size()]));
+    }
+  }
 }
 
 TEST(HybridPredictorUpdateTest, WithNewHistoryAddsToAnUntouchedSource) {
@@ -714,14 +758,13 @@ struct GoldenQuery {
   Timestamp length;
   bool expired;
   std::vector<GoldenPrediction> want;
-  QueryCounters counters;  // This query's increments.
-  TptSearchStats tpt;      // Summed over the query's searches.
+  TptSearchStats tpt;  // Summed over the query's searches.
 };
 
 TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
   // Exact answers of each FQP/BQP route on a seeded model: locations,
-  // scores and confidences bit for bit, the counters each query bumps
-  // and the search effort its context sums. d = 4, t_eps = 2, k = 3.
+  // scores and confidences bit for bit, and the search effort its
+  // context sums. d = 4, t_eps = 2, k = 3.
   HybridPredictorOptions options = SmallOptions();
   options.distant_threshold = 4;
   auto trained = HybridPredictor::Train(MakeSparseHistory(), options);
@@ -747,7 +790,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
          kPattern, kNone},
         {0x1.12f8bc0c8d8fep+9, 0x1.8fcb70df16a4p+6, 0x1p+0, 0x1p+0, 26,
          kPattern, kNone}},
-       {1, 0, 1, 0, 0},
        {2, 35, 51}},
       // FQP fallback, no premise: the search never runs.
       {"off route",
@@ -756,7 +798,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
        2,
        false,
        {{0x1.5fdp+12, 0x1.a9dp+12, 0x0p+0, 0x0p+0, -1, kMotion, kNone}},
-       {1, 0, 0, 1, 0},
        {0, 0, 0}},
       // FQP fallback, no hit: a route-B premise searched at offset 6.
       {"route B",
@@ -765,7 +806,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
        2,
        false,
        {{0x1.45p+9, 0x1.2cp+10, 0x0p+0, 0x0p+0, -1, kMotion, kNone}},
-       {1, 0, 0, 1, 0},
        {2, 35, 41}},
       // BQP at offset 13: round 1 ([11, 15]) has no consequence to
       // search, round 2 ([9, 17]) hits offset 9.
@@ -780,7 +820,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
          kPattern, kNone},
         {0x1.db007584bdcacp+9, 0x1.8fc752b026085p+6, 0x1p-1, 0x1p+0, 44,
          kPattern, kNone}},
-       {0, 1, 1, 0, 0},
        {3, 64, 64}},
       // BQP at offset 1 of the next period: round 1 wraps to [19, 3].
       {"route A",
@@ -794,7 +833,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
          kPattern, kNone},
         {0x1.f4491deed2f5cp+7, 0x1.8f3f8a641c887p+6, 0x1.5555555555556p-1,
          0x1p+0, 1, kPattern, kNone}},
-       {0, 1, 1, 0, 0},
        {2, 36, 36}},
       // BQP at offset 15, last round 2: neither [13, 17] nor [11, 19]
       // holds a consequence, so it falls back there.
@@ -804,7 +842,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
        6,
        false,
        {{0x1.838p+10, 0x1.9p+6, 0x0p+0, 0x0p+0, -1, kMotion, kNone}},
-       {0, 1, 0, 1, 0},
        {0, 0, 0}},
       // The first query again under an expired deadline: degraded RMF.
       {"route A",
@@ -814,7 +851,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
        true,
        {{0x1.13p+9, 0x1.9p+6, 0x0p+0, 0x0p+0, -1, kMotion,
          DegradedReason::kDeadlineExceeded}},
-       {1, 0, 0, 1, 1},
        {0, 0, 0}},
   };
 
@@ -837,9 +873,7 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
     ctx.SetLaneCount(1);
     q.context = &ctx;
 
-    const QueryCounters before = predictor.counters();
     const auto answer = predictor.Predict(q);
-    const QueryCounters after = predictor.counters();
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     ASSERT_EQ(answer->size(), g.want.size());
     for (size_t j = 0; j < g.want.size(); ++j) {
@@ -854,16 +888,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
       EXPECT_EQ(got.source, want.source);
       EXPECT_EQ(got.degraded, want.degraded);
     }
-    EXPECT_EQ(after.forward_queries - before.forward_queries,
-              g.counters.forward_queries);
-    EXPECT_EQ(after.backward_queries - before.backward_queries,
-              g.counters.backward_queries);
-    EXPECT_EQ(after.pattern_answers - before.pattern_answers,
-              g.counters.pattern_answers);
-    EXPECT_EQ(after.motion_fallbacks - before.motion_fallbacks,
-              g.counters.motion_fallbacks);
-    EXPECT_EQ(after.degraded_answers - before.degraded_answers,
-              g.counters.degraded_answers);
     const QueryContext::Totals totals = ctx.totals();
     EXPECT_EQ(totals.tpt_nodes_visited, g.tpt.nodes_visited);
     EXPECT_EQ(totals.tpt_entries_tested, g.tpt.entries_tested);
@@ -872,12 +896,6 @@ TEST(HybridPredictorGoldenTest, EveryRoutePinsItsExactAnswer) {
     total_tpt.entries_tested += totals.tpt_entries_tested;
     total_tpt.blocks_scanned += totals.tpt_blocks_scanned;
   }
-  const QueryCounters counters = predictor.counters();
-  EXPECT_EQ(counters.forward_queries, 4u);
-  EXPECT_EQ(counters.backward_queries, 3u);
-  EXPECT_EQ(counters.pattern_answers, 3u);
-  EXPECT_EQ(counters.motion_fallbacks, 4u);
-  EXPECT_EQ(counters.degraded_answers, 1u);
   EXPECT_EQ(total_tpt.nodes_visited, 9u);
   EXPECT_EQ(total_tpt.entries_tested, 170u);
   EXPECT_EQ(total_tpt.blocks_scanned, 192u);

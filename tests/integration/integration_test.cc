@@ -180,20 +180,22 @@ TEST(IntegrationCountersTest, MotionFallbackRateFallsWithMoreHistory) {
       MakeQueryCases(dataset.trajectory, kPeriod, kTrainSubs, Workload(10));
   ASSERT_TRUE(cases.ok());
 
-  size_t fallbacks_small = 0, fallbacks_large = 0;
+  int fallbacks_small = 0, fallbacks_large = 0;
   {
     HybridPredictorOptions options = Options();
     options.regions.limit_sub_trajectories = 6;
     auto predictor = HybridPredictor::Train(dataset.trajectory, options);
     ASSERT_TRUE(predictor.ok());
-    ASSERT_TRUE(EvaluateHpm(**predictor, *cases).ok());
-    fallbacks_small = (*predictor)->counters().motion_fallbacks;
+    const auto result = EvaluateHpm(**predictor, *cases);
+    ASSERT_TRUE(result.ok());
+    fallbacks_small = result->motion_answers;
   }
   {
     auto predictor = HybridPredictor::Train(dataset.trajectory, Options());
     ASSERT_TRUE(predictor.ok());
-    ASSERT_TRUE(EvaluateHpm(**predictor, *cases).ok());
-    fallbacks_large = (*predictor)->counters().motion_fallbacks;
+    const auto result = EvaluateHpm(**predictor, *cases);
+    ASSERT_TRUE(result.ok());
+    fallbacks_large = result->motion_answers;
   }
   EXPECT_LE(fallbacks_large, fallbacks_small);
 }

@@ -291,41 +291,5 @@ TEST(ConcurrentStoreTest, SnapshotsSurviveRetrains) {
   }
 }
 
-// DrainContinuousEvents is safe while reporters are generating events.
-TEST(ConcurrentStoreTest, ContinuousEventsUnderConcurrentReporters) {
-  MovingObjectStore store(Options());
-  // A band each route crosses mid-period.
-  const BoundingBox band{{400.0, 0.0}, {1200.0, 1e6}};
-  const int query_id = store.RegisterContinuousQuery(band, 2);
-  EXPECT_GE(query_id, 1);
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&store, w] {
-      for (Timestamp t = 0; t < 3 * kPeriod; ++t) {
-        ASSERT_TRUE(store.ReportLocation(w, Route(w, t)).ok());
-      }
-    });
-  }
-  std::atomic<bool> stop{false};
-  size_t drained = 0;
-  std::thread drainer([&store, &stop, &drained] {
-    while (!stop.load()) {
-      drained += store.DrainContinuousEvents().size();
-    }
-  });
-  for (std::thread& t : writers) t.join();
-  stop.store(true);
-  drainer.join();
-  drained += store.DrainContinuousEvents().size();
-
-  // Every route repeatedly enters and leaves the band: events must
-  // have been produced, and none may be double-delivered (each drain
-  // clears the queue atomically, so the total is at most one flip per
-  // report).
-  EXPECT_GT(drained, 0u);
-  EXPECT_LE(drained, static_cast<size_t>(kWriters) * 3 * kPeriod);
-}
-
 }  // namespace
 }  // namespace hpm

@@ -167,26 +167,6 @@ TEST_F(DegradedServingTest, DegradedBatchAnswersEverySlot) {
   }
 }
 
-TEST_F(DegradedServingTest, CountersTrackDegradedAnswers) {
-  MovingObjectStore store = TrainedStore(1, 27);
-  auto predictor = store.GetPredictor(0);
-  ASSERT_TRUE(predictor.ok());
-  (*predictor)->ResetCounters();
-
-  ASSERT_TRUE(store.PredictLocation(0, kNow + 5).ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        store.PredictLocation(0, kNow + 5, 1, Deadline::Expired()).ok());
-  }
-  const QueryCounters counters = (*predictor)->counters();
-  EXPECT_EQ(counters.degraded_answers, 3u);
-  // Degraded answers are a subset of motion fallbacks, and every query
-  // is answered one way or the other.
-  EXPECT_GE(counters.motion_fallbacks, counters.degraded_answers);
-  EXPECT_EQ(counters.pattern_answers + counters.motion_fallbacks,
-            counters.forward_queries + counters.backward_queries);
-}
-
 TEST_F(DegradedServingTest, DegradedReasonNames) {
   EXPECT_STREQ(DegradedReasonName(DegradedReason::kNone), "None");
   EXPECT_STREQ(DegradedReasonName(DegradedReason::kDeadlineExceeded),

@@ -364,54 +364,6 @@ TEST(ObjectStoreTest, ReportAtRejectsUnknownObjectNonZeroStart) {
   EXPECT_EQ(store.RejectedReports(9), 1u);
 }
 
-TEST(ObjectStoreTest, ContinuousQueryEmitsEnterAndLeaveEvents) {
-  MovingObjectStore store(Options());
-  Random rng(10);
-  for (int day = 0; day < 5; ++day) {
-    ASSERT_TRUE(store.ReportTrajectory(0, OnePeriod(0, &rng)).ok());
-  }
-  // Watch a box around the route's offset-10 position, 5 ticks ahead.
-  const Point center = Route(0, 10);
-  const BoundingBox around(center - Point{120, 120},
-                           center + Point{120, 120});
-  const int query_id = store.RegisterContinuousQuery(around, 5);
-  EXPECT_TRUE(store.DrainContinuousEvents().empty());
-
-  // Feed the fresh day; as "now" approaches offset 5, now+5 hits the
-  // box (enter event); as it moves past, the prediction leaves it.
-  std::vector<MovingObjectStore::ContinuousEvent> events;
-  for (Timestamp t = 0; t <= 19; ++t) {
-    ASSERT_TRUE(store.ReportLocation(0, Route(0, t)).ok());
-    for (auto& e : store.DrainContinuousEvents()) {
-      events.push_back(std::move(e));
-    }
-  }
-  ASSERT_GE(events.size(), 2u);
-  EXPECT_EQ(events[0].query_id, query_id);
-  EXPECT_EQ(events[0].object, 0);
-  EXPECT_TRUE(events[0].entered);
-  EXPECT_TRUE(around.Contains(events[0].prediction.location));
-  // The last event is the departure.
-  EXPECT_FALSE(events.back().entered);
-  // Events drain exactly once.
-  EXPECT_TRUE(store.DrainContinuousEvents().empty());
-}
-
-TEST(ObjectStoreTest, UnregisteredQueryStopsFiring) {
-  MovingObjectStore store(Options());
-  Random rng(11);
-  for (int day = 0; day < 5; ++day) {
-    ASSERT_TRUE(store.ReportTrajectory(0, OnePeriod(0, &rng)).ok());
-  }
-  const BoundingBox everywhere({-1e7, -1e7}, {1e7, 1e7});
-  const int query_id = store.RegisterContinuousQuery(everywhere, 3);
-  ASSERT_TRUE(store.ReportLocation(0, Route(0, 0)).ok());
-  EXPECT_FALSE(store.DrainContinuousEvents().empty());  // Entered.
-  store.UnregisterContinuousQuery(query_id);
-  ASSERT_TRUE(store.ReportLocation(0, Route(0, 1)).ok());
-  EXPECT_TRUE(store.DrainContinuousEvents().empty());
-}
-
 TEST(ObjectStoreTest, DirectoryPersistenceRoundTrips) {
   const std::string dir =
       std::string(::testing::TempDir()) + "/store_roundtrip";
@@ -666,15 +618,6 @@ TEST(ObjectStoreTest, ColdObjectsPersistWithoutModels) {
   EXPECT_EQ(restored->GetPredictor(5).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(restored->HistoryLength(5), static_cast<size_t>(kPeriod));
-}
-
-TEST(ObjectStoreDeathTest, ContinuousQueryValidationAborts) {
-  MovingObjectStore store(Options());
-  EXPECT_DEATH(store.RegisterContinuousQuery(BoundingBox(), 5),
-               "HPM_CHECK");
-  const BoundingBox box({0, 0}, {1, 1});
-  EXPECT_DEATH(store.RegisterContinuousQuery(box, 0), "HPM_CHECK");
-  EXPECT_DEATH(store.RegisterContinuousQuery(box, 5, 0), "HPM_CHECK");
 }
 
 TEST(ObjectStoreDeathTest, BadOptionsAbort) {

@@ -205,31 +205,6 @@ TEST(OverloadTest, LowDeadlineHeadroomShedsToRmfStampedOverloaded) {
             2u);
 }
 
-TEST(OverloadTest, OverloadedAnswersKeepCounterInvariants) {
-  ObjectStoreOptions options = BaseOptions();
-  options.degrade_min_headroom =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::hours(1));
-  MovingObjectStore store(options);
-  Populate(&store, 1, 42);
-  auto predictor = store.GetPredictor(0);
-  ASSERT_TRUE(predictor.ok());
-  (*predictor)->ResetCounters();
-
-  ASSERT_TRUE(store.PredictLocation(0, kNow + 5).ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        store.PredictLocation(0, kNow + 5, 1, Deadline::AfterMillis(100))
-            .ok());
-  }
-  const QueryCounters counters = (*predictor)->counters();
-  // "pattern_answers + motion_fallbacks == total queries" survives the
-  // rung-1 path, and the shed answers count as degraded.
-  EXPECT_EQ(counters.forward_queries + counters.backward_queries, 4u);
-  EXPECT_EQ(counters.pattern_answers + counters.motion_fallbacks, 4u);
-  EXPECT_GE(counters.degraded_answers, 3u);
-}
-
 // ---- The 4x-overload contract ---------------------------------------------
 
 // Offered load far beyond capacity: every single response must be one of
